@@ -20,7 +20,7 @@ bounded shuffle window (128 active nodes) inside clusters of 512 to
 10,000 nodes. Model work is constant, so events/sec staying flat is
 direct evidence the admission/completion/cancellation hot loops carry
 no O(cluster) term — only the once-per-wave reachable scan touches all
-nodes, and that is a single vectorized pass over the liveness columns.
+nodes.
 
 A third sweep is the *heavy-shuffle* case: one ring component of
 window * fanin concurrent flows (3k-8k), completions streaming in, on

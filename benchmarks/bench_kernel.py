@@ -1,4 +1,4 @@
-"""DES-kernel + data-plane throughput at cluster scale.
+"""DES-kernel throughput at cluster scale.
 
 The scenario is the control plane's steady-state diet: a real
 :class:`~repro.cluster.cluster.Cluster` with ``n`` nodes, a real
@@ -6,34 +6,25 @@ The scenario is the control plane's steady-state diet: a real
 second and running its liveness check, a progress sampler recording
 cluster series every five seconds, and a mid-run network-loss storm
 that takes out 1% of the fleet (declared lost by the RM 70 s later,
-exercising periodic shutdown, columnar slot state and trace logging).
+exercising periodic shutdown and trace logging).
 
-Three implementations run the same workload:
+Two kernels run the same workload:
 
 - ``reference``: the pre-overhaul generator kernel
-  (``REPRO_KERNEL=reference``) with the scalar data plane — the
-  original baseline, swept only at <= 1024 nodes.
-- ``pooled``: the pooled/batched kernel with the scalar per-object
-  data plane (``REPRO_DATA_PLANE=reference``): one pure periodic per
-  NM heartbeat, python loops in the liveness tick.
-- ``columnar``: the pooled kernel with the columnar data plane — one
-  batched heartbeat stamp, one vectorized liveness scan, O(1) heap
-  entries for the whole control plane.
+  (``REPRO_KERNEL=reference``) — the original baseline, swept only at
+  <= 1024 nodes.
+- ``pooled``: the pooled/batched kernel (the default): one pure
+  periodic per NM heartbeat, ticked as a same-instant batch.
 
 Speedups are only admissible because the trace digests are
-byte-identical across all modes — same events, same series, same
-ordering. Throughput is *model events per wall second* with a common
-numerator: every mode divides the pooled/scalar run's kernel event
-count by its own wall time, so the columnar plane (which deliberately
-schedules ~n fewer kernel events for the same modelled behaviour) is
-credited for simulating the same cluster-second, not penalised for
-scheduling less.
+byte-identical across both kernels — same events, same series, same
+ordering. Throughput is *model events per wall second*: the pooled
+run's kernel event count divided by each kernel's wall time.
 
 Numbers land in ``BENCH_kernel.json`` at the repo root. Acceptance:
->=3x events/sec for columnar over pooled at 4096+ nodes, identical
-digests everywhere, and a sub-linear events/sec degradation curve (no
-O(n^2) cliff). ``--smoke [--nodes N]`` (script mode, used by CI) runs
-a single equivalence check without touching the JSON.
+identical digests everywhere and a sub-linear events/sec degradation
+curve (no O(n^2) cliff). ``--smoke [--nodes N]`` (script mode, used by
+CI) runs a single equivalence check without touching the JSON.
 """
 
 import argparse
@@ -57,32 +48,19 @@ REPEATS = 3
 REPEATS_AT_SCALE = 2  # 4096+ nodes: runs are seconds long, noise amortizes
 
 _MODE_ENV = {
-    "reference": {"REPRO_KERNEL": "reference", "REPRO_DATA_PLANE": "reference"},
-    "pooled": {"REPRO_KERNEL": None, "REPRO_DATA_PLANE": "reference"},
-    "columnar": {"REPRO_KERNEL": None, "REPRO_DATA_PLANE": None},
+    "reference": {"REPRO_KERNEL": "reference"},
+    "pooled": {"REPRO_KERNEL": None},
 }
 
 
 def _cluster_block(sim: Simulator, rm: ResourceManager):
-    """Batched sampler probe: live-node count and worst heartbeat lag.
-
-    One pass over the RM's node state per tick. The columnar branch is
-    two reductions over the columns; the scalar branch is the python
-    loop the per-name probes used to run twice. Both produce identical
-    values, so series (and digests) agree across planes.
-    """
+    """Batched sampler probe: live-node count and worst heartbeat lag,
+    from one pass over the RM's node managers per tick."""
 
     def block():
-        cols = rm.columns
-        if cols is not None:
-            n = cols.size
-            used = cols.used[:n]
-            live = int((used & ~cols.col("lost")[:n]).sum())
-            lag = sim.now - cols.col("last_heartbeat")[:n][used].min().item()
-        else:
-            nms = rm.node_managers.values()
-            live = sum(not nm.lost for nm in nms)
-            lag = sim.now - min(nm.last_heartbeat for nm in nms)
+        nms = rm.node_managers.values()
+        live = sum(not nm.lost for nm in nms)
+        lag = sim.now - min(nm.last_heartbeat for nm in nms)
         return (("live_nodes", live), ("heartbeat_lag", lag))
 
     return block
@@ -96,7 +74,7 @@ def _loss_storm(sim: Simulator, cluster: Cluster, at: float, count: int):
 
 def run_workload(mode: str, nodes: int, horizon: float = HORIZON) -> dict:
     """One cluster control-plane run under the named implementation."""
-    saved = {key: os.environ.get(key) for key in ("REPRO_KERNEL", "REPRO_DATA_PLANE")}
+    saved = {key: os.environ.get(key) for key in ("REPRO_KERNEL",)}
     for key, value in _MODE_ENV[mode].items():
         if value is None:
             os.environ.pop(key, None)
@@ -150,7 +128,7 @@ def _best_of(mode: str, nodes: int, horizon: float, repeats: int) -> dict:
 
 def compare_modes(nodes: int, horizon: float = HORIZON,
                   repeats: int = REPEATS, with_reference: bool = True) -> dict:
-    modes = ["pooled", "columnar"]
+    modes = ["pooled"]
     if with_reference and nodes <= REFERENCE_MAX_NODES:
         modes.insert(0, "reference")
     results = {mode: _best_of(mode, nodes, horizon, repeats) for mode in modes}
@@ -163,9 +141,8 @@ def compare_modes(nodes: int, horizon: float = HORIZON,
         assert res["series_points"] == pooled["series_points"], (nodes, mode, results)
     row = {"nodes": nodes, "horizon": horizon, "identical_digests": True}
     for mode, res in results.items():
-        # Common numerator: the pooled/scalar kernel event count is the
-        # work of one cluster-second regardless of how few heap events
-        # another mode needs to model it.
+        # Common numerator: the pooled kernel's event count is the work
+        # of one cluster-second.
         eps = pooled["model_events"] / max(res["wall_seconds"], 1e-9)
         row[mode] = {
             "model_events": res["model_events"],
@@ -174,8 +151,6 @@ def compare_modes(nodes: int, horizon: float = HORIZON,
             "trace_events": res["trace_events"],
             "series_points": res["series_points"],
         }
-    row["columnar_vs_pooled_speedup"] = round(
-        pooled["wall_seconds"] / max(results["columnar"]["wall_seconds"], 1e-9), 2)
     if "reference" in results:
         row["pooled_vs_reference_speedup"] = round(
             results["reference"]["wall_seconds"] / max(pooled["wall_seconds"], 1e-9), 2)
@@ -206,23 +181,17 @@ def test_kernel_throughput(report):
         "sample_interval": SAMPLE_INTERVAL,
         "repeats": REPEATS,
         "repeats_at_scale": REPEATS_AT_SCALE,
-        "events_per_sec_numerator": "pooled model_events (common across modes)",
+        "events_per_sec_numerator": "pooled model_events (common across kernels)",
         "identical_digests": all(r["identical_digests"] for r in rows),
         "sweep": rows,
     }
     out = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
-    report("DES kernel + data plane — columnar vs scalar vs reference",
-           json.dumps(payload, indent=2))
+    report("DES kernel — pooled vs reference", json.dumps(payload, indent=2))
 
-    # Acceptance: >=3x model-events/sec for the columnar plane over the
-    # pooled/scalar kernel at 4096+ nodes, sub-linear scaling curves.
-    for row in rows:
-        if row["nodes"] >= 4096:
-            assert row["columnar_vs_pooled_speedup"] >= 3.0, row
+    # Acceptance: a sub-linear scaling curve for the default kernel.
     _assert_sublinear(rows, "pooled")
-    _assert_sublinear(rows, "columnar")
 
 
 def main(argv=None) -> int:
@@ -236,9 +205,10 @@ def main(argv=None) -> int:
     if args.smoke:
         row = compare_modes(nodes=args.nodes, horizon=120.0, repeats=1,
                             with_reference=args.nodes <= 256)
-        print(f"smoke ok at {args.nodes} nodes: digests identical across modes, "
-              f"columnar vs pooled speedup {row['columnar_vs_pooled_speedup']}x "
-              f"({row['pooled']['model_events']} pooled kernel events)")
+        kernels = "reference/pooled" if "reference" in row else "pooled"
+        print(f"smoke ok at {args.nodes} nodes ({kernels}): "
+              f"{row['pooled']['model_events']} pooled kernel events, "
+              f"{row['pooled']['events_per_sec']} events/sec")
         return 0
     for nodes in NODE_COUNTS:
         print(json.dumps(compare_modes(nodes), indent=2))

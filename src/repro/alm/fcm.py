@@ -86,11 +86,6 @@ class FCMReduceAttempt(ReduceAttempt):
             self._registered = False
 
         self.stage = "fcm"
-        # FCM progress form: resume + (1-resume)*live, live = CPU part
-        # (flows deliberately excluded — the mirror's ``fcm`` flag makes
-        # the vectorized kernel reproduce exactly that).
-        self._col_set(reduce_live=True, fcm=True,
-                      resume=self.reduce_resume_fraction)
         by_node = self._plan_participants()
         self._fcm_total = sum(by_node.values())
         self.am.trace.log("fcm_start", attempt=self.attempt_id,
@@ -139,7 +134,6 @@ class FCMReduceAttempt(ReduceAttempt):
         cpu_s = wl.reduce_cpu_per_mb * total_in / MB
         self._reduce_cpu_seconds = cpu_s
         self._reduce_cpu_started = self.sim.now
-        self._col_set(cpu_start=self._reduce_cpu_started, cpu_secs=cpu_s)
         if cpu_s > 0:
             waits.append(self.cluster.compute(self.node, cpu_s))
         out_bytes = total_in * wl.reduce_selectivity
@@ -160,7 +154,6 @@ class FCMReduceAttempt(ReduceAttempt):
             raise TaskFailed("fcm-participant-lost") from exc
         self._fcm_frac = 1.0
         self.stage = "done"
-        self._col_set(prog_base=1.0, prog_span=0.0, reduce_live=False, fcm=False)
         self.shuffled_bytes = total_in
         return {"output_bytes": out_bytes, "input_bytes": total_in, "mode": "fcm"}
 

@@ -23,34 +23,42 @@ from typing import Iterable
 import numpy as np
 
 from repro.cluster.node import GB, MB, Node, NodeSpec, Rack
-from repro.sim.columns import LivenessColumns, columnar_enabled
 from repro.sim.core import Event, SimulationError, Simulator
 from repro.sim.flows import Flow, FlowScheduler, LinkResource
 
-__all__ = ["Cluster", "ClusterSpec", "flow_scheduler_class"]
+__all__ = ["COLUMNAR_FLOW_MIN_NODES", "Cluster", "ClusterSpec", "flow_scheduler_class"]
+
+#: Clusters with at least this many nodes get the columnar flow
+#: scheduler; smaller ones the incremental one. The crossover was
+#: measured on shuffle-heavy Terasort jobs (DESIGN.md §13): below it
+#: numpy's per-call overhead on small flow components costs more than
+#: the vectorized refill saves.
+COLUMNAR_FLOW_MIN_NODES = 128
 
 
-def flow_scheduler_class():
-    """The flow scheduler implementation to use, selected by the
-    ``REPRO_SCHEDULER`` environment variable: ``columnar`` (vectorized
-    refill over flow columns — the default when the columnar data plane
-    is on), ``incremental`` (the scalar coalescing scheduler, also the
-    default under ``REPRO_DATA_PLANE=reference``), or ``reference`` for
-    the eager full-recompute seed implementation (equivalence tests,
-    before/after benchmarks). All three are bit-identical."""
+def flow_scheduler_class(num_nodes: int):
+    """The flow scheduler implementation for a cluster of ``num_nodes``.
+
+    By default the choice follows the cluster's size (see
+    :data:`COLUMNAR_FLOW_MIN_NODES`). The ``REPRO_SCHEDULER``
+    environment variable forces one: ``incremental`` (the scalar
+    coalescing scheduler), ``columnar`` (vectorized refill over flow
+    columns) or ``reference`` (the eager full-recompute seed
+    implementation, kept as the equivalence oracle). All three are
+    bit-identical."""
     choice = os.environ.get("REPRO_SCHEDULER", "").strip().lower()
+    if choice == "":
+        choice = "columnar" if num_nodes >= COLUMNAR_FLOW_MIN_NODES else "incremental"
     if choice in ("reference", "eager"):
         from repro.sim.flows_reference import ReferenceFlowScheduler
 
         return ReferenceFlowScheduler
     if choice == "incremental":
         return FlowScheduler
-    if choice == "columnar" or (choice == "" and columnar_enabled()):
+    if choice == "columnar":
         from repro.sim.flows_columnar import ColumnarFlowScheduler
 
         return ColumnarFlowScheduler
-    if choice == "":
-        return FlowScheduler
     raise SimulationError(f"unknown REPRO_SCHEDULER {choice!r}")
 
 
@@ -86,21 +94,14 @@ class Cluster:
     def __init__(self, sim: Simulator, spec: ClusterSpec | None = None) -> None:
         self.sim = sim
         self.spec = spec or ClusterSpec()
-        self.flows = flow_scheduler_class()(sim)
+        self.flows = flow_scheduler_class(self.spec.num_nodes)(sim)
         self.rng = np.random.default_rng(self.spec.seed)
         self.core_link = LinkResource("core-switch", self.spec.core_bandwidth)
         self.racks = [Rack(i) for i in range(self.spec.num_racks)]
-        #: Dense per-node_id liveness arrays; every node dual-writes
-        #: its alive/network_up flips here (repro.sim.columns). The
-        #: mirror is maintained in both data-plane modes (writes are
-        #: rare fault events); the mode only selects who *reads* it.
-        self.columns = LivenessColumns(self.spec.num_nodes)
-        self._columnar = columnar_enabled()
         self.nodes: list[Node] = []
         for i in range(self.spec.num_nodes):
             rack = self.racks[i % self.spec.num_racks]
             node = Node(i, rack, self.spec.node)
-            node._liveness = self.columns
             rack.add(node)
             self.nodes.append(node)
         #: Listeners invoked as fn(node) when a node dies or loses network.
@@ -116,21 +117,10 @@ class Cluster:
         return self.nodes[node_id]
 
     def alive_nodes(self) -> list[Node]:
-        if self._columnar:
-            nodes = self.nodes
-            return [nodes[i] for i in np.flatnonzero(self.columns.alive)]
         return [n for n in self.nodes if n.alive]
 
     def reachable_nodes(self) -> list[Node]:
-        if self._columnar:
-            nodes = self.nodes
-            return [nodes[i] for i in np.flatnonzero(self.columns.reachable)]
         return [n for n in self.nodes if n.reachable]
-
-    def reachable_mask(self) -> np.ndarray:
-        """Per-``node_id`` reachability as a bool array (read-only by
-        convention); the form batched ticks and fault pickers consume."""
-        return self.columns.reachable
 
     def same_rack(self, a: Node, b: Node) -> bool:
         return a.rack is b.rack

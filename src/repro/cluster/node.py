@@ -51,46 +51,20 @@ class Node:
         self.rack = rack
         self.spec = spec
         self.name = f"node-{node_id}"
-        self._alive = True
-        self._network_up = True
-        #: Cluster-attached :class:`~repro.sim.columns.LivenessColumns`
-        #: mirror (None for standalone nodes built outside a Cluster).
-        self._liveness = None
+        self.alive = True
+        self.network_up = True
         self.disk = LinkResource(f"{self.name}/disk", spec.disk_bandwidth)
         self.nic_in = LinkResource(f"{self.name}/nic-in", spec.nic_bandwidth)
         self.nic_out = LinkResource(f"{self.name}/nic-out", spec.nic_bandwidth)
         self._files: dict[str, LocalFile] = {}
 
     # -- liveness -----------------------------------------------------------
-    # alive/network_up are properties so the rare fault-driven flips
-    # dual-write into the cluster's liveness columns; reads stay plain
-    # attribute loads on the private fields.
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    @alive.setter
-    def alive(self, value: bool) -> None:
-        self._alive = value = bool(value)
-        if self._liveness is not None:
-            self._liveness.update(self.node_id, value, self._network_up)
-
-    @property
-    def network_up(self) -> bool:
-        return self._network_up
-
-    @network_up.setter
-    def network_up(self, value: bool) -> None:
-        self._network_up = value = bool(value)
-        if self._liveness is not None:
-            self._liveness.update(self.node_id, self._alive, value)
-
     @property
     def reachable(self) -> bool:
         """A node serves remote requests only if it is up *and* its
         network is up; the two fault modes are distinguishable locally
         but identical to remote observers."""
-        return self._alive and self._network_up
+        return self.alive and self.network_up
 
     # -- local files ----------------------------------------------------------
     def write_file(self, path: str, size: float, kind: str = "data") -> LocalFile:

@@ -6,8 +6,6 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.cluster import Cluster
 from repro.cluster.node import Node
 from repro.hdfs.hdfs import Hdfs
@@ -18,7 +16,6 @@ from repro.mapreduce.mof import MOFRegistry
 from repro.mapreduce.recovery import RecoveryPolicy
 from repro.mapreduce.tasks import AttemptState, Task, TaskState, TaskType
 from repro.metrics.trace import Trace
-from repro.sim.columns import attempt_progress
 from repro.sim.core import Event, Simulator
 from repro.workloads import Workload
 from repro.yarn.rm import Container, ResourceManager
@@ -53,7 +50,6 @@ class MRAppMaster:
         history: JobHistoryLog | None = None,
         am_attempt: int = 0,
         partition_weights=None,
-        attempt_columns=None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -69,11 +65,6 @@ class MRAppMaster:
         self.history = history
         #: Incarnation number: 0 for the first launch, +1 per restart.
         self.am_attempt = am_attempt
-        #: Runtime-owned :class:`~repro.sim.columns.AttemptColumns`
-        #: mirror (columnar data plane only, shared across AM restarts
-        #: so adopted attempts keep their slots); ``None`` on the
-        #: scalar plane.
-        self.attempt_columns = attempt_columns
 
         # Partition weights are job-level state: a restarted AM inherits
         # them (drawing again would shift the RNG stream and disagree
@@ -561,9 +552,6 @@ class MRAppMaster:
                 attempt.task = new_task
                 new_task.attempts.append(attempt)
                 new_task.state = TaskState.RUNNING
-                # Adoption keeps the column slot; re-own it so the
-                # vectorized scans include it in this incarnation.
-                attempt._col_set(owner=self.am_attempt)
                 self.trace.log("attempt_adopted", task=new_task.name,
                                attempt=attempt.attempt_id,
                                type=new_task.task_type.value)
@@ -605,44 +593,10 @@ class MRAppMaster:
         })
 
     # -- live metrics (used by samplers and fault triggers) -----------------
-    def _running_attempt_slots(self, task_type: int | None = None) -> "np.ndarray":
-        """Column slots of this incarnation's running attempts
-        (columnar plane only; caller checks ``attempt_columns``)."""
-        store = self.attempt_columns
-        n = store.size
-        mask = (store.used[:n] & store.col("running")[:n]
-                & (store.col("owner")[:n] == self.am_attempt))
-        if task_type is not None:
-            mask &= store.col("task_type")[:n] == task_type
-        return np.flatnonzero(mask)
-
-    def _attempt_progress(self, slots: "np.ndarray") -> "np.ndarray":
-        """Vectorized ``attempt.progress`` for column ``slots``."""
-        sched = self.cluster.flows
-        return attempt_progress(self.attempt_columns, slots,
-                                getattr(sched, "columns", None),
-                                self.sim.now, sched._last_update)
-
     def reduce_phase_progress(self) -> float:
         """Mean progress over all reduce tasks (completed count as 1)."""
         if not self.reduce_tasks:
             return 1.0
-        if self.attempt_columns is not None:
-            store = self.attempt_columns
-            slots = self._running_attempt_slots(task_type=1)
-            best = np.full(self.num_reduces, -math.inf)
-            if len(slots):
-                np.maximum.at(best, store.col("task_id")[slots],
-                              self._attempt_progress(slots))
-            total = 0.0
-            for task in self.reduce_tasks:
-                if task.state is TaskState.SUCCEEDED:
-                    total += 1.0
-                else:
-                    b = best[task.task_id]
-                    if b != -math.inf:
-                        total += float(b)
-            return total / self.num_reduces
         total = 0.0
         for task in self.reduce_tasks:
             if task.state is TaskState.SUCCEEDED:
@@ -660,34 +614,9 @@ class MRAppMaster:
         return self.trace.count("attempt_failed", type="reduce")
 
     def log_task_progress(self) -> None:
-        """Emit one ``task_progress`` record per running attempt.
-
-        Both planes produce identical rows in identical order: the
-        scalar walk visits maps then reduces in task-id order, attempts
-        in list order (which is allocation order — adoption preserves
-        relative order and new attempts append); the columnar path
-        sorts its one gathered block by (type, task, allocation seq)
-        and converts cells to python scalars before logging so the
-        hashed records are byte-identical.
-        """
+        """Emit one ``task_progress`` record per running attempt: maps
+        then reduces in task-id order, attempts in allocation order."""
         trace = self.trace
-        store = self.attempt_columns
-        if store is not None:
-            slots = self._running_attempt_slots()
-            if not len(slots):
-                return
-            order = np.lexsort((store.col("seq")[slots],
-                                store.col("task_id")[slots],
-                                store.col("task_type")[slots]))
-            slots = slots[order]
-            progress = self._attempt_progress(slots).tolist()
-            tts = store.col("task_type")[slots].tolist()
-            tids = store.col("task_id")[slots].tolist()
-            idxs = store.col("attempt_index")[slots].tolist()
-            for tt, tid, idx, prog in zip(tts, tids, idxs, progress):
-                trace.log("task_progress", tt=tt, task=tid, attempt=idx,
-                          progress=prog)
-            return
         for tasks, tt in ((self.map_tasks, 0), (self.reduce_tasks, 1)):
             for task in tasks:
                 for a in task.attempts:

@@ -18,7 +18,6 @@ from repro.mapreduce.config import JobConf
 from repro.mapreduce.history import JobHistoryLog
 from repro.mapreduce.recovery import RecoveryPolicy, YarnRecoveryPolicy
 from repro.metrics.trace import ProgressSampler, Trace
-from repro.sim.columns import AttemptColumns, columnar_enabled
 from repro.sim.core import SimulationError, Simulator
 from repro.workloads import Workload
 from repro.yarn.rm import ResourceManager, YarnConfig
@@ -90,20 +89,15 @@ class MapReduceRuntime:
         #: Opt-in registration of the high-volume trace kinds
         #: (``task_progress`` per running attempt per sampler tick,
         #: ``flow_done`` per completed flow) — the big scenario configs
-        #: turn this on. Registration must precede any logging, and is
-        #: independent of the data plane: records are hashed through the
-        #: same ``_export_record`` coercion on both storage paths, so
-        #: digests cannot drift.
+        #: turn this on. Registration must precede any logging; records
+        #: are hashed through the same ``_export_record`` coercion on
+        #: both storage paths, so digests cannot drift.
         self.trace_columnar = trace_columnar
         if trace_columnar:
             self.trace.columnar("task_progress", capacity=1024,
                                 tt="i1", task="i8", attempt="i4", progress="f8")
             self.trace.columnar("flow_done", capacity=1024, fid="i8", size="f8")
             self.cluster.flows.on_complete = self._log_flow_done
-        #: Shared per-attempt column mirror (columnar plane only); one
-        #: store per job, handed to every AM incarnation so adopted
-        #: attempts keep their slots across restarts.
-        self.attempt_columns = AttemptColumns() if columnar_enabled() else None
 
         self._input_path = input_path = f"input/{job_name}"
         self.hdfs.ingest(input_path, workload.input_size)
@@ -112,7 +106,7 @@ class MapReduceRuntime:
         self.am = MRAppMaster(
             self.sim, self.cluster, self.rm, self.hdfs, workload, self.conf,
             self.policy, self.trace, input_path=input_path, job_name=job_name,
-            history=self.history, attempt_columns=self.attempt_columns,
+            history=self.history,
         )
         #: Every AM this job has had, oldest first; ``self.am`` is the
         #: live one (re-bound by :meth:`_relaunch_am`).
@@ -128,30 +122,15 @@ class MapReduceRuntime:
             self.speculator = self.policy.make_speculator(self.am, spec_cfg)
         self.sampler = ProgressSampler(self.sim, self.trace, interval=sample_interval)
         # Probes go through ``self.am`` late-bound so they track the
-        # live incarnation across AM restarts. On the columnar plane the
-        # three gauges come from one block (a single column scan feeds
-        # all of them); the series names and values are identical to the
-        # reference plane's three probes, and the digest sorts series by
-        # name, so the storage path cannot affect the digest.
-        if self.attempt_columns is not None:
-            self.sampler.add_probe_block(self._progress_block)
-        else:
-            self.sampler.add_probe("reduce_progress",
-                                   lambda: self.am.reduce_phase_progress())
-            self.sampler.add_probe("map_progress",
-                                   lambda: self.am.map_phase_progress())
-            self.sampler.add_probe("failed_reduce_attempts",
-                                   lambda: float(self.am.failed_reduce_attempts()))
+        # live incarnation across AM restarts.
+        self.sampler.add_probe("reduce_progress",
+                               lambda: self.am.reduce_phase_progress())
+        self.sampler.add_probe("map_progress",
+                               lambda: self.am.map_phase_progress())
+        self.sampler.add_probe("failed_reduce_attempts",
+                               lambda: float(self.am.failed_reduce_attempts()))
         if trace_columnar:
             self.sampler.add_probe_block(self._task_progress_block)
-
-    def _progress_block(self):
-        am = self.am
-        return (
-            ("reduce_progress", am.reduce_phase_progress()),
-            ("map_progress", am.map_phase_progress()),
-            ("failed_reduce_attempts", float(am.failed_reduce_attempts())),
-        )
 
     def _task_progress_block(self):
         self.am.log_task_progress()
@@ -203,7 +182,6 @@ class MapReduceRuntime:
             self.policy, self.trace, input_path=self._input_path,
             job_name=self.job_name, history=self.history, am_attempt=attempt_no,
             partition_weights=old.partition_weights,
-            attempt_columns=self.attempt_columns,
         )
         self.trace.log("am_restarted", am_attempt=attempt_no,
                        recovery=self.conf.am_recovery)

@@ -58,7 +58,6 @@ class MapAttempt(TaskAttempt):
         # 1. Read the input split, preferring local then rack-local
         # replicas, failing over if a source dies mid-read.
         self._stage = "read"
-        self._col_set(prog_base=0.0, prog_span=_READ_W)
         candidates = self.am.hdfs._ordered_replicas(self.node, block)
         if not candidates:
             raise TaskFailed("input-block-lost")
@@ -76,7 +75,6 @@ class MapAttempt(TaskAttempt):
             except Exception:
                 continue
             self._read_flow = self._flow(fl)
-            self._col_flow(fl)
             try:
                 yield from self._step(fl.done)
                 read_ok = True
@@ -94,8 +92,6 @@ class MapAttempt(TaskAttempt):
 
         # 2. Map function CPU.
         self._stage = "cpu"
-        self._col_set(prog_base=_READ_W + _CPU_W * self._stage_frac, prog_span=0.0)
-        self._col_flow(None)
         cpu_s = wl.map_cpu_per_mb * (block.size / MB)
         yield from self._step(self.cluster.compute(self.node, cpu_s))
         self._stage_frac = 1.0
@@ -103,7 +99,6 @@ class MapAttempt(TaskAttempt):
         # 3. Sort/spill the MOF to local disk. Output larger than the
         # sort buffer costs an extra merge pass (read + write).
         self._stage = "write"
-        self._col_set(prog_base=_READ_W + _CPU_W, prog_span=_WRITE_W)
         out_size = block.size * wl.map_selectivity
         write_bytes = out_size
         if out_size > conf.io_sort_mb:
@@ -112,12 +107,9 @@ class MapAttempt(TaskAttempt):
             self._write_flow = self._flow(
                 self.cluster.disk_write(self.node, write_bytes, name=f"mof:{self.attempt_id}")
             )
-            self._col_flow(self._write_flow)
             yield from self._step(self._write_flow.done)
         self._stage_frac = 1.0
         self._stage = "done"
-        self._col_set(prog_base=1.0, prog_span=0.0)
-        self._col_flow(None)
 
         weights = self.am.partition_weights
         mof = MapOutput(

@@ -145,19 +145,6 @@ class ReduceAttempt(TaskAttempt):
     def total_input_bytes(self) -> float:
         return self.mem_bytes + self._flushing_bytes + sum(s.size for s in self.disk_segments)
 
-    # -- columnar progress mirror -------------------------------------------
-    # Each write stores the exact float expression the scalar ``progress``
-    # property would evaluate at this point, so the vectorized sampler and
-    # speculator scans reproduce it bit-for-bit (DESIGN.md §13).
-    def _col_shuffle(self) -> None:
-        self._col_set(
-            prog_base=(len(self.fetched) / max(self.num_maps, 1)) / 3.0,
-            prog_span=0.0)
-
-    def _col_merge(self) -> None:
-        self._col_set(prog_base=1.0 / 3.0 + self._merge_frac / 3.0,
-                      prog_span=0.0)
-
     # -- AM-facing API ----------------------------------------------------------
     def notify_mof(self, mof: MapOutput) -> None:
         """The AM announces a completed map's output location."""
@@ -201,7 +188,6 @@ class ReduceAttempt(TaskAttempt):
             self._apply_recovery(self.recovery)
 
         self.stage = "shuffle"
-        self._col_shuffle()
         self.am.register_reducer(self)
         self._registered = True
         try:
@@ -224,17 +210,13 @@ class ReduceAttempt(TaskAttempt):
 
         # Final merge: bring on-disk runs down to io.sort.factor.
         self.stage = "merge"
-        self._col_merge()
         yield from self._final_merge()
         self._merge_frac = 1.0
-        self._col_merge()
 
         # Reduce: stream the MPQ through the reduce function into HDFS.
         self.stage = "reduce"
         yield from self._reduce_stage(wl, conf)
         self.stage = "done"
-        self._col_set(prog_base=1.0, prog_span=0.0, reduce_live=False)
-        self._col_flow(None)
         return {
             "output_bytes": self.total_input_bytes * wl.reduce_selectivity,
             "input_bytes": self.total_input_bytes,
@@ -329,7 +311,6 @@ class ReduceAttempt(TaskAttempt):
                 self._merge_kick.put(True)
         if pending:
             self._enqueue_host(node_id)
-        self._col_shuffle()
         self._check_shuffle_complete()
 
     def _fetch_round_failed(self, host: Node, node_id: int, batch: dict[int, MapOutput]):
@@ -444,7 +425,6 @@ class ReduceAttempt(TaskAttempt):
             self._new_disk_segment(bytes_merged)
             total_passes += 1
             self._merge_frac = min(1.0, 0.5 * total_passes)
-            self._col_merge()
 
     # -- reduce stage -----------------------------------------------------------
     def _reduce_stage(self, wl, conf):
@@ -474,10 +454,6 @@ class ReduceAttempt(TaskAttempt):
             waits.append(self._reduce_flow.done)
         self._reduce_cpu_seconds = cpu_s
         self._reduce_cpu_started = self.sim.now
-        self._col_set(prog_base=0.0, prog_span=0.0, reduce_live=True,
-                      resume=resume, cpu_start=self._reduce_cpu_started,
-                      cpu_secs=cpu_s)
-        self._col_flow(self._reduce_flow)
         if cpu_s > 0:
             waits.append(self.cluster.compute(self.node, cpu_s))
         if out_bytes > 0:

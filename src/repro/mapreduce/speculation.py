@@ -80,11 +80,7 @@ class Speculator:
 
     def _scan(self, tasks: list[Task], task_type: TaskType) -> None:
         cfg = self.config
-        now = self.am.sim.now
-        if getattr(self.am, "attempt_columns", None) is not None:
-            estimates = self._estimates_columnar(tasks, task_type, now)
-        else:
-            estimates = self._estimates_scalar(tasks, now)
+        estimates = self._estimates(tasks, self.am.sim.now)
         completed = [
             t.attempts[-1].elapsed for t in tasks
             if t.state is TaskState.SUCCEEDED and t.attempts
@@ -135,8 +131,8 @@ class Speculator:
             return None
         return cfg.slowness_threshold * mean_est, mean_est
 
-    # -- completion-estimate scans ------------------------------------------
-    def _estimates_scalar(self, tasks: list[Task], now: float) -> list[tuple[float, Task]]:
+    # -- completion-estimate scan --------------------------------------------
+    def _estimates(self, tasks: list[Task], now: float) -> list[tuple[float, Task]]:
         cfg = self.config
         estimates: list[tuple[float, Task]] = []
         for task in tasks:
@@ -154,42 +150,3 @@ class Speculator:
             rate = max(a.progress, cfg.min_progress) / runtime
             estimates.append((runtime + (1.0 - a.progress) / rate, task))
         return estimates
-
-    def _estimates_columnar(self, tasks: list[Task], task_type: TaskType,
-                            now: float) -> list[tuple[float, Task]]:
-        """One vectorized pass over the attempt columns.
-
-        Bit-identical to :meth:`_estimates_scalar`: the gauge kernel
-        reproduces ``attempt.progress`` exactly, ``np.maximum`` agrees
-        with ``max`` on non-NaN floats, and rows are emitted in task-id
-        order — the same order the scalar walk appends in (a candidate
-        task has exactly one running attempt, so there are no
-        within-task ordering questions).
-        """
-        import numpy as np
-
-        cfg = self.config
-        am = self.am
-        store = am.attempt_columns
-        slots = am._running_attempt_slots(
-            task_type=0 if task_type is TaskType.MAP else 1)
-        if not len(slots):
-            return []
-        tids = store.col("task_id")[slots]
-        counts = np.bincount(tids, minlength=len(tasks))
-        runtime = now - store.col("start_time")[slots]
-        keep = (counts[tids] == 1) & (runtime >= cfg.min_runtime)
-        idx = np.flatnonzero(keep)
-        if not len(idx):
-            return []
-        idx = idx[np.argsort(tids[idx], kind="stable")]
-        prog = am._attempt_progress(slots[idx])
-        rt = runtime[idx]
-        rate = np.maximum(prog, cfg.min_progress) / rt
-        est = rt + (1.0 - prog) / rate
-        out: list[tuple[float, Task]] = []
-        for tid, e in zip(tids[idx].tolist(), est.tolist()):
-            task = tasks[tid]
-            if task.state is TaskState.RUNNING:
-                out.append((e, task))
-        return out

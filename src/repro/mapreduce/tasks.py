@@ -90,16 +90,6 @@ class Task:
         return f"<Task {self.name} {self.state.value}>"
 
 
-#: AttemptState -> small-int ordinal for the ``state`` attempt column.
-_STATE_ORD = {
-    AttemptState.RUNNING: 0,
-    AttemptState.SUCCEEDED: 1,
-    AttemptState.FAILED: 2,
-    AttemptState.KILLED: 3,
-    AttemptState.VANISHED: 4,
-}
-
-
 class TaskAttempt:
     """One execution attempt, bound to a container on a node.
 
@@ -107,19 +97,9 @@ class TaskAttempt:
     handles guarded waiting (racing every step against the container's
     kill event), cleanup of in-flight flows and child processes, and
     outcome classification.
-
-    When the columnar data plane is on, every attempt dual-writes its
-    progress-relevant state into the AM's shared
-    :class:`~repro.sim.columns.AttemptColumns` (the python attributes
-    stay the source of truth — the columns are a read mirror for the
-    vectorized sampler/speculator scans). The ``state`` attribute is a
-    property so *every* mutation site — including external adjudication
-    like the node-lost kill path — keeps the mirror exact.
     """
 
     def __init__(self, am: "MRAppMaster", task: Task, container: Container) -> None:
-        self._acols = None
-        self._aslot = -1
         self.am = am
         self.sim = am.sim
         self.cluster = am.cluster
@@ -139,72 +119,6 @@ class TaskAttempt:
         self._children: list[Process] = []
         task.attempts.append(self)
         task.state = TaskState.RUNNING
-        store = getattr(am, "attempt_columns", None)
-        if store is not None:
-            self._aslot = store.alloc_attempt(
-                task_type=0 if task.task_type is TaskType.MAP else 1,
-                task_id=task.task_id,
-                attempt_index=self.attempt_index,
-                owner=am.am_attempt,
-                running=True,
-                state=_STATE_ORD[AttemptState.RUNNING],
-                start_time=self.start_time,
-                flow_slot=-1,
-                flow_fid=-1,
-            )
-            self._acols = store
-
-    # -- columnar mirror -----------------------------------------------------
-    @property
-    def state(self) -> AttemptState:
-        return self._state
-
-    @state.setter
-    def state(self, value: AttemptState) -> None:
-        self._state = value
-        store = self._acols
-        if store is not None and self._aslot >= 0:
-            store.set(self._aslot, "state", _STATE_ORD[value])
-            store.set(self._aslot, "running", value is AttemptState.RUNNING)
-
-    def _col_set(self, **fields: Any) -> None:
-        """Write progress-decomposition cells (no-op on the scalar plane)."""
-        store = self._acols
-        if store is not None:
-            slot = self._aslot
-            for name, value in fields.items():
-                store.set(slot, name, value)
-
-    def _col_flow(self, flow: Flow | None) -> None:
-        """Point the progress mirror at the attempt's current flow.
-
-        ``flow_fid`` of ``-1`` means no flow; a valid fid means the
-        flow's column cell (validated slot+fid) carries its progress;
-        ``-2`` means the flow has no column cell (scalar flow scheduler
-        or instant-complete) and must be read via ``flow_refs``.
-        """
-        store = self._acols
-        if store is None:
-            return
-        slot = self._aslot
-        store.flow_refs[slot] = flow
-        if flow is None:
-            store.set(slot, "flow_slot", -1)
-            store.set(slot, "flow_fid", -1)
-        elif flow._cols is not None:
-            store.set(slot, "flow_slot", flow._slot)
-            store.set(slot, "flow_fid", flow.fid)
-        else:
-            store.set(slot, "flow_slot", -1)
-            store.set(slot, "flow_fid", flow.fid if flow.fid >= 0 else -2)
-
-    def _col_finish(self) -> None:
-        """Release the mirror slot once the attempt is adjudicated."""
-        store = self._acols
-        if store is not None and self._aslot >= 0:
-            store.free(self._aslot)
-            self._acols = None
-            self._aslot = -1
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -260,24 +174,20 @@ class TaskAttempt:
                                       SimulationError, HdfsError, ContainerKilled)):
                 raise exc
             self._release_if_unreported()
-            self._col_finish()
             return
         self._cleanup()
         self.end_time = self.sim.now
         if self.state is not AttemptState.RUNNING:
             self._release_if_unreported()
-            self._col_finish()
             return  # already adjudicated (e.g. marked KILLED at node loss)
         if not self.node.reachable:
             # Completed into the void: nobody heard about it.
             self.state = AttemptState.VANISHED
             self.am.on_attempt_vanished(self)
             self._release_if_unreported()
-            self._col_finish()
             return
         self.state = AttemptState.SUCCEEDED
         self.am._attempt_succeeded(self, result)
-        self._col_finish()
 
     def _classify_failure(self, exc: BaseException) -> None:
         if isinstance(exc, ContainerKilled):

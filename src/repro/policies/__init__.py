@@ -39,7 +39,7 @@ unseeded randomness, and everything it does must flow through the
 simulator — the conformance suite (``tests/test_policy_registry.py``)
 re-runs every registered policy under every fault kind and requires
 byte-identical trace digests across reruns and across the
-``REPRO_DATA_PLANE`` / ``REPRO_SCHEDULER`` implementation matrix.
+``REPRO_SCHEDULER`` implementation modes.
 """
 
 from __future__ import annotations
@@ -116,6 +116,11 @@ def _discover() -> None:
             importlib.import_module(ep.value.partition(":")[0])
     except Exception:
         pass
+    # A policy module imported directly before discovery registered
+    # ahead of the seeds; put the seeds back in front.
+    specs = sorted(_REGISTRY.values(), key=lambda spec: not spec.seed)
+    _REGISTRY.clear()
+    _REGISTRY.update((spec.name, spec) for spec in specs)
 
 
 def policy_names() -> tuple[str, ...]:

@@ -28,8 +28,8 @@ __all__ = ["QuantilePolicy", "QuantileSpeculator", "make_quantile",
 
 
 def quantile(values: list[float], q: float) -> float:
-    """Linear-interpolation quantile (numpy's default method), kept in
-    pure Python so the detector works on the scalar data plane too."""
+    """Linear-interpolation quantile (numpy's default method), in pure
+    Python: the samples are a handful of per-task estimates."""
     if not values:
         raise SimulationError("quantile of empty sample")
     if not 0.0 <= q <= 1.0:

@@ -63,10 +63,10 @@ def profiling_enabled() -> bool:
 
 #: name -> [calls, total seconds] for periodic callbacks, accumulated
 #: by the wrappers :meth:`~repro.sim.core.Simulator.periodic` installs
-#: when profiling is enabled. Name-keyed, so the 10k per-NM heartbeats
-#: of the scalar plane aggregate per node while the batched daemons
-#: report as single rows — the view that says which *daemon* is the
-#: next hot loop, which cProfile's per-function rows cannot.
+#: when profiling is enabled. Name-keyed, so the per-NM heartbeats
+#: aggregate per node while cluster-wide daemons report as single rows
+#: — the view that says which *daemon* is the next hot loop, which
+#: cProfile's per-function rows cannot.
 _PERIODIC_TIMES: dict[str, list] = {}
 
 

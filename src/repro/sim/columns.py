@@ -1,71 +1,23 @@
-"""Columnar data plane: cluster-wide node state in numpy arrays.
+"""Slotted numpy column storage for the columnar flow scheduler.
 
-At 10k nodes the per-object representation of node state (one
-``NodeManager`` attribute write per heartbeat, one python attribute
-read per liveness/scheduling probe) is the hot loop. This module holds
-that state as *columns* — one preallocated numpy array per field,
-one slot per node — so the control-plane daemons become single
-vectorized passes: ``hb[mask] = now`` stamps every heartbeat at an
-instant, ``np.flatnonzero(now - hb >= timeout)`` finds every overdue
-node, and the scheduler's least-loaded scan is an array max.
-
-Two cooperating pieces:
-
-- :class:`ColumnStore` — a generic slotted struct-of-arrays with
-  amortized-doubling growth and LIFO free-slot reuse. Users allocate a
-  slot per entity and either read/write columns directly (vectorized
-  passes) or through a :class:`Handle` (attribute-style scalar access,
-  used by tests and cold paths).
-- :class:`LivenessColumns` — the cluster's ``alive``/``network_up``
-  bool arrays, dense by ``node_id``. :class:`~repro.cluster.node.Node`
-  dual-writes its liveness flips into these (writes are rare fault
-  events), so batched ticks can test reachability without touching
-  node objects.
-
-``REPRO_DATA_PLANE=reference`` selects the pre-columnar scalar
-representation (per-object attributes, one pure periodic per node
-manager) — the equivalence oracle, mirroring ``REPRO_KERNEL`` and
-``REPRO_SCHEDULER``. Both planes are byte-identical by construction:
-the same values are written at the same instants in the same relative
-order, so seeded trace digests do not move (see DESIGN.md §11 for the
-ordering argument; ``python -m repro verify`` enforces it).
+:class:`ColumnStore` is a generic slotted struct-of-arrays with
+amortized-doubling growth and LIFO free-slot reuse: one preallocated
+numpy array per field, one slot per entity, so a vectorized pass reads
+a whole population as array slices. :class:`FlowColumns` specialises it
+for :class:`~repro.sim.flows_columnar.ColumnarFlowScheduler`, which
+keeps each admitted flow's ``remaining``/``rate`` and its route here
+and runs the max-min refill as array passes over them.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 import numpy as np
 
 from repro.sim.core import SimulationError
 
-__all__ = [
-    "AttemptColumns",
-    "ColumnStore",
-    "FlowColumns",
-    "Handle",
-    "LivenessColumns",
-    "attempt_progress",
-    "columnar_enabled",
-    "data_plane_mode",
-]
-
-
-def data_plane_mode() -> str:
-    """The node-state representation selected by ``REPRO_DATA_PLANE``:
-    ``columnar`` (default) or ``reference`` (per-object scalar state,
-    the pre-columnar implementation kept as an equivalence oracle)."""
-    choice = os.environ.get("REPRO_DATA_PLANE", "").strip().lower()
-    if choice in ("", "columnar"):
-        return "columnar"
-    if choice in ("reference", "scalar"):
-        return "reference"
-    raise SimulationError(f"unknown REPRO_DATA_PLANE {choice!r}")
-
-
-def columnar_enabled() -> bool:
-    return data_plane_mode() == "columnar"
+__all__ = ["ColumnStore", "FlowColumns"]
 
 
 class ColumnStore:
@@ -74,9 +26,7 @@ class ColumnStore:
     ``schema`` maps field name -> numpy dtype string. Every allocated
     slot owns one cell of every column. Capacity grows by amortized
     doubling; freed slots are reused LIFO, so a free immediately
-    followed by an alloc returns the *same* slot — which is what keeps
-    slot order aligned with registration order across node
-    re-registrations (see ``yarn.rm``).
+    followed by an alloc returns the *same* slot.
 
     Vectorized readers must slice columns to ``[:store.size]`` (the
     high-water mark) and mask with :attr:`used`: cells past the mark
@@ -85,14 +35,13 @@ class ColumnStore:
     reused slot never leaks its previous occupant's state.
     """
 
-    __slots__ = ("_schema", "_cols", "used", "size", "_free")
+    __slots__ = ("_cols", "used", "size", "_free")
 
     def __init__(self, schema: dict[str, str], capacity: int = 8) -> None:
         if not schema:
             raise SimulationError("ColumnStore needs at least one field")
-        self._schema = dict(schema)
         cap = max(int(capacity), 1)
-        self._cols = {name: np.zeros(cap, dtype=dt) for name, dt in self._schema.items()}
+        self._cols = {name: np.zeros(cap, dtype=dt) for name, dt in schema.items()}
         #: Per-slot liveness mask (True between alloc and free).
         self.used = np.zeros(cap, dtype=bool)
         #: High-water mark: slots >= size have never been allocated.
@@ -106,10 +55,6 @@ class ColumnStore:
     @property
     def capacity(self) -> int:
         return len(self.used)
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        return tuple(self._schema)
 
     def col(self, name: str) -> np.ndarray:
         """The full backing array for ``name``; slice to ``[:size]``."""
@@ -132,41 +77,9 @@ class ColumnStore:
         self.used[slot] = True
         return slot
 
-    def alloc_many(self, count: int, **values: Any) -> np.ndarray:
-        """Claim ``count`` slots in one vectorized pass; returns them.
-
-        Each value may be a scalar (broadcast) or an array of length
-        ``count``. Free slots are reused (LIFO) before fresh ones, and
-        every field not given a value is zero-filled, exactly as
-        :meth:`alloc` does one at a time. This is the construction-time
-        bulk path: ``REPRO_PROFILE`` at 4096 nodes showed the per-NM
-        ``alloc`` loop as the hottest remaining loop once the periodic
-        ticks were vectorized.
-        """
-        if count < 0:
-            raise SimulationError(f"alloc_many of {count} slots")
-        unknown = [k for k in values if k not in self._cols]
-        if unknown:
-            raise SimulationError(f"unknown column(s): {', '.join(unknown)}")
-        slots = np.empty(count, dtype="i8")
-        reused = min(len(self._free), count)
-        for i in range(reused):
-            slots[i] = self._free.pop()
-        fresh = count - reused
-        if fresh:
-            while self.size + fresh > self.capacity:
-                self._grow()
-            slots[reused:] = np.arange(self.size, self.size + fresh)
-            self.size += fresh
-        for name, arr in self._cols.items():
-            arr[slots] = values.get(name, 0)
-        self.used[slots] = True
-        return slots
-
     def free(self, slot: int) -> None:
         """Release a slot for LIFO reuse. Stale column values remain
-        readable until the slot is reallocated — holders of dead
-        handles must not be trusted past this point."""
+        readable until the slot is reallocated."""
         if not (0 <= slot < self.size) or not self.used[slot]:
             raise SimulationError(f"free of unallocated slot {slot}")
         self.used[slot] = False
@@ -187,70 +100,6 @@ class ColumnStore:
         """One cell as a plain python scalar (``.item()``), so values
         that flow onward into traces/JSON keep native types."""
         return self._cols[name][slot].item()
-
-    def set(self, slot: int, name: str, value: Any) -> None:
-        self._cols[name][slot] = value
-
-    def handle(self, slot: int) -> "Handle":
-        return Handle(self, slot)
-
-
-class Handle:
-    """Attribute-style view of one :class:`ColumnStore` slot.
-
-    ``h.field`` reads and ``h.field = v`` writes the underlying cell;
-    equivalent to instance attributes on a per-entity object, which is
-    exactly the property the equivalence tests pin.
-    """
-
-    __slots__ = ("_store", "_slot")
-
-    def __init__(self, store: ColumnStore, slot: int) -> None:
-        object.__setattr__(self, "_store", store)
-        object.__setattr__(self, "_slot", slot)
-
-    @property
-    def slot(self) -> int:
-        return self._slot
-
-    def __getattr__(self, name: str) -> Any:
-        try:
-            return self._store.get(self._slot, name)
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        try:
-            self._store.set(self._slot, name, value)
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cells = {name: self._store.get(self._slot, name) for name in self._store.fields}
-        return f"<Handle slot={self._slot} {cells}>"
-
-
-class LivenessColumns:
-    """Dense per-``node_id`` liveness arrays for one cluster.
-
-    Nodes dual-write their ``alive``/``network_up`` flips here (rare:
-    fault injections and recoveries), so hot batched ticks read
-    reachability as one indexed array load instead of two python
-    property calls per node. ``reachable`` is maintained eagerly as
-    ``alive & network_up`` — the only form the hot paths consume.
-    """
-
-    __slots__ = ("alive", "net", "reachable")
-
-    def __init__(self, num_nodes: int) -> None:
-        self.alive = np.ones(num_nodes, dtype=bool)
-        self.net = np.ones(num_nodes, dtype=bool)
-        self.reachable = np.ones(num_nodes, dtype=bool)
-
-    def update(self, node_id: int, alive: bool, network_up: bool) -> None:
-        self.alive[node_id] = alive
-        self.net[node_id] = network_up
-        self.reachable[node_id] = alive and network_up
 
 
 class FlowColumns(ColumnStore):
@@ -297,141 +146,3 @@ class FlowColumns(ColumnStore):
             grown = np.full((len(self.rids), width), -1, dtype="i8")
             grown[:, : self.rids.shape[1]] = self.rids
             self.rids = grown
-
-
-class AttemptColumns(ColumnStore):
-    """Per-task-attempt columns, dual-written by ``TaskAttempt``.
-
-    Unlike :class:`FlowColumns` these are a pure *read mirror*: the
-    python attempt objects stay the source of truth (attempt state
-    mutates only at discrete control-plane points), and every mutation
-    site writes the matching cells. Vectorized consumers — the
-    progress sampler's gauge block, ``Speculator._scan``, per-tick
-    ``task_progress`` emission — read whole-population snapshots
-    instead of calling ``attempt.progress`` per object.
-
-    Progress is stored *decomposed*, not as a number: a running
-    attempt's progress is ``prog_base + prog_span * flow_progress``
-    (map read/write phases, reduce shuffle/merge), or the dedicated
-    reduce-stage form when ``reduce_live`` is set (see
-    :func:`attempt_progress`). The decomposition is what lets one
-    vectorized pass reproduce the scalar property bit-for-bit without
-    any per-tick per-attempt writes.
-
-    ``flow_fid`` encodes the flow link: ``-1`` no flow, ``>= 0`` the
-    admitted flow's fid (cell-validated against ``FlowColumns``),
-    ``-2`` a flow that must be read through the python object (the
-    ``flow_refs`` side list) because it has no column cell.
-    """
-
-    SCHEMA = {
-        "seq": "i8",            # global allocation sequence (unique, ordered)
-        "task_type": "i1",      # 0 = map, 1 = reduce
-        "task_id": "i8",
-        "attempt_index": "i4",
-        "owner": "i4",          # am_attempt of the AM that owns this attempt
-        "running": "?",
-        "state": "i1",          # AttemptState ordinal
-        "start_time": "f8",
-        "prog_base": "f8",
-        "prog_span": "f8",
-        "flow_slot": "i8",      # FlowColumns slot of the live flow, or -1
-        "flow_fid": "i8",       # fid of that flow (validates the slot), -1/-2
-        "reduce_live": "?",     # in the final reduce stage (form B progress)
-        "fcm": "?",             # FCM recovery mode: progress = resume+(1-resume)*live
-        "resume": "f8",         # ALM resume fraction for the reduce stage
-        "cpu_start": "f8",
-        "cpu_secs": "f8",
-    }
-
-    __slots__ = ("flow_refs", "_next_seq")
-
-    def __init__(self, capacity: int = 64) -> None:
-        super().__init__(dict(self.SCHEMA), capacity)
-        #: slot -> live Flow object (fallback for fid == -2 / stale cells).
-        self.flow_refs: list[Any] = [None] * self.capacity
-        self._next_seq = 0
-
-    def _grow(self) -> None:
-        super()._grow()
-        self.flow_refs.extend([None] * (self.capacity - len(self.flow_refs)))
-
-    def alloc_attempt(self, **values: Any) -> int:
-        values["seq"] = self._next_seq
-        self._next_seq += 1
-        slot = self.alloc(**values)
-        self.flow_refs[slot] = None
-        return slot
-
-    def free(self, slot: int) -> None:
-        self.flow_refs[slot] = None
-        super().free(slot)
-
-
-def attempt_progress(store: AttemptColumns, slots: np.ndarray, fcols,
-                     now: float, last_update: float) -> np.ndarray:
-    """Vectorized ``TaskAttempt.progress`` for running-attempt ``slots``.
-
-    Bit-identical to the scalar property: flow progress is recovered
-    from the flow columns with the exact `remaining - rate*dt` advance
-    the ``Flow.transferred`` property applies, then combined with the
-    stored base/span decomposition. Rows whose flow link is not a valid
-    column cell (scalar flow scheduler, or a flow already detached by
-    completion/cancellation) fall back to the python flow object, which
-    is always exact by construction.
-    """
-    n = len(slots)
-    base = store.col("prog_base")[slots]
-    span = store.col("prog_span")[slots]
-    ffid = store.col("flow_fid")[slots]
-    flowprog = np.zeros(n)
-    have = ffid != -1
-    if have.any():
-        fslot = store.col("flow_slot")[slots]
-        if fcols is not None and fcols.size:
-            safe = np.where((fslot >= 0) & (fslot < fcols.size), fslot, 0)
-            valid = (have & (ffid >= 0) & (fslot >= 0) & (fslot < fcols.size)
-                     & fcols.used[safe] & (fcols.col("fid")[safe] == ffid))
-        else:
-            valid = np.zeros(n, dtype=bool)
-        if valid.any():
-            vs = fslot[valid]
-            sz = fcols.col("size")[vs]
-            rem = fcols.col("remaining")[vs]
-            dt = now - last_update
-            if dt > 0:
-                frate = fcols.col("rate")[vs]
-                rem = np.where(frate > 0, np.maximum(rem - frate * dt, 0.0), rem)
-            prog = np.ones(len(vs))
-            nz = sz != 0.0
-            prog[nz] = (sz[nz] - rem[nz]) / sz[nz]
-            flowprog[valid] = prog
-        stale = have & ~valid
-        if stale.any():
-            refs = store.flow_refs
-            for i in np.flatnonzero(stale):
-                ref = refs[int(slots[i])]
-                if ref is not None:
-                    flowprog[i] = ref.progress
-    out = base + span * flowprog
-    rl = store.col("reduce_live")[slots]
-    if rl.any():
-        fcm = store.col("fcm")[slots]
-        cpu_secs = store.col("cpu_secs")[slots]
-        has_cpu = rl & (cpu_secs > 0.0)
-        cpu_part = np.zeros(n)
-        if has_cpu.any():
-            cpu_start = store.col("cpu_start")[slots]
-            cpu_part[has_cpu] = np.minimum(
-                1.0, (now - cpu_start[has_cpu]) / cpu_secs[has_cpu])
-        # FCM's scalar progress ignores flows: live is the CPU part
-        # alone (its pre-CPU fallback ``_fcm_frac`` is 0.0 at every
-        # observable instant).
-        has_flow = rl & have & ~fcm
-        live = np.where(has_cpu & has_flow, np.minimum(flowprog, cpu_part),
-                        np.where(has_flow, flowprog,
-                                 np.where(has_cpu, cpu_part, 0.0)))
-        resume = store.col("resume")[slots]
-        rpf = resume + (1.0 - resume) * live
-        out = np.where(rl & fcm, rpf, np.where(rl, 2.0 / 3.0 + rpf / 3.0, out))
-    return out

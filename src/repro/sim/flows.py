@@ -370,9 +370,15 @@ class FlowScheduler:
         self._complete_finished()
         self._mark_dirty((resource,) if resource is not None else tuple(self._res_flows))
 
-    def _complete_finished(self) -> None:
+    def _complete_finished(self, at_timer: bool = False) -> None:
+        """Complete every flow with (almost) nothing left to move. A
+        completion timer also completes the flows whose completion
+        instant rounds to ``now``: no later timer could ever reach them,
+        so without this the timer re-arms at the same instant forever."""
+        now = self.sim.now
         finished = [f for f in self._active.values()
-                    if f.remaining <= _EPS * max(f.size, 1.0)]
+                    if f.remaining <= _EPS * max(f.size, 1.0)
+                    or (at_timer and f._rate > 0 and now + f.remaining / f._rate == now)]
         # Bookkeeping before completions so callbacks observing the
         # scheduler see a consistent state.
         for f in finished:
@@ -538,7 +544,7 @@ class FlowScheduler:
         self._timer = None
         self._timer_fire = math.inf
         self._advance()
-        self._complete_finished()
+        self._complete_finished(at_timer=True)
         if not self._dirty:
             # Nothing completed (floating-point residue fire): the
             # flush that would refresh the timer never runs, so refresh

@@ -188,14 +188,22 @@ class ColumnarFlowScheduler(FlowScheduler):
                 self._rid_cap[rid] = resource.capacity
         super()._reshare(resource)
 
-    def _complete_finished(self) -> None:
+    def _complete_finished(self, at_timer: bool = False) -> None:
         cols = self.columns
         n = cols.size
         if n == 0:
             return
         rem = cols.col("remaining")[:n]
         size = cols.col("size")[:n]
-        mask = cols.used[:n] & (rem <= _EPS * np.maximum(size, 1.0))
+        done = rem <= _EPS * np.maximum(size, 1.0)
+        if at_timer:
+            # See FlowScheduler._complete_finished.
+            rate = cols.col("rate")[:n]
+            moving = rate > 0
+            horizon = np.divide(rem, rate, out=np.ones(n), where=moving)
+            now = self.sim.now
+            done |= moving & (now + horizon == now)
+        mask = cols.used[:n] & done
         self.stats["column_ops"] += 1
         if not mask.any():
             return

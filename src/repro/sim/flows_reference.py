@@ -176,9 +176,12 @@ class ReferenceFlowScheduler:
         self._complete_finished()
         self._recompute()
 
-    def _complete_finished(self) -> None:
+    def _complete_finished(self, at_timer: bool = False) -> None:
+        # at_timer: see FlowScheduler._complete_finished.
+        now = self.sim.now
         finished = [f for f in self._active
-                    if f.remaining <= _EPS * max(f.size, 1.0)]
+                    if f.remaining <= _EPS * max(f.size, 1.0)
+                    or (at_timer and f._rate > 0 and now + f.remaining / f._rate == now)]
         for f in finished:
             f.remaining = 0.0
             f._active = False
@@ -245,7 +248,7 @@ class ReferenceFlowScheduler:
             if version != self._timer_version:
                 return
             self._advance()
-            self._complete_finished()
+            self._complete_finished(at_timer=True)
             self._recompute()
 
         self.sim.timeout(max(horizon, 0.0))._add_callback(fire)

@@ -11,8 +11,8 @@ When configured with loss/delay probabilities the channel becomes
 *fallible*. Outcomes are not drawn from a shared RNG stream — they are
 derived by hashing ``(seed, label)`` with SHA-256 (the same trick as
 :mod:`repro.sim.backoff`), so a message's fate is a pure function of
-its identity: independent of event ordering, identical across the
-scalar and columnar data planes, and bit-reproducible across reruns.
+its identity: independent of event ordering and bit-reproducible
+across reruns.
 
 Heartbeats are drop-only (a delayed heartbeat is indistinguishable
 from a dropped one at the liveness scan's granularity); point-to-point

@@ -1,9 +1,9 @@
 """The differential runner: scenario corpus x implementation matrix.
 
 The repo carries two implementations of its DES kernel
-(``REPRO_KERNEL`` default/reference) and two of its max-min flow
-scheduler (``REPRO_SCHEDULER`` incremental/reference), kept byte-
-equivalent by construction. This module is the enforcement: every
+(``REPRO_KERNEL`` default/reference) and three of its max-min flow
+scheduler (``REPRO_SCHEDULER`` incremental/columnar/reference), kept
+byte-equivalent by construction. This module is the enforcement: every
 scenario runs under every kernel x scheduler pair through the
 :class:`~repro.runner.TrialRunner` fan-out, and any digest divergence
 is a hard failure that names the scenario, its seed, and the **first
@@ -51,10 +51,12 @@ COMBOS: tuple[tuple[str, str], ...] = (
     ("reference", "default"),
     ("default", "reference"),
     ("reference", "reference"),
-    # Pins the incremental scalar flow scheduler against the columnar
-    # one under the default (columnar) data plane; the reference eager
-    # scheduler is already covered by the rows above.
+    # The default scheduler follows the cluster's size, so name both
+    # production schedulers: every golden scenario is small enough to
+    # default to the incremental one, and the columnar one is pinned
+    # here on the whole corpus.
     ("default", "incremental"),
+    ("default", "columnar"),
 )
 
 #: The --quick budget still crosses both axes at once: one combo with

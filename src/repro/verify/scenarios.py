@@ -337,12 +337,12 @@ register(Scenario("am-exhaust-yarn", tags=frozenset({"am"}),
                   faults=({"kind": "am-crash", "at_progress": 0.4,
                            "repeat": 2, "repeat_gap": 6.0},)))
 
-# Columnar task/flow data-plane exercisers. ``shuffle-heavy-yarn``
-# maximises concurrent shuffle flows (many reducers, extra input) with
-# the high-volume trace kinds on; ``straggler-spec-alm`` degrades a
-# node hard enough that LATE speculation actually duplicates tasks, so
-# the vectorized speculator scan and per-attempt progress records are
-# on the digest-pinned path.
+# Flow and speculation exercisers. ``shuffle-heavy-yarn`` maximises
+# concurrent shuffle flows (many reducers, extra input) with the
+# high-volume columnar trace kinds on; ``straggler-spec-alm`` degrades
+# a node hard enough that LATE speculation actually duplicates tasks,
+# so the speculator scan and per-attempt progress records are on the
+# digest-pinned path.
 register(Scenario("shuffle-heavy-yarn", input_gb=2.0, reducers=6, nodes=9,
                   trace_columnar=True, tags=frozenset({"flows"})))
 register(Scenario("straggler-spec-alm", policy="alm", speculation=True,

@@ -1,26 +1,9 @@
 """ResourceManager, NodeManagers, containers and node liveness.
 
-Node-manager hot state (``last_heartbeat``, ``lost``, capacity
-accounting) has two representations, selected by ``REPRO_DATA_PLANE``
-(see :mod:`repro.sim.columns`):
-
-- **columnar** (default): state lives in an RM-owned
-  :class:`~repro.sim.columns.ColumnStore`, one slot per NM.
-  Heartbeats are stamped by a *single* batched pure periodic
-  (``rm-heartbeats``) masking over all batch-member slots, and the
-  liveness check is one ``np.flatnonzero`` over the heartbeat column —
-  O(1) heap entries instead of O(nodes) per-NM periodics.
-- **reference**: the per-object scalar representation (one pure
-  periodic per NM), kept as the equivalence oracle.
-
-The two are byte-identical: stamps land before the liveness check at
-shared instants in both (the stamp daemon is created first, exactly
-where the per-NM periodics were), overdue nodes are declared lost in
-registration order in both (slot order tracks ``node_managers``
-insertion order because re-registration reuses the freed slot), and
-re-registered NMs keep *individual* scalar periodics in both modes —
-their ticks are phase-shifted off the RM grid by their registration
-instant, which a grid-aligned batched stamp could not reproduce.
+Each NodeManager holds its own hot state (``last_heartbeat``, ``lost``,
+capacity accounting) as plain attributes and heartbeats through its own
+pure periodic; the RM's liveness check walks ``node_managers`` in
+registration order.
 """
 
 from __future__ import annotations
@@ -28,17 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.cluster import Cluster
 from repro.cluster.node import Node
 from repro.sim.backoff import BackoffPolicy
-from repro.sim.columns import ColumnStore, columnar_enabled
 from repro.sim.core import Event, SimulationError, Simulator
 from repro.sim.rpc import RpcChannel
 
-__all__ = ["ColumnarNodeManager", "Container", "ContainerKilled", "NodeManager",
-           "ResourceManager", "YarnConfig"]
+__all__ = ["Container", "ContainerKilled", "NodeManager", "ResourceManager", "YarnConfig"]
 
 
 @dataclass(frozen=True)
@@ -170,78 +149,6 @@ class NodeManager:
         return victims
 
 
-#: Column schema for RM-owned node-manager state. ``in_batch`` marks
-#: slots stamped by the shared ``rm-heartbeats`` tick (init-time NMs
-#: only; re-registered NMs keep individual periodics, see module doc).
-_RM_SCHEMA = {
-    "node_id": "i8",
-    "last_heartbeat": "f8",
-    "lost": "?",
-    "in_batch": "?",
-    "capacity_mb": "i8",
-    "used_mb": "i8",
-}
-
-
-class ColumnarNodeManager(NodeManager):
-    """A :class:`NodeManager` whose hot fields live in RM columns.
-
-    Same public surface — ``last_heartbeat``/``lost``/``capacity_mb``/
-    ``used_mb`` are properties over one :class:`ColumnStore` slot, so
-    every inherited method (``allocate``, ``release``, ``kill_all``)
-    and every external reader works unchanged. Scalar reads return
-    plain python values (``.item()``); vectorized passes go straight
-    to the columns.
-    """
-
-    def __init__(self, node: Node, config: YarnConfig, sim: Simulator,
-                 columns: ColumnStore, slot: int | None = None) -> None:
-        self.node = node
-        self.sim = sim
-        self.config = config
-        self.containers = []
-        self._cols = columns
-        if slot is None:
-            slot = columns.alloc(
-                node_id=node.node_id,
-                last_heartbeat=sim.now,
-                capacity_mb=int(node.spec.memory_mb * config.nm_memory_fraction),
-            )
-        self.slot = slot
-
-    @property
-    def last_heartbeat(self) -> float:
-        return self._cols.col("last_heartbeat")[self.slot].item()
-
-    @last_heartbeat.setter
-    def last_heartbeat(self, value: float) -> None:
-        self._cols.col("last_heartbeat")[self.slot] = value
-
-    @property
-    def lost(self) -> bool:
-        return self._cols.col("lost")[self.slot].item()
-
-    @lost.setter
-    def lost(self, value: bool) -> None:
-        self._cols.col("lost")[self.slot] = value
-
-    @property
-    def capacity_mb(self) -> int:
-        return self._cols.col("capacity_mb")[self.slot].item()
-
-    @capacity_mb.setter
-    def capacity_mb(self, value: int) -> None:
-        self._cols.col("capacity_mb")[self.slot] = value
-
-    @property
-    def used_mb(self) -> int:
-        return self._cols.col("used_mb")[self.slot].item()
-
-    @used_mb.setter
-    def used_mb(self, value: int) -> None:
-        self._cols.col("used_mb")[self.slot] = value
-
-
 @dataclass(order=True)
 class _PendingRequest:
     priority: float
@@ -267,40 +174,9 @@ class ResourceManager:
         self.cluster = cluster
         self.config = config or YarnConfig()
         workers = worker_nodes if worker_nodes is not None else cluster.nodes
-        # The columnar plane indexes the cluster's liveness arrays by
-        # node_id, so it requires workers dense in this cluster; a
-        # foreign node list falls back to the scalar plane.
-        self._columnar = columnar_enabled() and all(
-            0 <= n.node_id < len(cluster.nodes) and cluster.nodes[n.node_id] is n
-            for n in workers)
-        self.columns: ColumnStore | None = None
-        #: slot -> NodeManager (columnar plane only).
-        self._nm_by_slot: dict[int, NodeManager] = {}
-        if self._columnar:
-            self.columns = ColumnStore(_RM_SCHEMA, capacity=max(len(workers), 1))
-            # Bulk slot claim (one vectorized column fill instead of a
-            # per-NM alloc loop); in_batch marks every init-time NM as
-            # a member of the shared rm-heartbeats stamp.
-            frac = self.config.nm_memory_fraction
-            slots = self.columns.alloc_many(
-                len(workers),
-                node_id=np.fromiter((n.node_id for n in workers), dtype="i8",
-                                    count=len(workers)),
-                last_heartbeat=sim.now,
-                in_batch=True,
-                capacity_mb=np.fromiter(
-                    (int(n.spec.memory_mb * frac) for n in workers), dtype="i8",
-                    count=len(workers)),
-            )
-            self.node_managers: dict[int, NodeManager] = {
-                n.node_id: ColumnarNodeManager(n, self.config, sim, self.columns,
-                                               slot=int(slot))
-                for n, slot in zip(workers, slots)
-            }
-        else:
-            self.node_managers = {
-                n.node_id: NodeManager(n, self.config, sim) for n in workers
-            }
+        self.node_managers: dict[int, NodeManager] = {
+            n.node_id: NodeManager(n, self.config, sim) for n in workers
+        }
         cfg = self.config
         #: Control-plane channel; reliable (strict pass-through) unless
         #: the config sets loss/delay probabilities.
@@ -339,17 +215,10 @@ class ResourceManager:
         #: (e.g. the atlas zoo policy) can recognise a flapping node
         #: even when the job's own outcome history died with the AM.
         self.node_lost_counts: dict[int, int] = {}
-        if self._columnar:
-            for nm in self.node_managers.values():
-                self._nm_by_slot[nm.slot] = nm
-            # Created before rm-liveness, exactly where the per-NM
-            # periodics were: stamps land before the liveness check at
-            # shared instants in both planes.
-            sim.periodic(self.config.nm_heartbeat_interval, self._stamp_tick,
-                         pure=True, name="rm-heartbeats")
-        else:
-            for nm in self.node_managers.values():
-                self._start_heartbeat(nm)
+        # Created before rm-liveness: stamps land before the liveness
+        # check at shared instants.
+        for nm in self.node_managers.values():
+            self._start_heartbeat(nm)
         sim.periodic(self.config.nm_heartbeat_interval, self._liveness_tick,
                      name="rm-liveness")
 
@@ -437,24 +306,9 @@ class ResourceManager:
         self._match()
 
     def available_mb(self) -> int:
-        cols = self.columns
-        if cols is not None:
-            n = cols.size
-            mask = cols.used[:n] & ~cols.col("lost")[:n]
-            avail = cols.col("capacity_mb")[:n] - cols.col("used_mb")[:n]
-            return int(avail[mask].sum())
         return sum(nm.available_mb for nm in self.node_managers.values() if not nm.lost)
 
     def healthy_nodes(self) -> list[Node]:
-        cols = self.columns
-        if cols is not None:
-            # Ascending slot order == node_managers insertion order
-            # (re-registration reuses the freed slot), so both planes
-            # return the same node list.
-            n = cols.size
-            mask = cols.used[:n] & ~cols.col("lost")[:n]
-            mask &= self.cluster.columns.alive[cols.col("node_id")[:n]]
-            return [self._nm_by_slot[slot].node for slot in np.flatnonzero(mask)]
         return [nm.node for nm in self.node_managers.values() if not nm.lost and nm.node.alive]
 
     def is_lost(self, node: Node) -> bool:
@@ -476,18 +330,7 @@ class ResourceManager:
         if not old.lost:
             old.last_heartbeat = self.sim.now
             return
-        if self._columnar:
-            # Free-then-alloc reuses the same slot (LIFO free list), so
-            # slot order keeps tracking node_managers insertion order.
-            # The fresh slot is zero-filled with in_batch=False: the
-            # rejoined NM heartbeats through its own periodic below,
-            # phase-shifted to this instant exactly as the scalar
-            # plane's would be.
-            self.columns.free(old.slot)
-            nm: NodeManager = ColumnarNodeManager(node, self.config, self.sim, self.columns)
-            self._nm_by_slot[nm.slot] = nm
-        else:
-            nm = NodeManager(node, self.config, self.sim)
+        nm = NodeManager(node, self.config, self.sim)
         self.node_managers[node.node_id] = nm
         self._lost_nodes.discard(node.node_id)
         self._start_heartbeat(nm)
@@ -561,31 +404,6 @@ class ResourceManager:
         # which is effectively arbitrary, and that arbitrariness is what
         # occasionally leaves a node without any ReduceTask (the paper's
         # Fig. 4 setup).
-        cols = self.columns
-        if cols is not None:
-            # Vectorized _usable over all slots. Ascending slot order ==
-            # node_managers iteration order, and the tie-break draw uses
-            # the same candidate count, so the rng stream and the picked
-            # node match the scalar scan exactly.
-            n = cols.size
-            nid = cols.col("node_id")[:n]
-            avail = cols.col("capacity_mb")[:n] - cols.col("used_mb")[:n]
-            mask = cols.used[:n] & ~cols.col("lost")[:n]
-            mask &= self.cluster.columns.reachable[nid]
-            mask &= avail >= req.memory_mb
-            if req.excluded:
-                mask &= ~np.isin(nid, list(req.excluded))
-            for node_id, holder in self._reservations.items():
-                if holder is not req:
-                    rnm = self.node_managers.get(node_id)
-                    if rnm is not None:
-                        mask[rnm.slot] = False
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                return None
-            cand_avail = avail[idx]
-            top = idx[cand_avail >= cand_avail.max() - 512]
-            return self._nm_by_slot[int(top[int(self.cluster.rng.integers(top.size))])]
         candidates = [nm for nm in self.node_managers.values() if self._usable(nm, req)]
         if not candidates:
             return None
@@ -655,47 +473,7 @@ class ResourceManager:
                 return None  # lost on the wire; liveness clock keeps aging
             nm.last_heartbeat = self.sim.now
 
-    def _stamp_tick(self) -> None:
-        """One vectorized heartbeat stamp for every batch-member NM
-        (columnar plane). Fires exactly where the contiguous block of
-        per-NM stamps would: same instants, same values, and pure ticks
-        are unobservable between the stamps, so digests cannot move."""
-        cols = self.columns
-        n = cols.size
-        nid = cols.col("node_id")[:n]
-        mask = cols.col("in_batch")[:n] & ~cols.col("lost")[:n]
-        mask &= self.cluster.columns.reachable[nid]
-        if self.rpc.fallible and self.rpc.drop_prob > 0.0:
-            # Heartbeat fates are hashed from (node_id, now), so this
-            # per-slot filter agrees bit-for-bit with the scalar plane's
-            # per-NM draws regardless of iteration order.
-            now = self.sim.now
-            for slot in np.flatnonzero(mask):
-                if self.rpc.heartbeat_dropped(int(nid[slot]), now):
-                    mask[slot] = False
-        cols.col("last_heartbeat")[:n][mask] = self.sim.now
-
     def _liveness_tick(self) -> None:
-        cols = self.columns
-        if cols is not None:
-            # One vectorized overdue scan; ascending slot order ==
-            # registration order, matching the scalar dict walk. The
-            # per-slot recheck mirrors the scalar loop's lost-guard in
-            # case a node_lost listener mutates RM state mid-tick.
-            n = cols.size
-            overdue = np.flatnonzero(
-                cols.used[:n] & ~cols.col("lost")[:n]
-                & (self.sim.now - cols.col("last_heartbeat")[:n]
-                   >= self.config.nm_liveness_timeout))
-            for slot in overdue:
-                nm = self._nm_by_slot.get(int(slot))
-                if nm is None or nm.lost:
-                    continue
-                if self.sim.now - nm.last_heartbeat >= self.config.nm_liveness_timeout:
-                    self._declare_lost(nm)
-            if self.rpc.fallible:
-                self._reregister_false_losses()
-            return
         for nm in self.node_managers.values():
             if nm.lost:
                 continue

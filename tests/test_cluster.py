@@ -178,3 +178,34 @@ class TestFailures:
         cluster.stop_network(cluster.nodes[1])
         assert len(cluster.alive_nodes()) == 5
         assert len(cluster.reachable_nodes()) == 4
+
+
+class TestFlowSchedulerChoice:
+    def test_cluster_size_picks_the_scheduler(self, sim, monkeypatch):
+        from repro.cluster.cluster import COLUMNAR_FLOW_MIN_NODES, flow_scheduler_class
+        from repro.sim.flows import FlowScheduler
+        from repro.sim.flows_columnar import ColumnarFlowScheduler
+
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        below = COLUMNAR_FLOW_MIN_NODES - 1
+        assert flow_scheduler_class(below) is FlowScheduler
+        assert flow_scheduler_class(COLUMNAR_FLOW_MIN_NODES) is ColumnarFlowScheduler
+        assert type(Cluster(sim).flows) is FlowScheduler  # the 21-node testbed
+        big = Cluster(sim, ClusterSpec(num_nodes=COLUMNAR_FLOW_MIN_NODES))
+        assert type(big.flows) is ColumnarFlowScheduler
+
+    def test_forced_scheduler_overrides_cluster_size(self, monkeypatch):
+        from repro.cluster.cluster import COLUMNAR_FLOW_MIN_NODES, flow_scheduler_class
+        from repro.sim.flows import FlowScheduler
+        from repro.sim.flows_columnar import ColumnarFlowScheduler
+        from repro.sim.flows_reference import ReferenceFlowScheduler
+
+        monkeypatch.setenv("REPRO_SCHEDULER", "columnar")
+        assert flow_scheduler_class(2) is ColumnarFlowScheduler
+        monkeypatch.setenv("REPRO_SCHEDULER", "incremental")
+        assert flow_scheduler_class(COLUMNAR_FLOW_MIN_NODES) is FlowScheduler
+        monkeypatch.setenv("REPRO_SCHEDULER", "reference")
+        assert flow_scheduler_class(COLUMNAR_FLOW_MIN_NODES) is ReferenceFlowScheduler
+        monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
+        with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
+            flow_scheduler_class(2)

@@ -1,23 +1,20 @@
-"""Columnar data plane: ColumnStore/Handle semantics, scalar-vs-
-columnar RM parity, columnar trace buffers, batched sampler blocks and
-the bulk flow/trace reads the activity watchdog uses."""
+"""Column storage: ColumnStore semantics, columnar trace buffers,
+batched sampler blocks and the bulk flow/trace reads the activity
+watchdog uses."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.metrics.trace import ProgressSampler, Trace
-from repro.sim.columns import ColumnStore, LivenessColumns, columnar_enabled, data_plane_mode
+from repro.sim.columns import ColumnStore
 from repro.sim.core import SimulationError, Simulator
-from repro.yarn.rm import ResourceManager, YarnConfig
 
 pytestmark = pytest.mark.tier1
 
 
 # ---------------------------------------------------------------------------
-# ColumnStore / Handle
+# ColumnStore
 # ---------------------------------------------------------------------------
 class TestColumnStore:
     SCHEMA = {"hb": "f8", "lost": "?", "cap": "i8"}
@@ -74,212 +71,6 @@ class TestColumnStore:
         store.free(slot)
         with pytest.raises(SimulationError, match="unallocated"):
             store.free(slot)
-
-    def test_alloc_many_matches_alloc_loop(self):
-        bulk = ColumnStore(self.SCHEMA, capacity=4)
-        loop = ColumnStore(self.SCHEMA, capacity=4)
-        caps = np.arange(10, dtype="i8")
-        slots = bulk.alloc_many(10, hb=2.5, cap=caps)
-        expected = [loop.alloc(hb=2.5, cap=int(c)) for c in caps]
-        assert slots.tolist() == expected
-        for name in self.SCHEMA:
-            assert (bulk.col(name)[:10] == loop.col(name)[:10]).all()
-        assert len(bulk) == len(loop) == 10
-
-    def test_alloc_many_reuses_free_slots_first(self):
-        store = ColumnStore(self.SCHEMA)
-        slots = store.alloc_many(3, cap=np.array([1, 2, 3]))
-        store.free(int(slots[1]))
-        more = store.alloc_many(2, cap=np.array([8, 9]))
-        assert int(more[0]) == int(slots[1])  # freed slot reused first
-        assert store.get(int(more[0]), "cap") == 8
-
-    @settings(max_examples=50, deadline=None)
-    @given(ops=st.lists(
-        st.tuples(st.sampled_from(["hb", "lost", "cap"]),
-                  st.integers(min_value=0, max_value=7),
-                  st.integers(min_value=0, max_value=10_000)),
-        min_size=1, max_size=60))
-    def test_handle_round_trip_matches_shadow_objects(self, ops):
-        """Handle attribute writes/reads behave exactly like instance
-        attributes on per-entity objects (the scalar plane)."""
-        store = ColumnStore(self.SCHEMA, capacity=2)
-        handles = [store.handle(store.alloc()) for _ in range(8)]
-        shadow = [{"hb": 0.0, "lost": False, "cap": 0} for _ in range(8)]
-        for name, idx, raw in ops:
-            value = {"hb": raw / 16.0, "lost": bool(raw % 2), "cap": raw}[name]
-            setattr(handles[idx], name, value)
-            shadow[idx][name] = value
-        for handle, expect in zip(handles, shadow):
-            assert handle.hb == expect["hb"]
-            assert handle.lost == expect["lost"]
-            assert handle.cap == expect["cap"]
-
-    def test_handle_unknown_attribute_raises_attributeerror(self):
-        store = ColumnStore(self.SCHEMA)
-        handle = store.handle(store.alloc())
-        with pytest.raises(AttributeError):
-            _ = handle.nope
-        with pytest.raises(AttributeError):
-            handle.nope = 1
-
-
-class TestLivenessColumns:
-    def test_update_maintains_reachable(self):
-        cols = LivenessColumns(4)
-        assert cols.reachable.all()
-        cols.update(2, alive=True, network_up=False)
-        assert cols.alive[2] and not cols.net[2] and not cols.reachable[2]
-        cols.update(2, alive=True, network_up=True)
-        assert cols.reachable[2]
-
-    def test_node_setters_dual_write(self):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_nodes=4))
-        node = cluster.nodes[1]
-        node.network_up = False
-        assert not cluster.columns.reachable[1]
-        assert cluster.columns.alive[1]
-        node.network_up = True
-        node.alive = False
-        assert not cluster.columns.alive[1]
-        assert not cluster.columns.reachable[1]
-
-    def test_reachable_mask_tracks_fault_verbs(self):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_nodes=5))
-        cluster.stop_network(cluster.nodes[3])
-        cluster.crash_node(cluster.nodes[0])
-        assert cluster.reachable_mask().tolist() == [False, True, True, False, True]
-
-
-def test_data_plane_mode_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_DATA_PLANE", "reference")
-    assert data_plane_mode() == "reference"
-    assert not columnar_enabled()
-    monkeypatch.setenv("REPRO_DATA_PLANE", "columnar")
-    assert columnar_enabled()
-    monkeypatch.setenv("REPRO_DATA_PLANE", "bogus")
-    with pytest.raises(SimulationError, match="REPRO_DATA_PLANE"):
-        data_plane_mode()
-
-
-# ---------------------------------------------------------------------------
-# Scalar-vs-columnar RM parity
-# ---------------------------------------------------------------------------
-def _liveness_run(num_nodes: int) -> tuple[list[tuple[float, int]], str, int]:
-    """Heartbeat + storm + heal workload; returns (node_lost samples,
-    digest, live NM count) for whichever plane is active."""
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterSpec(num_nodes=num_nodes))
-    trace = Trace(sim)
-    rm = ResourceManager(sim, cluster, YarnConfig(nm_liveness_timeout=30.0))
-    cluster.rejoin_listeners.append(rm.register_node)
-    rm.node_lost_listeners.append(
-        lambda node: trace.log("node_lost", node=node.node_id))
-    victims = [cluster.nodes[i] for i in range(0, num_nodes, max(1, num_nodes // 8))]
-
-    def storm():
-        yield sim.timeout(40.0)
-        for node in victims:
-            cluster.stop_network(node)
-        yield sim.timeout(100.0)
-        for node in victims[::2]:
-            cluster.restore_network(node)
-
-    sim.process(storm(), name="storm")
-    sim.run(until=300.0)
-    lost = [(e.time, e["node"]) for e in trace.of_kind("node_lost")]
-    live = sum(not nm.lost for nm in rm.node_managers.values())
-    return lost, trace.digest(), live
-
-
-@pytest.mark.parametrize("num_nodes", [64, 1024])
-def test_liveness_tick_parity_scalar_vs_columnar(monkeypatch, num_nodes):
-    """Same fault schedule, both planes: identical node_lost events (in
-    order), identical digests, identical surviving-NM counts."""
-    monkeypatch.setenv("REPRO_DATA_PLANE", "reference")
-    scalar = _liveness_run(num_nodes)
-    monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    columnar = _liveness_run(num_nodes)
-    assert scalar == columnar
-    assert len(scalar[0]) > 0  # the storm actually lost nodes
-
-
-def test_reregistration_reuses_freed_column_slot():
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterSpec(num_nodes=8))
-    rm = ResourceManager(sim, cluster, YarnConfig(nm_liveness_timeout=10.0))
-    cluster.rejoin_listeners.append(rm.register_node)
-    assert rm.columns is not None, "columnar plane should be on by default"
-    victim = cluster.nodes[3]
-    old_nm = rm.node_managers[3]
-    old_slot = old_nm.slot
-
-    def fault():
-        yield sim.timeout(5.0)
-        cluster.stop_network(victim)
-        yield sim.timeout(30.0)  # well past the liveness timeout
-        cluster.restore_network(victim)
-
-    sim.process(fault(), name="fault")
-    sim.run(until=60.0)
-    nm = rm.node_managers[3]
-    assert nm is not old_nm and not nm.lost
-    assert nm.slot == old_slot  # LIFO free-list reuse
-    assert rm._nm_by_slot[old_slot] is nm
-    # The reused slot was zero-filled: fresh NM is not a batch member
-    # (it heartbeats through its own periodic) and not lost.
-    assert not rm.columns.get(old_slot, "in_batch")
-    assert len(rm.columns) == 8
-    # Its individual heartbeat periodic is live: heartbeat advances.
-    hb_after_heal = nm.last_heartbeat
-    sim.run(until=90.0)
-    assert nm.last_heartbeat > hb_after_heal
-    assert not rm.node_managers[3].lost
-
-
-def test_scheduler_pick_parity_scalar_vs_columnar(monkeypatch):
-    """Container grants (node choice via the vectorized fallback scan)
-    match the scalar plane draw for draw."""
-
-    def run():
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_nodes=32, seed=7))
-        rm = ResourceManager(sim, cluster)
-        got: list[tuple[float, int]] = []
-
-        def burst():
-            for _ in range(40):
-                grant = rm.request_container(2048)
-                grant.callbacks.append(
-                    lambda ev: got.append((sim.now, ev.value.node.node_id)))
-                yield sim.timeout(0.5)
-
-        sim.process(burst(), name="burst")
-        sim.run(until=120.0)
-        return got
-
-    monkeypatch.setenv("REPRO_DATA_PLANE", "reference")
-    scalar = run()
-    monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    columnar = run()
-    assert scalar == columnar
-    assert len(scalar) == 40
-
-
-def test_rm_falls_back_to_scalar_for_foreign_nodes():
-    """Workers the cluster's node_id indexing can't reach (here: another
-    cluster's nodes) force the RM onto the scalar plane; a plain subset
-    of the cluster's own nodes stays columnar."""
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterSpec(num_nodes=6))
-    other = Cluster(sim, ClusterSpec(num_nodes=6))
-    rm = ResourceManager(sim, cluster, worker_nodes=other.nodes[:3])
-    assert rm.columns is None
-    assert rm.available_mb() > 0
-    subset_rm = ResourceManager(sim, cluster, worker_nodes=cluster.nodes[3:])
-    assert subset_rm.columns is not None
 
 
 # ---------------------------------------------------------------------------

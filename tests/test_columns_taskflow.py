@@ -1,53 +1,16 @@
-"""Task/flow column groups (the columnar data plane's second wave):
-store round-trips against shadow python objects, the vectorized
-attempt-progress kernel, cross-plane digest parity on the columnar
-exercise scenarios, attempt-slot recycling across AM restarts, and the
-flow scheduler's timer-reuse path."""
+"""Flow columns: store round-trips against shadow python objects and
+the flow schedulers' timer-reuse path."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterSpec
-from repro.experiments.common import make_policy
-from repro.faults.chaos import build_fault
-from repro.faults.inject import FaultInjector
-from repro.hdfs.hdfs import HdfsConfig
-from repro.mapreduce.config import JobConf
-from repro.mapreduce.job import MapReduceRuntime
-from repro.sim.columns import AttemptColumns, FlowColumns, attempt_progress
+from repro.sim.columns import FlowColumns
 from repro.sim.core import Simulator
 from repro.sim.flows import FlowScheduler, LinkResource
 from repro.sim.flows_columnar import ColumnarFlowScheduler
-from repro.verify.scenarios import SCENARIOS, run_verify_spec
-from repro.workloads import BENCHMARKS
-from repro.yarn.rm import YarnConfig
 
 pytestmark = pytest.mark.tier1
-
-
-def _build_runtime(spec) -> MapReduceRuntime:
-    """The same wiring :func:`run_verify_spec` uses, but returning the
-    runtime so tests can inspect stores and incarnations after the run."""
-    wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
-                                      num_reducers=spec["reducers"])
-    rpc_kwargs = {f"rpc_{k}": v for k, v in (spec.get("rpc") or {}).items()}
-    rt = MapReduceRuntime(
-        wl,
-        conf=JobConf(**spec["conf"]) if spec.get("conf") else None,
-        cluster_spec=ClusterSpec(num_nodes=spec["nodes"], num_racks=spec["racks"],
-                                 seed=spec["seed"]),
-        yarn_config=YarnConfig(nm_liveness_timeout=spec["liveness"], **rpc_kwargs),
-        hdfs_config=HdfsConfig(replication=spec["replication"]),
-        policy=make_policy(spec["policy"]),
-        job_name=f"test-{spec['name']}",
-        speculation=bool(spec.get("speculation", False)),
-        trace_columnar=bool(spec.get("trace_columnar", False)),
-    )
-    if spec["faults"]:
-        FaultInjector(*[build_fault(d) for d in spec["faults"]]).install(rt)
-    return rt
 
 
 # ---------------------------------------------------------------------------
@@ -99,185 +62,6 @@ class TestFlowColumnsRoundTrip:
         assert cols.rids.shape[1] >= base_width + 3
         assert cols.rids[slots[7], :2].tolist() == [70, 71]
         assert (cols.rids[slots[7], 2:] == -1).all()
-
-
-class TestAttemptColumnsRoundTrip:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(
-        st.integers(0, 1),                       # task_type
-        st.integers(0, 500),                     # task_id
-        st.floats(0.0, 1e6, allow_nan=False),    # start_time
-        st.floats(0.0, 1.0, allow_nan=False),    # prog_base
-        st.booleans(),                           # free it again?
-    ), min_size=1, max_size=40))
-    def test_cells_match_shadow(self, rows):
-        store = AttemptColumns()
-        shadow = {}
-        seqs = []
-        for i, (tt, tid, start, base, free_it) in enumerate(rows):
-            slot = store.alloc_attempt(task_type=tt, task_id=tid, owner=0,
-                                       running=True, start_time=start,
-                                       prog_base=base, flow_slot=-1,
-                                       flow_fid=-1)
-            seqs.append(store.get(slot, "seq"))
-            if free_it:
-                store.free(slot)
-                assert store.flow_refs[slot] is None
-            else:
-                shadow[slot] = (tt, tid, start, base)
-        # seq is globally monotone (a deterministic sort key even after
-        # LIFO slot reuse).
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        for slot, (tt, tid, start, base) in shadow.items():
-            assert store.get(slot, "task_type") == tt
-            assert store.get(slot, "task_id") == tid
-            assert store.get(slot, "start_time") == start
-            assert store.get(slot, "prog_base") == base
-            assert store.get(slot, "running") is True
-
-    def test_reused_slot_zero_filled_and_ref_cleared(self):
-        store = AttemptColumns()
-        a = store.alloc_attempt(task_id=3, prog_base=0.5, reduce_live=True)
-        store.flow_refs[a] = object()
-        store.free(a)
-        b = store.alloc_attempt(task_id=9)
-        assert b == a  # LIFO reuse
-        assert store.get(b, "prog_base") == 0.0
-        assert store.get(b, "reduce_live") is False
-        assert store.flow_refs[b] is None
-
-
-# ---------------------------------------------------------------------------
-# attempt_progress kernel vs hand-evaluated scalar formulas
-# ---------------------------------------------------------------------------
-class TestAttemptProgressKernel:
-    def test_forms_match_scalar_evaluation(self):
-        fcols = FlowColumns()
-        store = AttemptColumns()
-        now, last_update = 12.0, 10.0
-        # Form A with a live column-backed flow: size 100, remaining 60
-        # as of last_update, rate 5 -> remaining 50 at now.
-        fs = fcols.alloc(remaining=60.0, rate=5.0, size=100.0, fid=7, comp=0, deg=1)
-        a = store.alloc_attempt(prog_base=0.35, prog_span=0.35,
-                                flow_slot=fs, flow_fid=7)
-        # Form A with a stale link (freed cell) falling back to the ref.
-        class _Ref:
-            progress = 0.25
-        b = store.alloc_attempt(prog_base=0.0, prog_span=0.35,
-                                flow_slot=99, flow_fid=-2)
-        store.flow_refs[b] = _Ref()
-        # Form B (reduce stage): resume 0.2, cpu 8s started at t=10,
-        # flow 40% done -> live = min(flowprog, cpu_part).
-        fs2 = fcols.alloc(remaining=60.0, rate=0.0, size=100.0, fid=8, comp=1, deg=1)
-        c = store.alloc_attempt(reduce_live=True, resume=0.2,
-                                cpu_start=10.0, cpu_secs=8.0,
-                                flow_slot=fs2, flow_fid=8)
-        # FCM form: progress = resume + (1-resume)*cpu_part, flows ignored.
-        d = store.alloc_attempt(reduce_live=True, fcm=True, resume=0.4,
-                                cpu_start=10.0, cpu_secs=4.0,
-                                flow_slot=fs2, flow_fid=8)
-        slots = np.array([a, b, c, d])
-        out = attempt_progress(store, slots, fcols, now, last_update)
-        assert out[0] == 0.35 + 0.35 * ((100.0 - 50.0) / 100.0)
-        assert out[1] == 0.0 + 0.35 * 0.25
-        live_c = min((100.0 - 60.0) / 100.0, min(1.0, (now - 10.0) / 8.0))
-        assert out[2] == 2.0 / 3.0 + (0.2 + (1.0 - 0.2) * live_c) / 3.0
-        cpu_d = min(1.0, (now - 10.0) / 4.0)
-        assert out[3] == 0.4 + (1.0 - 0.4) * cpu_d
-
-    def test_zero_size_flow_counts_complete(self):
-        fcols = FlowColumns()
-        store = AttemptColumns()
-        fs = fcols.alloc(remaining=0.0, rate=0.0, size=0.0, fid=1, comp=0, deg=0)
-        a = store.alloc_attempt(prog_base=0.0, prog_span=0.3,
-                                flow_slot=fs, flow_fid=1)
-        out = attempt_progress(store, np.array([a]), fcols, 5.0, 5.0)
-        assert out[0] == 0.3
-
-
-# ---------------------------------------------------------------------------
-# Cross-plane digest parity on the columnar exercise scenarios
-# ---------------------------------------------------------------------------
-def _plane_digest(monkeypatch, spec, plane: str) -> str:
-    if plane == "reference":
-        monkeypatch.setenv("REPRO_DATA_PLANE", "reference")
-    else:
-        monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    try:
-        payload = run_verify_spec(spec)
-    finally:
-        monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    assert payload["invariant_violations"] == []
-    return payload["digest"]
-
-
-@pytest.mark.parametrize("name", ["shuffle-heavy-yarn", "straggler-spec-alm"])
-@pytest.mark.parametrize("nodes", [
-    64,
-    pytest.param(1024, marks=pytest.mark.slow),
-])
-def test_cross_plane_digest_parity_scaled(monkeypatch, name, nodes):
-    """The shuffle-heavy and speculation scenarios — the paths that
-    exercise flow columns, attempt columns and the high-volume trace
-    kinds together — must digest identically on both data planes at
-    cluster sizes well past the verify corpus default."""
-    spec = SCENARIOS[name].to_spec()
-    spec["name"] = f"{name}-{nodes}"
-    spec["nodes"] = nodes
-    col = _plane_digest(monkeypatch, spec, "columnar")
-    ref = _plane_digest(monkeypatch, spec, "reference")
-    assert col == ref
-
-
-@pytest.mark.parametrize("name", ["crash-reducer-sfm", "slow-node-iss",
-                                  "clean-terasort-yarn"])
-def test_speculation_set_identical_across_planes(monkeypatch, name):
-    """Forcing speculation on, the launched-speculation set (and every
-    other trace byte) must match the scalar scan: the ``speculation``
-    records hash task name, estimate and mean, so digest equality pins
-    the set, the ordering and the float estimates."""
-    spec = SCENARIOS[name].to_spec()
-    spec["name"] = f"{name}-spec"
-    spec["speculation"] = True
-    col = _plane_digest(monkeypatch, spec, "columnar")
-    ref = _plane_digest(monkeypatch, spec, "reference")
-    assert col == ref
-
-
-@pytest.mark.slow
-def test_speculation_set_identical_full_corpus(monkeypatch):
-    """Satellite sweep: every golden scenario with speculation forced
-    digests identically under the vectorized and scalar speculator
-    scans."""
-    for name, scenario in SCENARIOS.items():
-        spec = scenario.to_spec()
-        spec["name"] = f"{name}-spec"
-        spec["speculation"] = True
-        col = _plane_digest(monkeypatch, spec, "columnar")
-        ref = _plane_digest(monkeypatch, spec, "reference")
-        assert col == ref, name
-
-
-# ---------------------------------------------------------------------------
-# Attempt slots across AM restarts (the PR 8 adoption path)
-# ---------------------------------------------------------------------------
-def test_attempt_slots_recycle_across_am_restart(monkeypatch):
-    monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    spec = SCENARIOS["am-restart-log-yarn"].to_spec()
-    rt = _build_runtime(spec)
-    result = rt.run()
-    assert result.success
-    assert result.counters["am_restarts"] >= 1
-    store = rt.attempt_columns
-    assert store is not None
-    attempts = {id(a) for am in rt.am_incarnations
-                for t in am.map_tasks + am.reduce_tasks for a in t.attempts}
-    # Adopted attempts keep their slots and finished ones free them, so
-    # the high-water mark stays below the total attempt count — slots
-    # were recycled, not leaked, across the restart.
-    assert store.size < len(attempts)
-    # Every attempt was adjudicated and released its mirror slot.
-    assert len(store) == 0
 
 
 # ---------------------------------------------------------------------------

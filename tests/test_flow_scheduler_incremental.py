@@ -15,6 +15,7 @@ import pytest
 from repro.sim import Simulator
 from repro.sim.core import Timeout
 from repro.sim.flows import FlowScheduler, LinkResource
+from repro.sim.flows_columnar import ColumnarFlowScheduler
 from repro.sim.flows_reference import ReferenceFlowScheduler
 
 SCHEDULERS = (ReferenceFlowScheduler, FlowScheduler)
@@ -266,3 +267,43 @@ def test_digest_identical_across_scheduler_swap():
                 os.environ["REPRO_SCHEDULER"] = previous
 
     assert one("reference") == one("incremental")
+
+
+@pytest.mark.parametrize("sched_cls", [FlowScheduler, ColumnarFlowScheduler,
+                                       ReferenceFlowScheduler],
+                         ids=["incremental", "columnar", "reference"])
+def test_flow_completing_below_clock_resolution_still_completes(sched_cls):
+    """A 3.8e-6-byte flow on a 400 MB/s disk at t=278.972 s has a
+    completion horizon (~9.5e-15 s) below the float resolution of
+    ``now``: its completion instant rounds to ``now``. The timer fire
+    must complete it instead of re-arming at the same instant forever."""
+    sim = Simulator()
+    sched = sched_cls(sim)
+    disk = LinkResource("disk", 400.0 * 1024 * 1024)
+    sim.run(until=278.972)
+    flow = sched.transfer(3.8e-6, [disk], "tiny-log-write")
+    assert sim.now + flow.remaining / disk.capacity == sim.now
+    for _ in range(1000):  # a bounded run: a livelock fails, not hangs
+        if flow.done.triggered or sim.peek() == float("inf"):
+            break
+        sim.step()
+    assert flow.done.triggered and flow.done.ok
+    assert sim.now == 278.972
+    assert sched.active_count == 0
+
+
+@pytest.mark.slow
+def test_wordcount_alm_reducer_crash_runs_to_completion():
+    """The whole-job reproducer of the livelock above: Wordcount 100 GB
+    under ALM with the reducer's node failing at 50% progress used to
+    stop simulated time at 278.972 s."""
+    from repro.experiments.common import run_benchmark_job
+    from repro.faults import kill_node_at_progress
+    from repro.invariants import check_invariants
+    from repro.workloads import wordcount
+
+    rt, res = run_benchmark_job(
+        wordcount(100.0), "alm", faults=[kill_node_at_progress(0.5, target="reducer")])
+    assert res.success
+    assert res.end_time > 278.972
+    assert check_invariants(rt, res) == []

@@ -7,8 +7,8 @@ roster is pinned, kwarg filtering matches the historical
 suite is the registry's real teeth: *every* registered policy — seed or
 zoo, present or future — runs a seeded smoke workload under each fault
 kind and must pass all invariants, terminate, and produce byte-identical
-trace digests on rerun and across the ``REPRO_DATA_PLANE`` /
-``REPRO_SCHEDULER`` implementation modes. A new policy module gets this
+trace digests on rerun and across the ``REPRO_SCHEDULER``
+implementation modes. A new policy module gets this
 safety net just by registering.
 """
 
@@ -109,7 +109,7 @@ _CONFORMANCE_FAULTS = {
 
 _MODES = (
     {},
-    {"REPRO_DATA_PLANE": "scalar"},
+    {"REPRO_SCHEDULER": "columnar"},
     {"REPRO_SCHEDULER": "reference"},
 )
 
@@ -121,8 +121,7 @@ def _conformance_run(policy_name: str, fault_key: str,
     from repro.invariants import check_invariants
     from repro.runner import trace_digest
 
-    saved = {k: os.environ.get(k) for k in
-             ("REPRO_DATA_PLANE", "REPRO_SCHEDULER")}
+    saved = {k: os.environ.get(k) for k in ("REPRO_SCHEDULER",)}
     try:
         for key, value in env.items():
             os.environ[key] = value

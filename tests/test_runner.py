@@ -138,10 +138,14 @@ class TestTrialRunner:
         assert not baseline[0].cached
         assert runner.run("mode", _square_trial, [5])[0].cached
 
-        for var in ("REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_TRACE_COUNT_ONLY"):
-            monkeypatch.setenv(var, "reference" if var != "REPRO_TRACE_COUNT_ONLY" else "1")
+        for var, value in (("REPRO_KERNEL", "reference"),
+                           ("REPRO_SCHEDULER", "reference"),
+                           ("REPRO_SCHEDULER", "incremental"),
+                           ("REPRO_SCHEDULER", "columnar"),
+                           ("REPRO_TRACE_COUNT_ONLY", "1")):
+            monkeypatch.setenv(var, value)
             fresh = runner.run("mode", _square_trial, [5])
-            assert not fresh[0].cached, f"{var} leaked through the trial cache"
+            assert not fresh[0].cached, f"{var}={value} leaked through the trial cache"
             assert runner.run("mode", _square_trial, [5])[0].cached
             monkeypatch.delenv(var)
 
