@@ -84,10 +84,6 @@ def run_workload(mode: str, nodes: int, horizon: float = HORIZON) -> dict:
         sim = Simulator()
         cluster = Cluster(sim, ClusterSpec(num_nodes=nodes))
         trace = Trace(sim)
-        # node_lost is the storm's high-volume kind: columnar rows
-        # (capacity 64, so the 10k-node storm of 100 crosses a
-        # doubling boundary) instead of per-event objects.
-        trace.columnar("node_lost", capacity=64, node="i8")
         # Time the control plane, not cluster construction: RM build
         # (NM allocation + heartbeat registration) counts, node/device
         # object construction does not.

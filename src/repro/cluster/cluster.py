@@ -49,7 +49,7 @@ def flow_scheduler_class(num_nodes: int):
     choice = os.environ.get("REPRO_SCHEDULER", "").strip().lower()
     if choice == "":
         choice = "columnar" if num_nodes >= COLUMNAR_FLOW_MIN_NODES else "incremental"
-    if choice in ("reference", "eager"):
+    if choice == "reference":
         from repro.sim.flows_reference import ReferenceFlowScheduler
 
         return ReferenceFlowScheduler

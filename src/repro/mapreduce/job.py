@@ -66,7 +66,7 @@ class MapReduceRuntime:
         job_name: str = "job",
         sample_interval: float = 1.0,
         speculation: bool | "SpeculationConfig" = False,
-        trace_columnar: bool = False,
+        record_progress: bool = False,
     ) -> None:
         self.sim = Simulator()
         self.cluster = Cluster(self.sim, cluster_spec or ClusterSpec())
@@ -86,17 +86,11 @@ class MapReduceRuntime:
         self.policy = policy or YarnRecoveryPolicy()
         self.trace = Trace(self.sim)
         self.job_name = job_name
-        #: Opt-in registration of the high-volume trace kinds
-        #: (``task_progress`` per running attempt per sampler tick,
-        #: ``flow_done`` per completed flow) — the big scenario configs
-        #: turn this on. Registration must precede any logging; records
-        #: are hashed through the same ``_export_record`` coercion on
-        #: both storage paths, so digests cannot drift.
-        self.trace_columnar = trace_columnar
-        if trace_columnar:
-            self.trace.columnar("task_progress", capacity=1024,
-                                tt="i1", task="i8", attempt="i4", progress="f8")
-            self.trace.columnar("flow_done", capacity=1024, fid="i8", size="f8")
+        # Opt-in high-volume observations: a ``task_progress`` record
+        # per running attempt per sampler tick and a ``flow_done``
+        # record per completed flow. They only add trace records; the
+        # job itself runs identically either way.
+        if record_progress:
             self.cluster.flows.on_complete = self._log_flow_done
 
         self._input_path = input_path = f"input/{job_name}"
@@ -129,7 +123,7 @@ class MapReduceRuntime:
                                lambda: self.am.map_phase_progress())
         self.sampler.add_probe("failed_reduce_attempts",
                                lambda: float(self.am.failed_reduce_attempts()))
-        if trace_columnar:
+        if record_progress:
             self.sampler.add_probe_block(self._task_progress_block)
 
     def _task_progress_block(self):

@@ -16,8 +16,8 @@ __all__ = ["export_result_json", "export_series_csv", "result_summary", "trace_r
 
 
 def trace_records(trace: Trace) -> list[dict[str, Any]]:
-    """Flatten trace events into JSON-serialisable records (regular
-    events and columnar rows interleaved in log order)."""
+    """Flatten trace events into JSON-serialisable records, in log
+    order."""
     return list(trace.iter_records())
 
 

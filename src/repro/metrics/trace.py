@@ -18,37 +18,22 @@ digest is maintained incrementally as events are recorded (see
 :meth:`Trace.digest`) instead of JSON-encoding the whole trace at trial
 end.
 
-``REPRO_TRACE_COUNT_ONLY=kindA,kindB`` switches the named kinds to
-count-only recording: ``count(kind)`` and ``summary()`` still see them,
-but no per-event object is stored (and they drop out of exports and
-digests, which is why the knob defaults to unset — full fidelity).
-Listeners still fire for count-only kinds, so event-triggered faults
-keep working.
-
-High-volume kinds can opt into *columnar* storage
-(:meth:`Trace.columnar`): rows land in preallocated numpy columns with
-amortized-doubling growth instead of one ``TraceEvent`` + dict per
-occurrence. Digests are unchanged by construction — every record is
-hashed into the streaming digest *before* it is stored, whichever
-representation stores it — and exports interleave both streams in log
-order via a per-record ordinal (:meth:`Trace.iter_records`).
-Count-only wins over columnar registration for the same kind.
+Every event is stored one way: a ``TraceEvent`` appended to ``events``
+and indexed under its kind. Each record is hashed into the streaming
+digest through ``_export_record`` — the same coercion the JSON exports
+use — so the digest is by construction the hash of the export.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
-import os
 from collections import deque
 from typing import Any, Iterable
 
-import numpy as np
+from repro.sim.core import Simulator
 
-from repro.sim.core import SimulationError, Simulator
-
-__all__ = ["ColumnarEventBuffer", "ProgressSampler", "Trace", "TraceEvent",
+__all__ = ["ProgressSampler", "Trace", "TraceEvent",
            "first_divergence", "phase_durations"]
 
 
@@ -82,11 +67,6 @@ def _matches(event: TraceEvent, match: dict[str, Any]) -> bool:
     return all(event.data.get(k) == v for k, v in match.items())
 
 
-def _count_only_kinds() -> frozenset[str]:
-    raw = os.environ.get("REPRO_TRACE_COUNT_ONLY", "")
-    return frozenset(k.strip() for k in raw.split(",") if k.strip())
-
-
 #: json.dumps kwargs shared by the incremental digest and the legacy
 #: whole-trace path in ``repro.runner`` — both must produce identical
 #: bytes for identical traces.
@@ -103,83 +83,6 @@ def _export_record(time: float, kind: str, data: dict[str, Any]) -> dict[str, An
     return record
 
 
-class ColumnarEventBuffer:
-    """Append-only struct-of-arrays storage for one high-volume kind.
-
-    One preallocated numpy column per declared field plus ``time`` and
-    a global ``ordinal`` (the record's position in the whole log, used
-    to interleave columnar rows with regular events on export). Rows
-    append in O(1) amortized via capacity doubling.
-
-    The schema is strict: every ``log`` call for the kind must supply
-    exactly the declared fields, and each value must survive the
-    column's dtype round trip (a lossy store would silently desynchronise
-    the export from the already-streamed digest, so it raises instead).
-    """
-
-    __slots__ = ("kind", "time", "ordinal", "cols", "size")
-
-    def __init__(self, kind: str, fields: dict[str, str], capacity: int = 64) -> None:
-        if not fields:
-            raise SimulationError(f"columnar kind {kind!r} needs at least one field")
-        cap = max(int(capacity), 1)
-        self.kind = kind
-        self.time = np.zeros(cap, dtype="f8")
-        self.ordinal = np.zeros(cap, dtype="i8")
-        self.cols = {name: np.zeros(cap, dtype=dt) for name, dt in fields.items()}
-        self.size = 0
-
-    @property
-    def capacity(self) -> int:
-        return len(self.time)
-
-    def append(self, ordinal: int, time: float, data: dict[str, Any]) -> None:
-        i = self.size
-        if i >= len(self.time):
-            self._grow()
-        self.time[i] = time
-        self.ordinal[i] = ordinal
-        for name, arr in self.cols.items():
-            try:
-                value = data[name]
-            except KeyError:
-                raise SimulationError(
-                    f"columnar kind {self.kind!r} missing field {name!r}") from None
-            arr[i] = value
-            if arr[i] != value:
-                raise SimulationError(
-                    f"columnar kind {self.kind!r} field {name!r}: {value!r} does not "
-                    f"round-trip dtype {arr.dtype}")
-        if len(data) != len(self.cols):
-            extra = sorted(set(data) - set(self.cols))
-            raise SimulationError(
-                f"columnar kind {self.kind!r} got undeclared field(s): {', '.join(extra)}")
-        self.size = i + 1
-
-    def _grow(self) -> None:
-        new_cap = max(self.capacity * 2, 8)
-
-        def grow(arr: np.ndarray) -> np.ndarray:
-            grown = np.zeros(new_cap, dtype=arr.dtype)
-            grown[: len(arr)] = arr
-            return grown
-
-        self.time = grow(self.time)
-        self.ordinal = grow(self.ordinal)
-        self.cols = {name: grow(arr) for name, arr in self.cols.items()}
-
-    # -- materialization ---------------------------------------------------
-    def record(self, i: int) -> dict[str, Any]:
-        rec: dict[str, Any] = {"time": self.time[i].item(), "kind": self.kind}
-        for name, arr in self.cols.items():
-            rec[name] = arr[i].item()
-        return rec
-
-    def event(self, i: int) -> TraceEvent:
-        return TraceEvent(self.time[i].item(), self.kind,
-                          {name: arr[i].item() for name, arr in self.cols.items()})
-
-
 class Trace:
     """Append-only log of job events plus sampled time series.
 
@@ -194,14 +97,6 @@ class Trace:
         self.series: dict[str, list[tuple[float, float]]] = {}
         self._by_kind: dict[str, list[TraceEvent]] = {}
         self._listeners: dict[str, list[Any]] = {}
-        self._count_only = _count_only_kinds()
-        self._suppressed: dict[str, int] = {}
-        #: kind -> ColumnarEventBuffer for kinds registered via columnar().
-        self._col_kinds: dict[str, ColumnarEventBuffer] = {}
-        #: Global ordinal of each stored self.events entry (maintained
-        #: only once a columnar kind exists; interleaves the streams).
-        self._ordinals: list[int] = []
-        self._ordinal = 0
         # Incremental digest state: every recorded event is hashed here
         # as it lands, byte-compatible with json.dumps of the whole
         # {"events": [...], "series": {...}} document (see digest()).
@@ -209,56 +104,9 @@ class Trace:
         self._first_hashed = True
 
     # -- events -----------------------------------------------------------
-    def columnar(self, kind: str, capacity: int = 64,
-                 **fields: str) -> ColumnarEventBuffer | None:
-        """Store future ``kind`` events in numpy columns instead of
-        ``TraceEvent`` objects. ``fields`` maps field name -> dtype
-        string (e.g. ``node="i8"``); every later ``log(kind, ...)``
-        must supply exactly those fields with dtype-round-trippable
-        values. Digests and exports are unchanged — records hash before
-        storage and exports merge both streams in log order.
-
-        Must be called before anything is logged (the ordinal
-        bookkeeping that keeps export order correct starts at record
-        zero). Count-only kinds win: registration returns ``None`` and
-        the kind stays count-only.
-        """
-        if kind in self._count_only:
-            return None
-        if self.events or self._suppressed or self._ordinal:
-            raise SimulationError("columnar() must be called before any events are logged")
-        if kind in self._col_kinds:
-            raise SimulationError(f"kind {kind!r} already columnar")
-        buf = ColumnarEventBuffer(kind, fields, capacity)
-        self._col_kinds[kind] = buf
-        return buf
-
     def log(self, kind: str, **data: Any) -> None:
         listeners = self._listeners.get(kind)
-        if kind in self._count_only:
-            self._suppressed[kind] = self._suppressed.get(kind, 0) + 1
-            if listeners:
-                event = TraceEvent(self.sim.now, kind, data)
-                for fn in list(listeners):
-                    fn(event)
-            return
         now = self.sim.now
-        if self._col_kinds:
-            buf = self._col_kinds.get(kind)
-            if buf is not None:
-                # Hash first (digest sees the same bytes either way),
-                # then store the row; a TraceEvent exists only
-                # transiently for listeners.
-                self._hash_record(now, kind, data)
-                buf.append(self._ordinal, now, data)
-                self._ordinal += 1
-                if listeners:
-                    event = TraceEvent(now, kind, data)
-                    for fn in list(listeners):
-                        fn(event)
-                return
-            self._ordinals.append(self._ordinal)
-            self._ordinal += 1
         event = TraceEvent(now, kind, data)
         self.events.append(event)
         bucket = self._by_kind.get(kind)
@@ -309,82 +157,39 @@ class Trace:
         if bucket and fn in bucket:
             bucket.remove(fn)
 
-    def _kind_events(self, kind: str):
-        """Events of one kind, whichever representation stores them
-        (columnar rows materialize to TraceEvents lazily — cold query
-        paths only; hot paths use the buffer's columns directly)."""
-        if self._col_kinds:
-            buf = self._col_kinds.get(kind)
-            if buf is not None:
-                return [buf.event(i) for i in range(buf.size)]
-        return self._by_kind.get(kind, ())
-
     def of_kind(self, kind: str) -> list[TraceEvent]:
-        return list(self._kind_events(kind))
+        return list(self._by_kind.get(kind, ()))
 
     def count(self, kind: str, **match: Any) -> int:
-        if not match and kind in self._suppressed:
-            return self._suppressed[kind]
-        if not match and kind in self._col_kinds:
-            return self._col_kinds[kind].size
-        bucket = self._kind_events(kind)
+        bucket = self._by_kind.get(kind, ())
         if not match:
             return len(bucket)
         return sum(1 for e in bucket if _matches(e, match))
 
     def first(self, kind: str, **match: Any) -> TraceEvent | None:
-        for e in self._kind_events(kind):
+        for e in self._by_kind.get(kind, ()):
             if _matches(e, match):
                 return e
         return None
 
     def last(self, kind: str, **match: Any) -> TraceEvent | None:
-        for e in reversed(self._kind_events(kind)):
+        for e in reversed(self._by_kind.get(kind, ())):
             if _matches(e, match):
                 return e
         return None
 
     def times(self, kind: str, **match: Any) -> list[float]:
-        if not match and kind in self._col_kinds:
-            return self.times_array(kind).tolist()
-        return [e.time for e in self._kind_events(kind) if _matches(e, match)]
-
-    def times_array(self, kind: str) -> np.ndarray:
-        """Event times of ``kind`` as a float array without
-        materializing events — the bulk-analytics read path."""
-        if kind in self._col_kinds:
-            buf = self._col_kinds[kind]
-            return buf.time[: buf.size].copy()
-        return np.asarray([e.time for e in self._by_kind.get(kind, ())], dtype="f8")
+        return [e.time for e in self._by_kind.get(kind, ()) if _matches(e, match)]
 
     # -- export -----------------------------------------------------------
     def iter_records(self):
-        """Export-shaped records (dicts) in global log order.
-
-        Interleaves regular events with columnar rows by the per-record
-        ordinal; with no columnar kinds this is just the events list.
-        """
-        if not self._col_kinds:
-            for e in self.events:
-                yield _export_record(e.time, e.kind, e.data)
-            return
-
-        def stored():
-            for ordinal, e in zip(self._ordinals, self.events):
-                yield ordinal, _export_record(e.time, e.kind, e.data)
-
-        def rows(buf: ColumnarEventBuffer):
-            for i in range(buf.size):
-                yield buf.ordinal[i].item(), buf.record(i)
-
-        streams = [stored()] + [rows(buf) for buf in self._col_kinds.values()]
-        for _ordinal, record in heapq.merge(*streams, key=lambda pair: pair[0]):
-            yield record
+        """Export-shaped records (dicts) in log order."""
+        for e in self.events:
+            yield _export_record(e.time, e.kind, e.data)
 
     def total_events(self) -> int:
-        """Stored record count across both representations (count-only
-        kinds excluded, as ever)."""
-        return len(self.events) + sum(buf.size for buf in self._col_kinds.values())
+        """Number of recorded events."""
+        return len(self.events)
 
     # -- series ----------------------------------------------------------
     def sample(self, name: str, value: float) -> None:
@@ -397,28 +202,13 @@ class Trace:
     def summary(self) -> dict[str, Any]:
         """Cheap aggregate view: per-kind counts, series lengths and the
         event time span — no per-event detail, safe to ship across
-        process boundaries or into JSON. Count-only kinds appear in
-        ``kinds`` (that is the point of keeping their counts) but do not
-        contribute to ``events`` or the time span."""
-        kinds = {kind: len(bucket) for kind, bucket in self._by_kind.items()}
-        kinds.update(self._suppressed)
-        first_time = self.events[0].time if self.events else None
-        last_time = self.events[-1].time if self.events else None
-        for kind, buf in self._col_kinds.items():
-            if not buf.size:
-                continue
-            kinds[kind] = buf.size
-            # Times are monotone in log order, so the span merge is a
-            # min/max over each stream's endpoints.
-            t0, t1 = buf.time[0].item(), buf.time[buf.size - 1].item()
-            first_time = t0 if first_time is None else min(first_time, t0)
-            last_time = t1 if last_time is None else max(last_time, t1)
+        process boundaries or into JSON."""
         return {
             "events": self.total_events(),
-            "kinds": kinds,
+            "kinds": {kind: len(bucket) for kind, bucket in self._by_kind.items()},
             "series": {name: len(points) for name, points in self.series.items()},
-            "first_time": first_time,
-            "last_time": last_time,
+            "first_time": self.events[0].time if self.events else None,
+            "last_time": self.events[-1].time if self.events else None,
         }
 
 
@@ -448,11 +238,13 @@ class ProgressSampler:
     def add_probe_block(self, fn) -> None:
         """Register a *batched* probe: ``fn()`` returns an iterable of
         ``(name, value)`` pairs, all sampled at the tick instant. One
-        block can derive many series from a single vectorized pass over
-        columnar state — one callback where per-name probes would each
-        rescan the cluster. Series are keyed by name and the digest
-        sorts keys, so block samples digest identically to the same
-        values sampled through individual probes."""
+        block can derive many series from a single pass over the job's
+        state — one callback where per-name probes would each rescan
+        it. A block may also return nothing and log events instead
+        (``MapReduceRuntime`` logs ``task_progress`` this way). Series
+        are keyed by name and the digest sorts keys, so block samples
+        digest identically to the same values sampled through
+        individual probes."""
         self._blocks.append(fn)
 
     def start(self) -> None:

@@ -132,14 +132,13 @@ def _stable_name(value: Any) -> str | None:
     return text
 
 
-#: Environment knobs that select a different implementation (or trace
-#: fidelity) for the *same* trial spec. They are part of the cache key:
-#: digests are pinned identical across kernels and schedulers, but the
-#: whole point of a verify run is to prove that — a cached
-#: default-kernel payload served to a reference-kernel run would turn
-#: the equivalence check into a tautology (and a count-only trace is
-#: genuinely a different payload).
-_MODE_ENV_VARS = ("REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_TRACE_COUNT_ONLY")
+#: Environment knobs that select a different implementation for the
+#: *same* trial spec. They are part of the cache key: digests are
+#: pinned identical across kernels and schedulers, but the whole point
+#: of a verify run is to prove that — a cached default-kernel payload
+#: served to a reference-kernel run would turn the equivalence check
+#: into a tautology.
+_MODE_ENV_VARS = ("REPRO_KERNEL", "REPRO_SCHEDULER")
 
 
 def _env_mode() -> str:
@@ -150,8 +149,8 @@ def spec_digest(experiment: str, fn: Callable, kwargs: dict[str, Any]) -> str | 
     """Cache key for a trial spec, or ``None`` if any part of the spec
     is unnameable — such specs are executed but never memoized. The key
     also folds in the implementation-mode environment
-    (``REPRO_KERNEL``/``REPRO_SCHEDULER``/``REPRO_TRACE_COUNT_ONLY``)
-    so runs under different implementations never share cache entries."""
+    (``REPRO_KERNEL``/``REPRO_SCHEDULER``) so runs under different
+    implementations never share cache entries."""
     parts = [experiment, _stable_name(fn) or "", _env_mode()]
     if not parts[1]:
         return None

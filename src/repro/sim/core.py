@@ -65,8 +65,15 @@ URGENT = 0
 
 
 def _reference_kernel() -> bool:
-    """Whether new simulators should run in reference (unpooled) mode."""
-    return os.environ.get("REPRO_KERNEL", "") == "reference"
+    """Whether new simulators should run in reference (unpooled) mode.
+
+    ``REPRO_KERNEL`` must be unset, empty or exactly ``reference``; any
+    other value raises, so a mistyped oracle run cannot silently check
+    the default kernel against itself."""
+    choice = os.environ.get("REPRO_KERNEL", "")
+    if choice not in ("", "reference"):
+        raise SimulationError(f"unknown REPRO_KERNEL {choice!r}")
+    return choice == "reference"
 
 
 def _impure_tick(event: "Periodic") -> "SimulationError":

@@ -73,9 +73,9 @@ class Scenario:
     rpc: tuple[tuple[str, Any], ...] = ()
     #: Enable LATE-style speculative execution (stock defaults).
     speculation: bool = False
-    #: Register the high-volume trace kinds (``task_progress``,
-    #: ``flow_done``) — the columnar-storage exercise path.
-    trace_columnar: bool = False
+    #: Log the high-volume observation kinds (``task_progress``,
+    #: ``flow_done``); see ``MapReduceRuntime(record_progress=...)``.
+    record_progress: bool = False
     tags: frozenset[str] = field(default_factory=frozenset)
 
     def to_spec(self) -> dict[str, Any]:
@@ -102,8 +102,8 @@ class Scenario:
             spec["rpc"] = dict(self.rpc)
         if self.speculation:
             spec["speculation"] = True
-        if self.trace_columnar:
-            spec["trace_columnar"] = True
+        if self.record_progress:
+            spec["record_progress"] = True
         return spec
 
 
@@ -190,7 +190,7 @@ def run_verify_spec(spec: dict[str, Any],
         policy=make_policy(spec["policy"]),
         job_name=f"verify-{spec['name']}",
         speculation=bool(spec.get("speculation", False)),
-        trace_columnar=bool(spec.get("trace_columnar", False)),
+        record_progress=bool(spec.get("record_progress", False)),
     )
     if fault_dicts:
         FaultInjector(*[build_fault(d) for d in fault_dicts]).install(rt)
@@ -339,14 +339,14 @@ register(Scenario("am-exhaust-yarn", tags=frozenset({"am"}),
 
 # Flow and speculation exercisers. ``shuffle-heavy-yarn`` maximises
 # concurrent shuffle flows (many reducers, extra input) with the
-# high-volume columnar trace kinds on; ``straggler-spec-alm`` degrades
+# high-volume observation kinds on; ``straggler-spec-alm`` degrades
 # a node hard enough that LATE speculation actually duplicates tasks,
 # so the speculator scan and per-attempt progress records are on the
 # digest-pinned path.
 register(Scenario("shuffle-heavy-yarn", input_gb=2.0, reducers=6, nodes=9,
-                  trace_columnar=True, tags=frozenset({"flows"})))
+                  record_progress=True, tags=frozenset({"flows"})))
 register(Scenario("straggler-spec-alm", policy="alm", speculation=True,
-                  trace_columnar=True, tags=frozenset({"flows"}), faults=(
+                  record_progress=True, tags=frozenset({"flows"}), faults=(
     {"kind": "degraded", "node_index": 2, "at_time": 5.0,
      "disk_factor": 0.08, "nic_factor": 0.3, "duration": 300.0},)))
 

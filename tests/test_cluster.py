@@ -209,3 +209,10 @@ class TestFlowSchedulerChoice:
         monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
         with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
             flow_scheduler_class(2)
+
+    def test_eager_alias_rejected(self, monkeypatch):
+        from repro.cluster.cluster import flow_scheduler_class
+
+        monkeypatch.setenv("REPRO_SCHEDULER", "eager")
+        with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
+            flow_scheduler_class(2)

@@ -1,8 +1,6 @@
-"""Column storage: ColumnStore semantics, columnar trace buffers,
-batched sampler blocks and the bulk flow/trace reads the activity
-watchdog uses."""
+"""Column storage: ColumnStore semantics, batched sampler blocks and
+the bulk flow reads the activity watchdog uses."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterSpec
@@ -71,114 +69,6 @@ class TestColumnStore:
         store.free(slot)
         with pytest.raises(SimulationError, match="unallocated"):
             store.free(slot)
-
-
-# ---------------------------------------------------------------------------
-# Columnar trace buffers
-# ---------------------------------------------------------------------------
-class TestColumnarTrace:
-    def test_digest_stable_across_doubling_boundary(self):
-        """Identical log sequences digest identically whether the kind
-        is columnar (crossing a capacity doubling) or object-backed."""
-
-        def run(columnar: bool) -> tuple[str, list]:
-            sim = Simulator()
-            trace = Trace(sim)
-            if columnar:
-                trace.columnar("hb", capacity=4, node="i8", lag="f8")
-            for i in range(11):  # crosses 4 -> 8 -> 16
-                trace.log("hb", node=i, lag=i / 8.0)
-                trace.log("other", step=i)
-            from repro.metrics.export import trace_records
-            return trace.digest(), trace_records(trace)
-
-        col_digest, col_records = run(columnar=True)
-        obj_digest, obj_records = run(columnar=False)
-        assert col_digest == obj_digest
-        assert col_records == obj_records
-
-    def test_records_interleave_in_log_order(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        buf = trace.columnar("fast", v="i8")
-        trace.log("slow", tag="a")
-        trace.log("fast", v=1)
-        trace.log("slow", tag="b")
-        trace.log("fast", v=2)
-        assert buf.size == 2
-        kinds = [r["kind"] for r in trace.iter_records()]
-        assert kinds == ["slow", "fast", "slow", "fast"]
-        assert trace.total_events() == 4
-        assert len(trace.events) == 2  # only the object-backed ones
-
-    def test_query_helpers_on_columnar_kind(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.columnar("hb", node="i8")
-        for i in range(5):
-            trace.log("hb", node=i % 2)
-        assert trace.count("hb") == 5
-        assert trace.count("hb", node=1) == 2
-        assert trace.first("hb", node=1)["node"] == 1
-        assert trace.last("hb")["node"] == 0
-        assert trace.times("hb") == [0.0] * 5
-        assert trace.times_array("hb").dtype == np.dtype("f8")
-        assert [e["node"] for e in trace.of_kind("hb")] == [0, 1, 0, 1, 0]
-
-    def test_summary_includes_columnar_rows(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.columnar("hb", node="i8")
-        trace.log("hb", node=1)
-        trace.log("plain", x=1)
-        s = trace.summary()
-        assert s["events"] == 2
-        assert s["kinds"] == {"hb": 1, "plain": 1}
-        assert s["first_time"] == 0.0 and s["last_time"] == 0.0
-
-    def test_listeners_fire_for_columnar_kinds(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.columnar("hb", node="i8")
-        seen = []
-        trace.subscribe("hb", lambda e: seen.append(e["node"]))
-        trace.log("hb", node=9)
-        assert seen == [9]
-
-    def test_count_only_wins_over_columnar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_COUNT_ONLY", "hb")
-        sim = Simulator()
-        trace = Trace(sim)
-        assert trace.columnar("hb", node="i8") is None
-        trace.log("hb", node=1)
-        assert trace.count("hb") == 1
-        assert list(trace.iter_records()) == []  # suppressed, as ever
-
-    def test_registration_after_logging_rejected(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.log("x", v=1)
-        with pytest.raises(SimulationError, match="before any events"):
-            trace.columnar("hb", node="i8")
-
-    def test_strict_schema_enforced(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.columnar("hb", node="i8")
-        with pytest.raises(SimulationError, match="missing field"):
-            trace.log("hb")
-        sim2 = Simulator()
-        trace2 = Trace(sim2)
-        trace2.columnar("hb", node="i8")
-        with pytest.raises(SimulationError, match="undeclared"):
-            trace2.log("hb", node=1, extra=2)
-
-    def test_lossy_dtype_store_rejected(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.columnar("hb", node="i8")
-        with pytest.raises(SimulationError, match="round-trip"):
-            trace.log("hb", node=1.5)
 
 
 # ---------------------------------------------------------------------------

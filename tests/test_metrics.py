@@ -34,6 +34,8 @@ class TestTrace:
     def test_log_and_query(self):
         sim = Simulator()
         trace = Trace(sim)
+        seen = []
+        trace.subscribe("thing", lambda e: seen.append((e.time, e["a"])))
         trace.log("thing", a=1)
 
         def proc(sim):
@@ -49,6 +51,8 @@ class TestTrace:
         assert trace.last("thing")["a"] == 2
         assert trace.times("other") == [5]
         assert trace.first("missing") is None
+        # Listeners fire synchronously at the log instant, per kind.
+        assert seen == [(0, 1), (5, 2)]
 
     def test_series_sampling(self):
         sim = Simulator()
@@ -90,6 +94,10 @@ class TestTrace:
             assert trace.first(kind, parity=0) == (matches[0] if matches else None)
             assert trace.last(kind, parity=0) == (matches[-1] if matches else None)
             assert trace.times(kind) == [e.time for e in scan]
+        # Exports keep the interleaved log order across kinds.
+        assert [r["kind"] for r in trace.iter_records()] == [e.kind for e in trace.events]
+        assert [r["i"] for r in trace.iter_records()] == list(range(50))
+        assert trace.total_events() == 50
 
     def test_of_kind_returns_copy(self):
         sim = Simulator()
@@ -115,6 +123,17 @@ class TestTrace:
             "first_time": 0.0,
             "last_time": 0.0,
         }
+
+
+        def later(sim):
+            yield sim.timeout(4.0)
+            trace.log("b")
+
+        sim.process(later(sim))
+        sim.run()
+        s = trace.summary()
+        assert (s["events"], s["kinds"]["b"]) == (4, 2)
+        assert (s["first_time"], s["last_time"]) == (0.0, 4.0)
 
 
 class TestProgressSampler:
@@ -265,13 +284,18 @@ class TestStreamingDigest:
     def test_matches_legacy_whole_trace_encoding(self, result):
         import hashlib
 
-        trace = result.trace
-        payload = {
-            "events": trace_records(trace),
-            "series": {name: points for name, points in trace.series.items()},
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-        assert trace.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        # A whole job, plus two kinds interleaved record by record.
+        interleaved = Trace(Simulator())
+        for i in range(11):
+            interleaved.log("hb", node=i, lag=i / 8.0)
+            interleaved.log("other", step=i)
+        for trace in (result.trace, interleaved):
+            payload = {
+                "events": trace_records(trace),
+                "series": {name: points for name, points in trace.series.items()},
+            }
+            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+            assert trace.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def test_digest_clones_not_consumes(self):
         sim = Simulator()
@@ -292,46 +316,3 @@ class TestStreamingDigest:
         blob = json.dumps({"events": [], "series": {}},
                           sort_keys=True, separators=(",", ":"), default=str)
         assert trace.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class TestCountOnlyMode:
-    """REPRO_TRACE_COUNT_ONLY: designated kinds keep counts (and fire
-    listeners) without storing per-event objects."""
-
-    def test_count_only_kind_counted_not_stored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_COUNT_ONLY", "hb, spam")
-        sim = Simulator()
-        trace = Trace(sim)
-        seen = []
-        trace.subscribe("hb", seen.append)
-        for _ in range(3):
-            trace.log("hb", node="n1")
-        trace.log("real", a=1)
-        assert trace.count("hb") == 3
-        assert trace.of_kind("hb") == []
-        assert len(trace.events) == 1
-        assert len(seen) == 3  # listeners still fire for count-only kinds
-        summary = trace.summary()
-        assert summary["kinds"]["hb"] == 3
-        assert summary["kinds"]["real"] == 1
-        assert summary["events"] == 1
-
-    def test_digest_excludes_count_only_kinds(self, monkeypatch):
-        sim = Simulator()
-        monkeypatch.setenv("REPRO_TRACE_COUNT_ONLY", "noise")
-        noisy = Trace(sim)
-        noisy.log("keep", a=1)
-        noisy.log("noise", b=2)
-        noisy.log("keep", a=2)
-        monkeypatch.delenv("REPRO_TRACE_COUNT_ONLY")
-        quiet = Trace(sim)
-        quiet.log("keep", a=1)
-        quiet.log("keep", a=2)
-        assert noisy.digest() == quiet.digest()
-
-    def test_default_is_full_fidelity(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.log("hb", node="x")
-        assert [e.kind for e in trace.events] == ["hb"]
-        assert trace.count("hb") == 1

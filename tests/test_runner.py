@@ -126,11 +126,10 @@ class TestTrialRunner:
 
     def test_cache_keyed_by_implementation_mode(self, tmp_path, monkeypatch):
         """A cached payload must never leak across REPRO_KERNEL /
-        REPRO_SCHEDULER / REPRO_TRACE_COUNT_ONLY selections: the mode
-        environment is part of the memoization key, so swapping an
-        implementation re-executes instead of replaying the other
-        mode's trace digest."""
-        for var in ("REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_TRACE_COUNT_ONLY"):
+        REPRO_SCHEDULER selections: the mode environment is part of the
+        memoization key, so swapping an implementation re-executes
+        instead of replaying the other mode's trace digest."""
+        for var in ("REPRO_KERNEL", "REPRO_SCHEDULER"):
             monkeypatch.delenv(var, raising=False)
         runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
 
@@ -141,8 +140,7 @@ class TestTrialRunner:
         for var, value in (("REPRO_KERNEL", "reference"),
                            ("REPRO_SCHEDULER", "reference"),
                            ("REPRO_SCHEDULER", "incremental"),
-                           ("REPRO_SCHEDULER", "columnar"),
-                           ("REPRO_TRACE_COUNT_ONLY", "1")):
+                           ("REPRO_SCHEDULER", "columnar")):
             monkeypatch.setenv(var, value)
             fresh = runner.run("mode", _square_trial, [5])
             assert not fresh[0].cached, f"{var}={value} leaked through the trial cache"

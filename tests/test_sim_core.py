@@ -417,6 +417,16 @@ class TestTimeoutPooling:
         sim.run()
         assert sim._free_timeouts == []
 
+    @pytest.mark.parametrize("value", ["Reference", "ref", "pooled"])
+    def test_unknown_kernel_value_rejected(self, monkeypatch, value):
+        """A mistyped REPRO_KERNEL must not silently run the default
+        kernel (an oracle run would then check nothing)."""
+        monkeypatch.setenv("REPRO_KERNEL", value)
+        with pytest.raises(SimulationError, match="REPRO_KERNEL"):
+            Simulator()
+        monkeypatch.setenv("REPRO_KERNEL", "")
+        assert Simulator()._pooling
+
 
 class TestHeapCompaction:
     """Lazy deletion of cancelled timeouts with threshold compaction."""

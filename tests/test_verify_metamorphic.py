@@ -97,3 +97,21 @@ class TestShrinking:
         assert not result.ok
         assert result.minimized_faults == []
         assert (tmp_path / "metamorphic-shrink-to-empty.json").exists()
+
+
+class TestRecordProgress:
+    @pytest.mark.parametrize("name", ["shuffle-heavy-yarn", "straggler-spec-alm"])
+    def test_option_only_adds_observations(self, name):
+        """``record_progress`` logs ``task_progress``/``flow_done`` and
+        nothing else: dropping those records from a run with the option
+        on leaves exactly the records of the same spec with it off."""
+        from repro.verify.scenarios import run_verify_spec, scenario_spec
+
+        on = scenario_spec(name)
+        assert on["record_progress"] is True
+        off = {k: v for k, v in on.items() if k != "record_progress"}
+        with_obs = run_verify_spec(on, collect_trace=True)["trace_records"]
+        without = run_verify_spec(off, collect_trace=True)["trace_records"]
+        observed = {"task_progress", "flow_done"}
+        assert {r["kind"] for r in with_obs} >= observed
+        assert [r for r in with_obs if r["kind"] not in observed] == without
