@@ -13,12 +13,12 @@ Two kernels run the same workload:
 - ``reference``: the pre-overhaul generator kernel
   (``REPRO_KERNEL=reference``) — the original baseline, swept only at
   <= 1024 nodes.
-- ``pooled``: the pooled/batched kernel (the default): one pure
-  periodic per NM heartbeat, ticked as a same-instant batch.
+- ``default``: the default kernel: one pure periodic per NM
+  heartbeat, each tick replacing the heap root in place.
 
 Speedups are only admissible because the trace digests are
 byte-identical across both kernels — same events, same series, same
-ordering. Throughput is *model events per wall second*: the pooled
+ordering. Throughput is *model events per wall second*: the default
 run's kernel event count divided by each kernel's wall time.
 
 Numbers land in ``BENCH_kernel.json`` at the repo root. Acceptance:
@@ -49,7 +49,7 @@ REPEATS_AT_SCALE = 2  # 4096+ nodes: runs are seconds long, noise amortizes
 
 _MODE_ENV = {
     "reference": {"REPRO_KERNEL": "reference"},
-    "pooled": {"REPRO_KERNEL": None},
+    "default": {"REPRO_KERNEL": None},
 }
 
 
@@ -124,22 +124,22 @@ def _best_of(mode: str, nodes: int, horizon: float, repeats: int) -> dict:
 
 def compare_modes(nodes: int, horizon: float = HORIZON,
                   repeats: int = REPEATS, with_reference: bool = True) -> dict:
-    modes = ["pooled"]
+    modes = ["default"]
     if with_reference and nodes <= REFERENCE_MAX_NODES:
         modes.insert(0, "reference")
     results = {mode: _best_of(mode, nodes, horizon, repeats) for mode in modes}
-    pooled = results["pooled"]
+    default = results["default"]
     # Byte-identical digests: same trace events, same sampled series,
     # same ordering. The speedups are inadmissible without this.
     for mode, res in results.items():
-        assert res["digest"] == pooled["digest"], (nodes, mode, results)
-        assert res["trace_events"] == pooled["trace_events"], (nodes, mode, results)
-        assert res["series_points"] == pooled["series_points"], (nodes, mode, results)
+        assert res["digest"] == default["digest"], (nodes, mode, results)
+        assert res["trace_events"] == default["trace_events"], (nodes, mode, results)
+        assert res["series_points"] == default["series_points"], (nodes, mode, results)
     row = {"nodes": nodes, "horizon": horizon, "identical_digests": True}
     for mode, res in results.items():
-        # Common numerator: the pooled kernel's event count is the work
+        # Common numerator: the default kernel's event count is the work
         # of one cluster-second.
-        eps = pooled["model_events"] / max(res["wall_seconds"], 1e-9)
+        eps = default["model_events"] / max(res["wall_seconds"], 1e-9)
         row[mode] = {
             "model_events": res["model_events"],
             "wall_seconds": round(res["wall_seconds"], 4),
@@ -148,8 +148,8 @@ def compare_modes(nodes: int, horizon: float = HORIZON,
             "series_points": res["series_points"],
         }
     if "reference" in results:
-        row["pooled_vs_reference_speedup"] = round(
-            results["reference"]["wall_seconds"] / max(pooled["wall_seconds"], 1e-9), 2)
+        row["default_vs_reference_speedup"] = round(
+            results["reference"]["wall_seconds"] / max(default["wall_seconds"], 1e-9), 2)
     return row
 
 
@@ -177,17 +177,17 @@ def test_kernel_throughput(report):
         "sample_interval": SAMPLE_INTERVAL,
         "repeats": REPEATS,
         "repeats_at_scale": REPEATS_AT_SCALE,
-        "events_per_sec_numerator": "pooled model_events (common across kernels)",
+        "events_per_sec_numerator": "default model_events (common across kernels)",
         "identical_digests": all(r["identical_digests"] for r in rows),
         "sweep": rows,
     }
     out = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
-    report("DES kernel — pooled vs reference", json.dumps(payload, indent=2))
+    report("DES kernel — default vs reference", json.dumps(payload, indent=2))
 
     # Acceptance: a sub-linear scaling curve for the default kernel.
-    _assert_sublinear(rows, "pooled")
+    _assert_sublinear(rows, "default")
 
 
 def main(argv=None) -> int:
@@ -201,10 +201,10 @@ def main(argv=None) -> int:
     if args.smoke:
         row = compare_modes(nodes=args.nodes, horizon=120.0, repeats=1,
                             with_reference=args.nodes <= 256)
-        kernels = "reference/pooled" if "reference" in row else "pooled"
+        kernels = "reference/default" if "reference" in row else "default"
         print(f"smoke ok at {args.nodes} nodes ({kernels}): "
-              f"{row['pooled']['model_events']} pooled kernel events, "
-              f"{row['pooled']['events_per_sec']} events/sec")
+              f"{row['default']['model_events']} default kernel events, "
+              f"{row['default']['events_per_sec']} events/sec")
         return 0
     for nodes in NODE_COUNTS:
         print(json.dumps(compare_modes(nodes), indent=2))

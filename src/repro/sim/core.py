@@ -10,14 +10,8 @@ generator (or its exception thrown into it).
 Only simulation-domain concepts live here; bandwidth sharing and
 resources are layered on top in sibling modules.
 
-Hot-path design (the kernel is where large simulations spend their
-time once the flow scheduler is incremental):
+Hot-path design:
 
-- **Timeout pooling** — processed :class:`Timeout` objects are recycled
-  through a per-simulator free list instead of being garbage. An object
-  is only recycled when a refcount check proves nothing outside the
-  kernel still holds it, so model code that keeps a reference to a
-  timeout (to re-wait it, to inspect ``cancelled``) is never aliased.
 - **``Simulator.periodic``** — a dedicated wakeup path for fixed-interval
   daemons (heartbeats, samplers, logging ticks). One reusable heap
   entry per daemon replaces a generator frame plus a fresh ``Timeout``
@@ -28,11 +22,14 @@ time once the flow scheduler is incremental):
   (binary heaps cannot remove arbitrary entries); when stale entries
   exceed half the heap the kernel rebuilds it in place, bounding the
   memory and pop-cost of cancel-heavy workloads.
-- **Locals-bound run loop** — :meth:`Simulator.run` binds the heap and
-  ``heappop`` to locals and inlines :meth:`Simulator.step`.
+- **One run loop** — :meth:`Simulator.run` binds the heap to a local,
+  inlines :meth:`Simulator.step`, and ticks a started pure periodic at
+  the heap root in place (one ``heapreplace`` sift instead of a pop and
+  a push).
 
-Set ``REPRO_KERNEL=reference`` to construct simulators with pooling
-disabled and ``periodic`` falling back to a plain generator loop — the
+Set ``REPRO_KERNEL=reference`` to construct simulators whose
+``periodic`` falls back to a plain generator loop, whose ``run`` calls
+``step()`` once per event, and which never compact the heap — the
 pre-optimisation behaviour, kept as an equivalence oracle (mirroring
 ``REPRO_SCHEDULER=reference`` for the flow scheduler).
 """
@@ -41,9 +38,8 @@ from __future__ import annotations
 
 import heapq
 import os
-import sys
 from collections.abc import Callable, Generator, Iterable
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from typing import Any
 
 __all__ = [
@@ -65,7 +61,7 @@ URGENT = 0
 
 
 def _reference_kernel() -> bool:
-    """Whether new simulators should run in reference (unpooled) mode.
+    """Whether new simulators should run as the reference kernel.
 
     ``REPRO_KERNEL`` must be unset, empty or exactly ``reference``; any
     other value raises, so a mistyped oracle run cannot silently check
@@ -202,13 +198,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
 
 
-#: References a freshly processed, unaliased Timeout has when the pool
-#: check runs: the run-loop local, ``self`` in ``_process`` and the
-#: ``getrefcount`` argument itself. Anything above this means model code
-#: still holds the object and it must not be recycled.
-_POOLABLE_REFS = 3
-
-
 class Timeout(Event):
     """An event that triggers ``delay`` time units after creation.
 
@@ -216,12 +205,8 @@ class Timeout(Event):
     (binary heaps cannot delete arbitrary entries) but is discarded
     without running callbacks when popped. This is what lets the flow
     scheduler keep exactly one live completion timer instead of
-    accumulating thousands of version-dead entries.
-
-    Processed timeouts are recycled through :attr:`Simulator._free_timeouts`
-    when a refcount check shows no model code still references them —
-    the per-wakeup allocation that used to dominate heartbeat-heavy
-    workloads becomes a pop+reset.
+    accumulating thousands of version-dead entries; the default kernel
+    compacts such entries out once they dominate the heap.
     """
 
     __slots__ = ("delay", "_cancelled")
@@ -248,40 +233,17 @@ class Timeout(Event):
         if self._cancelled or self._processed:
             return
         self._cancelled = True
-        if self.sim._pooling:
+        if not self.sim._reference:
             self.sim._note_stale()
 
     def _process(self) -> None:
-        sim = self.sim
         if self._cancelled:
             self.callbacks = None
             self._processed = True
-            if sim._pooling:
-                sim._stale -= 1
+            if not self.sim._reference:
+                self.sim._stale -= 1
         else:
-            callbacks, self.callbacks = self.callbacks, None
-            self._processed = True
-            for cb in callbacks or ():
-                cb(self)
-            if self._exc is not None and not callbacks and not self._defused:
-                raise self._exc
-        # Recycle only when provably unaliased (see _POOLABLE_REFS).
-        if sim._pooling and sys.getrefcount(self) <= _POOLABLE_REFS:
-            sim._free_timeouts.append(self)
-
-    def _reset(self, delay: float, value: Any) -> None:
-        """Re-arm a pooled instance as if freshly constructed."""
-        self.callbacks = []
-        self._value = value
-        self._exc = None
-        self._triggered = True
-        self._processed = False
-        self._defused = False
-        self.delay = delay
-        self._cancelled = False
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim._now + delay, NORMAL, seq, self))
+            Event._process(self)
 
 
 class Initialize(Event):
@@ -449,15 +411,13 @@ class Periodic(Event):
     def cancel(self) -> None:
         """Stop the wakeups; the pending heap entry is lazily discarded."""
         self._cancelled = True
-        if self._fast:
-            self._fast = False
-            self.sim._nfast -= 1
+        self._fast = False
 
     def _process(self) -> None:
-        # The run loop short-circuits started pure periodics before they
-        # are popped; this pop-based path handles everything else (the
-        # start slot, non-pure ticks, cancelled discards, step()-driven
-        # tests) with identical sequence-number allocation.
+        # The run loop ticks started pure periodics without popping them;
+        # this pop-based path handles everything else (the start slot,
+        # non-pure ticks, cancelled discards, step()-driven tests) with
+        # identical sequence-number allocation.
         if self._cancelled:
             self._processed = True
             return
@@ -468,16 +428,12 @@ class Periodic(Event):
             if self._immediate and self.fn() is False:
                 self._processed = True
                 return
-            # Started, live, pure: from now on the run loop may tick
-            # this event via the root-replace / batch fast paths.
-            if self.pure:
-                self._fast = True
-                self.sim._nfast += 1
+            # Started, live, pure: from now on the run loop ticks this
+            # event by replacing the heap root in place.
+            self._fast = self.pure
         elif self.fn() is False:
             self._processed = True
-            if self._fast:
-                self._fast = False
-                self.sim._nfast -= 1
+            self._fast = False
             return
         sim = self.sim
         sim._seq = seq = sim._seq + 1
@@ -616,40 +572,23 @@ class Simulator:
     # The run loop stores _now/_seq once per event; slot storage keeps
     # those off a dict lookup.
     __slots__ = ("_now", "_heap", "_seq", "_active_process",
-                 "_free_timeouts", "_stale", "_pooling", "_nfast",
-                 "_batch_abort")
+                 "_stale", "_reference")
 
     #: Compaction threshold: rebuild the heap once at least this many
     #: cancelled timeouts are buried in it *and* they outnumber the live
     #: entries. Small heaps are never worth rebuilding.
     COMPACT_MIN_STALE = 64
 
-    #: Batch-tick threshold: the same-instant batch path (one heap scan
-    #: + one heapify per instant instead of one heapreplace sift per
-    #: tick) engages only when at least this many started pure periodics
-    #: are live *and* they make up at least half the heap — otherwise
-    #: the scan would cost more than the sifts it saves.
-    BATCH_MIN_FAST = 32
-
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Process | None = None
-        #: Free list of processed, unaliased Timeout objects.
-        self._free_timeouts: list[Timeout] = []
         #: Cancelled-but-still-heaped timeout count (lazy deletion debt).
         self._stale = 0
-        self._pooling = not _reference_kernel()
-        #: Live started-pure-periodic count; gates the batch tick path.
-        self._nfast = 0
-        #: Instant whose batch tick aborted (an impure event shares it).
-        #: Every later event at this instant skips the batch attempt:
-        #: without this, each of an n-member cohort retries the O(heap)
-        #: scan only to hit the same abort — O(n^2) per shared instant.
-        #: Time is monotonic, so a stale value can never match again;
-        #: events appended mid-instant see the abort already cached.
-        self._batch_abort = -1.0
+        #: ``REPRO_KERNEL=reference``: generator periodics, the ``step()``
+        #: run loop and no compaction.
+        self._reference = _reference_kernel()
 
     @property
     def now(self) -> float:
@@ -665,11 +604,6 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        free = self._free_timeouts
-        if free and delay >= 0:
-            t = free.pop()
-            t._reset(delay, value)
-            return t
         return Timeout(self, delay, value)
 
     def process(self, gen: Generator[Event, Any, Any], name: str | None = None) -> Process:
@@ -683,14 +617,15 @@ class Simulator:
         ``now + interval``, or at the current instant too with
         ``immediate=True``) until it returns ``False`` or the returned
         handle's ``cancel()`` is called. ``pure=True`` asserts ``fn``
-        never creates events, unlocking the heap-root-replace tick path
-        (see :class:`Periodic`).
+        never creates events, so :meth:`run` may tick it by replacing
+        the heap root in place (see :class:`Periodic`).
 
         This is the allocation-free representation of the ubiquitous
         ``while True: yield sim.timeout(interval); body()`` daemon loop;
         the two representations schedule identically (see
         :class:`Periodic`). Under ``REPRO_KERNEL=reference`` the
-        generator representation itself is used.
+        generator representation itself is used, and ``pure`` is
+        ignored.
 
         With ``REPRO_PROFILE`` set, ``fn`` is wrapped to accumulate
         per-callback wall time keyed by ``name`` (see
@@ -702,7 +637,7 @@ class Simulator:
             from repro.runner.profile import wrap_periodic
 
             fn = wrap_periodic(fn, name)
-        if not self._pooling:
+        if self._reference:
             return _GeneratorPeriodic(self, interval, fn, immediate, name)
         return Periodic(self, interval, fn, immediate=immediate, pure=pure, name=name)
 
@@ -742,8 +677,6 @@ class Simulator:
                 if type(ev) is Timeout and ev._cancelled and not ev._processed:
                     ev.callbacks = None
                     ev._processed = True
-                    if self._pooling and sys.getrefcount(ev) <= _POOLABLE_REFS:
-                        self._free_timeouts.append(ev)
             heap[:] = live
             heapq.heapify(heap)
         self._stale = 0
@@ -760,64 +693,6 @@ class Simulator:
         self._now = when
         event._process()
 
-    def _batch_tick(self, heap: list, t: float) -> bool:
-        """Tick every started pure periodic due at instant ``t`` in one
-        pass: one heap scan, callbacks in sequence order, one O(n)
-        ``heapify`` — instead of one heapreplace sift per tick.
-
-        Sequence-identical to ticking them one at a time off the heap
-        root: at a single instant the pop order of the cohort is its
-        sequence order (equal time and priority), each tick claims the
-        next sequence number for its rescheduled entry, and pure
-        callbacks cannot schedule anything that would interleave. Any
-        *other* event sharing the instant could interleave, so the batch
-        aborts (returns ``False``, heap untouched) and the caller falls
-        back to the one-at-a-time path; dead wakeups of cancelled
-        periodics are the exception — a pop would discard them with no
-        observable effect, and the scan discards them the same way.
-
-        On an exception from a callback the heap is left at the
-        pre-instant state; resuming ``run()`` after a mid-instant
-        failure is as undefined as it always was.
-        """
-        live: list = []
-        cohort: list = []
-        keep = live.append
-        take = cohort.append
-        for entry in heap:
-            if entry[0] != t:
-                keep(entry)
-            elif entry[3]._fast:
-                take(entry)
-            elif type(entry[3]) is Periodic and entry[3]._cancelled:
-                entry[3]._processed = True
-            else:
-                self._batch_abort = t
-                return False
-        cohort.sort()
-        self._now = t
-        seq = self._seq
-        normal = NORMAL
-        for entry in cohort:
-            ev = entry[3]
-            if ev._cancelled:
-                # Cancelled by an earlier member of this same instant;
-                # a pop would discard it without claiming a sequence
-                # number, so do exactly that.
-                ev._processed = True
-                continue
-            self._seq = seq = seq + 1
-            keep((t + ev.interval, normal, seq, ev))
-            if ev.fn() is False:
-                ev._cancelled = True
-                ev._fast = False
-                self._nfast -= 1
-            if self._seq != seq:
-                raise _impure_tick(ev)
-        heap[:] = live
-        heapify(heap)
-        return True
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap drains, ``until`` time passes, or an
         ``until`` event triggers (returning its value).
@@ -831,7 +706,7 @@ class Simulator:
             if stop_time < self._now:
                 raise SimulationError(f"until={stop_time} is in the past (now={self._now})")
 
-        if not self._pooling:
+        if self._reference:
             # Reference kernel: the pre-overhaul loop, verbatim — one
             # step() call per event with per-iteration stop checks.
             while self._heap:
@@ -843,108 +718,33 @@ class Simulator:
                 self.step()
             return self._run_drained(stop_event, stop_time)
 
-        # Hot loop: locals-bound heap + heap ops, step() inlined, and
-        # started pure periodics ticked by replacing the heap root in
-        # place (heapreplace: one sift, no pop+push, no _process
-        # dispatch). Three specialisations keep per-event stop checks
-        # out of the variants that don't need them. _compact mutates
-        # self._heap in place, so the local alias stays valid.
+        # Hot loop: locals-bound heap, step() inlined, and started pure
+        # periodics ticked by replacing the heap root in place
+        # (heapreplace: one sift, no pop+push, no _process dispatch).
+        # _compact mutates self._heap in place, so the local alias stays
+        # valid. With no stop condition, a heap holding only live
+        # periodics spins forever — exactly as the equivalent while-True
+        # generator loops would.
         heap = self._heap
         normal = NORMAL
-        batch_min = self.BATCH_MIN_FAST
-        if stop_event is not None:
-            while heap:
-                item = heap[0]
-                event = item[3]
-                if event._fast:
-                    if stop_event._processed:
-                        return stop_event.value
-                    if (self._nfast >= batch_min
-                            and self._nfast * 2 >= len(heap)
-                            and item[0] != self._batch_abort
-                            and self._batch_tick(heap, item[0])):
-                        continue
-                    self._now = when = item[0]
-                    self._seq = seq = self._seq + 1
-                    heapreplace(heap, (when + event.interval, normal, seq, event))
-                    if event.fn() is False:
-                        event._cancelled = True
-                        event._fast = False
-                        self._nfast -= 1
-                    if self._seq != seq:
-                        raise _impure_tick(event)
-                    continue
-                if stop_event._processed:
-                    return stop_event.value
-                when, _, _, event = heappop(heap)
-                # Drop the peek alias before dispatch: a live reference
-                # to the popped entry would fail the recycle refcount
-                # check and quietly disable Timeout pooling.
-                del item
-                self._now = when
-                event._process()
-        elif stop_time != float("inf"):
-            while heap:
-                item = heap[0]
-                event = item[3]
-                if event._fast:
-                    if item[0] > stop_time:
-                        self._now = stop_time
-                        return None
-                    if (self._nfast >= batch_min
-                            and self._nfast * 2 >= len(heap)
-                            and item[0] != self._batch_abort
-                            and self._batch_tick(heap, item[0])):
-                        continue
-                    self._now = when = item[0]
-                    self._seq = seq = self._seq + 1
-                    heapreplace(heap, (when + event.interval, normal, seq, event))
-                    if event.fn() is False:
-                        event._cancelled = True
-                        event._fast = False
-                        self._nfast -= 1
-                    if self._seq != seq:
-                        raise _impure_tick(event)
-                    continue
-                if item[0] > stop_time:
-                    self._now = stop_time
-                    return None
-                when, _, _, event = heappop(heap)
-                # Drop the peek alias before dispatch: a live reference
-                # to the popped entry would fail the recycle refcount
-                # check and quietly disable Timeout pooling.
-                del item
-                self._now = when
-                event._process()
-        else:
-            # Drain-everything: no stop checks at all. A heap holding
-            # only live periodics would spin forever here — exactly as
-            # the equivalent while-True generator loops would.
-            while heap:
-                item = heap[0]
-                event = item[3]
-                if event._fast:
-                    if (self._nfast >= batch_min
-                            and self._nfast * 2 >= len(heap)
-                            and item[0] != self._batch_abort
-                            and self._batch_tick(heap, item[0])):
-                        continue
-                    self._now = when = item[0]
-                    self._seq = seq = self._seq + 1
-                    heapreplace(heap, (when + event.interval, normal, seq, event))
-                    if event.fn() is False:
-                        event._cancelled = True
-                        event._fast = False
-                        self._nfast -= 1
-                    if self._seq != seq:
-                        raise _impure_tick(event)
-                    continue
-                when, _, _, event = heappop(heap)
-                # Drop the peek alias before dispatch: a live reference
-                # to the popped entry would fail the recycle refcount
-                # check and quietly disable Timeout pooling.
-                del item
-                self._now = when
+        while heap:
+            if stop_event is not None and stop_event._processed:
+                return stop_event.value
+            when, _, _, event = heap[0]
+            if when > stop_time:
+                self._now = stop_time
+                return None
+            self._now = when
+            if event._fast:
+                self._seq = seq = self._seq + 1
+                heapreplace(heap, (when + event.interval, normal, seq, event))
+                if event.fn() is False:
+                    event._cancelled = True
+                    event._fast = False
+                if self._seq != seq:
+                    raise _impure_tick(event)
+            else:
+                heappop(heap)
                 event._process()
         return self._run_drained(stop_event, stop_time)
 

@@ -37,11 +37,6 @@ class YarnConfig:
     allocation_latency: float = 1.0
     #: Fraction of node memory usable for containers (OS/daemon headroom).
     nm_memory_fraction: float = 0.92
-    #: Max nodes simultaneously reserved for starving big requests.
-    #: 0 disables reservations (the default: with wave-boundary grants
-    #: the big reduce containers don't starve, and reservations idle
-    #: capacity the maps could use).
-    max_reserved_nodes: int = 0
     # -- fallible RPC (repro.sim.rpc) -----------------------------------
     #: Per-message loss probability on the control-plane channel. The
     #: default 0.0 keeps the channel reliable and strictly pass-through
@@ -193,10 +188,6 @@ class ResourceManager:
         #: (grant-leak) bug class.
         self._requests_by_id: dict[str, _PendingRequest] = {}
         self._pending: list[_PendingRequest] = []
-        #: node_id -> request that reserved it (big-container starvation
-        #: guard, like YARN's reserved containers): while a reservation
-        #: holds, lower-priority requests cannot backfill that node.
-        self._reservations: dict[int, _PendingRequest] = {}
         self._seq = itertools.count()
         # RPC lane names must be run-deterministic: Container ids come
         # from a class-level counter that keeps climbing across runs in
@@ -340,59 +331,27 @@ class ResourceManager:
 
     # -- scheduler core -----------------------------------------------------
     def _usable(self, nm: NodeManager, req: _PendingRequest) -> bool:
-        holder = self._reservations.get(nm.node.node_id)
         return (
             not nm.lost
             and nm.node.reachable
             and nm.available_mb >= req.memory_mb
             and nm.node.node_id not in req.excluded
-            and (holder is None or holder is req)
         )
 
     def _match(self) -> None:
         granted: list[_PendingRequest] = []
         for req in self._pending:
             if req.cancelled:
-                self._drop_reservation(req)
                 granted.append(req)  # drop silently
                 continue
             nm = self._pick_node(req)
             if nm is None:
-                self._maybe_reserve(req)
                 continue
-            self._drop_reservation(req)
             container = nm.allocate(req.memory_mb)
             granted.append(req)
             self._deliver(req, container)
         for req in granted:
             self._pending.remove(req)
-
-    def _maybe_reserve(self, req: _PendingRequest) -> None:
-        """Reserve the most-promising node for a starving request so
-        smaller, lower-priority requests stop backfilling it."""
-        if self.config.max_reserved_nodes <= 0:
-            return
-        if any(holder is req for holder in self._reservations.values()):
-            return  # already holds a reservation; wait for it to fill
-        if len(self._reservations) >= self.config.max_reserved_nodes:
-            return  # don't freeze the cluster for a burst of big asks
-        candidates = [
-            nm for nm in self.node_managers.values()
-            if not nm.lost and nm.node.reachable
-            and nm.node.node_id not in req.excluded
-            and nm.node.node_id not in self._reservations
-        ]
-        if not candidates:
-            return
-        preferred_ids = {n.node_id for n in req.preferred}
-        candidates.sort(key=lambda nm: (nm.node.node_id not in preferred_ids,
-                                        -nm.available_mb))
-        self._reservations[candidates[0].node.node_id] = req
-
-    def _drop_reservation(self, req: _PendingRequest) -> None:
-        for node_id, holder in list(self._reservations.items()):
-            if holder is req:
-                del self._reservations[node_id]
 
     def _pick_node(self, req: _PendingRequest) -> NodeManager | None:
         for pref in req.preferred:
@@ -502,7 +461,6 @@ class ResourceManager:
         self._lost_nodes.add(nm.node.node_id)
         self.node_lost_counts[nm.node.node_id] = \
             self.node_lost_counts.get(nm.node.node_id, 0) + 1
-        self._reservations.pop(nm.node.node_id, None)
         nm.kill_all(f"{nm.node.name} lost")
         for fn in list(self.node_lost_listeners):
             fn(nm.node)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Interrupt, Simulator
-from repro.sim.core import SimulationError
+from repro.sim.core import Periodic, SimulationError
 
 
 @pytest.fixture
@@ -358,23 +358,8 @@ class TestConditions:
 
 
 class TestTimeoutPooling:
-    """Free-list recycling of processed Timeout objects."""
-
-    @pytest.fixture(autouse=True)
-    def _default_kernel(self, monkeypatch):
-        # Pooling is a default-kernel feature; pin it so an ambient
-        # REPRO_KERNEL=reference (the CI oracle job) can't flip these.
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-
-    def test_processed_timeout_is_recycled(self, sim):
-        def proc(sim):
-            yield sim.timeout(1.0)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert len(sim._free_timeouts) == 1
-        pooled = sim._free_timeouts[-1]
-        assert sim.timeout(2.0) is pooled  # pop re-arms the same object
+    """Repeated timeouts and ``REPRO_KERNEL`` selection (the class name
+    is kept so existing test ids stay stable)."""
 
     def test_recycled_timeout_waits_correctly(self, sim):
         times = []
@@ -387,35 +372,6 @@ class TestTimeoutPooling:
         sim.process(proc(sim))
         sim.run()
         assert times == [1.5, 3.0, 4.5, 6.0, 7.5]
-        # steady state ping-pongs between two instances: the next wait's
-        # timeout is created (inside _resume) before the firing one is
-        # recycled, so five waits allocate exactly two objects
-        assert len(sim._free_timeouts) == 2
-
-    def test_aliased_timeout_is_not_recycled(self, sim):
-        held = []
-
-        def proc(sim):
-            t = sim.timeout(1.0)
-            held.append(t)  # external alias survives processing
-            yield t
-
-        sim.process(proc(sim))
-        sim.run()
-        assert held[0] not in sim._free_timeouts
-        assert held[0].triggered and held[0].ok
-
-    def test_reference_kernel_never_pools(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        sim = Simulator()
-
-        def proc(sim):
-            yield sim.timeout(1.0)
-            yield sim.timeout(1.0)
-
-        sim.process(proc(sim))
-        sim.run()
-        assert sim._free_timeouts == []
 
     @pytest.mark.parametrize("value", ["Reference", "ref", "pooled"])
     def test_unknown_kernel_value_rejected(self, monkeypatch, value):
@@ -425,7 +381,7 @@ class TestTimeoutPooling:
         with pytest.raises(SimulationError, match="REPRO_KERNEL"):
             Simulator()
         monkeypatch.setenv("REPRO_KERNEL", "")
-        assert Simulator()._pooling
+        assert isinstance(Simulator().periodic(1.0, lambda: None), Periodic)
 
 
 class TestHeapCompaction:
@@ -481,19 +437,22 @@ class TestPeriodic:
     def _default_kernel(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
 
-    def test_ticks_at_interval(self, sim):
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_ticks_at_interval(self, sim, pure):
         ticks = []
-        sim.periodic(2.0, lambda: ticks.append(sim.now))
+        sim.periodic(2.0, lambda: ticks.append(sim.now), pure=pure)
         sim.run(until=7.0)
         assert ticks == [2.0, 4.0, 6.0]
 
-    def test_immediate_first_tick(self, sim):
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_immediate_first_tick(self, sim, pure):
         ticks = []
-        sim.periodic(2.0, lambda: ticks.append(sim.now), immediate=True)
+        sim.periodic(2.0, lambda: ticks.append(sim.now), immediate=True, pure=pure)
         sim.run(until=5.0)
         assert ticks == [0.0, 2.0, 4.0]
 
-    def test_stops_when_fn_returns_false(self, sim):
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_stops_when_fn_returns_false(self, sim, pure):
         ticks = []
 
         def tick():
@@ -501,13 +460,14 @@ class TestPeriodic:
             if len(ticks) == 3:
                 return False
 
-        sim.periodic(1.0, tick)
+        sim.periodic(1.0, tick, pure=pure)
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0, 3.0]
 
-    def test_cancel_stops_ticks(self, sim):
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_cancel_stops_ticks(self, sim, pure):
         ticks = []
-        p = sim.periodic(1.0, lambda: ticks.append(sim.now))
+        p = sim.periodic(1.0, lambda: ticks.append(sim.now), pure=pure)
 
         def canceller(sim):
             yield sim.timeout(2.5)
@@ -543,17 +503,13 @@ class TestPeriodic:
 
 
 class TestBatchTick:
-    """Same-instant batch processing of pure periodic cohorts."""
+    """A same-instant cohort of pure periodics, ticked in place at the
+    heap root, against the reference kernel's generator loops."""
 
-    COHORT = 64  # >= Simulator.BATCH_MIN_FAST, so the batch path engages
+    COHORT = 64
 
-    @pytest.fixture(autouse=True)
-    def _default_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-
-    def _tick_trace(self, batch_enabled, monkeypatch, wire=None):
-        if not batch_enabled:
-            monkeypatch.setattr(Simulator, "BATCH_MIN_FAST", 10**9)
+    def _tick_trace(self, kernel, monkeypatch, wire=None):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
         sim = Simulator()
         ticks = []
         handles = []
@@ -565,27 +521,26 @@ class TestBatchTick:
         if wire is not None:
             wire(sim, handles, ticks)
         sim.run(until=4.5)
-        return ticks, sim._seq
+        return ticks
+
+    def _compare(self, monkeypatch, wire=None):
+        default = self._tick_trace("", monkeypatch, wire)
+        assert default == self._tick_trace("reference", monkeypatch, wire)
+        return default
 
     def test_batch_matches_one_at_a_time(self, monkeypatch):
-        batched, seq_b = self._tick_trace(True, monkeypatch)
-        serial, seq_s = self._tick_trace(False, monkeypatch)
-        assert batched == serial
-        assert seq_b == seq_s
-        assert len(batched) == self.COHORT * 4
+        ticks = self._compare(monkeypatch)
+        assert len(ticks) == self.COHORT * 4
 
     def test_shared_instant_aborts_batch(self, monkeypatch):
         def wire(sim, handles, ticks):
-            # a plain timeout landing on a cohort instant forces the
-            # one-at-a-time fallback for that instant only
+            # a plain timeout landing on a cohort instant interleaves
+            # with the in-place ticks in sequence order
             t = sim.timeout(2.0)
             t._add_callback(lambda ev: ticks.append((sim.now, "timeout")))
 
-        batched, seq_b = self._tick_trace(True, monkeypatch, wire)
-        serial, seq_s = self._tick_trace(False, monkeypatch, wire)
-        assert batched == serial
-        assert seq_b == seq_s
-        assert (2.0, "timeout") in batched
+        ticks = self._compare(monkeypatch, wire)
+        assert (2.0, "timeout") in ticks
 
     def test_cancel_from_within_cohort(self, monkeypatch):
         def wire(sim, handles, ticks):
@@ -597,17 +552,14 @@ class TestBatchTick:
 
             sim.process(assassin(sim))
 
-        batched, seq_b = self._tick_trace(True, monkeypatch, wire)
-        serial, seq_s = self._tick_trace(False, monkeypatch, wire)
-        assert batched == serial
-        assert seq_b == seq_s
+        ticks = self._compare(monkeypatch, wire)
         # the victim ticked at 1.0 and 2.0 only
-        victim_ticks = [t for t, i in batched if i == self.COHORT - 1]
+        victim_ticks = [t for t, i in ticks if i == self.COHORT - 1]
         assert victim_ticks == [1.0, 2.0]
 
     def test_stop_from_within_batch(self, monkeypatch):
         def wire(sim, handles, ticks):
-            # member 0 retires itself on its second tick
+            # a cohort member retires itself on its second tick
             calls = []
 
             def quitter():
@@ -618,38 +570,9 @@ class TestBatchTick:
 
             handles.append(sim.periodic(1.0, quitter, pure=True))
 
-        batched, seq_b = self._tick_trace(True, monkeypatch, wire)
-        serial, seq_s = self._tick_trace(False, monkeypatch, wire)
-        assert batched == serial
-        assert seq_b == seq_s
-        quitter_ticks = [t for t, i in batched if i == "quitter"]
+        ticks = self._compare(monkeypatch, wire)
+        quitter_ticks = [t for t, i in ticks if i == "quitter"]
         assert quitter_ticks == [1.0, 2.0]
-
-    def test_aborted_instant_scans_once(self, monkeypatch):
-        # An impure periodic sharing every cohort instant aborts the
-        # batch. The abort must be remembered for the instant: retrying
-        # the O(heap) scan for each of the n cohort members would make
-        # shared instants O(n^2) — the pathology that made the scalar
-        # RM (impure liveness tick on the heartbeat grid) 40x slower
-        # at 1024 nodes.
-        scans = []
-        real = Simulator._batch_tick
-
-        def counting(sim, heap, t):
-            scans.append(t)
-            return real(sim, heap, t)
-
-        monkeypatch.setattr(Simulator, "_batch_tick", counting)
-
-        def wire(sim, handles, ticks):
-            sim.periodic(1.0, lambda: ticks.append((sim.now, "impure")))
-
-        batched, _ = self._tick_trace(True, monkeypatch, wire)
-        serial, _ = self._tick_trace(False, monkeypatch, wire)
-        assert batched == serial
-        # one aborted attempt per shared instant (1.0 .. 4.0), not one
-        # per cohort member
-        assert len(scans) <= 4
 
 
 class TestConditionDetach:
@@ -695,8 +618,8 @@ class TestConditionDetach:
 
 
 class TestKernelEquivalence:
-    """REPRO_KERNEL=reference (generator periodics, no pooling, the
-    pre-overhaul run loop) must reproduce the default kernel's seeded
+    """REPRO_KERNEL=reference (generator periodics, the step() run
+    loop, no compaction) must reproduce the default kernel's seeded
     digests exactly."""
 
     def test_periodic_path_on_off_same_digest(self, monkeypatch):
