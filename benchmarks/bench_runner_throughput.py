@@ -4,7 +4,7 @@ serial baseline.
 This bench establishes the perf baseline for the experiment pipeline
 itself (not a paper figure): a multi-trial experiment is executed (a)
 serially in-process, (b) fanned out across ``REPRO_JOBS`` worker
-processes, and (c) twice against a trial cache (cold, then warm).
+processes, and (c) twice against a trial store (cold, then warm).
 Per-seed trace digests must be bit-identical across all modes — the
 speedup must never come at the cost of determinism.
 
@@ -40,8 +40,8 @@ TRIAL_KWARGS = dict(
 )
 
 
-def _timed_run(jobs: int, cache_dir=None):
-    runner = TrialRunner(jobs=jobs, cache_dir=cache_dir, verify=False)
+def _timed_run(jobs: int, store=None):
+    runner = TrialRunner(jobs=jobs, store=store, verify=False)
     t0 = time.perf_counter()
     results = runner.run("bench_runner_throughput", run_benchmark_trial,
                          SEEDS, kwargs=TRIAL_KWARGS)
@@ -87,9 +87,9 @@ def test_runner_throughput(report, tmp_path):
                 "tests/test_runner.py)"),
         }
 
-    cache_dir = tmp_path / "trials"
-    cold_s, cold_res = _timed_run(jobs=1, cache_dir=cache_dir)
-    warm_s, warm_res = _timed_run(jobs=1, cache_dir=cache_dir)
+    store = tmp_path / "trials.db"
+    cold_s, cold_res = _timed_run(jobs=1, store=store)
+    warm_s, warm_res = _timed_run(jobs=1, store=store)
     assert all(not r.cached for r in cold_res)
     assert all(r.cached for r in warm_res)
     assert [r.payload["digest"] for r in warm_res] == serial_digests

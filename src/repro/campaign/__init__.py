@@ -2,12 +2,13 @@
 
 The paper's thesis — restart-from-scratch recovery amplifies failures;
 log progress so recovery resumes instead of repeating — applied to our
-own harness: a sqlite-backed trial store (:mod:`~repro.campaign.store`)
-records every trial as it completes, a scheduler
-(:mod:`~repro.campaign.scheduler`) drains trial queues through the
-:class:`~repro.runner.TrialRunner` pools with fifo/priority/dependency
-strategies, and campaign kinds (:mod:`~repro.campaign.plans`) rebuild a
-runnable plan from nothing but the stored spec, so
+own harness. The sqlite trial store (:mod:`~repro.campaign.store`) is
+the one log of completed trials: the :class:`~repro.runner.TrialRunner`
+loads from it and records into it as each trial completes. The
+scheduler (:mod:`~repro.campaign.scheduler`) registers a campaign and
+runs its seeds in fifo waves through a runner backed by the store, and
+campaign kinds (:mod:`~repro.campaign.plans`) rebuild a runnable plan
+from nothing but the stored spec, so
 
     python -m repro campaign resume --store sweeps.db
 
@@ -21,23 +22,17 @@ from repro.campaign.plans import (
     build_plan,
     resolve_function,
 )
-from repro.campaign.scheduler import (
-    STRATEGIES,
-    CampaignPlan,
-    CampaignScheduler,
-    TrialSpec,
-)
-from repro.campaign.store import CampaignStore, StoreError
+from repro.campaign.scheduler import CampaignPlan, CampaignScheduler
+from repro.campaign.store import CampaignStore, StoreError, open_store
 
 __all__ = [
-    "STRATEGIES",
     "CampaignPlan",
     "CampaignScheduler",
     "CampaignStore",
     "StoreError",
-    "TrialSpec",
     "aggregate_chaos",
     "aggregate_payloads",
     "build_plan",
+    "open_store",
     "resolve_function",
 ]

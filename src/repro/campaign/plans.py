@@ -14,9 +14,8 @@ Kinds:
     (:mod:`repro.verify.differential`): a ``jobs`` list of
     ``[scenario, kernel, scheduler, mutate]`` rows;
 ``function``
-    any module-level ``fn(seed, **kwargs)`` named by dotted path, with
-    optional per-seed ``priority`` and ``depends_on`` maps — the
-    generic surface the scheduler strategies are exercised through.
+    any module-level ``fn(seed, **kwargs)`` named by dotted path, run
+    over an explicit ``seeds`` list.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Callable, Iterable
 
-from repro.campaign.scheduler import CampaignPlan, TrialSpec
+from repro.campaign.scheduler import CampaignPlan
 from repro.campaign.store import StoreError
 
 __all__ = [
@@ -83,7 +82,7 @@ def _chaos_plan(spec: dict[str, Any]) -> CampaignPlan:
         experiment=experiment,
         fn=run_chaos_trial,
         kwargs={"campaign": campaign},
-        trials=[TrialSpec(i) for i in range(trials)],
+        seeds=list(range(trials)),
     )
 
 
@@ -96,22 +95,17 @@ def _matrix_plan(spec: dict[str, Any]) -> CampaignPlan:
         experiment="verify-matrix",
         fn=run_matrix_trial,
         kwargs={"jobs": jobs},
-        trials=[TrialSpec(i) for i in range(len(jobs))],
+        seeds=list(range(len(jobs))),
     )
 
 
 def _function_plan(spec: dict[str, Any]) -> CampaignPlan:
-    fn = resolve_function(spec["fn"])
-    seeds = [int(s) for s in spec["seeds"]]
-    priority = {int(k): int(v) for k, v in (spec.get("priority") or {}).items()}
-    depends = {int(k): tuple(int(d) for d in v)
-               for k, v in (spec.get("depends_on") or {}).items()}
     return CampaignPlan(
         spec=dict(spec, kind="function"),
         experiment=spec.get("experiment", spec["fn"]),
-        fn=fn,
+        fn=resolve_function(spec["fn"]),
         kwargs=dict(spec.get("kwargs") or {}),
-        trials=[TrialSpec(s, priority.get(s, 0), depends.get(s, ())) for s in seeds],
+        seeds=[int(s) for s in spec["seeds"]],
     )
 
 

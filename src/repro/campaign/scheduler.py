@@ -1,24 +1,13 @@
-"""The campaign scheduler: drain a queue of trial specs through the
-:class:`~repro.runner.TrialRunner` pools, checkpointing every completed
-trial into the :class:`~repro.campaign.store.CampaignStore` so a killed
-campaign resumes from where it died and re-runs nothing.
+"""The campaign scheduler: register a plan in the
+:class:`~repro.campaign.store.CampaignStore`, then run its seeds in fifo
+waves through a :class:`~repro.runner.TrialRunner` backed by that store.
+Trials the store already holds are cache hits, and every fresh trial is
+recorded as it completes, so a killed campaign resumes from where it
+died and re-runs nothing.
 
-Strategies (after AWorld's ``ScheduledTask`` shapes):
-
-``fifo``
-    submission order — the chaos/verify default;
-``priority``
-    higher :attr:`TrialSpec.priority` first (stable within a priority);
-``dependency``
-    only trials whose ``depends_on`` seeds are complete are dispatched,
-    ready trials ordered by priority then submission; an unsatisfiable
-    queue (cycle or dangling dependency) is a hard error naming the
-    stuck seeds.
-
-Dispatch happens in bounded *waves* (``batch_size``, default scaled to
-the runner's parallelism): the checkpoint granularity under parallel
-fan-out is one worker chunk of one wave, so a SIGKILL loses at most the
-wave in flight — never completed, recorded trials.
+Waves are ``max(16, 4 * jobs)`` seeds: the checkpoint granularity under
+parallel fan-out is one worker chunk of one wave, so a SIGKILL loses at
+most the wave in flight — never completed, recorded trials.
 """
 
 from __future__ import annotations
@@ -30,32 +19,20 @@ from typing import Any, Callable
 from repro.campaign.store import CampaignStore, StoreError
 from repro.runner import TrialRunner, spec_digest
 
-__all__ = ["CampaignScheduler", "StoreError", "STRATEGIES", "TrialSpec"]
-
-STRATEGIES = ("fifo", "priority", "dependency")
-
-
-@dataclass(frozen=True)
-class TrialSpec:
-    """One schedulable trial: the seed passed to the campaign's trial
-    function, plus scheduling metadata."""
-
-    seed: int
-    priority: int = 0
-    depends_on: tuple[int, ...] = ()
+__all__ = ["CampaignPlan", "CampaignScheduler", "StoreError"]
 
 
 @dataclass
 class CampaignPlan:
     """Everything the scheduler needs to run (or resume) a campaign:
     the durable JSON ``spec`` it was built from, the runner trial family
-    ``(experiment, fn, kwargs)``, and the trial queue."""
+    ``(experiment, fn, kwargs)``, and the seeds to run, in order."""
 
     spec: dict[str, Any]
     experiment: str
     fn: Callable[..., dict[str, Any]]
     kwargs: dict[str, Any] = field(default_factory=dict)
-    trials: list[TrialSpec] = field(default_factory=list)
+    seeds: list[int] = field(default_factory=list)
 
     def campaign_id(self) -> str:
         """The durable identity: the runner's ``spec_digest`` of the
@@ -72,59 +49,36 @@ class CampaignPlan:
 
 
 class CampaignScheduler:
-    """Drains a :class:`CampaignPlan` through a :class:`TrialRunner`,
-    checkpointing into ``store`` as each trial completes."""
+    """Runs a :class:`CampaignPlan` through a :class:`TrialRunner`
+    backed by ``store``."""
 
-    def __init__(
-        self,
-        store: CampaignStore,
-        runner: TrialRunner | None = None,
-        strategy: str = "fifo",
-        batch_size: int | None = None,
-    ) -> None:
-        if strategy not in STRATEGIES:
-            raise StoreError(
-                f"unknown scheduling strategy {strategy!r}; choose from {STRATEGIES}")
+    def __init__(self, store: CampaignStore) -> None:
         self.store = store
-        self.runner = runner or TrialRunner()
-        self.strategy = strategy
-        self.batch_size = batch_size or max(16, 4 * self.runner.jobs)
+        self.runner = TrialRunner(store=store)
+        self.batch_size = max(16, 4 * self.runner.jobs)
 
-    # -- public API ---------------------------------------------------------
     def run(self, plan: CampaignPlan, echo: Callable[[str], None] = lambda _: None,
             ) -> dict[str, Any]:
-        """Run ``plan`` to completion, skipping every trial the store
-        already holds. Returns a summary with ``executed`` (fresh runs)
-        and ``skipped`` (store hits) counts. On ``KeyboardInterrupt``
-        (or a raising trial) the campaign is checkpointed — completed
-        trials are already recorded — and the exception re-raised; a
-        later :meth:`run` of the same plan picks up where it stopped.
+        """Run ``plan`` to completion. Returns a summary with
+        ``executed`` (fresh runs) and ``skipped`` (store hits) counts. On
+        ``KeyboardInterrupt`` (or a raising trial) the campaign is
+        checkpointed — completed trials are already recorded — and the
+        exception re-raised; a later :meth:`run` of the same plan picks
+        up where it stopped.
         """
         campaign_id = plan.campaign_id()
         self.store.register(campaign_id, plan.spec)
-
-        done = self.store.completed_seeds(campaign_id)
-        queue = [t for t in plan.trials if t.seed not in done]
-        skipped = len(plan.trials) - len(queue)
-        executed = 0
+        executed = skipped = 0
         t0 = time.perf_counter()
-
-        def on_result(result) -> None:
-            nonlocal executed
-            self.store.record_trial(campaign_id, result.seed, result.payload,
-                                    result.wall_seconds)
-            if not result.cached:
-                executed += 1
-
         try:
-            while queue:
-                batch = self._take_batch(queue, done)
-                self.runner.run(plan.experiment, plan.fn,
-                                [t.seed for t in batch], plan.kwargs,
-                                on_result=on_result)
-                done.update(t.seed for t in batch)
+            for start in range(0, len(plan.seeds), self.batch_size):
+                wave = plan.seeds[start:start + self.batch_size]
+                results = self.runner.run(plan.experiment, plan.fn, wave, plan.kwargs)
+                hits = sum(r.cached for r in results)
+                skipped += hits
+                executed += len(wave) - hits
                 echo(f"  campaign {campaign_id[:12]}: "
-                     f"{len(done)}/{len(plan.trials)} trials done")
+                     f"{start + len(wave)}/{len(plan.seeds)} trials done")
         except KeyboardInterrupt:
             self.store.mark_status(campaign_id, "running", "interrupted")
             raise
@@ -138,39 +92,10 @@ class CampaignScheduler:
         return {
             "campaign_id": campaign_id,
             "experiment": plan.experiment,
-            "strategy": self.strategy,
-            "trials": len(plan.trials),
+            "trials": len(plan.seeds),
             "executed": executed,
             "skipped": skipped,
             "wall_seconds": round(wall, 3),
             "trials_per_sec": round(executed / wall, 3) if wall > 0 else 0.0,
             "status": "complete",
         }
-
-    # -- strategies ---------------------------------------------------------
-    def _take_batch(self, queue: list[TrialSpec], done: set[int]) -> list[TrialSpec]:
-        """Pop the next wave off ``queue`` per the strategy. ``queue``
-        holds only not-yet-completed trials, in submission order."""
-        if self.strategy == "fifo":
-            batch, queue[:] = queue[:self.batch_size], queue[self.batch_size:]
-            return batch
-        if self.strategy == "priority":
-            order = sorted(range(len(queue)),
-                           key=lambda i: (-queue[i].priority, i))
-            picks = order[:self.batch_size]
-            batch = [queue[i] for i in picks]
-            queue[:] = [t for i, t in enumerate(queue) if i not in set(picks)]
-            return batch
-        # dependency: only trials whose deps are all complete are ready.
-        ready = [i for i, t in enumerate(queue)
-                 if all(dep in done for dep in t.depends_on)]
-        if not ready:
-            stuck = ", ".join(str(t.seed) for t in queue[:8])
-            raise StoreError(
-                f"dependency deadlock: no runnable trial among {len(queue)} "
-                f"pending (cycle or dangling dependency; stuck seeds: {stuck})")
-        order = sorted(ready, key=lambda i: (-queue[i].priority, i))
-        picks = set(order[:self.batch_size])
-        batch = [queue[i] for i in order[:self.batch_size]]
-        queue[:] = [t for i, t in enumerate(queue) if i not in picks]
-        return batch

@@ -1,18 +1,22 @@
-"""The durable campaign store: sqlite-backed, crash-safe, resumable.
+"""The trial store: sqlite-backed, crash-safe, resumable.
 
-One store file holds any number of campaigns. A campaign is identified
-by the :func:`repro.runner.spec_digest` of its trial family —
-``(experiment, fn, kwargs)`` plus the implementation-mode environment —
-so the identity that already keys the runner's disk memoization also
-keys durability: re-submitting the same campaign spec maps onto the
-same rows, and a campaign run under a different ``REPRO_KERNEL`` is a
-different campaign (its trials genuinely are different executions).
+This is the one place completed trials persist. A store file holds
+trial rows keyed by ``(spec_digest, seed)``, where the key is the
+:func:`repro.runner.spec_digest` of the trial family — ``(experiment,
+fn, kwargs)`` plus the implementation-mode environment. The
+:class:`~repro.runner.TrialRunner` loads every seed it is asked for
+from the store and records each fresh trial into it as the trial
+completes, so re-running the same spec maps onto the same rows, and a
+run under a different ``REPRO_KERNEL`` gets rows of its own (its
+trials genuinely are different executions). Campaigns add a row in
+``campaigns`` holding the spec they were built from, which is all
+``campaign resume`` needs.
 
 Durability properties:
 
 - every completed trial is recorded in its own transaction *as it
-  completes* (via the runner's ``on_result`` hook), not at end of run —
-  a SIGKILL at any instant loses at most in-flight trials;
+  completes*, not at end of run — a SIGKILL at any instant loses at
+  most in-flight trials;
 - the database runs in WAL mode with ``synchronous=NORMAL``: torn
   writes cannot corrupt committed rows, and committed rows survive a
   process kill (an OS crash can lose the tail of the WAL — acceptable:
@@ -29,17 +33,17 @@ Durability properties:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.sim.core import SimulationError
 
-__all__ = ["CampaignStore", "StoreError"]
+__all__ = ["CampaignStore", "StoreError", "open_store"]
 
 
 class StoreError(SimulationError):
@@ -70,19 +74,13 @@ CREATE TABLE IF NOT EXISTS trials (
 """
 
 
-def campaign_digest(spec: dict[str, Any]) -> str:
-    """Content hash of a campaign *spec* document (not of its trial
-    family — see :meth:`CampaignStore.register` for that distinction)."""
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class CampaignStore:
     """Open (creating or recovering as needed) a campaign store.
 
-    ``path`` is a filesystem path or ``":memory:"`` (the default) for an
-    ephemeral store — the one-shot compatibility mode ``run_campaign``
-    and ``run_matrix`` use when no ``--store`` is given.
+    ``path`` is a filesystem path (missing parent directories are
+    created) or ``":memory:"`` (the default) for an ephemeral store —
+    the one-shot mode ``run_campaign`` and ``run_matrix`` use when no
+    ``--store`` is given.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
@@ -101,6 +99,8 @@ class CampaignStore:
             return self._connect()
 
     def _connect(self) -> sqlite3.Connection:
+        if self.path != ":memory:":
+            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.path, timeout=30.0)
         try:
             conn.execute("PRAGMA journal_mode=WAL")
@@ -224,6 +224,14 @@ class CampaignStore:
              payload.get("digest"), float(wall_seconds), time.time()))
         self._conn.commit()
 
+    def trial_payload(self, campaign_id: str, seed: int) -> dict[str, Any] | None:
+        """The recorded payload of one completed trial, or ``None``."""
+        row = self._conn.execute(
+            "SELECT payload FROM trials"
+            " WHERE campaign_id = ? AND seed = ? AND status = 'done'",
+            (campaign_id, int(seed))).fetchone()
+        return json.loads(row[0]) if row else None
+
     def completed_seeds(self, campaign_id: str) -> set[int]:
         rows = self._conn.execute(
             "SELECT seed FROM trials WHERE campaign_id = ? AND status = 'done'",
@@ -272,3 +280,15 @@ class CampaignStore:
             "SELECT COALESCE(MAX(run_count), 0) FROM trials WHERE campaign_id = ?",
             (campaign_id,)).fetchone()
         return row[0]
+
+
+@contextmanager
+def open_store(store: CampaignStore | str | Path | None = None) -> Iterator[CampaignStore]:
+    """Borrow ``store`` if it is already open; otherwise open it (a path,
+    or ``None`` for an ephemeral in-memory store) for the ``with`` block
+    and close it afterwards."""
+    if isinstance(store, CampaignStore):
+        yield store
+        return
+    with CampaignStore(":memory:" if store is None else store) as opened:
+        yield opened

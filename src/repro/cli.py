@@ -190,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run seeded trials across N worker processes "
                             "(sets REPRO_JOBS; default: serial)")
     p_exp.add_argument("--trial-cache", metavar="DIR", default=None,
-                       help="memoize completed trials under DIR "
-                            "(sets REPRO_TRIAL_CACHE)")
+                       help="memoize completed trials in the store "
+                            "DIR/trials.db (sets REPRO_TRIAL_CACHE)")
     p_exp.add_argument("--profile", metavar="SPEC", nargs="?", const="1",
                        default=None,
                        help="profile the experiment driver (sets REPRO_PROFILE; "
@@ -250,8 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="include AM-crash and lossy-RPC archetypes")
     c_submit.add_argument("--policies", metavar="LIST", default=None,
                           help="comma-separated policy roster, or 'all'")
-    c_submit.add_argument("--strategy", default="fifo",
-                          choices=("fifo", "priority", "dependency"))
     c_submit.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="fan trials across N worker processes")
     c_submit.add_argument("--out", metavar="DIR", default=None,
@@ -263,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c_resume.add_argument("--id", default=None, metavar="PREFIX",
                           help="campaign id prefix (default: the most "
                                "recently updated incomplete campaign)")
-    c_resume.add_argument("--strategy", default="fifo",
-                          choices=("fifo", "priority", "dependency"))
     c_resume.add_argument("--jobs", type=int, default=None, metavar="N")
     c_resume.add_argument("--out", metavar="DIR", default=None)
     c_resume.add_argument("--no-minimize", action="store_true")
@@ -289,8 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="quick-tagged scenarios on 2 matrix corners "
                                "plus golden check (tier-1 budget)")
     p_verify.add_argument("--matrix", action="store_true",
-                          help="full corpus across all 4 kernel x scheduler "
-                               "combinations plus golden check")
+                          help="full corpus across every kernel x scheduler "
+                               "combination in verify.COMBOS plus golden check")
     p_verify.add_argument("--metamorphic", action="store_true",
                           help="metamorphic relations only")
     p_verify.add_argument("--refresh-golden", action="store_true",
@@ -561,7 +557,7 @@ def _campaign_run_spec(spec, args) -> int:
                 scale=spec.get("scale", 1.0),
                 out_dir=getattr(args, "out", None),
                 minimize=not getattr(args, "no_minimize", False),
-                store=args.store, strategy=getattr(args, "strategy", "fifo"),
+                store=args.store,
                 am_faults=bool(spec.get("am_faults", False)),
                 policies=spec.get("policies"))
             _print_chaos_summary(summary)
@@ -569,8 +565,7 @@ def _campaign_run_spec(spec, args) -> int:
             return 1 if summary["violations"] else 0
         with CampaignStore(args.store) as store:
             plan = build_plan(spec)
-            stats = CampaignScheduler(
-                store, strategy=getattr(args, "strategy", "fifo")).run(plan)
+            stats = CampaignScheduler(store).run(plan)
             agg = aggregate_payloads(spec["kind"], store.payloads(stats["campaign_id"]))
         print(f"campaign {stats['campaign_id'][:12]} ({spec['kind']}): "
               f"{stats['trials']} trials, {stats['executed']} executed, "

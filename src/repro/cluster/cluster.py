@@ -16,14 +16,12 @@ remote peers experience a dead machine: their transfers abort with
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from repro.cluster.node import GB, MB, Node, NodeSpec, Rack
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import Event, SimulationError, Simulator, impl_choice
 from repro.sim.flows import Flow, FlowScheduler, LinkResource
 
 __all__ = ["COLUMNAR_FLOW_MIN_NODES", "Cluster", "ClusterSpec", "flow_scheduler_class"]
@@ -46,20 +44,18 @@ def flow_scheduler_class(num_nodes: int):
     columns) or ``reference`` (the eager full-recompute seed
     implementation, kept as the equivalence oracle). All three are
     bit-identical."""
-    choice = os.environ.get("REPRO_SCHEDULER", "").strip().lower()
+    choice = impl_choice("REPRO_SCHEDULER")
     if choice == "":
         choice = "columnar" if num_nodes >= COLUMNAR_FLOW_MIN_NODES else "incremental"
     if choice == "reference":
         from repro.sim.flows_reference import ReferenceFlowScheduler
 
         return ReferenceFlowScheduler
-    if choice == "incremental":
-        return FlowScheduler
     if choice == "columnar":
         from repro.sim.flows_columnar import ColumnarFlowScheduler
 
         return ColumnarFlowScheduler
-    raise SimulationError(f"unknown REPRO_SCHEDULER {choice!r}")
+    return FlowScheduler
 
 
 @dataclass(frozen=True)
@@ -173,14 +169,6 @@ class Cluster:
         if write_dst_disk:
             res.append(dst.disk)
         return self.flows.transfer(size, res, f"{name}:{src.name}->{dst.name}")
-
-    def net_transfer_many(self, requests: Iterable[dict]) -> list[Flow]:
-        """Start several :meth:`net_transfer` calls as one batch (e.g.
-        an HDFS pipeline or a recovery fan-out): each request is a dict
-        of ``net_transfer`` keyword arguments. The whole batch shares a
-        single progress advance and one deferred rate recompute."""
-        with self.flows.batch():
-            return [self.net_transfer(**req) for req in requests]
 
     def compute(self, node: Node, seconds: float) -> Event:
         """CPU work: containers own their cores, so compute is a plain

@@ -55,6 +55,7 @@ __all__ = [
     "run_campaign",
     "run_chaos_trial",
     "run_trial_spec",
+    "split_rpc_faults",
 ]
 
 #: Every recovery policy under test, rotated across trial indices.
@@ -317,18 +318,13 @@ def build_fault(d: dict[str, Any]):
     raise SimulationError(f"unknown fault spec kind {kind!r}")
 
 
-# -- execution ---------------------------------------------------------------
+def split_rpc_faults(spec: dict[str, Any]) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """Split a trial spec's faults into ``YarnConfig`` RPC-channel
+    kwargs and the fault dicts for the injector.
 
-def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """Run one fully-specified trial; returns outcome + violations."""
-    from repro.experiments.common import make_policy
-    from repro.invariants import check_invariants, state_probe
-    from repro.runner import trace_digest
-
-    wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
-                                      num_reducers=spec["reducers"])
-    # rpc-loss "faults" are YarnConfig overlays, not injectors; an
-    # explicit spec["rpc"] block (scenario corpus) applies on top.
+    ``rpc-loss`` "faults" are channel overlays, not injectors; an
+    explicit ``spec["rpc"]`` block (the scenario corpus) applies on
+    top, its keys named without the ``rpc_`` prefix."""
     rpc_kwargs: dict[str, Any] = {}
     fault_dicts: list[dict[str, Any]] = []
     for d in spec["faults"]:
@@ -342,6 +338,20 @@ def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
         else:
             fault_dicts.append(d)
     rpc_kwargs.update({f"rpc_{k}": v for k, v in (spec.get("rpc") or {}).items()})
+    return rpc_kwargs, fault_dicts
+
+
+# -- execution ---------------------------------------------------------------
+
+def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
+    """Run one fully-specified trial; returns outcome + violations."""
+    from repro.experiments.common import make_policy
+    from repro.invariants import check_invariants, state_probe
+    from repro.runner import trace_digest
+
+    wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
+                                      num_reducers=spec["reducers"])
+    rpc_kwargs, fault_dicts = split_rpc_faults(spec)
     rt = MapReduceRuntime(
         wl,
         conf=JobConf(**spec["conf"]) if spec.get("conf") else None,
@@ -427,7 +437,6 @@ def run_campaign(
     minimize: bool = True,
     echo=print,
     store: Any = None,
-    strategy: str = "fifo",
     am_faults: bool = False,
     policies: tuple[str, ...] | list[str] | None = None,
 ) -> dict[str, Any]:
@@ -445,7 +454,7 @@ def run_campaign(
     the violating trial indices, and resume accounting
     (``executed``/``skipped``).
     """
-    from repro.campaign import CampaignScheduler, CampaignStore, aggregate_chaos, build_plan
+    from repro.campaign import CampaignScheduler, aggregate_chaos, build_plan, open_store
     from repro.runner import atomic_write_text
 
     spec: dict[str, Any] = {"kind": "chaos", "seed": int(seed),
@@ -464,12 +473,8 @@ def run_campaign(
         # historical campaign ids (and their cached trials) stable.
         spec["policies"] = list(policies)
     plan = build_plan(spec)
-    owns_store = not isinstance(store, CampaignStore)
-    opened = CampaignStore(store if store is not None else ":memory:") \
-        if owns_store else store
-    try:
-        scheduler = CampaignScheduler(opened, strategy=strategy)
-        run_stats = scheduler.run(plan)
+    with open_store(store) as opened:
+        run_stats = CampaignScheduler(opened).run(plan)
         campaign_id = run_stats["campaign_id"]
         summary = aggregate_chaos(opened.payloads(campaign_id))
 
@@ -516,6 +521,4 @@ def run_campaign(
             "reproducers": reproducers,
             "digests": summary["digests"],
         }
-    finally:
-        if owns_store:
-            opened.close()
+

@@ -17,10 +17,15 @@ place that knows how to execute them fast and honestly:
   returning a JSON-serialisable dict. Specs that cannot be pickled
   (lambda fault factories, closures) silently fall back to the serial
   path so existing callers keep working.
-- Completed trials are memoized on disk keyed by
-  ``(experiment, config hash, seed)`` when a cache directory is
-  configured (``REPRO_TRIAL_CACHE``); specs containing unnameable
-  callables are never cached.
+- Completed trials are memoized in a trial store
+  (:class:`~repro.campaign.store.CampaignStore`, the same sqlite store
+  durable campaigns use) keyed by ``(spec_digest, seed)`` when one is
+  configured (``REPRO_TRIAL_CACHE``). Every seed is loaded from the
+  store, and every fresh trial is recorded into it as it completes, so
+  an interrupted run loses only trials in flight. Specs containing
+  unnameable callables are never cached. The store is opened only when
+  a cacheable spec runs, so trial paths without one never load
+  ``sqlite3``.
 - ``REPRO_VERIFY=1`` re-runs the first trial in-process and compares
   payloads: the same seed must produce the identical result (for job
   trials, the identical trace digest) no matter where it ran.
@@ -36,11 +41,15 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.sim.core import IMPL_KNOBS
+
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.campaign.store import CampaignStore
     from repro.metrics.trace import Trace
 
 __all__ = [
@@ -61,8 +70,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     directory, then :func:`os.replace` it into place. A kill mid-write
     leaves at worst a stray temp file — readers never observe a torn
     half-written file at ``path``. Used for every artifact the repo
-    relies on surviving a crash: trial-cache entries, chaos/metamorphic
-    reproducers, golden digests, campaign exports."""
+    relies on surviving a crash: chaos/metamorphic reproducers, golden
+    digests, campaign exports."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     try:
@@ -120,9 +129,11 @@ def trace_digest(trace: "Trace") -> str:
 def _stable_name(value: Any) -> str | None:
     """A process-independent string for one spec value, or ``None`` when
     the value has no stable identity (lambdas, closures, default reprs
-    that embed memory addresses)."""
-    if callable(value):
-        name = f"{getattr(value, '__module__', '')}.{getattr(value, '__qualname__', '')}"
+    that embed memory addresses). Functions and classes are named by
+    their qualified name; other callables (``functools.partial``) by
+    their repr."""
+    if callable(value) and hasattr(value, "__qualname__"):
+        name = f"{getattr(value, '__module__', '')}.{value.__qualname__}"
         if "<lambda>" in name or "<locals>" in name or name == ".":
             return None
         return name
@@ -132,17 +143,14 @@ def _stable_name(value: Any) -> str | None:
     return text
 
 
-#: Environment knobs that select a different implementation for the
-#: *same* trial spec. They are part of the cache key: digests are
-#: pinned identical across kernels and schedulers, but the whole point
-#: of a verify run is to prove that — a cached default-kernel payload
-#: served to a reference-kernel run would turn the equivalence check
-#: into a tautology.
-_MODE_ENV_VARS = ("REPRO_KERNEL", "REPRO_SCHEDULER")
-
-
 def _env_mode() -> str:
-    return "\x00".join(f"{k}={os.environ.get(k, '')}" for k in _MODE_ENV_VARS)
+    """The implementation-mode part of the cache key: every knob in
+    :data:`repro.sim.core.IMPL_KNOBS`. Digests are pinned identical
+    across kernels and schedulers, but the whole point of a verify run
+    is to prove that — a cached default-kernel payload served to a
+    reference-kernel run would turn the equivalence check into a
+    tautology."""
+    return "\x00".join(f"{k}={os.environ.get(k, '')}" for k in IMPL_KNOBS)
 
 
 def spec_digest(experiment: str, fn: Callable, kwargs: dict[str, Any]) -> str | None:
@@ -163,13 +171,14 @@ def spec_digest(experiment: str, fn: Callable, kwargs: dict[str, Any]) -> str | 
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _cache_dir_from_env() -> Path | None:
+def _store_from_env() -> Path | None:
+    """The trial store ``REPRO_TRIAL_CACHE`` names: ``DIR/trials.db``,
+    ``1`` for the per-user default directory, unset or ``0`` for none."""
     raw = os.environ.get("REPRO_TRIAL_CACHE", "")
     if not raw or raw == "0":
         return None
-    if raw == "1":
-        return Path.home() / ".cache" / "repro" / "trials"
-    return Path(raw)
+    directory = Path.home() / ".cache" / "repro" / "trials" if raw == "1" else Path(raw)
+    return directory / "trials.db"
 
 
 def _invoke_trial(fn: Callable, seed: int, kwargs: dict[str, Any]) -> tuple[dict, float]:
@@ -272,24 +281,27 @@ class TrialResult:
 
 
 class TrialRunner:
-    """Fans seeded trials out across processes, memoizes them on disk
-    and optionally verifies seed-determinism.
+    """Fans seeded trials out across processes, memoizes them in a trial
+    store and optionally verifies seed-determinism.
 
     Parameters default from the environment so experiment drivers can
     construct a runner unconditionally: ``REPRO_JOBS`` (parallelism,
-    default 1), ``REPRO_TRIAL_CACHE`` (cache directory; ``1`` means
-    ``~/.cache/repro/trials``, unset/``0`` disables), ``REPRO_VERIFY``
-    (re-run the first seed and compare payloads).
+    default 1), ``REPRO_TRIAL_CACHE`` (store directory, holding
+    ``trials.db``; ``1`` means ``~/.cache/repro/trials``, unset/``0``
+    disables), ``REPRO_VERIFY`` (re-run the first seed and compare
+    payloads). ``store`` is an open
+    :class:`~repro.campaign.store.CampaignStore` (borrowed, never
+    closed here) or the path of one (opened for each :meth:`run`).
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        cache_dir: str | Path | None = None,
+        store: "CampaignStore | str | Path | None" = None,
         verify: bool | None = None,
     ) -> None:
         self.jobs = jobs_from_env() if jobs is None else max(1, int(jobs))
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else _cache_dir_from_env()
+        self.store = store if store is not None else _store_from_env()
         if verify is None:
             verify = os.environ.get("REPRO_VERIFY", "") not in ("", "0")
         self.verify = verify
@@ -301,43 +313,52 @@ class TrialRunner:
         fn: Callable[..., dict[str, Any]],
         seeds: Sequence[int],
         kwargs: dict[str, Any] | None = None,
-        on_result: Callable[[TrialResult], None] | None = None,
     ) -> list[TrialResult]:
         """Run ``fn(seed, **kwargs)`` for every seed; results come back
         in seed-argument order regardless of completion order.
 
-        ``on_result`` is invoked once per trial *as each result becomes
-        available* (cache hits immediately, fresh results in completion
-        order) — the hook durable stores build on: results observed
-        through it survive a ``KeyboardInterrupt`` mid-fan-out, which
-        flushes every already-completed trial before re-raising."""
+        Seeds the store already holds come back ``cached``; every fresh
+        trial is recorded into the store as it completes, so a
+        ``KeyboardInterrupt`` mid-fan-out (which flushes every
+        already-completed trial before re-raising) loses only trials in
+        flight. A payload the store cannot encode is a
+        :class:`TrialError`."""
         kwargs = dict(kwargs or {})
-        cache_key = spec_digest(experiment, fn, kwargs) if self.cache_dir else None
+        cache_key = spec_digest(experiment, fn, kwargs) if self.store is not None else None
+        opened = nullcontext()
+        if cache_key is not None:
+            from repro.campaign.store import open_store
+
+            opened = open_store(self.store)
 
         results: dict[int, TrialResult] = {}
+        with opened as store:
+            def emit(result: TrialResult) -> None:
+                if store is not None:
+                    try:
+                        store.record_trial(cache_key, result.seed, result.payload,
+                                           result.wall_seconds)
+                    except (TypeError, ValueError) as exc:
+                        raise TrialError(
+                            f"{experiment}: seed {result.seed} payload cannot be "
+                            f"stored: {exc}") from exc
+                results[result.seed] = result
 
-        def emit(result: TrialResult) -> None:
-            if not result.cached:
-                self._cache_store(cache_key, result.seed, result.payload)
-            results[result.seed] = result
-            if on_result is not None:
-                on_result(result)
+            todo: list[int] = []
+            for seed in seeds:
+                payload = store.trial_payload(cache_key, seed) if store is not None else None
+                if payload is not None:
+                    results[seed] = TrialResult(experiment, seed, payload, cached=True)
+                else:
+                    todo.append(seed)
 
-        todo: list[int] = []
-        for seed in seeds:
-            payload = self._cache_load(cache_key, seed)
-            if payload is not None:
-                emit(TrialResult(experiment, seed, payload, cached=True))
-            else:
-                todo.append(seed)
-
-        if todo:
-            if (self.jobs > 1 and len(todo) > 1 and _parallel_viable()
-                    and _spec_picklable(fn, kwargs)):
-                self._run_parallel(experiment, fn, todo, kwargs, emit, results)
-            else:
-                for s in todo:
-                    emit(self._run_one(experiment, fn, s, kwargs))
+            if todo:
+                if (self.jobs > 1 and len(todo) > 1 and _parallel_viable()
+                        and _spec_picklable(fn, kwargs)):
+                    self._run_parallel(experiment, fn, todo, kwargs, emit, results)
+                else:
+                    for s in todo:
+                        emit(self._run_one(experiment, fn, s, kwargs))
 
         ordered = [results[s] for s in seeds]
         self._check_invariant_payloads(experiment, ordered)
@@ -444,36 +465,6 @@ class TrialRunner:
                 f"payloads differ between executions "
                 f"({_payload_digest(reference.payload)} vs {_payload_digest(rerun.payload)})"
             )
-
-    # -- memoization --------------------------------------------------------
-    def _cache_path(self, cache_key: str, seed: int) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / cache_key[:2] / f"{cache_key}-s{seed}.json"
-
-    def _cache_load(self, cache_key: str | None, seed: int) -> dict[str, Any] | None:
-        if cache_key is None or self.cache_dir is None:
-            return None
-        path = self._cache_path(cache_key, seed)
-        try:
-            return json.loads(path.read_text())["payload"]
-        except (OSError, ValueError, KeyError):
-            return None
-
-    def _cache_store(self, cache_key: str | None, seed: int,
-                     payload: dict[str, Any]) -> None:
-        if cache_key is None or self.cache_dir is None:
-            return
-        path = self._cache_path(cache_key, seed)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic: a kill mid-write must not leave a torn JSON file
-            # that _cache_load silently discards — that would defeat
-            # resume for the trial that *did* complete.
-            atomic_write_text(path, json.dumps({"seed": seed, "payload": payload}))
-        except (OSError, TypeError, ValueError):
-            # Unserialisable payloads / read-only dirs: skip the cache,
-            # never fail the trial.
-            pass
 
 
 def _payload_digest(payload: dict[str, Any]) -> str:

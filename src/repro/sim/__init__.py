@@ -4,7 +4,7 @@ A compact, dependency-free engine in the style of SimPy: a
 :class:`~repro.sim.core.Simulator` drives generator-based
 :class:`~repro.sim.core.Process` coroutines that yield
 :class:`~repro.sim.core.Event` objects (timeouts, conditions, other
-processes). On top of the kernel sit counting resources, FIFO stores
+processes). On top of the kernel sit FIFO stores
 (:mod:`repro.sim.resources`) and a max-min fair bandwidth allocator
 (:mod:`repro.sim.flows`) used to model disks and network links.
 """
@@ -20,7 +20,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.flows import Flow, FlowScheduler, LinkResource
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 __all__ = [
     "AllOf",
@@ -31,7 +31,6 @@ __all__ = [
     "Interrupt",
     "LinkResource",
     "Process",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Store",

@@ -46,12 +46,14 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
+    "IMPL_KNOBS",
     "Interrupt",
     "Periodic",
     "Process",
     "SimulationError",
     "Simulator",
     "Timeout",
+    "impl_choice",
 ]
 
 #: Priority used for ordinary events.
@@ -60,16 +62,25 @@ NORMAL = 1
 URGENT = 0
 
 
-def _reference_kernel() -> bool:
-    """Whether new simulators should run as the reference kernel.
+#: The implementation-mode knobs: each environment variable and the
+#: values it accepts, ``""`` (unset) selecting the default. The kernel,
+#: the flow-scheduler choice, the trial cache key and the differential
+#: matrix all read this table, so a new mode cannot be left out of one.
+IMPL_KNOBS: dict[str, tuple[str, ...]] = {
+    "REPRO_KERNEL": ("", "reference"),
+    "REPRO_SCHEDULER": ("", "incremental", "columnar", "reference"),
+}
 
-    ``REPRO_KERNEL`` must be unset, empty or exactly ``reference``; any
-    other value raises, so a mistyped oracle run cannot silently check
-    the default kernel against itself."""
-    choice = os.environ.get("REPRO_KERNEL", "")
-    if choice not in ("", "reference"):
-        raise SimulationError(f"unknown REPRO_KERNEL {choice!r}")
-    return choice == "reference"
+
+def impl_choice(knob: str) -> str:
+    """The value of implementation knob ``knob`` (a key of
+    :data:`IMPL_KNOBS`). Any value outside the table raises, so a
+    mistyped oracle run cannot silently check the default
+    implementation against itself."""
+    choice = os.environ.get(knob, "")
+    if choice not in IMPL_KNOBS[knob]:
+        raise SimulationError(f"unknown {knob} {choice!r}")
+    return choice
 
 
 def _impure_tick(event: "Periodic") -> "SimulationError":
@@ -588,7 +599,7 @@ class Simulator:
         self._stale = 0
         #: ``REPRO_KERNEL=reference``: generator periodics, the ``step()``
         #: run loop and no compaction.
-        self._reference = _reference_kernel()
+        self._reference = impl_choice("REPRO_KERNEL") == "reference"
 
     @property
     def now(self) -> float:

@@ -1,87 +1,17 @@
 """Queueing resources for the simulation kernel.
 
-:class:`Resource` is a counting semaphore with FIFO (optionally
-prioritised) granting; :class:`Store` is an unbounded FIFO of Python
-objects with blocking ``get``. Both hand out plain :class:`Event`
-objects, so model processes simply ``yield`` the result of
-``request()`` / ``get()``.
+:class:`Store` is an unbounded FIFO of Python objects with blocking
+``get``. It hands out plain :class:`Event` objects, so model processes
+simply ``yield`` the result of ``get()``.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any
 
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import Event, Simulator
 
-__all__ = ["Resource", "Store"]
-
-
-class Resource:
-    """A counting resource with ``capacity`` identical slots.
-
-    ``request(priority=...)`` returns an event that triggers when a
-    slot is granted (lower priority value first, FIFO within equal
-    priority). The holder must call ``release()`` exactly once per
-    granted request. Pending (ungranted) requests can be ``cancel``-ed.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int) -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._seq = 0
-        self._waiting: list[tuple[float, int, Event]] = []
-        self._cancelled: set[int] = set()
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    @property
-    def queued(self) -> int:
-        return sum(
-            1
-            for _, _, ev in self._waiting
-            if not ev.triggered and id(ev) not in self._cancelled
-        )
-
-    def request(self, priority: float = 0.0) -> Event:
-        ev = self.sim.event()
-        if self.in_use < self.capacity and not self._waiting:
-            self.in_use += 1
-            ev.succeed(self)
-        else:
-            self._seq += 1
-            heapq.heappush(self._waiting, (priority, self._seq, ev))
-            self._grant()
-        return ev
-
-    def cancel(self, request: Event) -> None:
-        """Withdraw a not-yet-granted request (no-op if already granted).
-
-        Removal is lazy: the request is skipped when it reaches the head
-        of the wait queue, so ``cancel`` is O(1).
-        """
-        if not request.triggered:
-            self._cancelled.add(id(request))
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError("release() without a matching grant")
-        self.in_use -= 1
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._waiting and self.in_use < self.capacity:
-            _, _, ev = heapq.heappop(self._waiting)
-            if ev.triggered or id(ev) in self._cancelled:
-                self._cancelled.discard(id(ev))
-                continue
-            self.in_use += 1
-            ev.succeed(self)
+__all__ = ["Store"]
 
 
 class Store:

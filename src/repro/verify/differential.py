@@ -4,11 +4,12 @@ The repo carries two implementations of its DES kernel
 (``REPRO_KERNEL`` default/reference) and three of its max-min flow
 scheduler (``REPRO_SCHEDULER`` incremental/columnar/reference), kept
 byte-equivalent by construction. This module is the enforcement: every
-scenario runs under every kernel x scheduler pair through the
-:class:`~repro.runner.TrialRunner` fan-out, and any digest divergence
-is a hard failure that names the scenario, its seed, and the **first
-diverging trace event** — located by re-running the two disagreeing
-combinations in-process and binary-searching the event streams
+scenario runs under each distinct kernel x scheduler pair in
+:data:`COMBOS` through the :class:`~repro.runner.TrialRunner` fan-out,
+and any digest divergence is a hard failure that names the scenario,
+its seed, and the **first diverging trace event** — located by
+re-running the two disagreeing combinations in-process and
+binary-searching the event streams
 (:func:`repro.metrics.trace.first_divergence`), so the report points at
 the regression, not just at a hash mismatch.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from repro.sim.core import SimulationError
+from repro.sim.core import IMPL_KNOBS, SimulationError
 from repro.verify.scenarios import SCENARIOS, corpus, quick_corpus, run_verify_spec
 
 __all__ = [
@@ -51,11 +52,10 @@ COMBOS: tuple[tuple[str, str], ...] = (
     ("reference", "default"),
     ("default", "reference"),
     ("reference", "reference"),
-    # The default scheduler follows the cluster's size, so name both
-    # production schedulers: every golden scenario is small enough to
-    # default to the incremental one, and the columnar one is pinned
-    # here on the whole corpus.
-    ("default", "incremental"),
+    # The default scheduler follows the cluster's size: every corpus
+    # scenario is below COLUMNAR_FLOW_MIN_NODES, so ("default",
+    # "default") already runs the incremental scheduler, and the
+    # columnar one is pinned here on the whole corpus.
     ("default", "columnar"),
 )
 
@@ -102,10 +102,11 @@ class Divergence:
 
 @contextmanager
 def _impl_env(kernel: str, scheduler: str) -> Iterator[None]:
-    """Select one implementation pair for the current process only."""
-    saved = {k: os.environ.get(k) for k in ("REPRO_KERNEL", "REPRO_SCHEDULER")}
+    """Select one implementation pair (the :data:`IMPL_KNOBS` in table
+    order) for the current process only."""
+    saved = {k: os.environ.get(k) for k in IMPL_KNOBS}
     try:
-        for key, choice in (("REPRO_KERNEL", kernel), ("REPRO_SCHEDULER", scheduler)):
+        for key, choice in zip(IMPL_KNOBS, (kernel, scheduler), strict=True):
             if choice == "default":
                 os.environ.pop(key, None)
             else:
@@ -193,8 +194,7 @@ def run_matrix(
     re-running only the missing cells; ``None`` keeps the one-shot
     in-memory behaviour.
     """
-    from repro.campaign import CampaignScheduler, CampaignStore, build_plan
-    from repro.invariants import InvariantViolation
+    from repro.campaign import CampaignScheduler, build_plan, open_store
 
     scenarios = quick_corpus() if quick and names is None else corpus(names)
     jobs: list[tuple[str, str, str, str]] = []
@@ -204,23 +204,9 @@ def run_matrix(
             jobs.append((scenario.name, kernel, scheduler, mutate))
 
     plan = build_plan({"kind": "verify-matrix", "jobs": [list(j) for j in jobs]})
-    owns_store = not isinstance(store, CampaignStore)
-    opened = CampaignStore(store if store is not None else ":memory:") \
-        if owns_store else store
-    try:
+    with open_store(store) as opened:
         stats = CampaignScheduler(opened).run(plan)
         payloads = dict(opened.payloads(stats["campaign_id"]))
-    finally:
-        if owns_store:
-            opened.close()
-
-    # Trials loaded from a resumed store bypassed the runner's payload
-    # check — re-assert here so a violating cell can never slip through.
-    violating = [f"verify-matrix seed {seed}: {v}"
-                 for seed, payload in sorted(payloads.items())
-                 for v in (payload.get("invariant_violations") or ())]
-    if violating:
-        raise InvariantViolation(violating)
 
     by_scenario: dict[str, list[tuple[int, tuple[str, str], dict]]] = {}
     for seed in range(len(jobs)):

@@ -4,8 +4,8 @@ A :class:`Scenario` is a fully-determined job: workload, cluster shape,
 recovery policy, HDFS/YARN knobs and a JSON fault schedule (the same
 spec language the chaos campaigns speak — :func:`repro.faults.chaos.
 build_fault` materialises it). Scenarios are the unit the differential
-verifier iterates: every one runs under every kernel x scheduler
-implementation pair, and its trace digest is pinned in
+verifier iterates: every one runs under each kernel x scheduler
+implementation pair in ``COMBOS``, and its trace digest is pinned in
 ``tests/golden/scenarios.json``.
 
 The corpus deliberately spans the axes the paper's claims live on:
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.cluster import ClusterSpec
-from repro.faults.chaos import build_fault, generate_trial
+from repro.faults.chaos import build_fault, generate_trial, split_rpc_faults
 from repro.faults.inject import FaultInjector
 from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.config import JobConf
@@ -166,20 +166,7 @@ def run_verify_spec(spec: dict[str, Any],
 
     wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
                                       num_reducers=spec["reducers"])
-    rpc_kwargs = {f"rpc_{k}": v for k, v in (spec.get("rpc") or {}).items()}
-    # rpc-loss entries in the fault list (frozen chaos trials) are
-    # channel overlays, not injectors — same contract as run_trial_spec.
-    fault_dicts = []
-    for d in spec["faults"]:
-        if d["kind"] == "rpc-loss":
-            rpc_kwargs.update(
-                rpc_drop_prob=float(d.get("drop_prob", 0.0)),
-                rpc_delay_prob=float(d.get("delay_prob", 0.0)),
-                rpc_max_delay=float(d.get("max_delay", 2.0)),
-                rpc_seed=int(d.get("seed", 0)),
-            )
-        else:
-            fault_dicts.append(d)
+    rpc_kwargs, fault_dicts = split_rpc_faults(spec)
     rt = MapReduceRuntime(
         wl,
         conf=JobConf(**spec["conf"]) if spec.get("conf") else None,

@@ -1,21 +1,19 @@
-"""The durable campaign layer: store semantics, scheduler strategies,
+"""The durable campaign layer: store semantics, the fifo scheduler,
 plan building, and the crash-durability primitives (atomic writes, torn
-file recovery, corrupt-store quarantine)."""
+store recovery, corrupt-store quarantine)."""
 
-import json
 import os
 
 import pytest
 
 from repro.campaign import (
-    STRATEGIES,
     CampaignPlan,
     CampaignScheduler,
     CampaignStore,
     StoreError,
-    TrialSpec,
     aggregate_chaos,
     build_plan,
+    open_store,
     resolve_function,
 )
 from repro.faults.chaos import reproducer_path, run_campaign
@@ -26,16 +24,14 @@ def _toy_trial(seed, offset=0):
     return {"value": seed * seed + offset, "success": True, "digest": f"d{seed}"}
 
 
-def _toy_plan(seeds, priority=None, depends=None, experiment="toy"):
+def _toy_plan(seeds, experiment="toy"):
     return CampaignPlan(
         spec={"kind": "function", "fn": "tests.test_campaign:_toy_trial",
               "experiment": experiment, "seeds": list(seeds)},
         experiment=experiment,
         fn=_toy_trial,
         kwargs={},
-        trials=[TrialSpec(s, (priority or {}).get(s, 0),
-                          tuple((depends or {}).get(s, ())))
-                for s in seeds],
+        seeds=list(seeds),
     )
 
 
@@ -111,6 +107,18 @@ class TestStore:
             store.record_trial("c1", 1, {"digest": "d"})
             assert store.completed_seeds("c1") == {1}
 
+    def test_open_store_borrows_or_opens(self, tmp_path):
+        with CampaignStore() as store:
+            with open_store(store) as borrowed:
+                assert borrowed is store
+            store.register("c1", {})  # a borrowed store is left open
+        with open_store(tmp_path / "new" / "c.db") as opened:  # parent created
+            opened.register("c1", {})
+        with CampaignStore(tmp_path / "new" / "c.db") as reopened:
+            assert reopened.campaign("c1")["status"] == "running"
+        with open_store() as ephemeral:
+            assert ephemeral.path == ":memory:"
+
 
 class TestAtomicWrite:
     def test_write_and_overwrite(self, tmp_path):
@@ -122,19 +130,19 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     def test_torn_cache_file_recovered(self, tmp_path):
-        """A torn (half-written) runner cache entry is discarded, the
-        trial re-runs, and the entry is rewritten valid — resume-through
-        -cache survives a kill mid-write."""
-        runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
+        """A torn trial store (the runner's cache file) is quarantined,
+        the trial re-runs, and the entry is rewritten valid —
+        resume-through-cache survives damage to the file."""
+        db = tmp_path / "trials.db"
+        runner = TrialRunner(jobs=1, store=db, verify=False)
         [r1] = runner.run("torn", _toy_trial, [4])
-        cache_files = list(tmp_path.rglob("*.json"))
-        assert len(cache_files) == 1
-        valid = cache_files[0].read_text()
-        cache_files[0].write_text(valid[:len(valid) // 2])  # tear it
+        db.write_bytes(db.read_bytes()[:100])  # tear it
+        for suffix in ("-wal", "-shm"):
+            (tmp_path / f"trials.db{suffix}").unlink(missing_ok=True)
         [r2] = runner.run("torn", _toy_trial, [4])
-        assert not r2.cached  # torn entry discarded, trial re-ran
+        assert not r2.cached  # torn store quarantined, trial re-ran
         assert r2.payload == r1.payload
-        assert json.loads(cache_files[0].read_text())["payload"] == r1.payload
+        assert list(tmp_path.glob("trials.db.corrupt-*"))
         [r3] = runner.run("torn", _toy_trial, [4])
         assert r3.cached  # rewritten entry is valid again
 
@@ -143,43 +151,20 @@ class TestScheduler:
     def test_fifo_runs_in_submission_order(self):
         with CampaignStore() as store:
             plan = _toy_plan([5, 3, 9, 1])
-            CampaignScheduler(store, strategy="fifo").run(plan)
+            CampaignScheduler(store).run(plan)
             assert _completion_order(store, plan.campaign_id()) == [5, 3, 9, 1]
 
-    def test_priority_runs_high_first(self):
-        with CampaignStore() as store:
-            plan = _toy_plan([1, 2, 3, 4], priority={2: 5, 4: 9})
-            CampaignScheduler(store, strategy="priority").run(plan)
-            assert _completion_order(store, plan.campaign_id()) == [4, 2, 1, 3]
-
-    def test_dependency_respects_deps_across_batches(self):
-        with CampaignStore() as store:
-            # 1 depends on 3, 3 depends on 2: only 2 is initially ready.
-            plan = _toy_plan([1, 2, 3], depends={1: (3,), 3: (2,)})
-            CampaignScheduler(store, strategy="dependency", batch_size=1).run(plan)
-            assert _completion_order(store, plan.campaign_id()) == [2, 3, 1]
-
-    def test_dependency_deadlock_names_stuck_seeds(self):
-        with CampaignStore() as store:
-            plan = _toy_plan([1, 2], depends={1: (2,), 2: (1,)})
-            with pytest.raises(StoreError, match="deadlock"):
-                CampaignScheduler(store, strategy="dependency").run(plan)
-
-    def test_dependency_satisfied_by_stored_trials(self):
-        """A dependency completed in a *previous* (killed) run counts:
-        resume must not deadlock on already-done prerequisites."""
-        with CampaignStore() as store:
-            plan = _toy_plan([1, 2], depends={2: (1,)})
-            store.register(plan.campaign_id(), plan.spec)
-            store.record_trial(plan.campaign_id(), 1, _toy_trial(1))
-            summary = CampaignScheduler(store, strategy="dependency").run(plan)
-            assert summary["executed"] == 1 and summary["skipped"] == 1
-
-    def test_unknown_strategy_rejected(self):
-        with CampaignStore() as store:
-            with pytest.raises(StoreError, match="strategy"):
-                CampaignScheduler(store, strategy="random")
-        assert set(STRATEGIES) == {"fifo", "priority", "dependency"}
+    def test_runner_cache_hits_are_campaign_skips(self, tmp_path):
+        """The campaign and the trial runner share one store: trials a
+        runner recorded under the campaign's key are skipped, not re-run."""
+        db = tmp_path / "trials.db"
+        plan = _toy_plan([1, 2, 3])
+        TrialRunner(jobs=1, store=db, verify=False).run(
+            plan.experiment, plan.fn, [1, 2], plan.kwargs)
+        with CampaignStore(db) as store:
+            summary = CampaignScheduler(store).run(plan)
+            assert (summary["executed"], summary["skipped"]) == (1, 2)
+            assert store.max_run_count(plan.campaign_id()) == 1
 
     def test_unnameable_fn_is_not_durable(self):
         plan = CampaignPlan(spec={}, experiment="bad", fn=lambda s: {}, kwargs={})
@@ -204,7 +189,7 @@ class TestScheduler:
         _boom.__qualname__ = "unique_boom_fn"
         with CampaignStore() as store:
             plan = CampaignPlan(spec={"kind": "function"}, experiment="boom",
-                                fn=_boom, trials=[TrialSpec(s) for s in (1, 2, 3)])
+                                fn=_boom, seeds=[1, 2, 3])
             with pytest.raises(Exception, match="boom"):
                 CampaignScheduler(store).run(plan)
             cid = plan.campaign_id()
@@ -230,14 +215,7 @@ class TestPlans:
         plan = build_plan({"kind": "chaos", "seed": 3, "trials": 5, "scale": 0.5})
         rebuilt = build_plan(plan.spec)
         assert rebuilt.campaign_id() == plan.campaign_id()
-        assert [t.seed for t in rebuilt.trials] == [0, 1, 2, 3, 4]
-
-    def test_function_plan_carries_priority_and_deps(self):
-        plan = build_plan({
-            "kind": "function", "fn": "tests.test_campaign:_toy_trial",
-            "seeds": [1, 2], "priority": {"2": 7}, "depends_on": {"2": [1]},
-        })
-        assert plan.trials[1] == TrialSpec(2, 7, (1,))
+        assert rebuilt.seeds == [0, 1, 2, 3, 4]
 
     def test_matrix_plan_round_trips_jobs(self):
         jobs = [["clean-terasort-yarn", "default", "default", ""]]

@@ -216,3 +216,13 @@ class TestFlowSchedulerChoice:
         monkeypatch.setenv("REPRO_SCHEDULER", "eager")
         with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
             flow_scheduler_class(2)
+
+    @pytest.mark.parametrize("value", ["Columnar", " columnar", "INCREMENTAL"])
+    def test_scheduler_value_is_strict(self, monkeypatch, value):
+        """Like ``REPRO_KERNEL``, only the exact table values select a
+        scheduler: nothing is case-folded or stripped."""
+        from repro.cluster.cluster import flow_scheduler_class
+
+        monkeypatch.setenv("REPRO_SCHEDULER", value)
+        with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
+            flow_scheduler_class(2)

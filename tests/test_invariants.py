@@ -10,10 +10,15 @@ from repro.invariants import (
     assert_invariants,
     check_invariants,
 )
-from repro.runner import TrialRunner, TrialResult
+from repro.campaign import CampaignStore
+from repro.runner import TrialResult, TrialRunner, spec_digest
 from repro.sim.core import SimulationError
 
 from tests.conftest import make_runtime, tiny_workload
+
+
+def _violating_trial(seed):
+    return {"invariant_violations": [f"seed {seed}: bytes gone"]}
 
 
 def run_checked(rt):
@@ -141,6 +146,18 @@ class TestRunnerIntegration:
         results = [TrialResult("exp", 1, {"invariant_violations": ["bytes: gone"]})]
         with pytest.raises(InvariantViolation):
             TrialRunner._check_invariant_payloads("exp", results)
+
+    def test_stored_violating_payload_raises_on_cache_hit(self, tmp_path):
+        """A trial served from the store goes through the same invariant
+        check as a fresh one, so a resumed violating cell cannot slip
+        through."""
+        db = tmp_path / "trials.db"
+        runner = TrialRunner(jobs=1, store=db, verify=False)
+        for _ in range(2):  # fresh, then a cache hit
+            with pytest.raises(InvariantViolation):
+                runner.run("viol", _violating_trial, [1])
+        with CampaignStore(db) as store:
+            assert store.max_run_count(spec_digest("viol", _violating_trial, {})) == 1
 
     def test_runner_passes_clean_payload(self):
         results = [TrialResult("exp", 1, {"invariant_violations": []}),

@@ -1,6 +1,10 @@
-"""Every environment knob the package reads is documented in README.md."""
+"""Every environment knob the package reads is documented in README.md;
+the trial paths do not load the trial store's ``sqlite3``."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,3 +18,14 @@ def test_every_env_knob_is_documented_in_readme():
     assert "REPRO_KERNEL" in knobs  # the scan itself found the package
     readme = set(KNOB.findall((ROOT / "README.md").read_text(encoding="utf-8")))
     assert sorted(knobs - readme) == []
+
+
+def test_trial_paths_do_not_import_sqlite3():
+    """The trial store is opened lazily, so the modules every trial runs
+    through never load ``sqlite3`` (it costs ~1 MB of resident memory
+    per worker)."""
+    code = ("import sys, repro.experiments.common, repro.faults.chaos; "
+            "print('sqlite3' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,12 @@
-"""TrialRunner: parallel/serial determinism, memoization, fallbacks."""
+"""TrialRunner: parallel/serial determinism, memoization in the trial
+store, fallbacks."""
+
+import sqlite3
+from functools import partial
 
 import pytest
 
+from repro.campaign import CampaignStore
 from repro.cluster.node import MB
 from repro.experiments.common import (
     ExperimentConfig,
@@ -45,6 +50,19 @@ def _exploding_trial(seed):
     if seed == 13:
         raise ValueError("boom")
     return {"value": seed}
+
+
+def _stored_rows(db) -> int:
+    conn = sqlite3.connect(db)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM trials").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def _counting_trial(seed, db):
+    """Reports how many trials the store at ``db`` held as it started."""
+    return {"rows_before": _stored_rows(db)}
 
 
 class TestTraceDigest:
@@ -109,7 +127,7 @@ class TestTrialRunner:
         assert [r.payload["value"] for r in results] == [101, 102, 103]
 
     def test_cache_round_trip(self, tmp_path):
-        runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
         first = runner.run("sq", _square_trial, [5, 6], kwargs={"offset": 1})
         second = runner.run("sq", _square_trial, [5, 6], kwargs={"offset": 1})
         assert all(not r.cached for r in first)
@@ -117,7 +135,7 @@ class TestTrialRunner:
         assert [r.payload for r in first] == [r.payload for r in second]
 
     def test_cache_keyed_by_kwargs_and_experiment(self, tmp_path):
-        runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
         runner.run("sq", _square_trial, [5], kwargs={"offset": 1})
         other_kwargs = runner.run("sq", _square_trial, [5], kwargs={"offset": 2})
         other_name = runner.run("sq2", _square_trial, [5], kwargs={"offset": 1})
@@ -131,7 +149,7 @@ class TestTrialRunner:
         instead of replaying the other mode's trace digest."""
         for var in ("REPRO_KERNEL", "REPRO_SCHEDULER"):
             monkeypatch.delenv(var, raising=False)
-        runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
 
         baseline = runner.run("mode", _square_trial, [5])
         assert not baseline[0].cached
@@ -151,10 +169,27 @@ class TestTrialRunner:
         assert runner.run("mode", _square_trial, [5])[0].cached
 
     def test_unnameable_spec_is_never_cached(self, tmp_path):
-        runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
         runner.run("lam", _factory_trial, [1], kwargs={"factory": lambda: 0})
-        assert list(tmp_path.rglob("*.json")) == []
+        assert not (tmp_path / "trials.db").exists()  # the store was never opened
         assert spec_digest("lam", _factory_trial, {"factory": lambda: 0}) is None
+
+    def test_partials_keyed_by_their_arguments(self):
+        """A ``functools.partial`` is named by its repr, so partials with
+        different arguments never share a cache entry; one wrapping a
+        function (whose repr embeds an address) is unnameable."""
+        def digest(factory):
+            return spec_digest("p", _factory_trial, {"factory": factory})
+
+        assert digest(partial(int, 1)) != digest(partial(int, 2))
+        assert digest(partial(int, 1)) == digest(partial(int, 1))
+        assert digest(partial(_square_trial, 1)) is None
+
+    def test_unstorable_payload_names_experiment_and_seed(self, tmp_path):
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
+        with pytest.raises(TrialError, match=r"raw: seed 3 payload cannot be stored"):
+            runner.run("raw", _factory_trial, [3],
+                       kwargs={"factory": partial(complex, 1)})  # JSON has no complex
 
     def test_verify_flags_nondeterministic_trials(self):
         _FLAKY_CALLS.clear()
@@ -168,30 +203,21 @@ class TestTrialRunner:
 
 
 class TestResultStreaming:
-    """The ``on_result`` hook durable campaign stores build on."""
-
-    def test_on_result_sees_every_trial_as_it_completes(self, tmp_path):
-        runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
-        runner.run("stream", _square_trial, [1, 2])
-        seen = []
-        runner.run("stream", _square_trial, [1, 2, 3],
-                   on_result=lambda r: seen.append((r.seed, r.cached)))
-        assert seen == [(1, True), (2, True), (3, False)]
+    """Trials reach the store as they complete, not at end of run."""
 
     def test_cache_written_incrementally(self, tmp_path):
-        """Each trial's cache entry lands as the trial completes, not
-        at end of run — observed from inside the next trial."""
-        runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
-        counts = []
-        runner.run("incr", _square_trial, [1, 2, 3],
-                   on_result=lambda r: counts.append(
-                       len(list(tmp_path.rglob("*.json")))))
-        assert counts == [1, 2, 3]
+        """Each trial's store row lands as the trial completes, not at
+        end of run — observed from inside the next trial."""
+        db = tmp_path / "trials.db"
+        results = TrialRunner(jobs=1, store=db, verify=False).run(
+            "incr", _counting_trial, [1, 2, 3], kwargs={"db": str(db)})
+        assert [r.payload["rows_before"] for r in results] == [0, 1, 2]
+        assert _stored_rows(db) == 3
 
     def test_keyboard_interrupt_flushes_completed_and_tears_down_pool(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         """Ctrl-C mid-fan-out: results that already completed are still
-        delivered (and cached), pending futures are cancelled, and the
+        recorded in the store, pending futures are cancelled, and the
         persistent pool is shut down rather than left running until
         interpreter exit."""
         import repro.runner.runner as rr
@@ -205,14 +231,16 @@ class TestResultStreaming:
             raise KeyboardInterrupt  # ...then the user hits Ctrl-C
 
         monkeypatch.setattr(rr, "as_completed", interrupting)
-        seen = []
+        db = tmp_path / "trials.db"
         with pytest.raises(KeyboardInterrupt):
-            TrialRunner(jobs=2, verify=False).run(
-                "ki", _square_trial, [1, 2, 3, 4],
-                on_result=lambda r: seen.append(r.seed))
-        assert seen  # the completed chunk was flushed, not dropped
-        assert len(seen) == len(set(seen))  # and flushed exactly once
-        assert all(s in (1, 2, 3, 4) for s in seen)
+            TrialRunner(jobs=2, store=db, verify=False).run(
+                "ki", _square_trial, [1, 2, 3, 4])
+        key = spec_digest("ki", _square_trial, {})
+        with CampaignStore(db) as store:
+            seen = store.completed_seeds(key)
+            assert seen  # the completed chunk was flushed, not dropped
+            assert store.max_run_count(key) == 1  # and flushed exactly once
+        assert seen <= {1, 2, 3, 4}
         assert 2 not in rr._POOLS  # the pool was discarded, not leaked
 
 
@@ -231,6 +259,32 @@ class TestExperimentIntegration:
                                        job_name="eq-direct")
             direct.append(res.elapsed)
         assert via_runner == pytest.approx(sum(direct) / len(direct))
+
+    def test_driver_rerun_against_trial_cache_executes_nothing(
+            self, tmp_path, monkeypatch):
+        """An experiment driver run twice against one
+        ``REPRO_TRIAL_CACHE`` executes no trial the second time and
+        returns identical results."""
+        import repro.runner.runner as rr
+        from repro.experiments.fig02_delay import fig02_delayed_execution
+
+        monkeypatch.setenv("REPRO_TRIAL_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        executed = []
+        real_invoke = rr._invoke_trial
+        monkeypatch.setattr(rr, "_invoke_trial", lambda fn, seed, kwargs: (
+            executed.append(seed) or real_invoke(fn, seed, kwargs)))
+
+        def run():
+            return fig02_delayed_execution(progress_points=(0.5,), scale=0.02,
+                                           repeats=2)
+
+        first = run()
+        assert len(executed) == 2 * 3 * 2  # workloads x (base, map, reduce) x repeats
+        second = run()
+        assert len(executed) == 2 * 3 * 2
+        assert second == first
+        assert (tmp_path / "trials.db").exists()
 
     def test_run_benchmark_trial_payload_shape(self):
         payload = run_benchmark_trial(42, workload=tiny_workload(),

@@ -1,90 +1,13 @@
-"""Unit tests for counting resources and stores."""
+"""Unit tests for the kernel's FIFO store."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
-from repro.sim.core import SimulationError
+from repro.sim import Simulator, Store
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestResource:
-    def test_immediate_grant_within_capacity(self, sim):
-        res = Resource(sim, capacity=2)
-        r1, r2 = res.request(), res.request()
-        assert r1.triggered and r2.triggered
-        assert res.available == 0
-
-    def test_queueing_beyond_capacity(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        r2 = res.request()
-        assert not r2.triggered
-        assert res.queued == 1
-        res.release()
-        sim.run()
-        assert r2.triggered
-        assert res.available == 0
-
-    def test_fifo_order_within_priority(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(sim, res, tag, hold):
-            yield res.request()
-            order.append(tag)
-            yield sim.timeout(hold)
-            res.release()
-
-        for tag in "abc":
-            sim.process(user(sim, res, tag, 1))
-        sim.run()
-        assert order == ["a", "b", "c"]
-
-    def test_priority_preempts_queue_order(self, sim):
-        res = Resource(sim, capacity=1)
-        got = []
-
-        def holder(sim, res):
-            yield res.request()
-            yield sim.timeout(5)
-            res.release()
-
-        def waiter(sim, res, tag, prio, delay):
-            yield sim.timeout(delay)
-            yield res.request(priority=prio)
-            got.append(tag)
-            res.release()
-
-        sim.process(holder(sim, res))
-        sim.process(waiter(sim, res, "low", 10, 1))
-        sim.process(waiter(sim, res, "high", 0, 2))
-        sim.run()
-        assert got == ["high", "low"]
-
-    def test_cancel_pending_request(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        r2 = res.request()
-        r3 = res.request()
-        res.cancel(r2)
-        assert res.queued == 1
-        res.release()
-        sim.run()
-        assert not r2.triggered
-        assert r3.triggered
-
-    def test_release_without_grant_raises(self, sim):
-        res = Resource(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_capacity_validation(self, sim):
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
 
 
 class TestStore:

@@ -66,6 +66,23 @@ class TestMatrixTrial:
         assert "REPRO_KERNEL" not in os.environ
         assert payload["invariant_violations"] == []
 
+    def test_combos_select_distinct_implementations(self):
+        """Every COMBOS entry runs a different (kernel, flow-scheduler
+        class) pair at the corpus's cluster sizes: a duplicate pair
+        re-runs the same code and proves nothing."""
+        from repro.cluster.cluster import flow_scheduler_class
+        from repro.sim.core import Simulator
+        from repro.verify.differential import _impl_env
+        from repro.verify.scenarios import corpus
+
+        sizes = sorted({scenario.to_spec()["nodes"] for scenario in corpus()})
+        selected = []
+        for kernel, scheduler in COMBOS:
+            with _impl_env(kernel, scheduler):
+                selected.append((Simulator()._reference,
+                                 tuple(flow_scheduler_class(n) for n in sizes)))
+        assert len(set(selected)) == len(COMBOS), selected
+
     def test_single_scenario_full_matrix_identical(self):
         report = run_matrix(names=["oom-reduce-yarn"], echo=_quiet)
         assert report["runs"] == len(COMBOS)
