@@ -9,9 +9,9 @@ Per-seed trace digests must be bit-identical across all modes — the
 speedup must never come at the cost of determinism.
 
 On a single-core host process fan-out cannot beat the clock, and the
-runner auto-selects serial execution there (``REPRO_FORCE_PARALLEL=1``
-overrides, which is what the parallel-equivalence *test* uses). This
-bench therefore measures the fan-out only when real cores exist, and
+runner auto-selects serial execution there (the parallel-equivalence
+*test* reports two CPUs to exercise the pool anyway). This bench
+therefore measures the fan-out only when real cores exist, and
 otherwise records *why* no parallel number is published instead of
 publishing a slowdown as if it were a result.
 
@@ -82,9 +82,8 @@ def test_runner_throughput(report, tmp_path):
             "parallel_speedup": None,
             "parallel_skipped_reason": (
                 "single-core host: process fan-out cannot beat the clock, "
-                "runner auto-selects serial (REPRO_FORCE_PARALLEL=1 overrides; "
-                "parallel-vs-serial digest equivalence is covered by "
-                "tests/test_runner.py)"),
+                "runner auto-selects serial (parallel-vs-serial digest "
+                "equivalence is covered by tests/test_runner.py)"),
         }
 
     store = tmp_path / "trials.db"

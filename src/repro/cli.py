@@ -173,14 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=2015)
     p_run.add_argument("--speculation", action="store_true")
     p_run.add_argument("--report", action="store_true",
-                       help="print progress curve, gantt and failure timeline")
+                       help="print progress curve, gantt, failure timeline "
+                            "and flow-scheduler counters")
     p_run.add_argument("--export", metavar="PATH", default=None,
                        help="write the full trace as JSON")
-    p_run.add_argument("--profile", metavar="SPEC", nargs="?", const="1",
-                       default=None,
-                       help="profile the run (sets REPRO_PROFILE): cProfile "
-                            "summary plus per-subsystem event counts; pass a "
-                            "path prefix to also dump raw pstats")
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
     p_exp.add_argument("name", choices=_EXPERIMENTS)
@@ -192,10 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trial-cache", metavar="DIR", default=None,
                        help="memoize completed trials in the store "
                             "DIR/trials.db (sets REPRO_TRIAL_CACHE)")
-    p_exp.add_argument("--profile", metavar="SPEC", nargs="?", const="1",
-                       default=None,
-                       help="profile the experiment driver (sets REPRO_PROFILE; "
-                            "reaches worker processes too)")
     p_exp.add_argument("--policies", metavar="LIST", default=None,
                        help="comma-separated policy roster, or 'all' for the "
                             "whole registry (table2 only: sweeps the roster "
@@ -310,12 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    import os
-
-    from repro.runner.profile import maybe_profile, profiling_enabled, subsystem_counts
-
-    if args.profile is not None:
-        os.environ["REPRO_PROFILE"] = args.profile
     factory = BENCHMARKS[args.workload]
     wl = factory() if args.size_gb is None else factory(args.size_gb)
     if args.reducers is not None:
@@ -332,19 +318,11 @@ def cmd_run(args) -> int:
     )
     for fault in args.fault:
         fault.install(rt)
-    with maybe_profile(f"run-{wl.name}-{args.policy}"):
-        result = rt.run()
+    result = rt.run()
     status = "SUCCESS" if result.success else "FAILED"
     print(f"{result.job_name}: {status} in {result.elapsed:.1f} simulated seconds")
     for key, value in result.counters.items():
         print(f"  {key:28s} {value}")
-    if profiling_enabled():
-        print("\nper-subsystem trace events:")
-        for subsystem, count in subsystem_counts(result.trace).items():
-            print(f"  {subsystem:12s} {count}")
-        print("flow scheduler:")
-        for key, value in sorted(rt.cluster.flows.stats.items()):
-            print(f"  {key:16s} {value}")
     if args.report:
         print()
         print(progress_curve(result.trace))
@@ -352,6 +330,9 @@ def cmd_run(args) -> int:
         print(task_gantt(result))
         print()
         print(failure_timeline(result.trace))
+        print("\nflow scheduler:")
+        for key, value in sorted(rt.cluster.flows.stats.items()):
+            print(f"  {key:16s} {value}")
     if args.export:
         path = export_result_json(result, args.export)
         print(f"\ntrace written to {path}")
@@ -367,16 +348,7 @@ def cmd_experiment(args) -> int:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
     if args.trial_cache is not None:
         os.environ["REPRO_TRIAL_CACHE"] = args.trial_cache
-    if args.profile is not None:
-        os.environ["REPRO_PROFILE"] = args.profile
 
-    from repro.runner.profile import maybe_profile
-
-    with maybe_profile(f"experiment-{args.name}"):
-        return _dispatch_experiment(args)
-
-
-def _dispatch_experiment(args) -> int:
     import repro.experiments as ex
 
     scale = args.scale
@@ -449,6 +421,7 @@ def _dispatch_experiment(args) -> int:
 def cmd_chaos(args) -> int:
     import json
     import os
+    from pathlib import Path
 
     from repro.faults.chaos import run_campaign, run_trial_spec
 
@@ -456,7 +429,15 @@ def cmd_chaos(args) -> int:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
 
     if args.replay is not None:
-        repro = json.loads(open(args.replay).read())
+        repro = json.loads(Path(args.replay).read_text())
+        if "relation" in repro:
+            # verify writes these into the same default --out directory,
+            # but their spec is a scenario spec and replaying one could
+            # not re-check the relation anyway.
+            print(f"{args.replay} is a metamorphic reproducer (relation "
+                  f"{repro['relation']!r}); re-check it with "
+                  "`python -m repro verify --metamorphic`", file=sys.stderr)
+            return 2
         spec = repro.get("spec", repro)  # accept a bare spec too
         if repro.get("minimized_faults"):
             spec = dict(spec, faults=repro["minimized_faults"])
@@ -559,7 +540,9 @@ def _campaign_run_spec(spec, args) -> int:
                 minimize=not getattr(args, "no_minimize", False),
                 store=args.store,
                 am_faults=bool(spec.get("am_faults", False)),
-                policies=spec.get("policies"))
+                policies=spec.get("policies"),
+                hard_timeout=spec.get("hard_timeout"),
+                stall_timeout=spec.get("stall_timeout"))
             _print_chaos_summary(summary)
             print(f"  campaign id: {summary['campaign_id']}  (store: {args.store})")
             return 1 if summary["violations"] else 0

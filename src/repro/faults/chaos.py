@@ -439,6 +439,8 @@ def run_campaign(
     store: Any = None,
     am_faults: bool = False,
     policies: tuple[str, ...] | list[str] | None = None,
+    hard_timeout: float | None = None,
+    stall_timeout: float | None = None,
 ) -> dict[str, Any]:
     """Run (or resume) a campaign; write a reproducer per violating
     trial.
@@ -453,6 +455,10 @@ def run_campaign(
     Returns a summary dict with per-policy / per-kind coverage counts,
     the violating trial indices, and resume accounting
     (``executed``/``skipped``).
+
+    ``hard_timeout``/``stall_timeout`` override every trial's watchdog
+    ceilings; like an explicit roster, they enter the campaign spec only
+    when given, so default campaign ids stay stable.
     """
     from repro.campaign import CampaignScheduler, aggregate_chaos, build_plan, open_store
     from repro.runner import atomic_write_text
@@ -472,6 +478,9 @@ def run_campaign(
         # Only an explicit roster enters the plan: the default keeps
         # historical campaign ids (and their cached trials) stable.
         spec["policies"] = list(policies)
+    for key, value in (("hard_timeout", hard_timeout), ("stall_timeout", stall_timeout)):
+        if value is not None:
+            spec[key] = float(value)
     plan = build_plan(spec)
     with open_store(store) as opened:
         run_stats = CampaignScheduler(opened).run(plan)

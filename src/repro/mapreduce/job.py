@@ -234,10 +234,6 @@ class MapReduceRuntime:
         if self._stall_reason is not None:
             counters["stalled"] = True
             counters["stall_reason"] = self._stall_reason
-        from repro.runner.profile import profiling_enabled, record_flow_stats
-
-        if profiling_enabled():
-            record_flow_stats(self.job_name, self.cluster.flows.stats)
         return JobResult(
             job_name=self.job_name,
             workload=self.workload.name,

@@ -11,8 +11,7 @@ place that knows how to execute them fast and honestly:
   is one contiguous block of seeds, so ``(fn, kwargs)`` is pickled once
   per chunk (not once per seed) and results return one message per
   chunk. On a single-core host the serial path is auto-selected even
-  when ``REPRO_JOBS > 1`` (process fan-out is strictly overhead there);
-  set ``REPRO_FORCE_PARALLEL=1`` to exercise the pool anyway.
+  when ``REPRO_JOBS > 1`` (process fan-out is strictly overhead there).
 - A trial is a **module-level** callable ``fn(seed, **kwargs)``
   returning a JSON-serialisable dict. Specs that cannot be pickled
   (lambda fault factories, closures) silently fall back to the serial
@@ -260,11 +259,7 @@ def _parallel_viable() -> bool:
 
     With one CPU the pool only adds pickling and scheduling on top of
     the same serial compute (measured 0.58× on a 1-core runner), so the
-    runner quietly takes the serial path there. ``REPRO_FORCE_PARALLEL``
-    overrides — for tests that must exercise the pool machinery
-    regardless of host shape."""
-    if os.environ.get("REPRO_FORCE_PARALLEL", "") not in ("", "0"):
-        return True
+    runner quietly takes the serial path there."""
     return (os.cpu_count() or 1) > 1
 
 

@@ -637,17 +637,7 @@ class Simulator:
         :class:`Periodic`). Under ``REPRO_KERNEL=reference`` the
         generator representation itself is used, and ``pure`` is
         ignored.
-
-        With ``REPRO_PROFILE`` set, ``fn`` is wrapped to accumulate
-        per-callback wall time keyed by ``name`` (see
-        :func:`repro.runner.profile.periodic_times`); the wrapper
-        passes the return value through, so the ``False``-stop contract
-        and purity are unaffected.
         """
-        if os.environ.get("REPRO_PROFILE", "") not in ("", "0"):
-            from repro.runner.profile import wrap_periodic
-
-            fn = wrap_periodic(fn, name)
         if self._reference:
             return _GeneratorPeriodic(self, interval, fn, immediate, name)
         return Periodic(self, interval, fn, immediate=immediate, pure=pure, name=name)

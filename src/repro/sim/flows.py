@@ -194,7 +194,8 @@ class FlowScheduler:
         #: (before its ``done`` event succeeds) — the ``flow_done``
         #: trace kind hangs off this, identically across schedulers.
         self.on_complete = None
-        #: Observability counters for benchmarks / REPRO_PROFILE.
+        #: Observability counters, printed by ``repro run --report`` and
+        #: read by the benchmarks.
         self.stats = {
             "transfers": 0,
             "cancels": 0,

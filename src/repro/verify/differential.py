@@ -243,11 +243,7 @@ GOLDEN_FILE = "scenarios.json"
 
 
 def golden_path() -> Path:
-    """``tests/golden/scenarios.json``, overridable for tests via
-    ``REPRO_GOLDEN_DIR``."""
-    override = os.environ.get("REPRO_GOLDEN_DIR", "")
-    if override:
-        return Path(override) / GOLDEN_FILE
+    """``tests/golden/scenarios.json``."""
     return Path(__file__).resolve().parents[3] / "tests" / "golden" / GOLDEN_FILE
 
 

@@ -65,27 +65,6 @@ class TraceMix:
             t += float(rng.exponential(self.mean_interarrival))
         return jobs
 
-    def sample_with_policies(
-        self, policies: "tuple[str, ...] | list[str] | None" = None,
-    ) -> list[tuple[Workload, float, str]]:
-        """``sample()`` plus a recovery-policy assignment per job.
-
-        Jobs rotate through ``policies`` (default: every policy in
-        :mod:`repro.policies`, so a newly-registered policy joins the
-        fleet mix with no wiring) in sampling order — the assignment is
-        a pure function of the mix seed and the roster, never of
-        wall-clock or registry-iteration races.
-        """
-        if policies is None:
-            from repro.policies import policy_names
-
-            policies = policy_names()
-        roster = tuple(policies)
-        if not roster:
-            raise SimulationError("empty policy roster")
-        return [(wl, delay, roster[i % len(roster)])
-                for i, (wl, delay) in enumerate(self.sample())]
-
     def scaled(self, scale: float) -> "TraceMix":
         from dataclasses import replace
 

@@ -154,3 +154,39 @@ class TestCampaignCLI:
         assert doc["counts"]["done"] == 3
         assert len(doc["trials"]) == 3
         assert doc["summary"]["violations"] == 0
+
+    def test_submit_spec_keeps_chaos_timeouts(self, tmp_path, capsys):
+        """A chaos ``--spec`` file's watchdog ceilings reach the stored
+        spec and every trial; without them the spec stays key-free so
+        existing campaign ids do not change."""
+        import json
+
+        from repro.cli import main
+
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "kind": "chaos", "seed": 3, "trials": 2, "scale": 0.25,
+            "hard_timeout": 5.0, "stall_timeout": 1000.0}))
+        db = str(tmp_path / "c.db")
+        # The 5 s ceiling trips the termination invariant: exit status 1.
+        assert main(["campaign", "submit", "--store", db, "--spec", str(spec_file),
+                     "--out", str(tmp_path / "reports")]) == 1
+        with CampaignStore(db) as store:
+            [row] = store.campaigns()
+            assert row["spec"]["hard_timeout"] == 5.0
+            assert row["spec"]["stall_timeout"] == 1000.0
+            payloads = dict(store.payloads(row["campaign_id"]))
+        assert len(payloads) == 2
+        for payload in payloads.values():
+            assert payload["spec"]["hard_timeout"] == 5.0
+            assert payload["spec"]["stall_timeout"] == 1000.0
+        # Trial 0 needs 254 simulated seconds: the 5 s ceiling stops it.
+        assert payloads[0]["success"] is False
+
+        plain = str(tmp_path / "plain.db")
+        assert main(["campaign", "submit", "--store", plain, "--seed", "3",
+                     "--trials", "1", "--scale", "0.25"]) == 0
+        with CampaignStore(plain) as store:
+            [row] = store.campaigns()
+        assert "hard_timeout" not in row["spec"]
+        assert "stall_timeout" not in row["spec"]

@@ -63,6 +63,17 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "failure timeline" in out
         assert "fault_injected" in out
+        assert "flow scheduler:" in out
+        assert "filling_rounds" in out
+
+    @pytest.mark.parametrize("argv", [["run", "wordcount"],
+                                      ["experiment", "fig03"]])
+    def test_profile_flag_is_rejected(self, argv, capsys):
+        """Profiling is ``python -m cProfile -m repro ...``, not a flag."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--profile"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_run_export_json(self, tmp_path, capsys):
         path = tmp_path / "out.json"
@@ -98,3 +109,24 @@ class TestOtherCommands:
         assert main(["experiment", "table2", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "Table II" in out
+
+    def test_chaos_replay_rejects_metamorphic_reproducer(self, tmp_path, capsys):
+        """``repro verify`` writes ``metamorphic-<relation>.json`` into the
+        same default ``--out`` directory as chaos reproducers; replaying
+        one names it and points at ``repro verify --metamorphic``
+        instead of dying on its scenario spec."""
+        from repro.verify.metamorphic import RELATIONS
+        from repro.verify.scenarios import scenario_spec
+
+        relation = next(iter(RELATIONS.values()))
+        spec = scenario_spec(relation.scenario)
+        path = tmp_path / f"metamorphic-{relation.name}.json"
+        path.write_text(json.dumps({
+            "relation": relation.name, "description": relation.description,
+            "scenario": relation.scenario, "violations": ["synthetic"],
+            "spec": spec, "minimized_faults": spec["faults"]}))
+        assert main(["chaos", "--replay", str(path)]) != 0
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "metamorphic reproducer" in err
+        assert "repro verify --metamorphic" in err

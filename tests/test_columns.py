@@ -128,41 +128,3 @@ def test_total_transferred_matches_on_reference_scheduler(monkeypatch):
     expected = sum(f.transferred for f in cluster.flows.active_flows)
     assert cluster.flows.total_transferred() == expected
     assert cluster.flows.active_count == len(cluster.flows.active_flows)
-
-
-def test_periodic_profiling_registry(monkeypatch):
-    from repro.runner import profile
-
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    profile.reset_periodic_times()
-    sim = Simulator()
-    ticks = []
-    sim.periodic(1.0, lambda: ticks.append(sim.now), name="test-tick")
-    sim.periodic(2.0, lambda: None, pure=True, name="test-pure")
-    sim.run(until=10.0)
-    rows = {name: (calls, secs) for name, calls, secs in profile.periodic_times()}
-    assert rows["test-tick"][0] == len(ticks) == 10
-    assert rows["test-pure"][0] == 5
-    assert all(secs >= 0.0 for _, secs in rows.values())
-    assert profile.periodic_times(top=1)[0][0] in rows
-    profile.reset_periodic_times()
-    assert profile.periodic_times() == []
-
-
-def test_periodic_profiling_preserves_false_stop(monkeypatch):
-    from repro.runner import profile
-
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    profile.reset_periodic_times()
-    sim = Simulator()
-    ticks = []
-
-    def tick():
-        ticks.append(sim.now)
-        if len(ticks) >= 3:
-            return False
-
-    sim.periodic(1.0, tick, name="stopper")
-    sim.run(until=10.0)
-    assert len(ticks) == 3  # wrapper passed the False through
-    profile.reset_periodic_times()

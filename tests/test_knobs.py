@@ -1,5 +1,5 @@
-"""Every environment knob the package reads is documented in README.md;
-the trial paths do not load the trial store's ``sqlite3``."""
+"""The package reads a fixed set of environment knobs, each documented
+in README.md; the trial paths do not load the trial store's ``sqlite3``."""
 
 import os
 import re
@@ -11,10 +11,23 @@ ROOT = Path(__file__).resolve().parents[1]
 KNOB = re.compile(r"REPRO_[A-Z_]+")
 
 
-def test_every_env_knob_is_documented_in_readme():
+def _package_knobs() -> set[str]:
     knobs = set()
     for path in (ROOT / "src" / "repro").rglob("*.py"):
         knobs.update(KNOB.findall(path.read_text(encoding="utf-8")))
+    return knobs
+
+
+def test_package_reads_exactly_the_supported_knobs():
+    """A knob no workload, benchmark or CI step sets is dead weight:
+    adding one is a deliberate change to this list."""
+    assert _package_knobs() == {
+        "REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_JOBS", "REPRO_TRIAL_CACHE",
+        "REPRO_VERIFY", "REPRO_SCALE", "REPRO_INVARIANTS"}
+
+
+def test_every_env_knob_is_documented_in_readme():
+    knobs = _package_knobs()
     assert "REPRO_KERNEL" in knobs  # the scan itself found the package
     readme = set(KNOB.findall((ROOT / "README.md").read_text(encoding="utf-8")))
     assert sorted(knobs - readme) == []

@@ -88,9 +88,9 @@ class TestTrialRunner:
     def test_parallel_matches_serial_bit_for_bit(self, monkeypatch):
         """The acceptance contract: REPRO_JOBS>1 and REPRO_JOBS=1
         produce identical per-seed payloads (including trace digests).
-        Forced parallel: on a single-core host the runner would
+        Two CPUs reported: on a single-core host the runner would
         otherwise auto-select the serial path and test nothing."""
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+        monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
         seeds = [42, 143, 244]
         kwargs = dict(workload=tiny_workload(), base_config=_cfg(), job_name="det")
         serial = TrialRunner(jobs=1, verify=False).run(
@@ -101,9 +101,8 @@ class TestTrialRunner:
         assert all(len(r.payload["digest"]) == 64 for r in serial)
 
     def test_single_core_auto_serial(self, monkeypatch):
-        """Without the override, a 1-core host quietly takes the serial
-        path even when jobs > 1 (fan-out is strictly overhead there)."""
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
+        """A 1-core host quietly takes the serial path even when
+        jobs > 1 (fan-out is strictly overhead there)."""
         monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 1)
         calls = []
         monkeypatch.setattr(
@@ -115,7 +114,7 @@ class TestTrialRunner:
         assert [r.payload["value"] for r in results] == [1, 4, 9]
 
     def test_raising_trial_names_its_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+        monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
         with pytest.raises(TrialError, match=r"seed 13 raised ValueError: boom"):
             TrialRunner(jobs=2, verify=False).run(
                 "explode", _exploding_trial, [11, 12, 13, 14])
@@ -222,7 +221,7 @@ class TestResultStreaming:
         interpreter exit."""
         import repro.runner.runner as rr
 
-        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+        monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
         real_as_completed = rr.as_completed
 
         def interrupting(futures):

@@ -126,7 +126,8 @@ class TestFullMatrix:
 class TestGoldenFile:
     def test_check_golden_flags_drift_and_names_remedy(self, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_GOLDEN_DIR", str(tmp_path))
+        monkeypatch.setattr("repro.verify.differential.golden_path",
+                            lambda: tmp_path / "scenarios.json")
         refresh_golden({"a": "1" * 64, "b": "2" * 64})
         assert check_golden({"a": "1" * 64, "b": "2" * 64}) == []
         problems = check_golden({"a": "1" * 64, "b": "f" * 64, "c": "3" * 64})
@@ -136,7 +137,8 @@ class TestGoldenFile:
         assert "--refresh-golden" in text
 
     def test_refresh_writes_sorted_json(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_GOLDEN_DIR", str(tmp_path))
+        monkeypatch.setattr("repro.verify.differential.golden_path",
+                            lambda: tmp_path / "scenarios.json")
         path = refresh_golden({"z": "9" * 64, "a": "1" * 64})
         data = json.loads(path.read_text())
         assert list(data) == ["a", "z"]
