@@ -74,6 +74,7 @@ from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import MapReduceRuntime
 from repro.mapreduce.tasks import TaskType
 from repro.metrics import export_result_json, failure_timeline, progress_curve, task_gantt
+from repro.sim.core import SimulationError
 from repro.workloads import BENCHMARKS
 
 __all__ = ["main", "parse_fault"]
@@ -140,16 +141,22 @@ def _node_target(text: str):
     return int(text)
 
 
-def _parse_policies(text: str | None) -> tuple[str, ...] | None:
-    """``--policies`` value -> roster tuple (``'all'`` = the registry),
-    or None when the flag was not given (historical default rotation)."""
-    if text is None:
-        return None
+def _parse_policies(text: str) -> tuple[str, ...]:
+    """``--policies`` value -> roster tuple (``'all'`` = the registry).
+
+    The argparse ``type`` of every ``--policies`` flag, so an empty
+    roster or an unregistered name is a usage error (exit 2)."""
+    registered = _policy_choices()
     if text.strip() == "all":
-        return _policy_choices()
+        return registered
     roster = tuple(p.strip() for p in text.split(",") if p.strip())
     if not roster:
         raise argparse.ArgumentTypeError("empty --policies roster")
+    unknown = [p for p in roster if p not in registered]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown policy {', '.join(map(repr, unknown))}; "
+            f"registered: {', '.join(registered)}")
     return roster
 
 
@@ -189,6 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="memoize completed trials in the store "
                             "DIR/trials.db (sets REPRO_TRIAL_CACHE)")
     p_exp.add_argument("--policies", metavar="LIST", default=None,
+                       type=_parse_policies,
                        help="comma-separated policy roster, or 'all' for the "
                             "whole registry (table2 only: sweeps the roster "
                             "instead of the paper's yarn/sfm pair)")
@@ -205,6 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="include AM-crash and lossy-RPC archetypes "
                               "in the fault pool")
     p_chaos.add_argument("--policies", metavar="LIST", default=None,
+                         type=_parse_policies,
                          help="comma-separated policy roster to rotate trials "
                               "across, or 'all' for every registered policy "
                               "(default: the five seed systems)")
@@ -241,6 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c_submit.add_argument("--am-faults", action="store_true",
                           help="include AM-crash and lossy-RPC archetypes")
     c_submit.add_argument("--policies", metavar="LIST", default=None,
+                          type=_parse_policies,
                           help="comma-separated policy roster, or 'all'")
     c_submit.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="fan trials across N worker processes")
@@ -302,22 +312,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    factory = BENCHMARKS[args.workload]
-    wl = factory() if args.size_gb is None else factory(args.size_gb)
-    if args.reducers is not None:
-        wl = wl.with_reducers(args.reducers)
-    policy = make_policy(args.policy)
-    rt = MapReduceRuntime(
-        wl,
-        conf=JobConf(),
-        cluster_spec=ClusterSpec(num_nodes=args.nodes, num_racks=args.racks,
-                                 seed=args.seed),
-        policy=policy,
-        job_name=f"{wl.name}-{args.policy}",
-        speculation=args.speculation,
-    )
-    for fault in args.fault:
-        fault.install(rt)
+    # An impossible job (too few nodes, no reducers, empty input, ...)
+    # is a usage error (exit 2), not a FAILED job (exit 1) or a traceback.
+    try:
+        factory = BENCHMARKS[args.workload]
+        wl = factory() if args.size_gb is None else factory(args.size_gb)
+        if args.reducers is not None:
+            wl = wl.with_reducers(args.reducers)
+        policy = make_policy(args.policy)
+        rt = MapReduceRuntime(
+            wl,
+            conf=JobConf(),
+            cluster_spec=ClusterSpec(num_nodes=args.nodes, num_racks=args.racks,
+                                     seed=args.seed),
+            policy=policy,
+            job_name=f"{wl.name}-{args.policy}",
+            speculation=args.speculation,
+        )
+        for fault in args.fault:
+            fault.install(rt)
+    except SimulationError as exc:
+        print(f"repro run: error: {exc}", file=sys.stderr)
+        return 2
     result = rt.run()
     status = "SUCCESS" if result.success else "FAILED"
     print(f"{result.job_name}: {status} in {result.elapsed:.1f} simulated seconds")
@@ -409,8 +425,7 @@ def cmd_experiment(args) -> int:
                            [(r.workload, r.system, r.job_time, r.recovery_time)
                             for r in rows], title="Fig. 15"))
     elif name == "table2":
-        roster = _parse_policies(getattr(args, "policies", None))
-        kwargs = {"systems": roster} if roster else {}
+        kwargs = {"systems": args.policies} if args.policies else {}
         rows = ex.table2_spatial_recovery(scale=scale, **kwargs)
         print(format_table(["type", "point", "extra fails", "time (s)"],
                            [(r.system, r.first_failure_point, r.additional_failures,
@@ -455,7 +470,7 @@ def cmd_chaos(args) -> int:
         summary = run_campaign(seed=args.seed, trials=trials, scale=scale,
                                out_dir=args.out, minimize=not args.no_minimize,
                                store=args.store, am_faults=args.am_faults,
-                               policies=_parse_policies(args.policies))
+                               policies=args.policies)
     except KeyboardInterrupt:
         if args.store:
             print(f"\ninterrupted — completed trials are checkpointed; resume "
@@ -496,9 +511,8 @@ def cmd_campaign(args) -> int:
         else:
             spec = {"kind": "chaos", "seed": args.seed, "trials": args.trials,
                     "scale": args.scale, "am_faults": args.am_faults}
-            roster = _parse_policies(args.policies)
-            if roster:
-                spec["policies"] = list(roster)
+            if args.policies:
+                spec["policies"] = list(args.policies)
         return _campaign_run_spec(spec, args)
 
     if args.campaign_cmd == "resume":

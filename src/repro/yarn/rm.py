@@ -151,7 +151,6 @@ class _PendingRequest:
     memory_mb: int = field(compare=False)
     preferred: tuple[Node, ...] = field(compare=False)
     grant: Event = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
     excluded: set[int] = field(compare=False, default_factory=set)
 
 
@@ -258,12 +257,6 @@ class ResourceManager:
         self._match()
         return req.grant
 
-    def cancel_request(self, grant: Event) -> None:
-        for req in self._pending:
-            if req.grant is grant:
-                req.cancelled = True
-                return
-
     def release_container(self, container: Container) -> None:
         if self.rpc.fallible:
             # A lost release is retransmitted on the heartbeat cadence
@@ -339,16 +332,26 @@ class ResourceManager:
         )
 
     def _match(self) -> None:
+        # ``room`` is the largest free memory on any live, reachable NM,
+        # measured after the first failed pick since the last grant. A
+        # request larger than it has no usable node (exclusions and
+        # preferences only shrink the candidate set), so skipping its
+        # pick is exact and never reaches the tie-break RNG draw. It is
+        # computed lazily: most calls grant or see an empty queue.
         granted: list[_PendingRequest] = []
+        room: int | None = None
         for req in self._pending:
-            if req.cancelled:
-                granted.append(req)  # drop silently
+            if room is not None and req.memory_mb > room:
                 continue
             nm = self._pick_node(req)
             if nm is None:
+                if room is None:
+                    room = max((m.available_mb for m in self.node_managers.values()
+                                if not m.lost and m.node.reachable), default=0)
                 continue
             container = nm.allocate(req.memory_mb)
             granted.append(req)
+            room = None
             self._deliver(req, container)
         for req in granted:
             self._pending.remove(req)

@@ -93,6 +93,20 @@ class TestRunCommand:
                    "--reducers", "3"])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--nodes", "1"], "num_racks must be in [1, num_nodes]"),
+        (["--nodes", "4", "--racks", "8"], "num_racks must be in [1, num_nodes]"),
+        (["--reducers", "0"], "need at least one reducer"),
+        (["--size-gb", "0"], "input_size must be positive"),
+    ])
+    def test_impossible_job_is_a_usage_error(self, flags, message, capsys):
+        """A job that cannot be built exits 2 with one error line, not a
+        traceback and not the FAILED-job exit code 1."""
+        assert main(["run", "wordcount", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro run: error: {message}\n"
+        assert captured.out == ""
+
 
 class TestOtherCommands:
     def test_list(self, capsys):
@@ -109,6 +123,20 @@ class TestOtherCommands:
         assert main(["experiment", "table2", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "Table II" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos"],
+        ["campaign", "submit", "--store", "campaign.db"],
+        ["experiment", "table2"],
+    ])
+    def test_unknown_policy_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a command that gets past parsing writes here
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--policies", "alm,nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown policy 'nosuch'" in err
+        assert "registered: yarn, " in err
 
     def test_chaos_replay_rejects_metamorphic_reproducer(self, tmp_path, capsys):
         """``repro verify`` writes ``metamorphic-<relation>.json`` into the

@@ -1,5 +1,7 @@
 """Unit tests for the YARN layer (RM, NM, containers, liveness)."""
 
+import random
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
@@ -74,20 +76,121 @@ class TestAllocation:
             nodes.add(c.node.node_id)
         assert len(nodes) == 4
 
-    def test_cancel_request(self):
-        sim, cluster, rm = make_env(num_nodes=1, memory_mb=4096)
-        c1 = sim.run(until=rm.request_container(4096))
-        grant = rm.request_container(4096)
-        rm.cancel_request(grant)
-        rm.release_container(c1)
-        sim.run(until=sim.now + 5)
-        assert not grant.triggered
-
     def test_available_mb_accounting(self):
         sim, cluster, rm = make_env(num_nodes=2, memory_mb=4096)
         assert rm.available_mb() == 8192
         sim.run(until=rm.request_container(2048))
         assert rm.available_mb() == 8192 - 2048
+
+
+class FullScanRM(ResourceManager):
+    """The matching loop without the ``room`` bound: every pending
+    request runs a full node pick. The oracle for the short-circuit."""
+
+    def _match(self) -> None:
+        granted = []
+        for req in self._pending:
+            nm = self._pick_node(req)
+            if nm is None:
+                continue
+            container = nm.allocate(req.memory_mb)
+            granted.append(req)
+            self._deliver(req, container)
+        for req in granted:
+            self._pending.remove(req)
+
+
+def _operations(seed, num_nodes, count=60):
+    """A seeded stream of RM operations that depends on nothing but the
+    seed, so two RMs can replay it side by side."""
+    ops = random.Random(seed)
+    crash = ops.randrange(num_nodes)
+    partitioned = ops.choice([i for i in range(num_nodes) if i != crash])
+    stream = []
+    for step in range(count):
+        wait = ops.uniform(0.0, 1.5)
+        if step == 10:
+            stream.append((wait, "crash", crash))
+        elif step == 45:
+            stream.append((wait, "restart", crash))
+        elif step == 20:
+            stream.append((wait, "partition", partitioned))
+        elif step == 26:
+            stream.append((wait, "heal", partitioned))
+        elif ops.random() < 0.35:
+            stream.append((wait, "release", ops.random()))
+        else:
+            preferred = ops.sample(range(num_nodes), ops.randint(1, 2)) if ops.random() < 0.3 else []
+            excluded = ops.sample(range(num_nodes), ops.randint(1, 2)) if ops.random() < 0.3 else []
+            stream.append((wait, "request", (ops.randrange(1024, 6145, 512), preferred, excluded)))
+    return stream
+
+
+def _replay(rm_cls, seed, num_nodes=5):
+    """Run the seed's operation stream against one RM; return the grants
+    as ``(request index, node_id, grant time)``, the final RNG state and
+    the number of requests still pending."""
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterSpec(num_nodes=num_nodes, num_racks=2, seed=seed,
+                                       node=NodeSpec(memory_mb=8192)))
+    rm = rm_cls(sim, cluster, YarnConfig(nm_memory_fraction=1.0, nm_liveness_timeout=5.0))
+    cluster.rejoin_listeners.append(rm.register_node)
+    grants, held = [], []
+
+    def waiter(index, grant):
+        container = yield grant
+        grants.append((index, container.node.node_id, sim.now))
+        held.append(container)
+
+    for index, (wait, op, arg) in enumerate(_operations(seed, num_nodes)):
+        sim.run(until=sim.now + wait)
+        if op == "request":
+            memory_mb, preferred, excluded = arg
+            grant = rm.request_container(memory_mb, preferred_nodes=[cluster.nodes[i] for i in preferred],
+                                         exclude_nodes=[cluster.nodes[i] for i in excluded])
+            sim.process(waiter(index, grant))
+        elif op == "release" and held:
+            rm.release_container(held.pop(int(arg * len(held))))
+        elif op == "crash":
+            cluster.crash_node(cluster.nodes[arg])
+        elif op == "restart":
+            cluster.restart_node(cluster.nodes[arg])
+        elif op == "partition":
+            cluster.stop_network(cluster.nodes[arg])
+        elif op == "heal":
+            cluster.restore_network(cluster.nodes[arg])
+    sim.run(until=sim.now + 10.0)
+    return grants, cluster.rng.bit_generator.state, len(rm._pending)
+
+
+class TestMatching:
+    def test_saturated_cluster_does_not_scan_per_request(self, monkeypatch):
+        """One match over a queue nothing fits costs one scan of the
+        nodes, not one per pending request, and draws no random number."""
+        sim, cluster, rm = make_env(num_nodes=4, memory_mb=4096)
+        for node in cluster.nodes:
+            sim.run(until=rm.request_container(4096, preferred_nodes=[node]))
+        for _ in range(50):
+            rm.request_container(2048)
+        calls = []
+        usable = ResourceManager._usable
+        monkeypatch.setattr(ResourceManager, "_usable",
+                            lambda self, nm, req: calls.append(nm) or usable(self, nm, req))
+        rng_state = cluster.rng.bit_generator.state
+        rm._match()
+        assert len(calls) <= 2 * len(rm.node_managers)
+        assert cluster.rng.bit_generator.state == rng_state
+
+    def test_short_circuit_matches_full_scan(self):
+        """The ``room`` bound changes no grant and no RNG draw under
+        preferences, exclusions, releases, a node crash past liveness
+        expiry with a restart, and a partition that heals."""
+        starved = 0
+        for seed in range(50):
+            grants, rng_state, pending = _replay(ResourceManager, seed)
+            assert (grants, rng_state, pending) == _replay(FullScanRM, seed), f"seed {seed}"
+            starved += pending > 0
+        assert starved > 0  # the stream does saturate the cluster
 
 
 class TestNodeManager:
