@@ -20,7 +20,6 @@ from repro.campaign.plans import (
     aggregate_chaos,
     aggregate_payloads,
     build_plan,
-    resolve_function,
 )
 from repro.campaign.scheduler import CampaignPlan, CampaignScheduler
 from repro.campaign.store import CampaignStore, StoreError, open_store
@@ -34,5 +33,4 @@ __all__ = [
     "aggregate_payloads",
     "build_plan",
     "open_store",
-    "resolve_function",
 ]

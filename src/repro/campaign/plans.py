@@ -12,15 +12,11 @@ Kinds:
 ``verify-matrix``
     the differential scenario × implementation matrix
     (:mod:`repro.verify.differential`): a ``jobs`` list of
-    ``[scenario, kernel, scheduler, mutate]`` rows;
-``function``
-    any module-level ``fn(seed, **kwargs)`` named by dotted path, run
-    over an explicit ``seeds`` list.
+    ``[scenario, kernel, scheduler, mutate]`` rows.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import Any, Callable, Iterable
 
 from repro.campaign.scheduler import CampaignPlan
@@ -30,27 +26,7 @@ __all__ = [
     "aggregate_chaos",
     "aggregate_payloads",
     "build_plan",
-    "resolve_function",
 ]
-
-
-def resolve_function(dotted: str) -> Callable:
-    """Import ``pkg.mod:name`` (or ``pkg.mod.name``) to a callable."""
-    if ":" in dotted:
-        module_name, attr = dotted.split(":", 1)
-    else:
-        module_name, _, attr = dotted.rpartition(".")
-    if not module_name:
-        raise StoreError(f"not a dotted function path: {dotted!r}")
-    try:
-        obj: Any = importlib.import_module(module_name)
-        for part in attr.split("."):
-            obj = getattr(obj, part)
-    except (ImportError, AttributeError) as exc:
-        raise StoreError(f"cannot resolve campaign function {dotted!r}: {exc}") from exc
-    if not callable(obj):
-        raise StoreError(f"campaign function {dotted!r} is not callable")
-    return obj
 
 
 def _chaos_plan(spec: dict[str, Any]) -> CampaignPlan:
@@ -99,20 +75,9 @@ def _matrix_plan(spec: dict[str, Any]) -> CampaignPlan:
     )
 
 
-def _function_plan(spec: dict[str, Any]) -> CampaignPlan:
-    return CampaignPlan(
-        spec=dict(spec, kind="function"),
-        experiment=spec.get("experiment", spec["fn"]),
-        fn=resolve_function(spec["fn"]),
-        kwargs=dict(spec.get("kwargs") or {}),
-        seeds=[int(s) for s in spec["seeds"]],
-    )
-
-
 _KINDS: dict[str, Callable[[dict[str, Any]], CampaignPlan]] = {
     "chaos": _chaos_plan,
     "verify-matrix": _matrix_plan,
-    "function": _function_plan,
 }
 
 

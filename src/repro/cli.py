@@ -59,7 +59,6 @@ import sys
 
 from repro.cluster import ClusterSpec
 from repro.experiments import format_table
-from repro.experiments.common import make_policy
 from repro.faults import (
     AMFault,
     PartitionFault,
@@ -74,6 +73,7 @@ from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import MapReduceRuntime
 from repro.mapreduce.tasks import TaskType
 from repro.metrics import export_result_json, failure_timeline, progress_curve, task_gantt
+from repro.policies import make_policy
 from repro.sim.core import SimulationError
 from repro.workloads import BENCHMARKS
 
@@ -160,6 +160,21 @@ def _parse_policies(text: str) -> tuple[str, ...]:
     return roster
 
 
+def _positive(cast):
+    """argparse ``type`` for trial counts (``int``) and input-size scales
+    (``float``): a finite value above zero."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}") from None
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -187,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
     p_exp.add_argument("name", choices=_EXPERIMENTS)
-    p_exp.add_argument("--scale", type=float, default=0.5,
+    p_exp.add_argument("--scale", type=_positive(float), default=0.5,
                        help="input-size scale vs the paper (default 0.5)")
     p_exp.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="run seeded trials across N worker processes "
@@ -205,8 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos", help="run a seeded chaos campaign with invariant checking")
     p_chaos.add_argument("--seed", type=int, default=7,
                          help="campaign seed: same seed = identical campaign")
-    p_chaos.add_argument("--trials", type=int, default=50)
-    p_chaos.add_argument("--scale", type=float, default=None,
+    p_chaos.add_argument("--trials", type=_positive(int), default=50)
+    p_chaos.add_argument("--scale", type=_positive(float), default=None,
                          help="input-size scale per trial (default 1.0, or "
                               "0.5 under --smoke); part of the campaign id")
     p_chaos.add_argument("--am-faults", action="store_true",
@@ -242,11 +257,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c_submit.add_argument("--store", metavar="FILE", required=True,
                           help="sqlite campaign store (created if missing)")
     c_submit.add_argument("--spec", metavar="FILE", default=None,
-                          help="JSON campaign spec (any kind); without it a "
-                               "chaos campaign is built from the flags below")
+                          help="JSON campaign spec (kind chaos or verify-matrix); "
+                               "without it a chaos campaign is built from the "
+                               "flags below")
     c_submit.add_argument("--seed", type=int, default=7)
-    c_submit.add_argument("--trials", type=int, default=50)
-    c_submit.add_argument("--scale", type=float, default=1.0)
+    c_submit.add_argument("--trials", type=_positive(int), default=50)
+    c_submit.add_argument("--scale", type=_positive(float), default=1.0)
     c_submit.add_argument("--am-faults", action="store_true",
                           help="include AM-crash and lossy-RPC archetypes")
     c_submit.add_argument("--policies", metavar="LIST", default=None,
@@ -444,7 +460,16 @@ def cmd_chaos(args) -> int:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
 
     if args.replay is not None:
-        repro = json.loads(Path(args.replay).read_text())
+        try:
+            repro = json.loads(Path(args.replay).read_text())
+        except (OSError, ValueError) as exc:
+            print(f"repro chaos: error: cannot read reproducer {args.replay}: {exc}",
+                  file=sys.stderr)
+            return 2
+        if not isinstance(repro, dict):
+            print(f"repro chaos: error: {args.replay} is not a reproducer "
+                  "(expected a JSON object)", file=sys.stderr)
+            return 2
         if "relation" in repro:
             # verify writes these into the same default --out directory,
             # but their spec is a scenario spec and replaying one could
@@ -496,13 +521,29 @@ def _print_chaos_summary(summary) -> None:
 
 
 def cmd_campaign(args) -> int:
-    import json
     import os
 
-    from repro.campaign import CampaignStore
+    from repro.campaign import StoreError
 
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
+    # Only submit may create a store: pointing the other commands at a
+    # missing file would otherwise leave an empty sqlite file behind.
+    if args.campaign_cmd != "submit" and not os.path.isfile(args.store):
+        message = f"no campaign store at {args.store}"
+    else:
+        try:
+            return _campaign_command(args)
+        except StoreError as exc:  # unknown --id prefix, unknown spec kind, ...
+            message = str(exc)
+    print(f"repro campaign {args.campaign_cmd}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _campaign_command(args) -> int:
+    import json
+
+    from repro.campaign import CampaignStore
 
     if args.campaign_cmd == "submit":
         if args.spec is not None:
@@ -531,9 +572,7 @@ def cmd_campaign(args) -> int:
 def _planned_trials(spec) -> int:
     if spec["kind"] == "chaos":
         return int(spec["trials"])
-    if spec["kind"] == "verify-matrix":
-        return len(spec["jobs"])
-    return len(spec.get("seeds", ()))
+    return len(spec.get("jobs", ()))
 
 
 def _campaign_run_spec(spec, args) -> int:

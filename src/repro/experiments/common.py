@@ -6,12 +6,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.alm import ALGConfig, ALMConfig, ALMPolicy
 from repro.cluster import ClusterSpec
-from repro.hdfs.hdfs import HdfsConfig, ReplicationLevel
+from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import JobResult, MapReduceRuntime
-from repro.mapreduce.recovery import YarnRecoveryPolicy
+from repro.policies import make_policy
 from repro.runner import TrialRunner, trace_digest
 from repro.workloads import Workload
 from repro.yarn.rm import YarnConfig
@@ -21,7 +20,6 @@ __all__ = [
     "averaged_job_time",
     "format_table",
     "invariants_from_env",
-    "make_policy",
     "run_benchmark_job",
     "run_benchmark_trial",
     "scale_from_env",
@@ -63,22 +61,6 @@ class ExperimentConfig:
             cluster=replace(self.cluster, seed=seed),
             yarn=self.yarn, hdfs=self.hdfs, job=self.job, seed=seed,
         )
-
-
-def make_policy(system: str, alg_frequency: float = 10.0,
-                alg_level: ReplicationLevel = ReplicationLevel.RACK,
-                fcm_cap: int = 10):
-    """Build the recovery policy for a named system under test.
-
-    Thin wrapper over the policy registry (:mod:`repro.policies`) kept
-    for its historical signature: the experiment drivers pass one
-    kwargs namespace and each registered factory receives only the
-    knobs it declares.
-    """
-    from repro.policies import make_policy as registry_make_policy
-
-    return registry_make_policy(system, alg_frequency=alg_frequency,
-                                alg_level=alg_level, fcm_cap=fcm_cap)
 
 
 def run_benchmark_job(

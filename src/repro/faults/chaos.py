@@ -345,8 +345,8 @@ def split_rpc_faults(spec: dict[str, Any]) -> tuple[dict[str, Any], list[dict[st
 
 def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
     """Run one fully-specified trial; returns outcome + violations."""
-    from repro.experiments.common import make_policy
     from repro.invariants import check_invariants, state_probe
+    from repro.policies import make_policy
     from repro.runner import trace_digest
 
     wl = BENCHMARKS[spec["workload"]](spec["input_gb"],

@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "INVARIANTS",
     "InvariantViolation",
-    "assert_invariants",
     "check_invariants",
     "settle",
     "state_probe",
@@ -276,14 +275,6 @@ def check_invariants(
             raise SimulationError(f"unknown invariant: {name!r}") from None
         violations.extend(checker(rt, result))
     return violations
-
-
-def assert_invariants(rt: "MapReduceRuntime", result: "JobResult",
-                      names: list[str] | None = None) -> None:
-    """Raise :class:`InvariantViolation` if any checker fails."""
-    violations = check_invariants(rt, result, names)
-    if violations:
-        raise InvariantViolation(violations)
 
 
 def state_probe(rt: "MapReduceRuntime") -> dict:

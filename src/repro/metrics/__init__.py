@@ -3,20 +3,17 @@ text reports."""
 
 from repro.metrics.export import (
     export_result_json,
-    export_series_csv,
     result_summary,
     trace_records,
 )
 from repro.metrics.report import failure_timeline, progress_curve, task_gantt
-from repro.metrics.trace import ProgressSampler, Trace, TraceEvent, phase_durations
+from repro.metrics.trace import ProgressSampler, Trace, TraceEvent
 
 __all__ = [
     "ProgressSampler",
     "Trace",
     "TraceEvent",
-    "phase_durations",
     "export_result_json",
-    "export_series_csv",
     "failure_timeline",
     "progress_curve",
     "result_summary",

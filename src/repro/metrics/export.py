@@ -1,8 +1,7 @@
-"""Export job traces and results to JSON/CSV for external analysis."""
+"""Export job traces and results to JSON for external analysis."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -12,7 +11,7 @@ from repro.metrics.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapreduce.job import JobResult
 
-__all__ = ["export_result_json", "export_series_csv", "result_summary", "trace_records"]
+__all__ = ["export_result_json", "result_summary", "trace_records"]
 
 
 def trace_records(trace: Trace) -> list[dict[str, Any]]:
@@ -51,16 +50,3 @@ def export_result_json(result: "JobResult", path: str | Path,
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2, default=str))
     return path
-
-
-def export_series_csv(trace: Trace, name: str, path: str | Path) -> Path:
-    """Write one sampled series (e.g. ``reduce_progress``) as CSV."""
-    points = trace.series_values(name)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", name])
-        writer.writerows(points)
-    return path
-
-

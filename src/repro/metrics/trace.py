@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from typing import Any, Iterable
 
 from repro.sim.core import Simulator
 
-__all__ = ["ProgressSampler", "Trace", "TraceEvent",
-           "first_divergence", "phase_durations"]
+__all__ = ["ProgressSampler", "Trace", "TraceEvent", "first_divergence"]
 
 
 class TraceEvent:
@@ -318,40 +316,3 @@ def first_divergence(a: Iterable[Any], b: Iterable[Any]) -> int | None:
     if n == 0:
         return None if len(a) == len(b) else 0
     return lo
-
-
-def phase_durations(
-    events: Iterable[TraceEvent],
-    start_kind: str,
-    end_kind: str,
-    key: str | None = None,
-    strict: bool = False,
-) -> list[float]:
-    """Pair start/end events and return durations, in end order.
-
-    With ``key`` (e.g. ``"task"``), a start only pairs with an end that
-    carries the same ``data[key]`` — interleaved phases from different
-    tasks no longer misalign every subsequent pair. Within one key,
-    pairing is FIFO (earliest open start first). Ends with no open start
-    are ignored; unmatched starts are dropped, or raise ``ValueError``
-    when ``strict`` is set.
-    """
-    open_starts: dict[Any, deque[float]] = {}
-    durations: list[float] = []
-    for e in events:
-        if e.kind not in (start_kind, end_kind):
-            continue
-        k = e.data.get(key) if key is not None else None
-        if e.kind == start_kind:
-            open_starts.setdefault(k, deque()).append(e.time)
-        else:
-            queue = open_starts.get(k)
-            if queue:
-                durations.append(e.time - queue.popleft())
-    if strict:
-        unmatched = sum(len(q) for q in open_starts.values())
-        if unmatched:
-            raise ValueError(
-                f"{unmatched} unmatched {start_kind!r} event(s) with no {end_kind!r}"
-            )
-    return durations

@@ -25,14 +25,11 @@ subclass plus one :func:`register_policy` call at module import time:
 
     register_policy("mine", MyPolicy, "one-line description")
 
-Drop the module into ``src/repro/policies/`` (discovered via
-``pkgutil``) or expose it through a ``repro.policies`` entry point
-(discovered via ``importlib.metadata``) — either way the registry
-imports it on first use. Factories may declare optional keyword
-tuning knobs; :func:`make_policy` passes through only the kwargs a
-factory declares, so callers can offer one kwargs namespace across
-the whole zoo (the historical ``experiments.common.make_policy``
-contract).
+Drop the module into ``src/repro/policies/``: the registry discovers
+it via ``pkgutil`` and imports it on first use. Factories may declare
+optional keyword tuning knobs; :func:`make_policy` passes through only
+the kwargs a factory declares, so callers can offer one kwargs
+namespace across the whole zoo.
 
 Determinism rules: a policy must not consume wall-clock time or
 unseeded randomness, and everything it does must flow through the
@@ -100,7 +97,7 @@ def register_policy(name: str, factory: Callable[..., Any], description: str,
 def _discover() -> None:
     """Import every policy module exactly once, deterministically:
     ``seeds`` first (pins the historical name order), then the sibling
-    modules alphabetically, then any third-party entry points."""
+    modules alphabetically."""
     global _discovered
     if _discovered:
         return
@@ -109,13 +106,6 @@ def _discover() -> None:
     for info in sorted(pkgutil.iter_modules(__path__), key=lambda m: m.name):
         if info.name != "seeds":
             importlib.import_module(f"repro.policies.{info.name}")
-    try:  # pragma: no cover - no third-party policies in this repo
-        from importlib.metadata import entry_points
-
-        for ep in entry_points(group="repro.policies"):
-            importlib.import_module(ep.value.partition(":")[0])
-    except Exception:
-        pass
     # A policy module imported directly before discovery registered
     # ahead of the seeds; put the seeds back in front.
     specs = sorted(_REGISTRY.values(), key=lambda spec: not spec.seed)
@@ -145,8 +135,7 @@ def make_policy(name: str, **kwargs: Any):
 
     ``kwargs`` is a shared tuning namespace: each factory receives only
     the keywords it declares (so ``make_policy("yarn", fcm_cap=3)`` is
-    legal and ignores the knob, exactly as the pre-registry
-    ``experiments.common.make_policy`` behaved).
+    legal and ignores the knob).
     """
     _discover()
     spec = _REGISTRY.get(name)

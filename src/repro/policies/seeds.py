@@ -1,8 +1,7 @@
 """The five seed systems, migrated onto the registry byte-for-byte.
 
-Each factory builds exactly the object the pre-registry
-``experiments.common.make_policy`` built — same classes, same config
-values — so every pinned golden digest is unchanged by the migration
+Each factory builds exactly the object the pre-registry hand-wired
+construction built — same classes, same config values — so every pinned golden digest is unchanged by the migration
 (asserted by the parity tests in ``tests/test_policies_zoo.py`` and by
 the golden corpus itself).
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.sim.core import SimulationError
 
-__all__ = ["BackoffPolicy", "retry_intervals"]
+__all__ = ["BackoffPolicy"]
 
 
 def _hashed_unit(key: str, attempt: int) -> float:
@@ -69,17 +69,3 @@ class BackoffPolicy:
     def schedule(self, key: str = "") -> list[float]:
         """The full retry schedule: one interval per allowed retry."""
         return [self.interval(i, key) for i in range(self.max_retries)]
-
-
-def retry_intervals(policy: BackoffPolicy, key: str, cancel=None):
-    """Generator of retry intervals honoring a cancel event.
-
-    Yields the delay to sleep before each retry; stops after
-    ``policy.max_retries`` intervals or as soon as ``cancel`` (an
-    :class:`~repro.sim.core.Event` or anything with ``triggered``) has
-    fired — a cancelled client never sees another interval.
-    """
-    for attempt in range(policy.max_retries):
-        if cancel is not None and getattr(cancel, "triggered", False):
-            return
-        yield policy.interval(attempt, key)

@@ -21,7 +21,7 @@ generator, so generator drift is itself a digest change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster import ClusterSpec
@@ -161,8 +161,8 @@ def run_verify_spec(spec: dict[str, Any],
     records (``trace_records``) for first-divergence location; such
     payloads are for in-process use (they are large and not cached).
     """
-    from repro.experiments.common import make_policy
     from repro.invariants import check_invariants
+    from repro.policies import make_policy
 
     wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
                                       num_reducers=spec["reducers"])

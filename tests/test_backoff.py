@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.backoff import BackoffPolicy, retry_intervals
-from repro.sim.core import SimulationError, Simulator
+from repro.sim.backoff import BackoffPolicy
+from repro.sim.core import SimulationError
 
 
 class TestBackoffPolicy:
@@ -65,27 +65,3 @@ class TestBackoffPolicy:
         got = policy.interval(attempt, key)
         assert 0.0 < got <= max_interval
 
-
-class TestRetryIntervals:
-    def test_stops_after_max_retries(self):
-        policy = BackoffPolicy(max_retries=3, jitter=0.0)
-        assert len(list(retry_intervals(policy, "k"))) == 3
-
-    def test_never_yields_after_cancel(self):
-        """Once the cancel event fires, the generator yields nothing
-        more — a cancelled client never sleeps another interval."""
-        sim = Simulator()
-        cancel = sim.event()
-        policy = BackoffPolicy(max_retries=10, jitter=0.0)
-        gen = retry_intervals(policy, "k", cancel=cancel)
-        seen = [next(gen), next(gen)]
-        cancel.succeed(None)
-        assert list(gen) == []
-        assert seen == [1.0, 2.0]
-
-    def test_cancelled_before_start_yields_nothing(self):
-        sim = Simulator()
-        cancel = sim.event()
-        cancel.succeed(None)
-        policy = BackoffPolicy(max_retries=5)
-        assert list(retry_intervals(policy, "k", cancel=cancel)) == []

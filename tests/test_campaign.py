@@ -14,7 +14,6 @@ from repro.campaign import (
     aggregate_chaos,
     build_plan,
     open_store,
-    resolve_function,
 )
 from repro.faults.chaos import reproducer_path, run_campaign
 from repro.runner import TrialRunner, atomic_write_text
@@ -26,8 +25,7 @@ def _toy_trial(seed, offset=0):
 
 def _toy_plan(seeds, experiment="toy"):
     return CampaignPlan(
-        spec={"kind": "function", "fn": "tests.test_campaign:_toy_trial",
-              "experiment": experiment, "seeds": list(seeds)},
+        spec={"kind": "toy", "experiment": experiment, "seeds": list(seeds)},
         experiment=experiment,
         fn=_toy_trial,
         kwargs={},
@@ -46,7 +44,7 @@ def _completion_order(store, campaign_id):
 class TestStore:
     def test_register_and_lookup_by_prefix(self, tmp_path):
         with CampaignStore(tmp_path / "c.db") as store:
-            store.register("a" * 64, {"kind": "function", "seeds": [1]})
+            store.register("a" * 64, {"kind": "toy", "seeds": [1]})
             row = store.campaign("aaaa")
             assert row["campaign_id"] == "a" * 64
             assert row["status"] == "running"
@@ -55,8 +53,8 @@ class TestStore:
 
     def test_ambiguous_prefix_rejected(self, tmp_path):
         with CampaignStore(tmp_path / "c.db") as store:
-            store.register("ab" + "0" * 62, {"kind": "function"})
-            store.register("ab" + "1" * 62, {"kind": "function"})
+            store.register("ab" + "0" * 62, {"kind": "toy"})
+            store.register("ab" + "1" * 62, {"kind": "toy"})
             with pytest.raises(StoreError, match="ambiguous"):
                 store.campaign("ab")
 
@@ -80,8 +78,8 @@ class TestStore:
 
     def test_latest_incomplete_and_status(self):
         with CampaignStore() as store:
-            store.register("c1", {"kind": "function"})
-            store.register("c2", {"kind": "function"})
+            store.register("c1", {"kind": "toy"})
+            store.register("c2", {"kind": "toy"})
             store.mark_status("c2", "complete")
             assert store.latest_incomplete()["campaign_id"] == "c1"
             store.mark_status("c1", "complete")
@@ -188,7 +186,7 @@ class TestScheduler:
         _boom.__module__ = _toy_trial.__module__
         _boom.__qualname__ = "unique_boom_fn"
         with CampaignStore() as store:
-            plan = CampaignPlan(spec={"kind": "function"}, experiment="boom",
+            plan = CampaignPlan(spec={"kind": "toy"}, experiment="boom",
                                 fn=_boom, seeds=[1, 2, 3])
             with pytest.raises(Exception, match="boom"):
                 CampaignScheduler(store).run(plan)
@@ -203,13 +201,6 @@ class TestPlans:
     def test_unknown_kind_rejected(self):
         with pytest.raises(StoreError, match="kind"):
             build_plan({"kind": "nope"})
-
-    def test_resolve_function_both_syntaxes(self):
-        assert resolve_function("tests.test_campaign:_toy_trial") is _toy_trial
-        assert resolve_function("tests.test_campaign._toy_trial") is _toy_trial
-        for bad in ("nosuchmodule.zz:fn", "tests.test_campaign:nope", "bare"):
-            with pytest.raises(StoreError):
-                resolve_function(bad)
 
     def test_chaos_plan_rebuilds_from_stored_spec(self):
         plan = build_plan({"kind": "chaos", "seed": 3, "trials": 5, "scale": 0.5})

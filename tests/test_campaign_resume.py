@@ -4,7 +4,6 @@ run with zero re-executed trials — the harness-level version of the
 paper's no-restart-from-scratch recovery contract."""
 
 import os
-import signal
 import sqlite3
 import subprocess
 import sys
@@ -190,3 +189,32 @@ class TestCampaignCLI:
             [row] = store.campaigns()
         assert "hard_timeout" not in row["spec"]
         assert "stall_timeout" not in row["spec"]
+
+    @pytest.mark.parametrize("command", ["status", "resume", "export"])
+    def test_missing_store_is_a_usage_error(self, command, tmp_path, capsys):
+        """Only ``submit`` creates a store; the readers do not leave an
+        empty sqlite file at a mistyped path."""
+        from repro.cli import main
+
+        db = tmp_path / "missing.db"
+        extra = ["--out", str(tmp_path / "export.json")] if command == "export" else []
+        assert main(["campaign", command, "--store", str(db), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro campaign {command}: error: no campaign store at {db}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["status", "resume", "export"])
+    def test_unknown_id_prefix_is_a_usage_error(self, command, tmp_path, capsys):
+        from repro.cli import main
+
+        db = tmp_path / "c.db"
+        with CampaignStore(db) as store:
+            store.register("ab" * 32, {"kind": "chaos", "seed": 1, "trials": 1,
+                                       "scale": 0.25})
+        extra = ["--out", str(tmp_path / "export.json")] if command == "export" else []
+        assert main(["campaign", command, "--store", str(db), "--id", "ff", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"repro campaign {command}: error: "
+                                f"no campaign matching 'ff' in {db}\n")
+        assert captured.out == ""

@@ -5,7 +5,6 @@ those schedules safe to express (skip events, double-install rejection)."""
 import pytest
 
 from repro.alm.sfm import ALMPolicy
-from repro.experiments.common import make_policy
 from repro.faults import (
     EventTrigger,
     FaultInjector,
@@ -15,6 +14,7 @@ from repro.faults import (
 )
 from repro.invariants import check_invariants
 from repro.mapreduce.tasks import TaskType
+from repro.policies import make_policy
 from repro.sim.core import SimulationError
 
 from tests.conftest import make_runtime, tiny_workload

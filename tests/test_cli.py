@@ -138,6 +138,49 @@ class TestOtherCommands:
         assert "unknown policy 'nosuch'" in err
         assert "registered: yarn, " in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["chaos", "--trials", "-3"],
+         "repro chaos: error: argument --trials: must be positive, got -3"),
+        (["chaos", "--trials", "0"],
+         "repro chaos: error: argument --trials: must be positive, got 0"),
+        (["chaos", "--scale", "0"],
+         "repro chaos: error: argument --scale: must be positive, got 0"),
+        (["campaign", "submit", "--store", "campaign.db", "--trials", "-2"],
+         "repro campaign submit: error: argument --trials: must be positive, got -2"),
+        (["campaign", "submit", "--store", "campaign.db", "--scale", "-1"],
+         "repro campaign submit: error: argument --scale: must be positive, got -1"),
+        (["experiment", "fig02", "--scale", "-1"],
+         "repro experiment: error: argument --scale: must be positive, got -1"),
+    ], ids=["chaos-trials-neg", "chaos-trials-zero", "chaos-scale-zero",
+            "submit-trials-neg", "submit-scale-neg", "experiment-scale-neg"])
+    def test_non_positive_count_or_scale_is_a_usage_error(self, argv, message, tmp_path,
+                                                          monkeypatch, capsys):
+        """Caught by argparse: nothing runs, no store is created, and the
+        usage block ends in one error line."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == message
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read reproducer {path}: [Errno 2] No such file or directory"),
+        ("not json", "cannot read reproducer {path}: Expecting value"),
+        ("[1, 2]", "{path} is not a reproducer (expected a JSON object)"),
+    ], ids=["missing", "not-json", "not-object"])
+    def test_unreadable_replay_file_is_a_usage_error(self, content, message, tmp_path, capsys):
+        path = tmp_path / "chaos-repro.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["chaos", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro chaos: error: " + message.format(path=path))
+        assert captured.out == ""
+
     def test_chaos_replay_rejects_metamorphic_reproducer(self, tmp_path, capsys):
         """``repro verify`` writes ``metamorphic-<relation>.json`` into the
         same default ``--out`` directory as chaos reproducers; replaying

@@ -21,7 +21,8 @@ from repro.experiments import (
     format_table,
     table2_spatial_recovery,
 )
-from repro.experiments.common import make_policy, run_benchmark_job
+from repro.experiments.common import run_benchmark_job
+from repro.policies import make_policy
 from repro.sim.core import SimulationError
 from repro.workloads import terasort
 

@@ -7,7 +7,6 @@ from repro.faults import NodeFault, PartitionFault
 from repro.invariants import (
     INVARIANTS,
     InvariantViolation,
-    assert_invariants,
     check_invariants,
 )
 from repro.campaign import CampaignStore
@@ -112,13 +111,6 @@ class TestViolationDetection:
         res.counters["stall_reason"] = "synthetic"
         violations = check_invariants(rt, res, names=["termination"])
         assert violations and "stalled" in violations[0]
-
-    def test_assert_invariants_raises(self):
-        rt = make_runtime()
-        res = rt.run()
-        res.counters["stalled"] = True
-        with pytest.raises(InvariantViolation):
-            assert_invariants(rt, res, names=["termination"])
 
 
 class TestStallWatchdog:

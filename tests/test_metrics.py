@@ -9,15 +9,12 @@ from repro.metrics import (
     ProgressSampler,
     Trace,
     export_result_json,
-    export_series_csv,
     failure_timeline,
     progress_curve,
-    phase_durations,
     result_summary,
     task_gantt,
     trace_records,
 )
-from repro.metrics.trace import TraceEvent
 from repro.sim import Simulator
 
 from tests.conftest import make_runtime, tiny_workload
@@ -181,51 +178,6 @@ class TestProgressSampler:
         assert times == [0.0, 1.0, 2.0]
 
 
-class TestPhaseDurations:
-    @staticmethod
-    def _ev(time, kind, **data):
-        return TraceEvent(time, kind, data)
-
-    def test_sequential_pairs(self):
-        events = [self._ev(1.0, "s"), self._ev(3.0, "e"),
-                  self._ev(5.0, "s"), self._ev(9.0, "e")]
-        assert phase_durations(events, "s", "e") == [2.0, 4.0]
-
-    def test_interleaved_tasks_pair_by_key(self):
-        """Regression: bare zip pairing shifted every duration once two
-        tasks interleaved. Keyed pairing keeps each task's span."""
-        events = [
-            self._ev(0.0, "s", task="a"),
-            self._ev(1.0, "s", task="b"),
-            self._ev(2.0, "e", task="b"),   # b: 1.0
-            self._ev(10.0, "e", task="a"),  # a: 10.0
-        ]
-        assert phase_durations(events, "s", "e", key="task") == [1.0, 10.0]
-        # The old zip behaviour would have reported [2.0, 9.0].
-
-    def test_missing_end_drops_only_that_start(self):
-        events = [
-            self._ev(0.0, "s", task="a"),   # never ends (task died)
-            self._ev(1.0, "s", task="b"),
-            self._ev(4.0, "e", task="b"),
-        ]
-        assert phase_durations(events, "s", "e", key="task") == [3.0]
-
-    def test_strict_raises_on_unmatched_start(self):
-        events = [self._ev(0.0, "s", task="a")]
-        with pytest.raises(ValueError, match="unmatched"):
-            phase_durations(events, "s", "e", key="task", strict=True)
-
-    def test_end_without_start_is_ignored(self):
-        events = [self._ev(2.0, "e", task="a"),
-                  self._ev(3.0, "s", task="a"), self._ev(7.0, "e", task="a")]
-        assert phase_durations(events, "s", "e", key="task") == [4.0]
-
-    def test_unrelated_kinds_are_skipped(self):
-        events = [self._ev(0.0, "s"), self._ev(1.0, "noise"), self._ev(2.0, "e")]
-        assert phase_durations(events, "s", "e") == [2.0]
-
-
 class TestExports:
     def test_result_summary(self, result):
         s = result_summary(result)
@@ -244,12 +196,6 @@ class TestExports:
         assert payload["summary"]["workload"] == "tiny"
         assert payload["events"]
         assert "reduce_progress" in payload["series"]
-
-    def test_export_series_csv(self, result, tmp_path):
-        path = export_series_csv(result.trace, "reduce_progress", tmp_path / "p.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,reduce_progress"
-        assert len(lines) > 5
 
 
 class TestReports:

@@ -2,14 +2,13 @@
 property every registered policy must satisfy.
 
 Tier-1 covers the registry mechanics (discovery is complete, the seed
-roster is pinned, kwarg filtering matches the historical
-``experiments.common.make_policy`` contract). The tier-2 conformance
-suite is the registry's real teeth: *every* registered policy — seed or
-zoo, present or future — runs a seeded smoke workload under each fault
-kind and must pass all invariants, terminate, and produce byte-identical
-trace digests on rerun and across the ``REPRO_SCHEDULER``
-implementation modes. A new policy module gets this
-safety net just by registering.
+roster is pinned, each factory receives only the kwargs it declares).
+The tier-2 conformance suite is the registry's real teeth: *every*
+registered policy — seed or zoo, present or future — runs a seeded
+smoke workload under each fault kind and must pass all invariants,
+terminate, and produce byte-identical trace digests on rerun and across
+the ``REPRO_SCHEDULER`` implementation modes. A new policy module gets
+this safety net just by registering.
 """
 
 import os
@@ -19,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.alm import ALMPolicy
-from repro.baselines.iss import ISSPolicy
 from repro.faults.chaos import CHAOS_POLICIES
 from repro.mapreduce.recovery import RecoveryPolicy, YarnRecoveryPolicy
 from repro.policies import (
@@ -75,20 +73,12 @@ class TestConstruction:
 
     def test_kwargs_filtered_per_factory(self):
         """One shared kwargs namespace: each factory takes only the
-        knobs it declares (the historical make_policy contract)."""
+        knobs it declares."""
         yarn = make_policy("yarn", fcm_cap=3, alg_frequency=5.0)
         assert isinstance(yarn, YarnRecoveryPolicy)
         sfm = make_policy("sfm", fcm_cap=3, alg_frequency=5.0)
         assert isinstance(sfm, ALMPolicy)
         assert sfm.config.fcm_cap == 3
-
-    def test_experiments_make_policy_delegates(self):
-        from repro.experiments.common import make_policy as exp_make_policy
-
-        assert isinstance(exp_make_policy("iss"), ISSPolicy)
-        alm = exp_make_policy("alm", fcm_cap=4)
-        assert isinstance(alm, ALMPolicy)
-        assert alm.config.fcm_cap == 4
 
 
 # -- conformance -------------------------------------------------------------
