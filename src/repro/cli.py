@@ -49,31 +49,19 @@ index), ``nodetime@T:TARGET``, ``maps@T:N`` (kill N maps at time T),
 heals after DUR seconds), ``rack@T:IDX[:crash|network]`` (rack-wide
 failure), ``am@P[:REPEAT]`` (crash the AppMaster at reduce progress P,
 REPEAT incarnations in a row), ``amtime@T`` (crash the AppMaster at
-time T).
+time T). Each shorthand parses into the JSON fault spec that chaos
+trials and verify scenarios carry.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
-from repro.cluster import ClusterSpec
 from repro.experiments import format_table
-from repro.faults import (
-    AMFault,
-    PartitionFault,
-    RackFault,
-    SlowNodeFault,
-    TaskFault,
-    kill_maps_at_time,
-    kill_node_at_progress,
-    kill_node_at_time,
-)
-from repro.mapreduce.config import JobConf
-from repro.mapreduce.job import MapReduceRuntime
-from repro.mapreduce.tasks import TaskType
+from repro.faults.chaos import build_runtime
 from repro.metrics import export_result_json, failure_timeline, progress_curve, task_gantt
-from repro.policies import make_policy
 from repro.sim.core import SimulationError
 from repro.workloads import BENCHMARKS
 
@@ -93,43 +81,39 @@ _EXPERIMENTS = (
 )
 
 
-def parse_fault(spec: str):
-    """Parse one ``--fault`` spec string into an injector."""
+def parse_fault(spec: str) -> dict:
+    """Parse one ``--fault`` shorthand into its JSON fault spec (the form
+    :func:`repro.faults.chaos.build_fault` materialises)."""
     try:
         kind, rest = spec.split("@", 1)
         parts = rest.split(":")
-        if kind == "reduce":
-            return TaskFault(TaskType.REDUCE, int(parts[1]) if len(parts) > 1 else 0,
-                             float(parts[0]))
-        if kind == "map":
-            return TaskFault(TaskType.MAP, int(parts[1]) if len(parts) > 1 else 0,
-                             float(parts[0]))
-        if kind == "node":
-            target = _node_target(parts[1] if len(parts) > 1 else "reducer")
-            return kill_node_at_progress(float(parts[0]), target=target)
-        if kind == "nodetime":
-            target = _node_target(parts[1] if len(parts) > 1 else "reducer")
-            return kill_node_at_time(float(parts[0]), target=target)
+        if kind in ("reduce", "map"):
+            return {"kind": "task-oom", "task_type": kind,
+                    "task_index": int(parts[1]) if len(parts) > 1 else 0,
+                    "at_progress": float(parts[0])}
+        if kind in ("node", "nodetime"):
+            when = "at_progress" if kind == "node" else "at_time"
+            return {"kind": "node-network", when: float(parts[0]),
+                    "target": _node_target(parts[1] if len(parts) > 1 else "reducer")}
         if kind == "maps":
-            return kill_maps_at_time(int(parts[1]), at_time=float(parts[0]))
+            return {"kind": "map-wave", "count": int(parts[1]), "at_time": float(parts[0])}
         if kind == "slow":
-            factor = float(parts[2]) if len(parts) > 2 else 0.1
-            return SlowNodeFault(node_index=int(parts[1]) if len(parts) > 1 else 0,
-                                 at_time=float(parts[0]), disk_factor=factor)
+            return {"kind": "degraded", "at_time": float(parts[0]),
+                    "node_index": int(parts[1]) if len(parts) > 1 else 0,
+                    "disk_factor": float(parts[2]) if len(parts) > 2 else 0.1}
         if kind == "partition":
-            indices = tuple(int(i) for i in parts[1].split(","))
-            duration = float(parts[2]) if len(parts) > 2 else 30.0
-            return PartitionFault(node_indices=indices, at_time=float(parts[0]),
-                                  duration=duration)
+            return {"kind": "partition", "at_time": float(parts[0]),
+                    "node_indices": [int(i) for i in parts[1].split(",")],
+                    "duration": float(parts[2]) if len(parts) > 2 else 30.0}
         if kind == "am":
-            repeat = int(parts[1]) if len(parts) > 1 else 1
-            return AMFault(at_progress=float(parts[0]), repeat=repeat)
+            return {"kind": "am-crash", "at_progress": float(parts[0]),
+                    "repeat": int(parts[1]) if len(parts) > 1 else 1}
         if kind == "amtime":
-            return AMFault(at_time=float(parts[0]))
+            return {"kind": "am-crash", "at_time": float(parts[0])}
         if kind == "rack":
-            mode = parts[2] if len(parts) > 2 else "crash"
-            return RackFault(rack_index=int(parts[1]) if len(parts) > 1 else 0,
-                             at_time=float(parts[0]), mode=mode)
+            return {"kind": "rack", "at_time": float(parts[0]),
+                    "rack_index": int(parts[1]) if len(parts) > 1 else 0,
+                    "mode": parts[2] if len(parts) > 2 else "crash"}
     except (ValueError, IndexError) as exc:
         raise argparse.ArgumentTypeError(f"bad fault spec {spec!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(f"unknown fault kind in {spec!r}")
@@ -328,25 +312,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    # Omitted sizes fall back to the workload's own (the paper's) defaults.
+    defaults = inspect.signature(BENCHMARKS[args.workload]).parameters
+    spec = {
+        "workload": args.workload,
+        "input_gb": args.size_gb if args.size_gb is not None
+        else defaults["input_gb"].default,
+        "reducers": args.reducers if args.reducers is not None
+        else defaults["num_reducers"].default,
+        "nodes": args.nodes,
+        "racks": args.racks,
+        "runtime_seed": args.seed,
+        "policy": args.policy,
+        "faults": args.fault,
+        "speculation": args.speculation,
+    }
     # An impossible job (too few nodes, no reducers, empty input, ...)
     # is a usage error (exit 2), not a FAILED job (exit 1) or a traceback.
     try:
-        factory = BENCHMARKS[args.workload]
-        wl = factory() if args.size_gb is None else factory(args.size_gb)
-        if args.reducers is not None:
-            wl = wl.with_reducers(args.reducers)
-        policy = make_policy(args.policy)
-        rt = MapReduceRuntime(
-            wl,
-            conf=JobConf(),
-            cluster_spec=ClusterSpec(num_nodes=args.nodes, num_racks=args.racks,
-                                     seed=args.seed),
-            policy=policy,
-            job_name=f"{wl.name}-{args.policy}",
-            speculation=args.speculation,
-        )
-        for fault in args.fault:
-            fault.install(rt)
+        rt = build_runtime(spec, f"{args.workload}-{args.policy}")
     except SimulationError as exc:
         print(f"repro run: error: {exc}", file=sys.stderr)
         return 2
@@ -481,7 +465,14 @@ def cmd_chaos(args) -> int:
         spec = repro.get("spec", repro)  # accept a bare spec too
         if repro.get("minimized_faults"):
             spec = dict(spec, faults=repro["minimized_faults"])
-        payload = run_trial_spec(spec)
+        try:
+            payload = run_trial_spec(spec)
+        except SimulationError as exc:
+            # Exit 1 means "violation reproduced": a reproducer that
+            # cannot even be built is a usage error instead.
+            print(f"repro chaos: error: cannot replay {args.replay}: {exc}",
+                  file=sys.stderr)
+            return 2
         status = "ok" if not payload["violations"] else "VIOLATION"
         print(f"replay of trial {spec['index']} "
               f"({spec['policy']}/{spec['workload']}): {status}")

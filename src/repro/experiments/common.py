@@ -11,7 +11,7 @@ from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import JobResult, MapReduceRuntime
 from repro.policies import make_policy
-from repro.runner import TrialRunner, trace_digest
+from repro.runner import TrialRunner
 from repro.workloads import Workload
 from repro.yarn.rm import YarnConfig
 
@@ -113,7 +113,7 @@ def run_benchmark_trial(
         "elapsed": res.elapsed,
         "success": res.success,
         "counters": dict(res.counters),
-        "digest": trace_digest(res.trace),
+        "digest": res.trace.digest(),
     }
     if invariants_from_env():
         from repro.invariants import check_invariants

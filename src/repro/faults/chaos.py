@@ -37,6 +37,7 @@ from repro.faults.inject import (
     TaskFault,
 )
 from repro.faults.stragglers import SlowNodeFault
+from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import MapReduceRuntime
 from repro.mapreduce.tasks import TaskType
@@ -49,13 +50,13 @@ __all__ = [
     "CHAOS_POLICIES",
     "FAULT_KINDS",
     "build_fault",
+    "build_runtime",
     "generate_trial",
     "minimize_spec",
     "reproducer_path",
     "run_campaign",
     "run_chaos_trial",
     "run_trial_spec",
-    "split_rpc_faults",
 ]
 
 #: Every recovery policy under test, rotated across trial indices.
@@ -246,7 +247,7 @@ def _sample_faults(kind: str, rng: np.random.Generator,
 
 def _sample_rpc_loss(rng: np.random.Generator) -> dict[str, Any]:
     """A lossy-RPC 'fault': not an injector but a YarnConfig overlay —
-    :func:`run_trial_spec` translates it into channel knobs. Keeping it
+    :func:`build_runtime` translates it into channel knobs. Keeping it
     in the fault list makes reproducers self-contained and lets
     minimization drop it like any other fault."""
     return {
@@ -258,7 +259,7 @@ def _sample_rpc_loss(rng: np.random.Generator) -> dict[str, Any]:
     }
 
 
-# -- spec -> injector --------------------------------------------------------
+# -- spec -> injector, runtime -----------------------------------------------
 
 def build_fault(d: dict[str, Any]):
     """Materialise one JSON fault spec as an injector object."""
@@ -318,27 +319,70 @@ def build_fault(d: dict[str, Any]):
     raise SimulationError(f"unknown fault spec kind {kind!r}")
 
 
-def split_rpc_faults(spec: dict[str, Any]) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Split a trial spec's faults into ``YarnConfig`` RPC-channel
-    kwargs and the fault dicts for the injector.
+#: Keys every trial spec carries; :func:`build_runtime` names any that
+#: is missing.
+REQUIRED_KEYS = ("workload", "input_gb", "reducers", "nodes", "racks",
+                 "runtime_seed", "policy", "faults")
 
-    ``rpc-loss`` "faults" are channel overlays, not injectors; an
-    explicit ``spec["rpc"]`` block (the scenario corpus) applies on
-    top, its keys named without the ``rpc_`` prefix."""
-    rpc_kwargs: dict[str, Any] = {}
-    fault_dicts: list[dict[str, Any]] = []
+#: Keys that fall back to the runtime defaults when omitted.
+OPTIONAL_KEYS = ("liveness", "conf", "rpc", "replication", "speculation",
+                 "record_progress")
+
+
+def _require(spec: dict[str, Any], keys: tuple[str, ...]) -> None:
+    missing = [k for k in keys if k not in spec]
+    if missing:
+        raise SimulationError(
+            f"trial spec is missing required key(s): {', '.join(missing)}")
+
+
+def build_runtime(spec: dict[str, Any], job_name: str) -> MapReduceRuntime:
+    """Wire the runtime one JSON trial spec describes, faults installed.
+
+    ``rpc-loss`` entries in ``faults`` are RPC-channel overlays, not
+    injectors; an explicit ``rpc`` block (keys named without the
+    ``rpc_`` prefix) applies on top of them.
+    """
+    from repro.policies import make_policy
+
+    _require(spec, REQUIRED_KEYS)
+    if spec["workload"] not in BENCHMARKS:
+        raise SimulationError(f"unknown workload {spec['workload']!r}")
+    wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
+                                      num_reducers=spec["reducers"])
+    yarn: dict[str, Any] = {}
+    if "liveness" in spec:
+        yarn["nm_liveness_timeout"] = spec["liveness"]
+    faults = []
     for d in spec["faults"]:
-        if d["kind"] == "rpc-loss":
-            rpc_kwargs.update(
-                rpc_drop_prob=float(d.get("drop_prob", 0.0)),
-                rpc_delay_prob=float(d.get("delay_prob", 0.0)),
-                rpc_max_delay=float(d.get("max_delay", 2.0)),
-                rpc_seed=int(d.get("seed", 0)),
-            )
-        else:
-            fault_dicts.append(d)
-    rpc_kwargs.update({f"rpc_{k}": v for k, v in (spec.get("rpc") or {}).items()})
-    return rpc_kwargs, fault_dicts
+        try:
+            if d["kind"] == "rpc-loss":
+                yarn.update(
+                    rpc_drop_prob=float(d.get("drop_prob", 0.0)),
+                    rpc_delay_prob=float(d.get("delay_prob", 0.0)),
+                    rpc_max_delay=float(d.get("max_delay", 2.0)),
+                    rpc_seed=int(d.get("seed", 0)),
+                )
+            else:
+                faults.append(build_fault(d))
+        except KeyError as exc:
+            raise SimulationError(f"fault spec {d!r} is missing key {exc}") from None
+    yarn.update({f"rpc_{k}": v for k, v in (spec.get("rpc") or {}).items()})
+    rt = MapReduceRuntime(
+        wl,
+        conf=JobConf(**spec["conf"]) if spec.get("conf") else None,
+        cluster_spec=ClusterSpec(num_nodes=spec["nodes"], num_racks=spec["racks"],
+                                 seed=spec["runtime_seed"]),
+        yarn_config=YarnConfig(**yarn),
+        hdfs_config=(HdfsConfig(replication=spec["replication"])
+                     if "replication" in spec else None),
+        policy=make_policy(spec["policy"]),
+        job_name=job_name,
+        speculation=bool(spec.get("speculation", False)),
+        record_progress=bool(spec.get("record_progress", False)),
+    )
+    FaultInjector(*faults).install(rt)
+    return rt
 
 
 # -- execution ---------------------------------------------------------------
@@ -346,22 +390,9 @@ def split_rpc_faults(spec: dict[str, Any]) -> tuple[dict[str, Any], list[dict[st
 def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
     """Run one fully-specified trial; returns outcome + violations."""
     from repro.invariants import check_invariants, state_probe
-    from repro.policies import make_policy
-    from repro.runner import trace_digest
 
-    wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
-                                      num_reducers=spec["reducers"])
-    rpc_kwargs, fault_dicts = split_rpc_faults(spec)
-    rt = MapReduceRuntime(
-        wl,
-        conf=JobConf(**spec["conf"]) if spec.get("conf") else None,
-        cluster_spec=ClusterSpec(num_nodes=spec["nodes"], num_racks=spec["racks"],
-                                 seed=spec["runtime_seed"]),
-        yarn_config=YarnConfig(nm_liveness_timeout=spec["liveness"], **rpc_kwargs),
-        policy=make_policy(spec["policy"]),
-        job_name=f"chaos-{spec['index']}",
-    )
-    FaultInjector(*[build_fault(d) for d in fault_dicts]).install(rt)
+    _require(spec, ("index",))
+    rt = build_runtime(spec, f"chaos-{spec['index']}")
     result = rt.run(timeout=spec.get("hard_timeout", 100_000.0),
                     stall_timeout=spec.get("stall_timeout", 2_000.0))
     violations = check_invariants(rt, result)
@@ -373,7 +404,7 @@ def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
         "faults_fired": len(rt.trace.of_kind("fault_injected")),
         "faults_skipped": len(rt.trace.of_kind("fault_skipped")),
         "nodes_lost": result.counters.get("nodes_lost", 0),
-        "digest": trace_digest(result.trace),
+        "digest": result.trace.digest(),
     }
     if violations:
         payload["state"] = state_probe(rt)

@@ -65,9 +65,9 @@ def _matches(event: TraceEvent, match: dict[str, Any]) -> bool:
     return all(event.data.get(k) == v for k, v in match.items())
 
 
-#: json.dumps kwargs shared by the incremental digest and the legacy
-#: whole-trace path in ``repro.runner`` — both must produce identical
-#: bytes for identical traces.
+#: json.dumps kwargs of the incremental digest: with them, the streamed
+#: bytes equal one ``json.dumps`` of the whole-trace document (see
+#: :meth:`Trace.digest`).
 _DUMPS_KW = dict(sort_keys=True, separators=(",", ":"), default=str)
 
 

@@ -10,10 +10,10 @@ Tukey upper fence ``Q3 + k * IQR``, the textbook outlier boundary:
 robust to the outlier itself (quantiles don't move when one value
 explodes) and self-calibrating to each phase's natural spread.
 
-Only the cutoff computation changes — the scan cadence, the estimate
-kernels (scalar and columnar), the duplicate cap and the ``speculation``
-trace record are all inherited, so the detector slots into the same
-digest-pinned machinery the stock scanner uses.
+Only the cutoff computation changes — the scan cadence, the finish-time
+estimates (``Speculator._estimates``), the duplicate cap and the
+``speculation`` trace record are all inherited, so the detector slots
+into the same digest-pinned machinery the stock scanner uses.
 """
 
 from __future__ import annotations

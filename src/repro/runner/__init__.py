@@ -10,7 +10,6 @@ from repro.runner.runner import (
     jobs_from_env,
     shutdown_pools,
     spec_digest,
-    trace_digest,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "jobs_from_env",
     "shutdown_pools",
     "spec_digest",
-    "trace_digest",
 ]

@@ -49,7 +49,6 @@ from repro.sim.core import IMPL_KNOBS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.store import CampaignStore
-    from repro.metrics.trace import Trace
 
 __all__ = [
     "DeterminismError",
@@ -60,7 +59,6 @@ __all__ = [
     "jobs_from_env",
     "shutdown_pools",
     "spec_digest",
-    "trace_digest",
 ]
 
 
@@ -98,31 +96,6 @@ def jobs_from_env(default: int = 1) -> int:
         return max(1, int(os.environ.get("REPRO_JOBS", str(default))))
     except ValueError:
         return max(1, default)
-
-
-def trace_digest(trace: "Trace") -> str:
-    """Stable content hash of a trace: every event (time, kind, data)
-    plus every sampled series point, canonically JSON-encoded. Two runs
-    of the same seed must produce the same digest — this is the
-    determinism contract the runner verifies.
-
-    :class:`repro.metrics.trace.Trace` maintains this hash incrementally
-    as events are recorded (``trace.digest()``), so the common case is a
-    clone-and-finalise, not a whole-trace ``json.dumps``. The encode-it-
-    all fallback below defines the digest for any other trace-shaped
-    object and is pinned byte-identical to the streaming path by test.
-    """
-    digest = getattr(trace, "digest", None)
-    if digest is not None:
-        return digest()
-    from repro.metrics.export import trace_records
-
-    payload = {
-        "events": trace_records(trace),
-        "series": {name: points for name, points in trace.series.items()},
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _stable_name(value: Any) -> str | None:

@@ -71,8 +71,8 @@ class RpcChannel:
         """Whether this node's heartbeat at time ``now`` is lost.
 
         Keyed on (node_id, time) rather than a stream position, so the
-        scalar per-NM periodics and the columnar batched stamp agree
-        bit-for-bit.
+        fate does not depend on the order in which one tick's
+        heartbeats are processed.
         """
         if not self.fallible or self.drop_prob <= 0.0:
             return False

@@ -35,7 +35,6 @@ from repro.verify.metamorphic import (
 )
 from repro.verify.scenarios import (
     SCENARIOS,
-    Scenario,
     corpus,
     quick_corpus,
     register,
@@ -52,7 +51,6 @@ __all__ = [
     "Relation",
     "RelationResult",
     "SCENARIOS",
-    "Scenario",
     "check_golden",
     "corpus",
     "load_golden",

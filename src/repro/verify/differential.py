@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from repro.sim.core import IMPL_KNOBS, SimulationError
-from repro.verify.scenarios import SCENARIOS, corpus, quick_corpus, run_verify_spec
+from repro.verify.scenarios import SCENARIOS, corpus, quick_corpus, run_verify_spec, scenario_spec
 
 __all__ = [
     "COMBOS",
@@ -142,8 +142,7 @@ def run_matrix_trial(seed: int, jobs: tuple[tuple[str, str, str, str], ...],
     whichever worker process the trial lands in."""
     name, kernel, scheduler, mutate = jobs[seed]
     with _impl_env(kernel, scheduler):
-        payload = run_verify_spec(SCENARIOS[name].to_spec(),
-                                  collect_trace=collect_trace)
+        payload = run_verify_spec(scenario_spec(name), collect_trace=collect_trace)
     payload["combo"] = (kernel, scheduler)
     _apply_mutation(payload, mutate)
     return payload
@@ -197,11 +196,12 @@ def run_matrix(
     from repro.campaign import CampaignScheduler, build_plan, open_store
 
     scenarios = quick_corpus() if quick and names is None else corpus(names)
+    selected = [spec["name"] for spec in scenarios]
     jobs: list[tuple[str, str, str, str]] = []
-    for scenario in scenarios:
+    for name in selected:
         for kernel, scheduler in combos:
-            mutate = (mutations or {}).get((scenario.name, kernel, scheduler), "")
-            jobs.append((scenario.name, kernel, scheduler, mutate))
+            mutate = (mutations or {}).get((name, kernel, scheduler), "")
+            jobs.append((name, kernel, scheduler, mutate))
 
     plan = build_plan({"kind": "verify-matrix", "jobs": [list(j) for j in jobs]})
     with open_store(store) as opened:
@@ -215,22 +215,22 @@ def run_matrix(
             (seed, (jobs[seed][1], jobs[seed][2]), payloads[seed]))
 
     digests: dict[str, str] = {}
-    for scenario in scenarios:
-        rows = by_scenario[scenario.name]
+    for name in selected:
+        rows = by_scenario[name]
         base_seed, base_combo, base = rows[0]
-        digests[scenario.name] = base["digest"]
+        digests[name] = base["digest"]
         for seed, combo, payload in rows[1:]:
             if payload["digest"] != base["digest"]:
                 divergence = Divergence(
-                    scenario=scenario.name, seed=SCENARIOS[scenario.name].seed,
+                    scenario=name, seed=SCENARIOS[name]["runtime_seed"],
                     combo_a=base_combo, combo_b=combo,
                     digest_a=base["digest"], digest_b=payload["digest"])
                 raise DivergenceError(locate_divergence(divergence, mutations))
-        echo(f"  {scenario.name:28s} {len(rows)} combos  "
+        echo(f"  {name:28s} {len(rows)} combos  "
              f"digest {base['digest'][:12]}  "
              f"{'ok' if base['success'] else 'job-failed'}")
     return {
-        "scenarios": len(scenarios),
+        "scenarios": len(selected),
         "combos": list(combos),
         "runs": len(jobs),
         "digests": digests,

@@ -131,6 +131,72 @@ class TestTrialDeterminism:
         assert a["violations"] == [] and b["violations"] == []
 
 
+class TestBuildRuntime:
+    """``build_runtime`` is where every JSON trial spec becomes a runtime."""
+
+    def _spec(self, **keys):
+        spec = {"workload": "terasort", "input_gb": 1.0, "reducers": 2,
+                "nodes": 6, "racks": 2, "runtime_seed": 3, "policy": "yarn",
+                "faults": []}
+        spec.update(keys)
+        return spec
+
+    @pytest.mark.parametrize("key", chaos.REQUIRED_KEYS)
+    def test_missing_required_key_is_named(self, key):
+        spec = self._spec()
+        del spec[key]
+        with pytest.raises(SimulationError, match=f"missing required key.*{key}"):
+            chaos.build_runtime(spec, "job")
+
+    def test_optional_keys_fall_back_to_runtime_defaults(self):
+        from repro.hdfs.hdfs import HdfsConfig
+        from repro.mapreduce.config import JobConf
+        from repro.yarn.rm import YarnConfig
+
+        rt = chaos.build_runtime(self._spec(), "job")
+        assert rt.rm.config == YarnConfig()
+        assert rt.hdfs.config == HdfsConfig()
+        assert rt.conf == JobConf()
+        assert rt.speculator is None
+        assert rt.cluster.flows.on_complete is None
+
+    def test_optional_keys_reach_the_runtime(self):
+        rt = chaos.build_runtime(self._spec(
+            liveness=15.0, replication=3, conf={"am_max_attempts": 4},
+            speculation=True, record_progress=True), "job")
+        assert rt.rm.config.nm_liveness_timeout == 15.0
+        assert rt.hdfs.config.replication == 3
+        assert rt.conf.am_max_attempts == 4
+        assert rt.speculator is not None
+        assert rt.cluster.flows.on_complete is not None
+
+    def test_rpc_loss_fault_is_a_channel_overlay(self):
+        """``rpc-loss`` sets the channel knobs and installs no injector;
+        an explicit ``rpc`` block overrides it key by key."""
+        rt = chaos.build_runtime(self._spec(
+            faults=[{"kind": "rpc-loss", "drop_prob": 0.1, "delay_prob": 0.2,
+                     "max_delay": 1.0, "seed": 5}],
+            rpc={"seed": 9}), "job")
+        cfg = rt.rm.config
+        assert (cfg.rpc_drop_prob, cfg.rpc_delay_prob, cfg.rpc_max_delay,
+                cfg.rpc_seed) == (0.1, 0.2, 1.0, 9)
+
+    def test_fault_missing_a_key_is_named(self):
+        with pytest.raises(SimulationError, match="missing key 'at_time'"):
+            chaos.build_runtime(self._spec(faults=[{"kind": "map-wave", "count": 1}]),
+                                "job")
+
+    def test_frozen_chaos_scenario_matches_its_trial(self):
+        """A verify scenario frozen from a chaos trial is the same run:
+        only the job name (hence the digest) differs."""
+        from repro.verify.scenarios import run_verify_spec, scenario_spec
+
+        verify = run_verify_spec(scenario_spec("chaos-2015-7"))
+        trial = chaos.run_trial_spec(generate_trial({"seed": 2015, "scale": 0.5}, 7))
+        assert round(verify["elapsed"], 3) == trial["elapsed"]
+        assert verify["success"] == trial["success"]
+
+
 class TestMinimization:
     def test_minimize_drops_irrelevant_faults(self, monkeypatch):
         marker = {"kind": "task-oom", "task_index": 0, "_marker": True}

@@ -6,40 +6,66 @@ import json
 import pytest
 
 from repro.cli import main, parse_fault
-from repro.faults import NodeFault, SlowNodeFault, TaskFault
+from repro.faults import AMFault, NodeFault, PartitionFault, RackFault, SlowNodeFault, TaskFault
+from repro.faults.chaos import build_fault
 from repro.faults.inject import MapWaveFault
 from repro.mapreduce.tasks import TaskType
 
 
+def _fault(spec):
+    """A ``--fault`` shorthand materialised the way ``repro run`` does."""
+    return build_fault(parse_fault(spec))
+
+
 class TestParseFault:
     def test_reduce_spec(self):
-        f = parse_fault("reduce@0.5")
+        f = _fault("reduce@0.5")
         assert isinstance(f, TaskFault)
         assert f.task_type is TaskType.REDUCE
         assert f.at_progress == 0.5
 
     def test_map_spec_with_index(self):
-        f = parse_fault("map@0.3:7")
+        f = _fault("map@0.3:7")
         assert f.task_type is TaskType.MAP
         assert f.task_index == 7
 
     def test_node_specs(self):
-        f = parse_fault("node@0.4:map-only")
+        f = _fault("node@0.4:map-only")
         assert isinstance(f, NodeFault)
         assert f.at_progress == 0.4
         assert f.target == "map-only"
-        f2 = parse_fault("nodetime@30:2")
+        f2 = _fault("nodetime@30:2")
         assert f2.at_time == 30 and f2.target == 2
 
     def test_maps_spec(self):
-        f = parse_fault("maps@10:50")
+        f = _fault("maps@10:50")
         assert isinstance(f, MapWaveFault)
         assert f.count == 50 and f.at_time == 10
 
     def test_slow_spec(self):
-        f = parse_fault("slow@5:1:0.25")
+        f = _fault("slow@5:1:0.25")
         assert isinstance(f, SlowNodeFault)
         assert f.disk_factor == 0.25
+
+    @pytest.mark.parametrize("spec, expected", [
+        ("partition@8:1,3:12", PartitionFault(node_indices=(1, 3), at_time=8.0,
+                                              duration=12.0)),
+        ("partition@8:2", PartitionFault(node_indices=(2,), at_time=8.0,
+                                         duration=30.0)),
+        ("am@0.4:2", AMFault(at_progress=0.4, repeat=2)),
+        ("am@0.6", AMFault(at_progress=0.6)),
+        ("amtime@25", AMFault(at_time=25.0)),
+        ("rack@20:1:network", RackFault(rack_index=1, at_time=20.0, mode="network")),
+        ("rack@20", RackFault(rack_index=0, at_time=20.0, mode="crash")),
+    ])
+    def test_partition_am_and_rack_specs(self, spec, expected):
+        assert _fault(spec) == expected
+
+    def test_shorthand_is_a_json_fault_spec(self):
+        assert parse_fault("node@0.5:reducer") == {
+            "kind": "node-network", "at_progress": 0.5, "target": "reducer"}
+        json.dumps([parse_fault(s) for s in ("reduce@0.5", "partition@8:1,3",
+                                            "am@0.4:2", "rack@20:1")])
 
     def test_bad_specs_rejected(self):
         for bad in ("meteor@1", "reduce", "node@x", "maps@1"):
@@ -179,6 +205,31 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
         assert line.startswith("repro chaos: error: " + message.format(path=path))
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda spec: spec.pop("input_gb"),
+         "trial spec is missing required key(s): input_gb"),
+        (lambda spec: spec["faults"].append({"kind": "cosmic-ray"}),
+         "unknown fault spec kind 'cosmic-ray'"),
+        (lambda spec: spec.update(policy="nosuch"), "unknown policy 'nosuch'"),
+        (lambda spec: spec.update(workload="grep"), "unknown workload 'grep'"),
+    ], ids=["missing-key", "unknown-fault-kind", "unregistered-policy",
+            "unknown-workload"])
+    def test_malformed_replay_spec_is_a_usage_error(self, edit, message, tmp_path,
+                                                    capsys):
+        """Exit 1 means "violation reproduced", so a reproducer that
+        cannot be built exits 2 with one error line, not a traceback."""
+        from repro.faults.chaos import generate_trial
+
+        spec = generate_trial({"seed": 7, "scale": 0.25}, 0)
+        edit(spec)
+        path = tmp_path / "chaos-repro.json"
+        path.write_text(json.dumps({"spec": spec}))
+        assert main(["chaos", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"repro chaos: error: cannot replay {path}: {message}")
         assert captured.out == ""
 
     def test_chaos_replay_rejects_metamorphic_reproducer(self, tmp_path, capsys):

@@ -224,8 +224,7 @@ class TestReports:
 
 class TestStreamingDigest:
     """The incremental digest must stay byte-compatible with hashing the
-    whole-trace JSON document (the pre-streaming definition, still used
-    by ``repro.runner.trace_digest`` for foreign trace-shaped objects)."""
+    whole-trace JSON document, the digest's pre-streaming definition."""
 
     def test_matches_legacy_whole_trace_encoding(self, result):
         import hashlib

@@ -109,7 +109,6 @@ def _conformance_run(policy_name: str, fault_key: str,
     from repro.faults.chaos import build_fault
     from repro.faults.inject import FaultInjector
     from repro.invariants import check_invariants
-    from repro.runner import trace_digest
 
     saved = {k: os.environ.get(k) for k in ("REPRO_SCHEDULER",)}
     try:
@@ -125,7 +124,7 @@ def _conformance_run(policy_name: str, fault_key: str,
         # hanging the suite.
         res = rt.run(timeout=50_000.0, stall_timeout=1_000.0)
         return {
-            "digest": trace_digest(res.trace),
+            "digest": res.trace.digest(),
             "violations": check_invariants(rt, res),
             "success": res.success,
         }

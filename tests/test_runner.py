@@ -15,7 +15,7 @@ from repro.experiments.common import (
     run_benchmark_trial,
 )
 from repro.hdfs.hdfs import HdfsConfig
-from repro.runner import DeterminismError, TrialError, TrialRunner, spec_digest, trace_digest
+from repro.runner import DeterminismError, TrialError, TrialRunner, spec_digest
 from repro.yarn.rm import YarnConfig
 
 from tests.conftest import make_runtime, small_cluster, tiny_workload
@@ -67,13 +67,13 @@ def _counting_trial(seed, db):
 
 class TestTraceDigest:
     def test_same_seed_same_digest(self):
-        d1 = trace_digest(make_runtime(seed=7).run().trace)
-        d2 = trace_digest(make_runtime(seed=7).run().trace)
+        d1 = make_runtime(seed=7).run().trace.digest()
+        d2 = make_runtime(seed=7).run().trace.digest()
         assert d1 == d2
 
     def test_different_seed_different_digest(self):
-        d1 = trace_digest(make_runtime(seed=7).run().trace)
-        d2 = trace_digest(make_runtime(seed=8).run().trace)
+        d1 = make_runtime(seed=7).run().trace.digest()
+        d2 = make_runtime(seed=8).run().trace.digest()
         assert d1 != d2
 
 

@@ -623,11 +623,10 @@ class TestKernelEquivalence:
     digests exactly."""
 
     def test_periodic_path_on_off_same_digest(self, monkeypatch):
-        from repro.runner import trace_digest
         from tests.conftest import make_runtime
 
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        d_default = trace_digest(make_runtime(seed=11).run().trace)
+        d_default = make_runtime(seed=11).run().trace.digest()
         monkeypatch.setenv("REPRO_KERNEL", "reference")
-        d_reference = trace_digest(make_runtime(seed=11).run().trace)
+        d_reference = make_runtime(seed=11).run().trace.digest()
         assert d_default == d_reference

@@ -42,7 +42,7 @@ def _assert_pinned(name: str, digest: str, mode: str) -> None:
 class TestGoldenQuick:
     """Tier-1: the quick-tagged subset must match its golden digests."""
 
-    @pytest.mark.parametrize("name", [s.name for s in quick_corpus()])
+    @pytest.mark.parametrize("name", [s["name"] for s in quick_corpus()])
     def test_quick_scenario_matches_golden(self, name):
         payload = run_verify_spec(scenario_spec(name))
         assert payload["invariant_violations"] == []

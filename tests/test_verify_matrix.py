@@ -53,6 +53,33 @@ class TestFirstDivergence:
         assert first_divergence(a, list(a)) is None
 
 
+class TestScenarioRegistry:
+    """Scenarios are plain trial specs; ``register`` rejects the ones
+    ``build_runtime`` would misread."""
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"seed": 5}, "unknown spec key"),
+        ({"policy": "nosuch"}, "unknown policy"),
+        ({"workload": "grep"}, "unknown workload"),
+    ])
+    def test_bad_scenario_rejected(self, keys, message):
+        from repro.sim.core import SimulationError
+        from repro.verify.scenarios import SCENARIOS, register
+
+        with pytest.raises(SimulationError, match=message):
+            register("bad-probe", **keys)
+        assert "bad-probe" not in SCENARIOS
+        with pytest.raises(SimulationError, match="duplicate scenario name"):
+            register("clean-terasort-yarn")
+
+    def test_scenario_spec_is_a_private_copy(self):
+        from repro.verify.scenarios import SCENARIOS, scenario_spec
+
+        spec = scenario_spec("oom-reduce-yarn")
+        spec["faults"][0]["at_progress"] = 0.9
+        assert SCENARIOS["oom-reduce-yarn"]["faults"][0]["at_progress"] == 0.5
+
+
 class TestMatrixTrial:
     def test_combo_selected_inside_trial(self, monkeypatch):
         """The implementation pair is chosen inside the trial (so it
@@ -75,7 +102,7 @@ class TestMatrixTrial:
         from repro.verify.differential import _impl_env
         from repro.verify.scenarios import corpus
 
-        sizes = sorted({scenario.to_spec()["nodes"] for scenario in corpus()})
+        sizes = sorted({scenario["nodes"] for scenario in corpus()})
         selected = []
         for kernel, scheduler in COMBOS:
             with _impl_env(kernel, scheduler):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.verify import RELATIONS, Relation, run_all_relations, run_relation
-from repro.verify.scenarios import SCENARIOS, Scenario, register
+from repro.verify.scenarios import SCENARIOS, register
 
 
 def _quiet(*_args, **_kw):
@@ -46,7 +46,7 @@ def shrink_scenario():
     culprit = {"kind": "task-oom", "task_type": "reduce", "task_index": 0,
                "at_progress": 0.5}
     decoy = {"kind": "node-crash", "target": 0, "at_time": 90_000.0}
-    register(Scenario(name, faults=(decoy, culprit, dict(decoy, target=1))))
+    register(name, faults=[decoy, culprit, dict(decoy, target=1)])
     try:
         yield name, culprit
     finally:
