@@ -42,10 +42,14 @@ def _quiet(*_args, **_kwargs):
     pass
 
 
+def _chaos(seed: int, trials: int, scale: float) -> dict:
+    return {"kind": "chaos", "seed": seed, "trials": trials, "scale": scale}
+
+
 def run_once(store, seed: int, trials: int, scale: float) -> dict:
     t0 = time.perf_counter()
-    summary = run_campaign(seed, trials, scale=scale, out_dir=None,
-                           minimize=False, echo=_quiet, store=store)
+    summary = run_campaign(_chaos(seed, trials, scale), store=store,
+                           minimize=False, echo=_quiet)
     summary["bench_wall_seconds"] = time.perf_counter() - t0
     return summary
 
@@ -89,9 +93,10 @@ def _spawn_campaign(store: Path, seed: int, trials: int, scale: float):
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_JOBS", None)  # serial child: finest checkpoint granularity
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "campaign", "submit",
+        [sys.executable, "-m", "repro", "chaos",
          "--store", str(store), "--seed", str(seed),
-         "--trials", str(trials), "--scale", str(scale)],
+         "--trials", str(trials), "--scale", str(scale),
+         "--no-minimize", "--out", str(store.parent / "reports")],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
@@ -137,17 +142,16 @@ def check_crash_recovery(tmp: Path, seed: int, trials: int, scale: float,
             continue
 
         t0 = time.perf_counter()
-        resumed = run_campaign(seed=seed, trials=trials, scale=scale,
-                               out_dir=None, minimize=False, echo=_quiet,
-                               store=db)
+        resumed = run_campaign(_chaos(seed, trials, scale), store=db,
+                               minimize=False, echo=_quiet)
         resume_wall = time.perf_counter() - t0
         assert resumed["skipped"] >= done_at_kill, resumed
         assert resumed["executed"] == trials - resumed["skipped"], resumed
         with CampaignStore(db) as store:
             assert store.max_run_count(resumed["campaign_id"]) == 1, \
                 "resume re-executed an already-completed trial"
-        fresh = run_campaign(seed=seed, trials=trials, scale=scale,
-                             out_dir=None, minimize=False, echo=_quiet)
+        fresh = run_campaign(_chaos(seed, trials, scale), minimize=False,
+                             echo=_quiet)
         assert resumed["digests"] == fresh["digests"], \
             "resumed campaign diverged from the uninterrupted run"
         return {

@@ -26,8 +26,8 @@ SCALE = 0.5
 
 def run_once(seed: int, trials: int) -> dict:
     t0 = time.perf_counter()
-    summary = run_campaign(seed, trials, scale=SCALE, out_dir=None,
-                           minimize=False, echo=lambda *_: None)
+    summary = run_campaign({"kind": "chaos", "seed": seed, "trials": trials,
+                            "scale": SCALE}, minimize=False, echo=lambda *_: None)
     wall = time.perf_counter() - t0
     return {
         "summary": summary,

@@ -1,14 +1,17 @@
-"""Campaign kinds: from a durable JSON spec to a runnable plan.
+"""Campaign kinds and :func:`run_spec`: a campaign is one function of
+its durable JSON spec.
 
 A campaign *spec* is a plain JSON document with a ``kind`` field; it is
-what the store persists, so resume needs nothing but the store file:
-``build_plan(stored_spec)`` reconstructs the exact trial family.
+what the store persists, so resume needs nothing but the store file.
+Each kind function validates and normalises its spec and returns the
+trial family ``(stored spec, experiment, fn, kwargs, seeds)``.
 
 Kinds:
 
 ``chaos``
     a seeded chaos campaign (:mod:`repro.faults.chaos`): ``seed``,
-    ``trials``, ``scale``;
+    ``trials``, optional ``scale``, ``am_faults``, ``policies``,
+    ``hard_timeout`` and ``stall_timeout``;
 ``verify-matrix``
     the differential scenario × implementation matrix
     (:mod:`repro.verify.differential`): a ``jobs`` list of
@@ -17,78 +20,151 @@ Kinds:
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Iterable
 
-from repro.campaign.scheduler import CampaignPlan
-from repro.campaign.store import StoreError
+from repro.campaign.store import CampaignStore, StoreError
+from repro.runner import TrialRunner, spec_digest
 
 __all__ = [
+    "KINDS",
     "aggregate_chaos",
     "aggregate_payloads",
-    "build_plan",
+    "run_spec",
 ]
 
+Family = tuple[dict[str, Any], str, Callable[..., dict[str, Any]], dict[str, Any], list[int]]
 
-def _chaos_plan(spec: dict[str, Any]) -> CampaignPlan:
+
+def _require(spec: dict[str, Any], keys: tuple[str, ...]) -> None:
+    missing = [k for k in keys if k not in spec]
+    if missing:
+        raise StoreError(f"{spec['kind']} campaign spec is missing required "
+                         f"key(s): {', '.join(missing)}")
+
+
+def _chaos(spec: dict[str, Any]) -> Family:
+    """The one place a chaos spec is normalised and its roster checked."""
     from repro.faults.chaos import run_chaos_trial
+    from repro.policies import policy_names
 
-    seed = int(spec["seed"])
-    trials = int(spec["trials"])
-    scale = float(spec.get("scale", 1.0))
+    _require(spec, ("seed", "trials"))
+    try:
+        seed, trials = int(spec["seed"]), int(spec["trials"])
+        scale = float(spec.get("scale", 1.0))
+        timeouts = {k: float(spec[k]) for k in ("hard_timeout", "stall_timeout")
+                    if k in spec}
+    except (TypeError, ValueError) as exc:
+        raise StoreError(f"bad chaos campaign spec: {exc}") from None
+    if trials < 1 or not 0 < scale < float("inf"):
+        raise StoreError(f"chaos campaign needs trials >= 1 and a positive scale, "
+                         f"got trials={trials} scale={scale}")
+    policies = [str(p) for p in spec.get("policies") or ()]
+    registered = policy_names()
+    unknown = [p for p in policies if p not in registered]
+    if unknown:
+        raise StoreError(f"unknown policy {', '.join(map(repr, unknown))}; "
+                         f"registered: {', '.join(registered)}")
     am_faults = bool(spec.get("am_faults", False))
-    policies = tuple(str(p) for p in (spec.get("policies") or ()))
-    campaign = {"seed": seed, "scale": scale}
+    stored = {"kind": "chaos", "seed": seed, "trials": trials, "scale": scale,
+              "am_faults": am_faults}
+    campaign: dict[str, Any] = {"seed": seed, "scale": scale}
+    experiment = f"chaos:{seed}:{scale}"
     if am_faults:
         campaign["am_faults"] = True
+        experiment += ":am"
     if policies:
-        # Explicit roster only: its absence keeps historical specs (and
-        # their experiment keys / cached trials) byte-stable.
-        campaign["policies"] = list(policies)
-    for key in ("hard_timeout", "stall_timeout"):
-        if key in spec:
-            campaign[key] = float(spec[key])
-    plan_spec = dict(spec, kind="chaos", seed=seed, trials=trials, scale=scale,
-                     am_faults=am_faults)
-    experiment = f"chaos:{seed}:{scale}" + (":am" if am_faults else "")
-    if policies:
-        plan_spec["policies"] = list(policies)
+        # Optional keys enter the spec only when given, so historical
+        # campaign ids (and their stored trials) stay stable.
+        stored["policies"] = campaign["policies"] = policies
         experiment += ":" + ",".join(policies)
-    return CampaignPlan(
-        spec=plan_spec,
-        experiment=experiment,
-        fn=run_chaos_trial,
-        kwargs={"campaign": campaign},
-        seeds=list(range(trials)),
-    )
+    stored.update(timeouts)
+    campaign.update(timeouts)
+    return stored, experiment, run_chaos_trial, {"campaign": campaign}, list(range(trials))
 
 
-def _matrix_plan(spec: dict[str, Any]) -> CampaignPlan:
+def _verify_matrix(spec: dict[str, Any]) -> Family:
+    from repro.sim.core import IMPL_KNOBS
     from repro.verify.differential import run_matrix_trial
+    from repro.verify.scenarios import SCENARIOS
 
-    jobs = tuple(tuple(row) for row in spec["jobs"])
-    return CampaignPlan(
-        spec=dict(spec, kind="verify-matrix", jobs=[list(row) for row in jobs]),
-        experiment="verify-matrix",
-        fn=run_matrix_trial,
-        kwargs={"jobs": jobs},
-        seeds=list(range(len(jobs))),
-    )
+    _require(spec, ("jobs",))
+    if not isinstance(spec["jobs"], list):
+        raise StoreError("verify-matrix jobs must be a list of "
+                         "[scenario, kernel, scheduler, mutate] rows")
+    # Per knob, in IMPL_KNOBS order: "default" leaves it unset.
+    choices = [("default", *filter(None, values)) for values in IMPL_KNOBS.values()]
+    jobs = []
+    for row in spec["jobs"]:
+        if not (isinstance(row, (list, tuple)) and len(row) == 4
+                and all(isinstance(x, str) for x in row)):
+            raise StoreError(f"verify-matrix row {row!r} is not "
+                             "[scenario, kernel, scheduler, mutate]")
+        if row[0] not in SCENARIOS:
+            raise StoreError(f"unknown scenario {row[0]!r}")
+        for knob, choice, allowed in zip(IMPL_KNOBS, row[1:3], choices):
+            if choice not in allowed:
+                raise StoreError(f"unknown {knob} choice {choice!r}; "
+                                 f"choose from {', '.join(allowed)}")
+        jobs.append(tuple(row))
+    return ({"kind": "verify-matrix", "jobs": [list(j) for j in jobs]},
+            "verify-matrix", run_matrix_trial, {"jobs": tuple(jobs)},
+            list(range(len(jobs))))
 
 
-_KINDS: dict[str, Callable[[dict[str, Any]], CampaignPlan]] = {
-    "chaos": _chaos_plan,
-    "verify-matrix": _matrix_plan,
+#: Campaign kind -> the function turning its spec into a trial family.
+KINDS: dict[str, Callable[[dict[str, Any]], Family]] = {
+    "chaos": _chaos,
+    "verify-matrix": _verify_matrix,
 }
 
 
-def build_plan(spec: dict[str, Any]) -> CampaignPlan:
-    """Materialise a campaign spec as a runnable plan."""
-    kind = spec.get("kind")
-    builder = _KINDS.get(kind)
-    if builder is None:
-        raise StoreError(
-            f"unknown campaign kind {kind!r}; choose from {sorted(_KINDS)}")
-    return builder(spec)
+def run_spec(spec: dict[str, Any], store: CampaignStore) -> dict[str, Any]:
+    """Register the campaign ``spec`` describes in ``store`` and run its
+    seeds to completion.
+
+    Seeds run in fifo waves of ``max(16, 4 * jobs)`` through a
+    :class:`~repro.runner.TrialRunner` backed by ``store``: trials the
+    store already holds are cache hits (``skipped``), every fresh trial
+    (``executed``) is recorded as it completes, and a SIGKILL loses at
+    most the wave in flight. On ``KeyboardInterrupt`` or a raising trial
+    the campaign row records the error and the exception propagates;
+    running the same spec again resumes where it stopped.
+
+    A spec the kind cannot run is a :class:`StoreError` raised before
+    anything is registered.
+    """
+    kind = KINDS.get(str(spec.get("kind")))
+    if kind is None:
+        raise StoreError(f"unknown campaign kind {spec.get('kind')!r}; "
+                         f"choose from {sorted(KINDS)}")
+    spec, experiment, fn, kwargs, seeds = kind(spec)
+    campaign_id = spec_digest(experiment, fn, kwargs)
+    store.register(campaign_id, spec)
+    runner = TrialRunner(store=store)
+    wave = max(16, 4 * runner.jobs)
+    executed = skipped = 0
+    t0 = time.perf_counter()
+    try:
+        for start in range(0, len(seeds), wave):
+            results = runner.run(experiment, fn, seeds[start:start + wave], kwargs)
+            hits = sum(r.cached for r in results)
+            skipped += hits
+            executed += len(results) - hits
+    except (Exception, KeyboardInterrupt) as exc:
+        error = ("interrupted" if isinstance(exc, KeyboardInterrupt)
+                 else f"{type(exc).__name__}: {exc}")
+        store.mark_status(campaign_id, "running", error)
+        raise
+    store.mark_status(campaign_id, "complete")
+    return {
+        "spec": spec,
+        "campaign_id": campaign_id,
+        "trials": len(seeds),
+        "executed": executed,
+        "skipped": skipped,
+        "wall_seconds": round(time.perf_counter() - t0, 3),
+    }
 
 
 # -- incremental aggregation -------------------------------------------------

@@ -48,7 +48,7 @@ __all__ = ["CampaignStore", "StoreError", "open_store"]
 
 class StoreError(SimulationError):
     """The campaign store cannot satisfy a request (unknown campaign,
-    undurable spec, ...)."""
+    a spec its kind cannot run, ...)."""
 
 
 _SCHEMA = """
@@ -258,13 +258,6 @@ class CampaignStore:
              "wall_seconds": wall, "run_count": run_count, "completed_at": done_at}
             for seed, status, digest, wall, run_count, done_at in rows
         ]
-
-    def digests(self, campaign_id: str) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT digest FROM trials"
-            " WHERE campaign_id = ? AND status = 'done' ORDER BY seed",
-            (campaign_id,)).fetchall()
-        return [r[0] for r in rows]
 
     def counts(self, campaign_id: str) -> dict[str, Any]:
         done, executions, wall = self._conn.execute(

@@ -28,8 +28,9 @@ Commands
     checkpointed into a sqlite store as it finishes, so a killed sweep
     resumes losing nothing, e.g.::
 
-        python -m repro campaign submit --store sweeps.db --trials 100000
+        python -m repro chaos --store sweeps.db --trials 100000
         python -m repro campaign resume --store sweeps.db
+        python -m repro campaign submit --store sweeps.db --spec spec.json
         python -m repro campaign status --store sweeps.db
         python -m repro campaign export --store sweeps.db --out sweep.json
 
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 
 from repro.experiments import format_table
@@ -145,8 +147,8 @@ def _parse_policies(text: str) -> tuple[str, ...]:
 
 
 def _positive(cast):
-    """argparse ``type`` for trial counts (``int``) and input-size scales
-    (``float``): a finite value above zero."""
+    """argparse ``type`` for trial and worker counts (``int``) and
+    input-size scales (``float``): a finite value above zero."""
     def parse(text: str):
         try:
             value = cast(text)
@@ -188,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=_EXPERIMENTS)
     p_exp.add_argument("--scale", type=_positive(float), default=0.5,
                        help="input-size scale vs the paper (default 0.5)")
-    p_exp.add_argument("--jobs", type=int, default=None, metavar="N",
+    p_exp.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
                        help="run seeded trials across N worker processes "
                             "(sets REPRO_JOBS; default: serial)")
     p_exp.add_argument("--trial-cache", metavar="DIR", default=None,
@@ -218,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default: the five seed systems)")
     p_chaos.add_argument("--smoke", action="store_true",
                          help="CI budget: smaller inputs, at most 30 trials")
-    p_chaos.add_argument("--jobs", type=int, default=None, metavar="N",
+    p_chaos.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
                          help="fan trials across N worker processes "
                               "(sets REPRO_JOBS; default: serial)")
     p_chaos.add_argument("--out", metavar="DIR", default="chaos-reports",
@@ -240,19 +242,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit", help="register a campaign and run it to completion")
     c_submit.add_argument("--store", metavar="FILE", required=True,
                           help="sqlite campaign store (created if missing)")
-    c_submit.add_argument("--spec", metavar="FILE", default=None,
+    c_submit.add_argument("--spec", metavar="FILE", required=True,
                           help="JSON campaign spec (kind chaos or verify-matrix); "
-                               "without it a chaos campaign is built from the "
-                               "flags below")
-    c_submit.add_argument("--seed", type=int, default=7)
-    c_submit.add_argument("--trials", type=_positive(int), default=50)
-    c_submit.add_argument("--scale", type=_positive(float), default=1.0)
-    c_submit.add_argument("--am-faults", action="store_true",
-                          help="include AM-crash and lossy-RPC archetypes")
-    c_submit.add_argument("--policies", metavar="LIST", default=None,
-                          type=_parse_policies,
-                          help="comma-separated policy roster, or 'all'")
-    c_submit.add_argument("--jobs", type=int, default=None, metavar="N",
+                               "`repro chaos --store FILE` submits a chaos "
+                               "campaign from flags")
+    c_submit.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
                           help="fan trials across N worker processes")
     c_submit.add_argument("--out", metavar="DIR", default=None,
                           help="reproducer directory for chaos campaigns")
@@ -263,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c_resume.add_argument("--id", default=None, metavar="PREFIX",
                           help="campaign id prefix (default: the most "
                                "recently updated incomplete campaign)")
-    c_resume.add_argument("--jobs", type=int, default=None, metavar="N")
+    c_resume.add_argument("--jobs", type=_positive(int), default=None, metavar="N")
     c_resume.add_argument("--out", metavar="DIR", default=None)
     c_resume.add_argument("--no-minimize", action="store_true")
     c_status = camp_sub.add_parser(
@@ -296,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "tests/golden/scenarios.json")
     p_verify.add_argument("--scenario", action="append", default=None,
                           metavar="NAME", help="restrict to named scenario(s)")
-    p_verify.add_argument("--jobs", type=int, default=None, metavar="N",
+    p_verify.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
                           help="fan matrix runs across N worker processes "
                                "(sets REPRO_JOBS; default: serial)")
     p_verify.add_argument("--out", metavar="DIR", default="chaos-reports",
@@ -356,12 +350,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    import os
-
-    # The runner reads its parallelism/cache settings from the
-    # environment so every driver picks them up without plumbing.
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
     if args.trial_cache is not None:
         os.environ["REPRO_TRIAL_CACHE"] = args.trial_cache
 
@@ -435,13 +423,9 @@ def cmd_experiment(args) -> int:
 
 def cmd_chaos(args) -> int:
     import json
-    import os
     from pathlib import Path
 
-    from repro.faults.chaos import run_campaign, run_trial_spec
-
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
+    from repro.faults.chaos import run_trial_spec
 
     if args.replay is not None:
         try:
@@ -480,25 +464,44 @@ def cmd_chaos(args) -> int:
             print(f"  - {v}")
         return 1 if payload["violations"] else 0
 
-    trials = min(args.trials, 30) if args.smoke else args.trials
-    scale = args.scale if args.scale is not None else (0.5 if args.smoke else 1.0)
+    spec = {"kind": "chaos", "seed": args.seed,
+            "trials": min(args.trials, 30) if args.smoke else args.trials,
+            "scale": args.scale if args.scale is not None else (0.5 if args.smoke else 1.0),
+            "am_faults": args.am_faults}
+    if args.policies:
+        spec["policies"] = list(args.policies)
+    return _run_campaign_spec(spec, args)
+
+
+def _run_campaign_spec(spec, args) -> int:
+    """Run one campaign spec (from ``chaos`` flags, a ``submit --spec``
+    file or a store row) against ``args.store``; print its summary."""
+    from repro.campaign import CampaignStore, aggregate_payloads, run_spec
+    from repro.faults.chaos import run_campaign
+
     try:
-        summary = run_campaign(seed=args.seed, trials=trials, scale=scale,
-                               out_dir=args.out, minimize=not args.no_minimize,
-                               store=args.store, am_faults=args.am_faults,
-                               policies=args.policies)
+        if spec.get("kind") == "chaos":
+            summary = run_campaign(spec, store=args.store, out_dir=args.out,
+                                   minimize=not args.no_minimize)
+        else:
+            with CampaignStore(args.store) as store:
+                stats = run_spec(spec, store)
+                agg = aggregate_payloads(spec["kind"],
+                                         store.payloads(stats["campaign_id"]))
     except KeyboardInterrupt:
         if args.store:
             print(f"\ninterrupted — completed trials are checkpointed; resume "
                   f"with: python -m repro campaign resume --store {args.store}")
-        raise
-    _print_chaos_summary(summary)
-    return 1 if summary["violations"] else 0
-
-
-def _print_chaos_summary(summary) -> None:
-    resumed = f", {summary['skipped']} resumed from store" if summary.get("skipped") else ""
-    print(f"chaos campaign seed={summary['seed']}: {summary['trials']} trials"
+        return 130
+    if spec["kind"] != "chaos":
+        print(f"campaign {stats['campaign_id'][:12]} ({spec['kind']}): "
+              f"{stats['trials']} trials, {stats['executed']} executed, "
+              f"{stats['skipped']} resumed from store, "
+              f"{stats['wall_seconds']:.1f}s")
+        print("  " + ", ".join(f"{k}={v}" for k, v in sorted(agg.items())))
+        return 0
+    resumed = f", {summary['skipped']} resumed from store" if summary["skipped"] else ""
+    print(f"chaos campaign seed={summary['spec']['seed']}: {summary['trials']} trials"
           f" ({summary['executed']} executed{resumed}), "
           f"{summary['jobs_failed']} job failures (legitimate), "
           f"{summary['violations']} invariant violations")
@@ -509,15 +512,14 @@ def _print_chaos_summary(summary) -> None:
     if summary["violations"]:
         print("  violating trials: "
               + ", ".join(str(i) for i in summary["violating_trials"]))
+    if args.store:
+        print(f"  campaign id: {summary['campaign_id']}  (store: {args.store})")
+    return 1 if summary["violations"] else 0
 
 
 def cmd_campaign(args) -> int:
-    import os
-
     from repro.campaign import StoreError
 
-    if getattr(args, "jobs", None) is not None:
-        os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
     # Only submit may create a store: pointing the other commands at a
     # missing file would otherwise leave an empty sqlite file behind.
     if args.campaign_cmd != "submit" and not os.path.isfile(args.store):
@@ -525,7 +527,7 @@ def cmd_campaign(args) -> int:
     else:
         try:
             return _campaign_command(args)
-        except StoreError as exc:  # unknown --id prefix, unknown spec kind, ...
+        except StoreError as exc:  # unknown --id prefix, a bad --spec, ...
             message = str(exc)
     print(f"repro campaign {args.campaign_cmd}: error: {message}", file=sys.stderr)
     return 2
@@ -534,18 +536,18 @@ def cmd_campaign(args) -> int:
 def _campaign_command(args) -> int:
     import json
 
-    from repro.campaign import CampaignStore
+    from repro.campaign import CampaignStore, StoreError
 
     if args.campaign_cmd == "submit":
-        if args.spec is not None:
+        try:
             with open(args.spec) as fh:
                 spec = json.load(fh)
-        else:
-            spec = {"kind": "chaos", "seed": args.seed, "trials": args.trials,
-                    "scale": args.scale, "am_faults": args.am_faults}
-            if args.policies:
-                spec["policies"] = list(args.policies)
-        return _campaign_run_spec(spec, args)
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"cannot read campaign spec {args.spec}: {exc}") from None
+        if not isinstance(spec, dict):
+            raise StoreError(f"{args.spec} is not a campaign spec "
+                             "(expected a JSON object)")
+        return _run_campaign_spec(spec, args)
 
     if args.campaign_cmd == "resume":
         with CampaignStore(args.store) as store:
@@ -553,7 +555,7 @@ def _campaign_command(args) -> int:
         if row is None:
             print(f"no incomplete campaign in {args.store}")
             return 1
-        return _campaign_run_spec(row["spec"], args)
+        return _run_campaign_spec(row["spec"], args)
 
     if args.campaign_cmd == "status":
         return _campaign_status(args)
@@ -564,47 +566,6 @@ def _planned_trials(spec) -> int:
     if spec["kind"] == "chaos":
         return int(spec["trials"])
     return len(spec.get("jobs", ()))
-
-
-def _campaign_run_spec(spec, args) -> int:
-    from repro.campaign import (
-        CampaignScheduler,
-        CampaignStore,
-        aggregate_payloads,
-        build_plan,
-    )
-    from repro.faults.chaos import run_campaign
-
-    try:
-        if spec["kind"] == "chaos":
-            summary = run_campaign(
-                seed=spec["seed"], trials=spec["trials"],
-                scale=spec.get("scale", 1.0),
-                out_dir=getattr(args, "out", None),
-                minimize=not getattr(args, "no_minimize", False),
-                store=args.store,
-                am_faults=bool(spec.get("am_faults", False)),
-                policies=spec.get("policies"),
-                hard_timeout=spec.get("hard_timeout"),
-                stall_timeout=spec.get("stall_timeout"))
-            _print_chaos_summary(summary)
-            print(f"  campaign id: {summary['campaign_id']}  (store: {args.store})")
-            return 1 if summary["violations"] else 0
-        with CampaignStore(args.store) as store:
-            plan = build_plan(spec)
-            stats = CampaignScheduler(store).run(plan)
-            agg = aggregate_payloads(spec["kind"], store.payloads(stats["campaign_id"]))
-        print(f"campaign {stats['campaign_id'][:12]} ({spec['kind']}): "
-              f"{stats['trials']} trials, {stats['executed']} executed, "
-              f"{stats['skipped']} resumed from store, "
-              f"{stats['wall_seconds']:.1f}s")
-        print("  " + ", ".join(f"{k}={v}" for k, v in sorted(agg.items())
-                               if not isinstance(v, (list, dict))))
-        return 0
-    except KeyboardInterrupt:
-        print(f"\ninterrupted — completed trials are checkpointed; resume "
-              f"with: python -m repro campaign resume --store {args.store}")
-        return 130
 
 
 def _campaign_status(args) -> int:
@@ -664,8 +625,6 @@ def _campaign_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import os
-
     from repro.verify import (
         COMBOS,
         QUICK_COMBOS,
@@ -675,9 +634,6 @@ def cmd_verify(args) -> int:
         run_all_relations,
         run_matrix,
     )
-
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
 
     if args.refresh_golden:
         report = run_matrix(names=args.scenario, combos=COMBOS[:1])
@@ -738,6 +694,10 @@ def cmd_list(_args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # The runner reads its parallelism from the environment so every
+    # driver picks it up without plumbing.
+    if getattr(args, "jobs", None) is not None:
+        os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.command == "run":
         return cmd_run(args)
     if args.command == "experiment":

@@ -461,104 +461,65 @@ def reproducer_path(out_dir: str | Path, seed: int, scale: float,
 
 
 def run_campaign(
-    seed: int,
-    trials: int,
-    scale: float = 1.0,
+    spec: dict[str, Any],
+    store: Any = None,
     out_dir: str | Path | None = None,
     minimize: bool = True,
     echo=print,
-    store: Any = None,
-    am_faults: bool = False,
-    policies: tuple[str, ...] | list[str] | None = None,
-    hard_timeout: float | None = None,
-    stall_timeout: float | None = None,
 ) -> dict[str, Any]:
-    """Run (or resume) a campaign; write a reproducer per violating
+    """Run (or resume) the chaos campaign ``spec`` describes (``kind``
+    ``chaos``: ``seed``, ``trials``, optional ``scale``, ``am_faults``,
+    ``policies``, ``hard_timeout``, ``stall_timeout``) through
+    :func:`repro.campaign.run_spec`; write a reproducer per violating
     trial.
 
-    ``store`` selects durability: ``None`` keeps the historical one-shot
-    behaviour (an ephemeral in-memory store), a path (or an open
+    ``store`` selects durability: ``None`` runs on an ephemeral
+    in-memory store, a path (or an open
     :class:`~repro.campaign.CampaignStore`) makes the campaign durable —
-    every completed trial is checkpointed as it finishes, and calling
-    ``run_campaign`` again with the same spec and store (or ``python -m
-    repro campaign resume``) re-runs only what is missing.
+    every completed trial is checkpointed as it finishes, and running
+    the same spec against the same store again (or ``python -m repro
+    campaign resume``) re-runs only what is missing.
 
-    Returns a summary dict with per-policy / per-kind coverage counts,
-    the violating trial indices, and resume accounting
-    (``executed``/``skipped``).
-
-    ``hard_timeout``/``stall_timeout`` override every trial's watchdog
-    ceilings; like an explicit roster, they enter the campaign spec only
-    when given, so default campaign ids stay stable.
+    Returns :func:`~repro.campaign.run_spec`'s accounting (``spec``,
+    ``campaign_id``, ``trials``, ``executed``, ``skipped``,
+    ``wall_seconds``) plus the per-policy / per-kind coverage counts,
+    the violating trial indices, the trial digests and the reproducer
+    paths.
     """
-    from repro.campaign import CampaignScheduler, aggregate_chaos, build_plan, open_store
+    from repro.campaign import aggregate_chaos, open_store, run_spec
     from repro.runner import atomic_write_text
 
-    spec: dict[str, Any] = {"kind": "chaos", "seed": int(seed),
-                            "trials": int(trials), "scale": float(scale),
-                            "am_faults": bool(am_faults)}
-    if policies:
-        from repro.policies import policy_names
-
-        known = set(policy_names())
-        unknown = [p for p in policies if p not in known]
-        if unknown:
-            raise SimulationError(
-                f"unknown polic{'ies' if len(unknown) > 1 else 'y'} "
-                f"{', '.join(unknown)}; registered: {', '.join(sorted(known))}")
-        # Only an explicit roster enters the plan: the default keeps
-        # historical campaign ids (and their cached trials) stable.
-        spec["policies"] = list(policies)
-    for key, value in (("hard_timeout", hard_timeout), ("stall_timeout", stall_timeout)):
-        if value is not None:
-            spec[key] = float(value)
-    plan = build_plan(spec)
     with open_store(store) as opened:
-        run_stats = CampaignScheduler(opened).run(plan)
+        run_stats = run_spec(spec, opened)
         campaign_id = run_stats["campaign_id"]
+        seed, scale = run_stats["spec"]["seed"], run_stats["spec"]["scale"]
         summary = aggregate_chaos(opened.payloads(campaign_id))
 
         reproducers: list[str] = []
         for trial_index, payload in opened.payloads(campaign_id):
             if not payload["violations"]:
                 continue
-            spec = payload["spec"]
-            echo(f"trial {spec['index']}: INVARIANT VIOLATION")
+            trial = payload["spec"]
+            echo(f"trial {trial['index']}: INVARIANT VIOLATION")
             for v in payload["violations"]:
                 echo(f"  - {v}")
-            minimized = minimize_spec(spec) if minimize else spec
+            minimized = minimize_spec(trial) if minimize else trial
             repro = {
                 "campaign_seed": seed,
                 "campaign_id": campaign_id,
                 "scale": scale,
-                "trial_index": spec["index"],
+                "trial_index": trial["index"],
                 "violations": payload["violations"],
-                "spec": spec,
+                "spec": trial,
                 "minimized_faults": minimized["faults"],
             }
             if out_dir is not None:
                 path = reproducer_path(out_dir, seed, scale, campaign_id,
-                                       spec["index"])
+                                       trial["index"])
                 path.parent.mkdir(parents=True, exist_ok=True)
                 atomic_write_text(path, json.dumps(repro, indent=2, sort_keys=True))
                 reproducers.append(str(path))
                 echo(f"  reproducer written to {path} "
-                     f"({len(minimized['faults'])}/{len(spec['faults'])} faults "
+                     f"({len(minimized['faults'])}/{len(trial['faults'])} faults "
                      "after minimization)")
-        return {
-            "seed": seed,
-            "trials": trials,
-            "scale": scale,
-            "campaign_id": campaign_id,
-            "executed": run_stats["executed"],
-            "skipped": run_stats["skipped"],
-            "wall_seconds": run_stats["wall_seconds"],
-            "violations": summary["violations"],
-            "violating_trials": summary["violating_trials"],
-            "jobs_failed": summary["jobs_failed"],
-            "by_policy": summary["by_policy"],
-            "by_kind": summary["by_kind"],
-            "reproducers": reproducers,
-            "digests": summary["digests"],
-        }
-
+    return {**run_stats, **summary, "reproducers": reproducers}

@@ -193,7 +193,7 @@ def run_matrix(
     re-running only the missing cells; ``None`` keeps the one-shot
     in-memory behaviour.
     """
-    from repro.campaign import CampaignScheduler, build_plan, open_store
+    from repro.campaign import open_store, run_spec
 
     scenarios = quick_corpus() if quick and names is None else corpus(names)
     selected = [spec["name"] for spec in scenarios]
@@ -203,9 +203,9 @@ def run_matrix(
             mutate = (mutations or {}).get((name, kernel, scheduler), "")
             jobs.append((name, kernel, scheduler, mutate))
 
-    plan = build_plan({"kind": "verify-matrix", "jobs": [list(j) for j in jobs]})
+    spec = {"kind": "verify-matrix", "jobs": [list(j) for j in jobs]}
     with open_store(store) as opened:
-        stats = CampaignScheduler(opened).run(plan)
+        stats = run_spec(spec, opened)
         payloads = dict(opened.payloads(stats["campaign_id"]))
 
     by_scenario: dict[str, list[tuple[int, tuple[str, str], dict]]] = {}

@@ -1,36 +1,57 @@
-"""The durable campaign layer: store semantics, the fifo scheduler,
-plan building, and the crash-durability primitives (atomic writes, torn
-store recovery, corrupt-store quarantine)."""
+"""The durable campaign layer: store semantics, ``run_spec``'s fifo
+waves, the campaign kinds, and the crash-durability primitives (atomic
+writes, torn store recovery, corrupt-store quarantine)."""
 
 import os
 
 import pytest
 
 from repro.campaign import (
-    CampaignPlan,
-    CampaignScheduler,
     CampaignStore,
     StoreError,
     aggregate_chaos,
-    build_plan,
     open_store,
+    run_spec,
 )
+from repro.campaign import plans
 from repro.faults.chaos import reproducer_path, run_campaign
-from repro.runner import TrialRunner, atomic_write_text
+from repro.runner import TrialRunner, atomic_write_text, spec_digest
+
+#: Campaign ids written by earlier releases: a store on disk resumes
+#: only while its spec still maps to the same id.
+PINNED_IDS = [
+    ({"kind": "chaos", "seed": 7, "trials": 50, "scale": 1.0},
+     "c1994ad06d9d60dc536d745cee89c1404f168a7b980fa8a8a3a7533d16cf85aa"),
+    ({"kind": "chaos", "seed": 5, "trials": 18, "scale": 0.5, "am_faults": True,
+      "policies": ["yarn", "alm"], "hard_timeout": 5.0},
+     "750ff30893447573aa2a403aeee2148d51bde9fcfd340208fbe4e84243e286f1"),
+    ({"kind": "verify-matrix", "jobs": [["clean-terasort-yarn", "default", "default", ""]]},
+     "9bce82571149dbfb09b6d08238afca0563c0192be29aa8e816ba624a6c1adcc9"),
+]
 
 
 def _toy_trial(seed, offset=0):
     return {"value": seed * seed + offset, "success": True, "digest": f"d{seed}"}
 
 
-def _toy_plan(seeds, experiment="toy"):
-    return CampaignPlan(
-        spec={"kind": "toy", "experiment": experiment, "seeds": list(seeds)},
-        experiment=experiment,
-        fn=_toy_trial,
-        kwargs={},
-        seeds=list(seeds),
-    )
+def _toy_kind(spec):
+    """A campaign kind running ``_toy_trial`` over ``spec["seeds"]`` in
+    the given order."""
+    return spec, spec["experiment"], _toy_trial, {}, list(spec["seeds"])
+
+
+@pytest.fixture
+def toy_kind(monkeypatch):
+    monkeypatch.setitem(plans.KINDS, "toy", _toy_kind)
+
+
+def _toy_spec(seeds, experiment="toy"):
+    return {"kind": "toy", "experiment": experiment, "seeds": list(seeds)}
+
+
+def _family_id(spec):
+    _stored, experiment, fn, kwargs, _seeds = plans.KINDS[spec["kind"]](spec)
+    return spec_digest(experiment, fn, kwargs)
 
 
 def _completion_order(store, campaign_id):
@@ -73,8 +94,9 @@ class TestStore:
             store.register("c1", {})
             for seed in (3, 1, 2):
                 store.record_trial("c1", seed, {"digest": f"d{seed}", "seed": seed})
-            assert [s for s, _ in store.payloads("c1")] == [1, 2, 3]
-            assert store.digests("c1") == ["d1", "d2", "d3"]
+            rows = list(store.payloads("c1"))
+            assert [s for s, _ in rows] == [1, 2, 3]
+            assert [p["digest"] for _, p in rows] == ["d1", "d2", "d3"]
 
     def test_latest_incomplete_and_status(self):
         with CampaignStore() as store:
@@ -146,74 +168,108 @@ class TestAtomicWrite:
 
 
 class TestScheduler:
-    def test_fifo_runs_in_submission_order(self):
-        with CampaignStore() as store:
-            plan = _toy_plan([5, 3, 9, 1])
-            CampaignScheduler(store).run(plan)
-            assert _completion_order(store, plan.campaign_id()) == [5, 3, 9, 1]
+    """``run_spec``: fifo waves through a store-backed runner."""
 
-    def test_runner_cache_hits_are_campaign_skips(self, tmp_path):
+    def test_fifo_runs_in_submission_order(self, toy_kind):
+        with CampaignStore() as store:
+            stats = run_spec(_toy_spec([5, 3, 9, 1]), store)
+            assert _completion_order(store, stats["campaign_id"]) == [5, 3, 9, 1]
+
+    def test_runner_cache_hits_are_campaign_skips(self, tmp_path, toy_kind):
         """The campaign and the trial runner share one store: trials a
         runner recorded under the campaign's key are skipped, not re-run."""
         db = tmp_path / "trials.db"
-        plan = _toy_plan([1, 2, 3])
-        TrialRunner(jobs=1, store=db, verify=False).run(
-            plan.experiment, plan.fn, [1, 2], plan.kwargs)
+        TrialRunner(jobs=1, store=db, verify=False).run("toy", _toy_trial, [1, 2])
         with CampaignStore(db) as store:
-            summary = CampaignScheduler(store).run(plan)
+            summary = run_spec(_toy_spec([1, 2, 3]), store)
             assert (summary["executed"], summary["skipped"]) == (1, 2)
-            assert store.max_run_count(plan.campaign_id()) == 1
+            assert store.max_run_count(summary["campaign_id"]) == 1
 
-    def test_unnameable_fn_is_not_durable(self):
-        plan = CampaignPlan(spec={}, experiment="bad", fn=lambda s: {}, kwargs={})
-        with pytest.raises(StoreError, match="not durable"):
-            plan.campaign_id()
-
-    def test_resume_skips_completed(self):
+    def test_resume_skips_completed(self, toy_kind):
         with CampaignStore() as store:
-            plan = _toy_plan(range(6))
-            first = CampaignScheduler(store).run(plan)
-            again = CampaignScheduler(store).run(plan)
+            first = run_spec(_toy_spec(range(6)), store)
+            again = run_spec(_toy_spec(range(6)), store)
             assert (first["executed"], first["skipped"]) == (6, 0)
             assert (again["executed"], again["skipped"]) == (0, 6)
-            assert store.max_run_count(plan.campaign_id()) == 1
+            assert store.max_run_count(first["campaign_id"]) == 1
+            assert store.campaign(first["campaign_id"])["status"] == "complete"
 
-    def test_raising_trial_checkpoints_error_and_completed_work(self):
+    def test_raising_trial_checkpoints_error_and_completed_work(self, monkeypatch):
         def _boom(seed):
             if seed == 2:
                 raise ValueError("boom")
             return {"seed": seed}
         _boom.__module__ = _toy_trial.__module__
         _boom.__qualname__ = "unique_boom_fn"
+        monkeypatch.setitem(plans.KINDS, "boom",
+                            lambda spec: (spec, "boom", _boom, {}, [1, 2, 3]))
         with CampaignStore() as store:
-            plan = CampaignPlan(spec={"kind": "toy"}, experiment="boom",
-                                fn=_boom, seeds=[1, 2, 3])
             with pytest.raises(Exception, match="boom"):
-                CampaignScheduler(store).run(plan)
-            cid = plan.campaign_id()
-            assert 1 in store.completed_seeds(cid)  # pre-failure work kept
-            row = store.campaign(cid)
+                run_spec({"kind": "boom"}, store)
+            [row] = store.campaigns()
+            assert 1 in store.completed_seeds(row["campaign_id"])  # pre-failure work kept
             assert row["status"] == "running"
             assert "boom" in row["last_error"]
 
 
 class TestPlans:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(StoreError, match="kind"):
-            build_plan({"kind": "nope"})
+        with CampaignStore() as store:
+            with pytest.raises(StoreError, match="kind"):
+                run_spec({"kind": "nope"}, store)
+            assert store.campaigns() == []
 
     def test_chaos_plan_rebuilds_from_stored_spec(self):
-        plan = build_plan({"kind": "chaos", "seed": 3, "trials": 5, "scale": 0.5})
-        rebuilt = build_plan(plan.spec)
-        assert rebuilt.campaign_id() == plan.campaign_id()
-        assert rebuilt.seeds == [0, 1, 2, 3, 4]
+        with CampaignStore() as store:
+            stats = run_spec({"kind": "chaos", "seed": 3, "trials": 2, "scale": 0.25},
+                             store)
+            [row] = store.campaigns()
+            again = run_spec(row["spec"], store)
+        assert row["spec"] == {"kind": "chaos", "seed": 3, "trials": 2, "scale": 0.25,
+                               "am_faults": False}
+        assert again["campaign_id"] == stats["campaign_id"]
+        assert (again["executed"], again["skipped"]) == (0, 2)
 
     def test_matrix_plan_round_trips_jobs(self):
         jobs = [["clean-terasort-yarn", "default", "default", ""]]
-        plan = build_plan({"kind": "verify-matrix", "jobs": jobs})
-        assert plan.kwargs["jobs"] == (("clean-terasort-yarn", "default",
-                                       "default", ""),)
-        assert build_plan(plan.spec).campaign_id() == plan.campaign_id()
+        stored, _experiment, _fn, kwargs, seeds = plans.KINDS["verify-matrix"](
+            {"kind": "verify-matrix", "jobs": jobs})
+        assert kwargs["jobs"] == (("clean-terasort-yarn", "default", "default", ""),)
+        assert stored == {"kind": "verify-matrix", "jobs": jobs}
+        assert seeds == [0]
+
+    @pytest.mark.parametrize("spec, campaign_id", PINNED_IDS,
+                             ids=["chaos", "chaos-options", "verify-matrix"])
+    def test_campaign_ids_are_pinned(self, spec, campaign_id):
+        stored = plans.KINDS[spec["kind"]](spec)[0]
+        assert _family_id(spec) == campaign_id
+        assert _family_id(stored) == campaign_id
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "chaos", "trials": 2}, "missing required key(s): seed"),
+        ({"kind": "chaos", "seed": "x", "trials": 2}, "bad chaos campaign spec"),
+        ({"kind": "chaos", "seed": 1, "trials": 0}, "trials >= 1"),
+        ({"kind": "chaos", "seed": 1, "trials": 2, "policies": ["alm", "nosuch"]},
+         "unknown policy 'nosuch'"),
+        ({"kind": "verify-matrix"}, "missing required key(s): jobs"),
+        ({"kind": "verify-matrix", "jobs": [["nosuch", "default", "default", ""]]},
+         "unknown scenario 'nosuch'"),
+        ({"kind": "verify-matrix", "jobs": [["clean-terasort-yarn", "ref", "default", ""]]},
+         "unknown REPRO_KERNEL choice 'ref'"),
+        ({"kind": "verify-matrix",
+          "jobs": [["clean-terasort-yarn", "default", "Columnar", ""]]},
+         "unknown REPRO_SCHEDULER choice 'Columnar'"),
+        ({"kind": "verify-matrix", "jobs": [["clean-terasort-yarn", "default"]]},
+         "is not [scenario, kernel, scheduler, mutate]"),
+    ], ids=["chaos-no-seed", "chaos-bad-seed", "chaos-no-trials", "chaos-policy",
+            "matrix-no-jobs", "matrix-scenario", "matrix-kernel", "matrix-scheduler",
+            "matrix-row"])
+    def test_bad_spec_rejected_before_register(self, spec, message):
+        with CampaignStore() as store:
+            with pytest.raises(StoreError) as exc:
+                run_spec(spec, store)
+            assert message in str(exc.value)
+            assert store.campaigns() == []
 
     def test_aggregate_chaos_streams_counters(self):
         payloads = [
@@ -245,7 +301,7 @@ class TestReproducerPath:
 
 class TestChaosCampaignOnStore:
     def test_one_shot_summary_shape_unchanged(self):
-        summary = run_campaign(seed=7, trials=4, scale=0.25, out_dir=None,
+        summary = run_campaign({"kind": "chaos", "seed": 7, "trials": 4, "scale": 0.25},
                                minimize=False, echo=lambda *_: None)
         assert summary["trials"] == 4
         assert summary["executed"] == 4 and summary["skipped"] == 0
@@ -254,10 +310,10 @@ class TestChaosCampaignOnStore:
 
     def test_durable_rerun_executes_nothing(self, tmp_path):
         db = tmp_path / "c.db"
-        kw = dict(seed=7, trials=4, scale=0.25, out_dir=None, minimize=False,
-                  echo=lambda *_: None, store=db)
-        first = run_campaign(**kw)
-        second = run_campaign(**kw)
+        spec = {"kind": "chaos", "seed": 7, "trials": 4, "scale": 0.25}
+        kw = dict(store=db, minimize=False, echo=lambda *_: None)
+        first = run_campaign(spec, **kw)
+        second = run_campaign(spec, **kw)
         assert second["executed"] == 0 and second["skipped"] == 4
         assert second["digests"] == first["digests"]
         with CampaignStore(db) as store:
@@ -265,8 +321,8 @@ class TestChaosCampaignOnStore:
 
     def test_extending_trials_reuses_prefix(self, tmp_path):
         db = tmp_path / "c.db"
-        kw = dict(seed=7, scale=0.25, out_dir=None, minimize=False,
-                  echo=lambda *_: None, store=db)
-        run_campaign(trials=3, **kw)
-        extended = run_campaign(trials=5, **kw)
+        spec = {"kind": "chaos", "seed": 7, "scale": 0.25}
+        kw = dict(store=db, minimize=False, echo=lambda *_: None)
+        run_campaign(dict(spec, trials=3), **kw)
+        extended = run_campaign(dict(spec, trials=5), **kw)
         assert extended["skipped"] == 3 and extended["executed"] == 2

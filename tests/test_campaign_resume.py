@@ -19,14 +19,19 @@ from repro.faults.chaos import run_campaign
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 
+def _chaos(seed: int, trials: int, scale: float) -> dict:
+    return {"kind": "chaos", "seed": seed, "trials": trials, "scale": scale}
+
+
 def _spawn_campaign(store: Path, seed: int, trials: int, scale: float):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_JOBS", None)  # serial child: finest checkpoint granularity
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "campaign", "submit",
+        [sys.executable, "-m", "repro", "chaos",
          "--store", str(store), "--seed", str(seed),
-         "--trials", str(trials), "--scale", str(scale)],
+         "--trials", str(trials), "--scale", str(scale),
+         "--no-minimize", "--out", str(store.parent / "reports")],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
@@ -68,9 +73,8 @@ def _kill_resume_roundtrip(tmp_path, seed: int, trials: int, scale: float,
         pytest.skip("campaign finished before the kill landed")
     assert 0 < done_at_kill < trials
 
-    resumed = run_campaign(seed=seed, trials=trials, scale=scale,
-                           out_dir=None, minimize=False,
-                           echo=lambda *_: None, store=store_path)
+    resumed = run_campaign(_chaos(seed, trials, scale), store=store_path,
+                           minimize=False, echo=lambda *_: None)
     # Exactly the missing trials ran; nothing was re-executed. (The
     # store may have gained a few more rows between the count read and
     # the SIGKILL landing — run_count is the authoritative check.)
@@ -80,8 +84,8 @@ def _kill_resume_roundtrip(tmp_path, seed: int, trials: int, scale: float,
         assert store.max_run_count(resumed["campaign_id"]) == 1
         assert store.campaign(resumed["campaign_id"])["status"] == "complete"
 
-    fresh = run_campaign(seed=seed, trials=trials, scale=scale,
-                         out_dir=None, minimize=False, echo=lambda *_: None)
+    fresh = run_campaign(_chaos(seed, trials, scale), minimize=False,
+                         echo=lambda *_: None)
     assert resumed["digests"] == fresh["digests"]
     assert len(resumed["digests"]) == trials
 
@@ -105,14 +109,13 @@ class TestTornStore:
         fault, truncation, an errant writer) is quarantined and the
         campaign re-runs from scratch — degraded, never wedged."""
         db = tmp_path / "c.db"
-        kw = dict(seed=7, trials=4, scale=0.25, out_dir=None, minimize=False,
-                  echo=lambda *_: None)
-        first = run_campaign(store=db, **kw)
+        kw = dict(minimize=False, echo=lambda *_: None)
+        first = run_campaign(_chaos(7, 4, 0.25), store=db, **kw)
         db.write_bytes(b"\x00garbage" * 4096)  # tear the whole file
         for suffix in ("-wal", "-shm"):
             Path(str(db) + suffix).unlink(missing_ok=True)
 
-        resumed = run_campaign(store=db, **kw)
+        resumed = run_campaign(_chaos(7, 4, 0.25), store=db, **kw)
         assert resumed["executed"] == 4  # nothing salvageable: full re-run
         assert resumed["digests"] == first["digests"]
         assert list(tmp_path.glob("c.db.corrupt-*"))  # original preserved
@@ -137,8 +140,9 @@ class TestCampaignCLI:
         from repro.cli import main
 
         db = str(tmp_path / "c.db")
-        assert main(["campaign", "submit", "--store", db, "--seed", "7",
-                     "--trials", "3", "--scale", "0.25"]) == 0
+        assert main(["chaos", "--store", db, "--seed", "7", "--trials", "3",
+                     "--scale", "0.25", "--out", str(tmp_path / "reports")]) == 0
+        assert "campaign id: " in capsys.readouterr().out
         assert main(["campaign", "status", "--store", db]) == 0
         out = capsys.readouterr().out
         assert "3/3 trials" in out and "complete" in out
@@ -183,12 +187,47 @@ class TestCampaignCLI:
         assert payloads[0]["success"] is False
 
         plain = str(tmp_path / "plain.db")
-        assert main(["campaign", "submit", "--store", plain, "--seed", "3",
-                     "--trials", "1", "--scale", "0.25"]) == 0
+        spec_file.write_text(json.dumps({
+            "kind": "chaos", "seed": 3, "trials": 1, "scale": 0.25}))
+        assert main(["campaign", "submit", "--store", plain, "--spec", str(spec_file),
+                     "--out", str(tmp_path / "reports")]) == 0
         with CampaignStore(plain) as store:
             [row] = store.campaigns()
         assert "hard_timeout" not in row["spec"]
         assert "stall_timeout" not in row["spec"]
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read campaign spec {path}: [Errno 2] No such file"),
+        ("not json", "cannot read campaign spec {path}: Expecting value"),
+        ("[1]", "{path} is not a campaign spec (expected a JSON object)"),
+        ('{"kind": "chaos", "trials": 2}',
+         "chaos campaign spec is missing required key(s): seed"),
+        ('{"kind": "chaos", "seed": 1, "trials": 2, "policies": ["nosuch"]}',
+         "unknown policy 'nosuch'; registered: yarn, "),
+        ('{"kind": "verify-matrix", "jobs": [["nosuch", "default", "default", ""]]}',
+         "unknown scenario 'nosuch'"),
+    ], ids=["missing", "not-json", "not-object", "chaos-no-seed", "unregistered-policy",
+            "unknown-scenario"])
+    def test_bad_submit_spec_is_a_usage_error(self, content, message, tmp_path, capsys):
+        """Exit 1 means "violations found": a spec that cannot run exits 2
+        with one error line and registers no campaign, so ``resume`` does
+        not pick it up."""
+        from repro.cli import main
+
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        db = tmp_path / "c.db"
+        assert main(["campaign", "submit", "--store", str(db), "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro campaign submit: error: "
+                               + message.format(path=path))
+        assert captured.out == ""
+        if db.exists():
+            with CampaignStore(db) as store:
+                assert store.campaigns() == []
+            assert main(["campaign", "resume", "--store", str(db)]) == 1
 
     @pytest.mark.parametrize("command", ["status", "resume", "export"])
     def test_missing_store_is_a_usage_error(self, command, tmp_path, capsys):

@@ -152,7 +152,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv", [
         ["chaos"],
-        ["campaign", "submit", "--store", "campaign.db"],
+        ["chaos", "--store", "campaign.db"],
         ["experiment", "table2"],
     ])
     def test_unknown_policy_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
@@ -171,14 +171,26 @@ class TestOtherCommands:
          "repro chaos: error: argument --trials: must be positive, got 0"),
         (["chaos", "--scale", "0"],
          "repro chaos: error: argument --scale: must be positive, got 0"),
-        (["campaign", "submit", "--store", "campaign.db", "--trials", "-2"],
-         "repro campaign submit: error: argument --trials: must be positive, got -2"),
-        (["campaign", "submit", "--store", "campaign.db", "--scale", "-1"],
-         "repro campaign submit: error: argument --scale: must be positive, got -1"),
+        (["chaos", "--store", "campaign.db", "--trials", "-2"],
+         "repro chaos: error: argument --trials: must be positive, got -2"),
+        (["chaos", "--store", "campaign.db", "--scale", "-1"],
+         "repro chaos: error: argument --scale: must be positive, got -1"),
         (["experiment", "fig02", "--scale", "-1"],
          "repro experiment: error: argument --scale: must be positive, got -1"),
+        (["chaos", "--jobs", "-3"],
+         "repro chaos: error: argument --jobs: must be positive, got -3"),
+        (["experiment", "fig02", "--jobs", "0"],
+         "repro experiment: error: argument --jobs: must be positive, got 0"),
+        (["verify", "--jobs", "0"],
+         "repro verify: error: argument --jobs: must be positive, got 0"),
+        (["campaign", "submit", "--store", "campaign.db", "--jobs", "-1"],
+         "repro campaign submit: error: argument --jobs: must be positive, got -1"),
+        (["campaign", "resume", "--store", "campaign.db", "--jobs", "0"],
+         "repro campaign resume: error: argument --jobs: must be positive, got 0"),
     ], ids=["chaos-trials-neg", "chaos-trials-zero", "chaos-scale-zero",
-            "submit-trials-neg", "submit-scale-neg", "experiment-scale-neg"])
+            "store-trials-neg", "store-scale-neg", "experiment-scale-neg",
+            "chaos-jobs-neg", "exp-jobs-zero", "verify-jobs-zero", "submit-jobs-neg",
+            "resume-jobs-zero"])
     def test_non_positive_count_or_scale_is_a_usage_error(self, argv, message, tmp_path,
                                                           monkeypatch, capsys):
         """Caught by argparse: nothing runs, no store is created, and the

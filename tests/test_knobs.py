@@ -1,6 +1,8 @@
 """The package reads a fixed set of environment knobs, each documented
-in README.md; the trial paths do not load the trial store's ``sqlite3``."""
+in README.md, and its CLI offers a fixed set of options; the trial paths
+do not load the trial store's ``sqlite3``."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -31,6 +33,40 @@ def test_every_env_knob_is_documented_in_readme():
     assert "REPRO_KERNEL" in knobs  # the scan itself found the package
     readme = set(KNOB.findall((ROOT / "README.md").read_text(encoding="utf-8")))
     assert sorted(knobs - readme) == []
+
+
+def _cli_options(parser: argparse.ArgumentParser, command: str = "") -> set[tuple[str, str]]:
+    """Every ``(subcommand, long option)`` pair below ``parser``."""
+    pairs = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                pairs |= _cli_options(sub, f"{command} {name}".strip())
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            pairs.add((command, max(action.option_strings, key=len)))
+    return pairs
+
+
+def test_cli_offers_exactly_the_supported_options():
+    """Like an env knob, a flag is surface to document and keep working:
+    adding or removing one is a deliberate change to this list."""
+    from repro.cli import _build_parser
+
+    expected = {
+        "run": ["--export", "--fault", "--nodes", "--policy", "--racks", "--reducers",
+                "--report", "--seed", "--size-gb", "--speculation"],
+        "experiment": ["--jobs", "--policies", "--scale", "--trial-cache"],
+        "chaos": ["--am-faults", "--jobs", "--no-minimize", "--out", "--policies",
+                  "--replay", "--scale", "--seed", "--smoke", "--store", "--trials"],
+        "campaign submit": ["--jobs", "--no-minimize", "--out", "--spec", "--store"],
+        "campaign resume": ["--id", "--jobs", "--no-minimize", "--out", "--store"],
+        "campaign status": ["--id", "--store"],
+        "campaign export": ["--id", "--out", "--payloads", "--store"],
+        "verify": ["--jobs", "--matrix", "--metamorphic", "--out", "--quick",
+                   "--refresh-golden", "--scenario", "--store"],
+    }
+    assert _cli_options(_build_parser()) == {
+        (command, option) for command, options in expected.items() for option in options}
 
 
 def test_trial_paths_do_not_import_sqlite3():
