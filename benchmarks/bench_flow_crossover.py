@@ -7,7 +7,7 @@ it encodes: Terasort 10 GB shaped like the end-to-end benchmark's
 fault-free and with the reducer's node failing at 50%), timed under both
 forced schedulers at each cluster size. Digests must match between the
 two schedulers; the row reports the median wall seconds of ``--repeats``
-runs of the pair of jobs.
+runs of the pair of jobs and how many of those runs columnar won.
 
 Run from the repository root::
 
@@ -59,6 +59,8 @@ def crossover_row(nodes: int, repeats: int) -> dict:
     row.update({f"{name}_s": round(statistics.median(walls[name]), 3)
                 for name in SCHEDULERS})
     row["columnar_speedup"] = round(row["incremental_s"] / row["columnar_s"], 2)
+    # Repeats in which columnar beat incremental on the same pair.
+    row["columnar_wins"] = sum(c < i for i, c in zip(*walls.values()))
     return row
 
 

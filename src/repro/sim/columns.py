@@ -123,7 +123,6 @@ class FlowColumns(ColumnStore):
         "rate": "f8",       # current max-min allocated rate (B/s)
         "size": "f8",       # total bytes (constant per flow)
         "fid": "i8",        # admission-ordered flow id (sort key)
-        "comp": "i8",       # union-find component label (a root rid)
         "deg": "i4",        # number of valid entries in rids[slot]
     }
 

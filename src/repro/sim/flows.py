@@ -76,7 +76,7 @@ class LinkResource:
         self.name = name
         self._capacity = float(capacity)
         self._scheduler = None
-        #: Dense id assigned by a columnar scheduler at first use.
+        #: Dense id held while a columnar scheduler has flows on it.
         self._rid = -1
 
     @property

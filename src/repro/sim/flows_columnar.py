@@ -9,6 +9,14 @@ per-object python loops. At shuffle-wave scale (thousands of concurrent
 flows per instant) this is where the model spends its time once the
 kernel and node plane are columnar.
 
+Each resource in use holds a dense id (*rid*) and one row of resource
+columns, kept up to date as flows attach and detach: its capacity, its
+count of attached flows, and its *encounter key* — the fid of its
+earliest-admitted attached user and its position in that flow's route.
+A rid is recycled the moment its last user detaches, so the registry
+stays as small as the set of busy resources. A refill reads these
+columns instead of rebuilding them.
+
 Bit-identity contract (the same one the incremental scheduler pins
 against the eager reference, DESIGN.md §13):
 
@@ -17,20 +25,21 @@ against the eager reference, DESIGN.md §13):
   (`max(0.0, rem - rate*dt)`, `max(cap, 0.0)/cnt`, `rem/rate`), and
   IEEE float ops are elementwise-deterministic, so columns hold the
   same bits the object attributes would.
-- **Same fill order.** Flows enter the fill in fid (admission) order,
-  resources in first-encounter order over that flow order, and each
-  round's bottleneck is ``np.argmin`` — the *first* strict minimum,
-  exactly the scalar linear scan's tie-break. Freeze-round capacity
-  subtractions are applied in the scalar's flow-major edge order.
-- **Conservative components.** Resource connectivity is tracked with a
-  union-find that only ever merges (never splits), so a refill may
-  cover a *superset* of the true dirty component. Max-min filling
-  decomposes across connected components — a merged fill executes each
-  true component's round sequence unchanged, interleaved — so the
-  extra coverage re-derives identical rates (§13 gives the argument).
-  Only the ``filling_rounds``/``recomputed_flows`` counters can differ
-  from the incremental scheduler; no rate, completion time, or trace
-  byte does.
+- **Whole-population fill.** A refill re-shares every attached flow,
+  not just the dirty component. Max-min filling decomposes across
+  connected components — a merged fill executes each component's round
+  sequence unchanged, interleaved — so flows outside the dirty
+  component land on the rates they already had (§13 gives the
+  argument). Only the ``filling_rounds``/``recomputed_flows``/
+  ``column_ops`` counters differ from the incremental scheduler; no
+  rate, completion time, or trace byte does.
+- **Same tie-break.** The scalar fill visits resources in
+  first-encounter order over flows in fid (admission) order, which is
+  exactly ascending encounter key ``(fid, position)``. The refill sorts
+  the busy resources by that key once and takes each round's
+  bottleneck with ``np.argmin`` — the *first* strict minimum, the
+  scalar linear scan's tie-break. Every capacity subtraction of one
+  freeze round subtracts the same share, so their order is immaterial.
 - **Same completion order.** The completion scan yields slots in
   arbitrary (LIFO-reuse) slot order, so finishers are sorted by fid
   before bookkeeping/succeed — the admission order the scalar
@@ -43,7 +52,7 @@ import math
 
 import numpy as np
 
-from repro.sim.columns import FlowColumns
+from repro.sim.columns import ColumnStore, FlowColumns
 from repro.sim.core import Simulator
 from repro.sim.flows import _EPS, Flow, FlowScheduler, LinkResource
 
@@ -56,69 +65,28 @@ class ColumnarFlowScheduler(FlowScheduler):
     def __init__(self, sim: Simulator) -> None:
         super().__init__(sim)
         self.columns = FlowColumns()
-        #: dense rid -> LinkResource, validates stale ``_rid`` tags.
-        self._rid_res: list[LinkResource] = []
-        self._next_rid = 0
-        #: dense rid -> current capacity (refreshed on set_capacity).
-        self._rid_cap = np.zeros(64)
-        #: union-find parent over rids; merges only, never splits.
-        self._uf_parent = np.zeros(64, dtype="i8")
+        #: rid -> capacity, attached-flow count, and encounter key
+        #: (first user's fid, position in its route); one slot per
+        #: resource with at least one attached flow.
+        self.resources = ColumnStore({"cap": "f8", "count": "i8",
+                                      "fid": "i8", "pos": "i8"}, capacity=64)
 
-    # -- resource registry / components ------------------------------------
-    def _register_rid(self, r: LinkResource) -> int:
-        rid = r._rid
-        if 0 <= rid < self._next_rid and self._rid_res[rid] is r:
-            return rid
-        rid = self._next_rid
-        self._next_rid += 1
+    # -- resource registry ----------------------------------------------------
+    def _register_rid(self, r: LinkResource, fid: int, pos: int) -> int:
+        rid = self.resources.alloc(cap=r.capacity, fid=fid, pos=pos)
         r._rid = rid
-        self._rid_res.append(r)
-        if rid >= len(self._rid_cap):
-            new_cap = max(len(self._rid_cap) * 2, rid + 1)
-            grown = np.zeros(new_cap)
-            grown[: len(self._rid_cap)] = self._rid_cap
-            self._rid_cap = grown
-            grown_p = np.zeros(new_cap, dtype="i8")
-            grown_p[: len(self._uf_parent)] = self._uf_parent
-            self._uf_parent = grown_p
-        self._rid_cap[rid] = r.capacity
-        self._uf_parent[rid] = rid
         return rid
-
-    def _find(self, x: int) -> int:
-        parent = self._uf_parent
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    def _resolve_roots(self, comp: np.ndarray) -> np.ndarray:
-        """Vectorized find for an array of component labels, with
-        write-back path compression."""
-        parent = self._uf_parent
-        cur = parent[comp]
-        while True:
-            nxt = parent[cur]
-            if np.array_equal(nxt, cur):
-                break
-            cur = nxt
-        parent[comp] = cur
-        return cur
 
     def _attach(self, flow: Flow) -> None:
         cols = self.columns
-        rids = [self._register_rid(r) for r in flow.resources]
-        root = self._find(rids[0])
-        for rid in rids[1:]:
-            r2 = self._find(rid)
-            if r2 != root:
-                self._uf_parent[r2] = root
+        fid = flow.fid
+        rids = [r._rid if r._rid >= 0 else self._register_rid(r, fid, pos)
+                for pos, r in enumerate(flow.resources)]
+        self.resources.col("count")[rids] += 1
         deg = len(rids)
         cols.ensure_degree(deg)
         slot = cols.alloc(remaining=flow.remaining, rate=0.0, size=flow.size,
-                          fid=flow.fid, comp=root, deg=deg)
+                          fid=fid, deg=deg)
         row = cols.rids[slot]
         row[:deg] = rids
         row[deg:] = -1
@@ -172,20 +140,31 @@ class ColumnarFlowScheduler(FlowScheduler):
 
     def _remove(self, flow: Flow) -> None:
         cols = flow._cols
-        if cols is not None:
-            slot = flow._slot
-            flow.remaining = float(cols.col("remaining")[slot])
-            flow._rate = float(cols.col("rate")[slot])
-            flow._cols = None
-            flow._slot = -1
-            cols.free(slot)
+        slot = flow._slot
+        flow.remaining = float(cols.col("remaining")[slot])
+        flow._rate = float(cols.col("rate")[slot])
+        flow._cols = None
+        flow._slot = -1
+        cols.free(slot)
         super()._remove(flow)
+        res = self.resources
+        count = res.col("count")
+        for r in flow.resources:
+            rid = r._rid
+            count[rid] -= 1
+            if count[rid] == 0:
+                res.free(rid)
+                r._rid = -1
+            elif res.col("fid")[rid] == flow.fid:
+                # fids grow with admission, so the bucket's first entry
+                # is the earliest-admitted user still attached.
+                first = next(iter(self._res_flows[r].values()))
+                res.col("fid")[rid] = first.fid
+                res.col("pos")[rid] = first.resources.index(r)
 
     def _reshare(self, resource: LinkResource | None = None) -> None:
-        if resource is not None:
-            rid = resource._rid
-            if 0 <= rid < self._next_rid and self._rid_res[rid] is resource:
-                self._rid_cap[rid] = resource.capacity
+        if resource is not None and resource._rid >= 0:
+            self.resources.col("cap")[resource._rid] = resource.capacity
         super()._reshare(resource)
 
     def _complete_finished(self, at_timer: bool = False) -> None:
@@ -226,89 +205,56 @@ class ColumnarFlowScheduler(FlowScheduler):
         dirty = self._dirty_res
         self._dirty_res = {}
         self.stats["recomputes"] += 1
-        if self._active and dirty:
-            slots = self._dirty_slots(dirty)
-            if slots is not None and len(slots):
-                self._fill_columns(slots)
+        # A dirty resource with no attached flow left changes no rate.
+        if any(r._rid >= 0 for r in dirty):
+            self._refill()
         self._schedule_timer()
 
-    def _dirty_slots(self, dirty) -> np.ndarray | None:
-        """Slots of every flow in the union-find component(s) of the
-        dirty resources — a conservative superset of the true dirty
-        component (see the module docstring for why that is exact)."""
-        cols = self.columns
-        n = cols.size
-        if n == 0:
-            return None
-        droots = []
-        for r in dirty:
-            rid = r._rid
-            if 0 <= rid < self._next_rid and self._rid_res[rid] is r:
-                droots.append(self._find(rid))
-        if not droots:
-            return None
-        droots = np.unique(np.asarray(droots, dtype="i8"))
-        roots = self._resolve_roots(cols.col("comp")[:n])
-        mask = cols.used[:n] & np.isin(roots, droots)
-        self.stats["column_ops"] += 1
-        return np.flatnonzero(mask)
+    def _refill(self) -> None:
+        """Vectorized progressive filling over every attached flow.
 
-    def _fill_columns(self, slots: np.ndarray) -> None:
-        """Vectorized progressive filling over one component slice.
-
-        Mirrors ``FlowScheduler._fill`` round for round: same flow
-        order (fid-sorted), same resource first-encounter order, same
-        first-strict-minimum bottleneck, same flow-major subtraction
-        order within a freeze round.
+        Mirrors ``FlowScheduler._fill`` round for round on every
+        component at once: resources in encounter-key order, the same
+        first-strict-minimum bottleneck, the same per-round share
+        subtracted from each frozen flow's resources.
         """
+        res = self.resources
+        act = res.used[:res.size].nonzero()[0]
+        act = act[np.lexsort((res.col("pos")[act], res.col("fid")[act]))]
+        m = len(act)
+        # Local ids follow encounter order; the -1 route padding maps
+        # to a sink (id m) whose share is never finite.
+        local = np.full(res.size + 1, m)
+        local[act] = np.arange(m)
+        rcap = np.concatenate((res.col("cap")[act], (math.inf,)))
+        cnt = np.concatenate((res.col("count")[act], (0,)))
+
         cols = self.columns
-        order = np.argsort(cols.col("fid")[slots])
-        slots = slots[order]
+        slots = cols.used[:cols.size].nonzero()[0]
         n = len(slots)
         self.stats["recomputed_flows"] += n
         self.stats["column_ops"] += 1
+        lmat = local[cols.rids[slots]]            # flow x route -> local id
+        e_local = lmat.ravel()                    # flat edge list (a view)
+        e_flow = np.repeat(np.arange(n), lmat.shape[1])
 
-        deg = cols.col("deg")[slots].astype("i8")
-        width = int(deg.max())
-        rmat = cols.rids[slots, :width]
-        emask = np.arange(width) < deg[:, None]
-        e_rid = rmat[emask]                       # flow-major edge list
-        e_flow = np.repeat(np.arange(n), deg)
-        uniq, first_idx, inv = np.unique(e_rid, return_index=True,
-                                         return_inverse=True)
-        num_res = len(uniq)
-        enc = np.argsort(first_idx, kind="stable")  # first-encounter order
-        rank = np.empty(num_res, dtype="i8")
-        rank[enc] = np.arange(num_res)
-        e_local = rank[inv]
-        rcap = self._rid_cap[uniq[enc]].copy()
-        cnt = np.bincount(e_local, minlength=num_res)
-
-        frate = np.zeros(n)
-        unfrozen = np.ones(n, dtype=bool)
-        fsel = np.empty(n, dtype=bool)
+        frate = np.empty(n)
+        share = np.empty(m + 1)
+        left = n
         rounds = 0
-        share = np.empty(num_res)
-        while unfrozen.any():
-            active = cnt > 0
-            if not active.any():  # pragma: no cover - defensive
-                break
+        while left:
             share.fill(math.inf)
-            np.divide(np.maximum(rcap, 0.0), cnt, out=share, where=active)
-            b = int(np.argmin(share))             # first strict minimum
+            np.divide(np.maximum(rcap, 0.0), cnt, out=share, where=cnt > 0)
+            b = share.argmin()                    # first strict minimum
             best = share[b]
             rounds += 1
-            fb = e_flow[e_local == b]
-            fb = fb[unfrozen[fb]]
-            if len(fb):
-                unfrozen[fb] = False
-                frate[fb] = best
-                fsel.fill(False)
-                fsel[fb] = True
-                rs = e_local[fsel[e_flow]]        # scalar's flow-major order
-                np.subtract.at(rcap, rs, best)
-                np.subtract.at(cnt, rs, 1)
-            cnt[b] = 0
+            fb = e_flow[e_local == b]             # b's unfrozen users
+            frate[fb] = best
+            left -= len(fb)
+            rs = lmat[fb]
+            lmat[fb] = m                          # frozen: edges to the sink
+            np.subtract.at(rcap, rs, best)
+            np.subtract.at(cnt, rs, 1)
         cols.col("rate")[slots] = frate
         self.stats["filling_rounds"] += rounds
 

@@ -1,6 +1,10 @@
-"""Flow columns: store round-trips against shadow python objects and
-the flow schedulers' timer-reuse path."""
+"""Flow columns: store round-trips against shadow python objects, the
+flow schedulers' timer-reuse path, and the columnar scheduler's
+resource columns."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +35,7 @@ class TestFlowColumnsRoundTrip:
             cols.ensure_degree(deg)
             rids = [fid * 31 + j for j in range(deg)]
             slot = cols.alloc(remaining=size, rate=rate, size=size,
-                              fid=fid, comp=fid, deg=deg)
+                              fid=fid, deg=deg)
             # The writer owns padding: the store clears neither on
             # free nor on alloc, so (like `_attach`) reset past-degree
             # entries to -1 when stamping the edge row.
@@ -103,3 +107,84 @@ def test_disjoint_admission_reuses_completion_timer(sched_cls):
     assert times["early"] == 8.0
     assert sim.now == 18.0
     assert fs.stats["timer_reuses"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Resource columns: maintained counts and encounter keys vs a recount
+# ---------------------------------------------------------------------------
+def _recount(sched):
+    """Per-rid attached-flow counts and encounter keys (first user's
+    fid, position in its route), recounted from the live flows."""
+    counts: dict[int, int] = {}
+    keys: dict[int, tuple[int, int]] = {}
+    for f in sched.active_flows:  # admission order
+        for pos, r in enumerate(f.resources):
+            counts[r._rid] = counts.get(r._rid, 0) + 1
+            keys.setdefault(r._rid, (f.fid, pos))
+    return counts, keys
+
+
+def _assert_resource_columns_match(sched):
+    res = sched.resources
+    counts, keys = _recount(sched)
+    live = np.flatnonzero(res.used[:res.size]).tolist()
+    assert sorted(counts) == live  # every user's rid is live, and only those
+    for rid in live:
+        assert res.get(rid, "count") == counts[rid]
+        assert (res.get(rid, "fid"), res.get(rid, "pos")) == keys[rid]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_resource_counts_and_keys_match_recount_after_every_flush(seed):
+    rng = random.Random(seed)
+    sim = Simulator()
+    sched = ColumnarFlowScheduler(sim)
+    links = [LinkResource(f"r{j}", 100.0) for j in range(rng.randint(3, 7))]
+    flushes = []
+    flush = sched._flush
+
+    def checked_flush():
+        flush()
+        _assert_resource_columns_match(sched)
+        flushes.append(sim.now)
+
+    sched._flush = checked_flush
+
+    def driver():
+        for i in range(60):
+            yield sim.timeout(rng.choice([0.0, 0.0, 0.05, 0.3, 1.0]))
+            kind = rng.random()
+            live = list(sched.active_flows)
+            if kind < 0.55:
+                route = rng.sample(links, rng.randint(0, min(3, len(links))))
+                cap = rng.choice([None, None, 40.0]) if route else 40.0
+                sched.transfer(rng.choice([5.0, 50.0, 400.0]), route, f"f{i}", rate_cap=cap)
+            elif kind < 0.7 and live:
+                sched.cancel(rng.choice(live), "scripted")
+            elif kind < 0.8:
+                sched.cancel_flows_using(rng.sample(links, 2), "scripted")
+            else:
+                rng.choice(links).set_capacity(rng.choice([25.0, 100.0, 150.0]))
+
+    sim.process(driver())
+    sim.run()
+    assert len(flushes) > 20 and sched.stats["completions"] > 5
+    assert sched.active_count == 0 and len(sched.resources) == 0
+
+
+def test_rate_cap_rids_are_recycled():
+    """Each ``rate_cap`` flow routes through a fresh private resource;
+    its rid goes back to the registry when the flow detaches, so 1,000
+    sequential memcpy flows next to one busy disk use two rids."""
+    sim = Simulator()
+    sched = ColumnarFlowScheduler(sim)
+    disk = LinkResource("disk", 100.0)
+    sched.transfer(1e9, [disk], "long-read")
+
+    def driver():
+        for i in range(1000):
+            yield sched.transfer(1e3, [], f"memcpy-{i}", rate_cap=1e6).done
+
+    sim.run(sim.process(driver()))
+    assert sched.stats["completions"] == 1000
+    assert sched.resources.size == 2 and len(sched.resources) == 1

@@ -83,14 +83,60 @@ def _run_script(sched_cls, seed: int):
     return times, rates
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_random_workloads_match_reference_exactly(seed):
+# The incremental cases keep their bare seed ids; the columnar ones are
+# prefixed.
+RANDOM_CASES = ([pytest.param(FlowScheduler, seed, id=str(seed)) for seed in range(25)]
+                + [pytest.param(ColumnarFlowScheduler, seed, id=f"columnar-{seed}")
+                   for seed in range(25)])
+
+
+@pytest.mark.parametrize("sched_cls, seed", RANDOM_CASES)
+def test_random_workloads_match_reference_exactly(sched_cls, seed):
     ref_times, ref_rates = _run_script(ReferenceFlowScheduler, seed)
-    inc_times, inc_rates = _run_script(FlowScheduler, seed)
+    times, rates = _run_script(sched_cls, seed)
     # Exact equality: same flows complete at the same float instants,
     # and every observed rate is the same float.
-    assert inc_times == ref_times
-    assert inc_rates == ref_rates
+    assert times == ref_times
+    assert rates == ref_rates
+
+
+def _tie_after_reuse(sched_cls):
+    """Resources ``x`` and ``y`` tie exactly (100/3 each) and share one
+    flow, so whichever the fill freezes first hands its flows 100/3 and
+    the other's ``(100 - 100/3)/2`` — an ulp apart. ``early`` registers
+    ``y`` before ``x``, then finishes; the later flows meet ``x`` first.
+    The tie must follow that encounter order, not registration order."""
+    sim = Simulator()
+    sched = sched_cls(sim)
+    x = LinkResource("x", 100.0)
+    y = LinkResource("y", 100.0)
+    times: dict[str, float] = {}
+    rates: dict[str, float] = {}
+
+    def driver():
+        early = sched.transfer(10.0, [y, x], "early")
+        yield early.done
+        flows = [sched.transfer(1000.0, [x, y], "both"),
+                 sched.transfer(1000.0, [y], "y1"), sched.transfer(1000.0, [x], "x1"),
+                 sched.transfer(1000.0, [y], "y2"), sched.transfer(1000.0, [x], "x2")]
+        if isinstance(sched, ColumnarFlowScheduler):
+            assert x._rid > y._rid  # registration order is y, x
+        for f in flows:
+            f.done._add_callback(lambda e, f=f: times.__setitem__(f.name, sim.now))
+        rates.update((f.name, f.rate) for f in flows)
+
+    sim.process(driver())
+    sim.run()
+    return times, rates
+
+
+@pytest.mark.parametrize("sched_cls", [FlowScheduler, ColumnarFlowScheduler],
+                         ids=["incremental", "columnar"])
+def test_tie_follows_encounter_order_not_registration_order(sched_cls):
+    ref_times, ref_rates = _tie_after_reuse(ReferenceFlowScheduler)
+    # The case is sensitive: the tie decides which side gets the ulp.
+    assert ref_rates["x1"] == 100.0 / 3 != ref_rates["y1"]
+    assert _tie_after_reuse(sched_cls) == (ref_times, ref_rates)
 
 
 @pytest.mark.parametrize("seed", range(10))
