@@ -10,6 +10,11 @@ generator (or its exception thrown into it).
 Only simulation-domain concepts live here; bandwidth sharing and
 resources are layered on top in sibling modules.
 
+Priorities order the events of one instant: ``URGENT`` (process starts
+and interrupts), ``NORMAL`` (everything else), then ``LATE``
+(:meth:`Simulator.schedule_late`), which runs after every other event
+at its time, including events queued after it.
+
 Hot-path design:
 
 - **``Simulator.periodic``** — a dedicated wakeup path for fixed-interval
@@ -60,6 +65,10 @@ __all__ = [
 NORMAL = 1
 #: Priority used for high-urgency events (process interrupts).
 URGENT = 0
+#: Priority used for end-of-instant work (:meth:`Simulator.schedule_late`):
+#: it sorts after every ordinary event at the same time, including ones
+#: queued later.
+LATE = 2
 
 
 #: The implementation-mode knobs: each environment variable and the
@@ -641,6 +650,17 @@ class Simulator:
         if self._reference:
             return _GeneratorPeriodic(self, interval, fn, immediate, name)
         return Periodic(self, interval, fn, immediate=immediate, pure=pure, name=name)
+
+    def schedule_late(self, cb: Callable[[Event], None]) -> Event:
+        """Call ``cb(event)`` at the end of the current instant: after
+        every other event at this time, including events queued after
+        this call or chained from their callbacks, and before any event
+        at a later time."""
+        event = Event(self)
+        event.callbacks.append(cb)
+        event._triggered = True
+        self._schedule(event, LATE, 0.0)
+        return event
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -14,11 +14,13 @@ cluster scale without changing a single allocated rate:
 
 **Same-timestamp coalescing.** Starting, finishing or cancelling a flow
 only marks the scheduler *dirty*; the progressive-filling pass runs
-once per simulated instant (a zero-delay flush event, or lazily the
-moment any rate is observed). A 500-flow shuffle wave arriving at one
-timestamp therefore pays one filling pass instead of 500. This is
-exact: rates only matter once simulated time advances, and the flush is
-guaranteed to run before it does.
+once per simulated instant, in an end-of-instant event
+(:meth:`Simulator.schedule_late`) that runs after every other event at
+its time — follow-up flows admitted by completion callbacks included —
+or lazily the moment any rate is observed. A 500-flow shuffle wave
+arriving at one timestamp therefore pays one filling pass instead of
+500. This is exact: rates only matter once simulated time advances, and
+the flush is guaranteed to run before it does.
 
 **Scoped incremental recomputation.** The flush re-shares only the
 connected component of the flow/resource bipartite graph reachable from
@@ -26,9 +28,9 @@ the dirtied flows and links. Max-min allocation decomposes across
 connected components, so untouched components keep their frozen rates —
 which are bit-identical to what a full recompute would reassign them.
 
-The filling loop itself scans only the component's resources per round
-(not the cluster's) and tracks flows by dense integer ids rather than
-``id()`` dictionaries.
+The filling loop itself works on the component's resources only (not
+the cluster's), in lists indexed by first-encounter order, and picks
+each round's bottleneck with C-level ``min`` and ``list.index``.
 
 This fluid model is standard in cluster simulators; it preserves the
 qualitative behaviour the reproduction needs (disk-bound merging,
@@ -172,7 +174,8 @@ class FlowScheduler:
     Mutations (:meth:`transfer`, :meth:`cancel`, capacity changes,
     completions) are cheap: they update the flow/resource adjacency and
     mark the touched resources dirty. Rates are re-shared once per
-    simulated instant, scoped to the dirty connected component.
+    simulated instant, at its end, scoped to the dirty connected
+    component.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -408,11 +411,12 @@ class FlowScheduler:
             self._dirty_res[r] = None
         self._dirty = True
         if not self._flush_scheduled:
-            # One zero-delay flush per instant: it lands after every
-            # already-queued event at the current time, coalescing all
-            # of the instant's flow churn into one recompute.
+            # One end-of-instant flush: it runs after every other event
+            # at the current time, including follow-up flows admitted by
+            # completion callbacks, so the instant's churn costs one
+            # recompute.
             self._flush_scheduled = True
-            self.sim.timeout(0.0)._add_callback(self._flush_cb)
+            self.sim.schedule_late(self._flush_cb)
 
     def _flush_cb(self, _event: Event) -> None:
         self._flush_scheduled = False
@@ -454,10 +458,13 @@ class FlowScheduler:
         """Progressive-filling max-min allocation over one component.
 
         Bit-identical to a full recompute restricted to these flows:
-        resources are visited in first-encounter order over flows in
-        admission order, and each round's bottleneck is picked by the
-        same strictly-smaller linear scan as the reference scheduler —
-        just over the component's resources instead of the cluster's.
+        resources get local ids in first-encounter order over flows in
+        admission order, and each round's bottleneck is the first
+        minimum share in that order (``min`` then ``index``), which is
+        the reference scheduler's strictly-smaller linear scan, ties
+        included. The component is closed under adjacency, so a
+        resource's users are its whole ``_res_flows`` bucket, already in
+        admission order; only the shares a round touched are refreshed.
 
         (A lazy min-heap selection is tempting but wrong here: shares
         are monotone non-decreasing during filling only in exact
@@ -469,45 +476,39 @@ class FlowScheduler:
         flows = [self._active[fid] for fid in sorted(fids)]
         self.stats["recomputed_flows"] += len(flows)
 
-        users: dict[LinkResource, list[Flow]] = {}
-        remaining_cap: dict[LinkResource, float] = {}
-        counts: dict[LinkResource, int] = {}
+        local: dict[LinkResource, int] = {}
         for f in flows:
             for r in f.resources:
-                bucket = users.get(r)
-                if bucket is None:
-                    users[r] = [f]
-                    remaining_cap[r] = r.capacity
-                    counts[r] = 1
-                else:
-                    bucket.append(f)
-                    counts[r] += 1
+                if r not in local:
+                    local[r] = len(local)
+        buckets = [self._res_flows[r] for r in local]
+        cap = [r._capacity for r in local]
+        counts = [len(bucket) for bucket in buckets]
+        shares = [max(c, 0.0) / n for c, n in zip(cap, counts)]
 
-        unfrozen = set(fids)
+        inf = math.inf
+        frozen: set[int] = set()
+        left = len(flows)
         rounds = 0
-        while unfrozen:
-            bottleneck: LinkResource | None = None
-            best_share = math.inf
-            for r, cnt in counts.items():
-                if cnt > 0:
-                    share = max(remaining_cap[r], 0.0) / cnt
-                    if share < best_share:
-                        best_share = share
-                        bottleneck = r
-            if bottleneck is None:  # pragma: no cover - defensive
+        while left:
+            best = min(shares)
+            if best == inf:  # only infinite-capacity resources remain
                 break
             rounds += 1
-            for f in users[bottleneck]:
-                fid = f.fid
-                if fid in unfrozen:
-                    unfrozen.discard(fid)
-                    f._rate = best_share
+            for fid, f in buckets[shares.index(best)].items():
+                if fid not in frozen:
+                    frozen.add(fid)
+                    left -= 1
+                    f._rate = best
                     for r2 in f.resources:
-                        remaining_cap[r2] -= best_share
-                        counts[r2] -= 1
-            counts[bottleneck] = 0
-        for fid in unfrozen:  # pragma: no cover - defensive
-            self._active[fid]._rate = 0.0
+                        j = local[r2]
+                        c = cap[j] = cap[j] - best
+                        n = counts[j] = counts[j] - 1
+                        shares[j] = max(c, 0.0) / n if n else inf
+        if left:
+            for f in flows:
+                if f.fid not in frozen:
+                    f._rate = 0.0
         self.stats["filling_rounds"] += rounds
 
     def _schedule_timer(self) -> None:

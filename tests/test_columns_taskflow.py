@@ -93,7 +93,7 @@ def test_disjoint_admission_reuses_completion_timer(sched_cls):
         yield sim.timeout(2.0)
         before = fs.stats["timer_reuses"]
         f2 = fs.transfer(16.0, [rb], "late")  # would complete at t=18.0
-        yield sim.timeout(0.0)  # let the deferred flush run
+        _ = f2.rate  # reading a rate runs the deferred flush now
         # The flush recomputed B's component; the earliest deadline is
         # still f1's t=8.0, so the timer must have been reused.
         assert fs.stats["timer_reuses"] == before + 1

@@ -196,6 +196,49 @@ def test_same_instant_wave_coalesces_to_one_recompute():
     assert sched.stats["recomputed_flows"] == 50
 
 
+def _follow_up_chain(sched_cls):
+    """Six hops over a shared link; each hop's ``done`` callback admits
+    the next one at its completion instant. Returns the completion
+    times and, per completion, the recomputes counted so far."""
+    sim = Simulator()
+    sched = sched_cls(sim)
+    a = LinkResource("a", 100.0)
+    b = LinkResource("b", 70.0)
+    background = sched.transfer(5000.0, [b], "background")
+    times = {}
+    seen = []
+
+    def admit(i):
+        flow = sched.transfer(300.0 + 37.0 * i, [a, b], f"hop{i}")
+
+        def on_done(_event):
+            times[flow.name] = sim.now
+            seen.append(sched.stats["recomputes"])
+            if i < 5:
+                admit(i + 1)
+
+        flow.done._add_callback(on_done)
+
+    admit(0)
+    background.done._add_callback(
+        lambda _event: times.__setitem__("background", sim.now))
+    sim.run()
+    return times, seen
+
+
+@pytest.mark.parametrize("sched_cls", [FlowScheduler, ColumnarFlowScheduler],
+                         ids=["incremental", "columnar"])
+def test_completion_admitting_follow_up_recomputes_once(sched_cls):
+    """A completion whose ``done`` callback admits a follow-up flow at
+    the same instant costs one recompute: the flush runs at the end of
+    the instant, after the admission, not between the two."""
+    times, seen = _follow_up_chain(sched_cls)
+    # One recompute at t=0, then exactly one per hop instant.
+    assert seen == list(range(1, 7))
+    assert times == _follow_up_chain(ReferenceFlowScheduler)[0]
+    assert len(set(times.values())) == 7
+
+
 def test_node_death_three_contended_links_recomputes_once():
     """Regression: cancelling every flow crossing a dead node's three
     device directions (nic_in, nic_out, disk) is one batched cancel and
@@ -256,10 +299,11 @@ def test_completion_timer_does_not_leak_heap_entries():
     links = [LinkResource(f"l{i}", 100.0) for i in range(40)]
 
     def driver():
-        # 40 disjoint flows with the same horizon, admitted one instant
-        # apart: each admission shifts only its own component.
+        # 40 disjoint flows with the same horizon, each flushed on its
+        # own (reading a rate runs the deferred flush): each admission
+        # shifts only its own component.
         for i, link in enumerate(links):
-            sched.transfer(1000.0, [link], f"f{i}")
+            _ = sched.transfer(1000.0, [link], f"f{i}").rate
             yield sim.timeout(0.0)
 
     sim.process(driver())

@@ -575,6 +575,62 @@ class TestBatchTick:
         assert quitter_ticks == [1.0, 2.0]
 
 
+class TestLateEvents:
+    """``Simulator.schedule_late`` runs its callback at the end of the
+    current instant, identically under both kernels."""
+
+    @pytest.fixture(params=["", "reference"], ids=["default", "reference"])
+    def any_sim(self, request, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", request.param)
+        return Simulator()
+
+    def test_late_runs_after_every_event_of_its_instant(self, any_sim):
+        sim = any_sim
+        order = []
+
+        def log(tag):
+            return lambda _event=None: order.append((sim.now, tag))
+
+        sim.periodic(1.0, log("tick"), pure=True)
+        sim.timeout(1.5)._add_callback(log("later"))
+
+        def worker(sim):
+            yield sim.timeout(0.0)
+            order.append((sim.now, "worker"))
+
+        def arm(sim):
+            yield sim.timeout(1.0)
+            late = sim.schedule_late(log("late"))
+            # Queued after the late event at the same instant, directly
+            # and chained from callbacks and processes.
+            sim.timeout(0.0)._add_callback(log("queued after"))
+            child = sim.event()
+            child._add_callback(log("chained"))
+            sim.timeout(0.0)._add_callback(lambda _event: child.succeed())
+            yield sim.process(worker(sim))
+            order.append((sim.now, "arm resumed"))
+            yield late
+            order.append((sim.now, "waited on late"))
+
+        sim.process(arm(sim))
+        sim.run(until=1.5)
+        assert order == [
+            (1.0, "tick"), (1.0, "queued after"), (1.0, "worker"),
+            (1.0, "chained"), (1.0, "arm resumed"), (1.0, "late"),
+            (1.0, "waited on late"), (1.5, "later"),
+        ]
+
+    def test_late_events_run_in_scheduling_order(self, any_sim):
+        sim = any_sim
+        order = []
+        sim.schedule_late(lambda _event: order.append("first"))
+        sim.schedule_late(lambda _event: order.append("second"))
+        sim.timeout(0.0)._add_callback(lambda _event: order.append("normal"))
+        sim.run()
+        assert order == ["normal", "first", "second"]
+        assert sim.now == 0.0
+
+
 class TestConditionDetach:
     """Triggered conditions unsubscribe from their remaining children."""
 
