@@ -13,18 +13,22 @@ Two kernels run the same workload:
 - ``reference``: the pre-overhaul generator kernel
   (``REPRO_KERNEL=reference``) — the original baseline, swept only at
   <= 1024 nodes.
-- ``default``: the default kernel: one pure periodic per NM
-  heartbeat, each tick replacing the heap root in place.
+- ``default``: the default kernel: one periodic stamps every NM
+  heartbeat of an instant, so the kernel event count does not grow
+  with the node count.
 
 Speedups are only admissible because the trace digests are
 byte-identical across both kernels — same events, same series, same
-ordering. Throughput is *model events per wall second*: the default
-run's kernel event count divided by each kernel's wall time.
+ordering. Throughput is *NM heartbeats served per wall second*:
+``nodes * horizon / nm_heartbeat_interval`` divided by each kernel's
+wall time. Kernel events do not measure the work: one event serves a
+whole instant's heartbeats.
 
 Numbers land in ``BENCH_kernel.json`` at the repo root. Acceptance:
-identical digests everywhere and a sub-linear events/sec degradation
-curve (no O(n^2) cliff). ``--smoke [--nodes N]`` (script mode, used by
-CI) runs a single equivalence check without touching the JSON.
+identical digests everywhere and a sub-linear heartbeats/sec
+degradation curve (no O(n^2) cliff). ``--smoke [--nodes N]`` (script
+mode, used by CI) runs a single equivalence check without touching the
+JSON.
 """
 
 import argparse
@@ -37,7 +41,7 @@ from pathlib import Path
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.metrics.trace import ProgressSampler, Trace
 from repro.sim.core import Simulator
-from repro.yarn.rm import ResourceManager
+from repro.yarn.rm import ResourceManager, YarnConfig
 
 NODE_COUNTS = [64, 256, 1024, 4096, 10000]
 #: The generator-kernel baseline is too slow to sweep past this.
@@ -136,14 +140,15 @@ def compare_modes(nodes: int, horizon: float = HORIZON,
         assert res["trace_events"] == default["trace_events"], (nodes, mode, results)
         assert res["series_points"] == default["series_points"], (nodes, mode, results)
     row = {"nodes": nodes, "horizon": horizon, "identical_digests": True}
+    # Common numerator: the NM heartbeats of one run (counting the few
+    # a lost NM no longer sends).
+    heartbeats = nodes * horizon / YarnConfig().nm_heartbeat_interval
     for mode, res in results.items():
-        # Common numerator: the default kernel's event count is the work
-        # of one cluster-second.
-        eps = default["model_events"] / max(res["wall_seconds"], 1e-9)
+        hps = heartbeats / max(res["wall_seconds"], 1e-9)
         row[mode] = {
             "model_events": res["model_events"],
             "wall_seconds": round(res["wall_seconds"], 4),
-            "events_per_sec": round(eps, 1),
+            "heartbeats_per_sec": round(hps, 1),
             "trace_events": res["trace_events"],
             "series_points": res["series_points"],
         }
@@ -154,16 +159,16 @@ def compare_modes(nodes: int, horizon: float = HORIZON,
 
 
 def _assert_sublinear(rows: list[dict], mode: str) -> None:
-    """events/sec may degrade with cluster size, but slower than the
-    node count grows — an O(n^2) hot loop would degrade ~linearly."""
+    """heartbeats/sec may degrade with cluster size, but slower than
+    the node count grows — an O(n^2) hot loop would degrade ~linearly."""
     for prev, cur in zip(rows, rows[1:]):
         if mode not in prev or mode not in cur:
             continue
         node_ratio = cur["nodes"] / prev["nodes"]
-        degradation = (prev[mode]["events_per_sec"]
-                       / max(cur[mode]["events_per_sec"], 1e-9))
+        degradation = (prev[mode]["heartbeats_per_sec"]
+                       / max(cur[mode]["heartbeats_per_sec"], 1e-9))
         assert degradation <= 0.75 * node_ratio, (
-            f"{mode}: events/sec degraded {degradation:.2f}x from "
+            f"{mode}: heartbeats/sec degraded {degradation:.2f}x from "
             f"{prev['nodes']} to {cur['nodes']} nodes (ratio {node_ratio:.1f})")
 
 
@@ -177,7 +182,7 @@ def test_kernel_throughput(report):
         "sample_interval": SAMPLE_INTERVAL,
         "repeats": REPEATS,
         "repeats_at_scale": REPEATS_AT_SCALE,
-        "events_per_sec_numerator": "default model_events (common across kernels)",
+        "heartbeats_per_sec_numerator": "nodes * horizon / nm_heartbeat_interval",
         "identical_digests": all(r["identical_digests"] for r in rows),
         "sweep": rows,
     }
@@ -204,7 +209,7 @@ def main(argv=None) -> int:
         kernels = "reference/default" if "reference" in row else "default"
         print(f"smoke ok at {args.nodes} nodes ({kernels}): "
               f"{row['default']['model_events']} default kernel events, "
-              f"{row['default']['events_per_sec']} events/sec")
+              f"{row['default']['heartbeats_per_sec']} heartbeats/sec")
         return 0
     for nodes in NODE_COUNTS:
         print(json.dumps(compare_modes(nodes), indent=2))

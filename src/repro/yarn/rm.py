@@ -1,9 +1,10 @@
 """ResourceManager, NodeManagers, containers and node liveness.
 
 Each NodeManager holds its own hot state (``last_heartbeat``, ``lost``,
-capacity accounting) as plain attributes and heartbeats through its own
-pure periodic; the RM's liveness check walks ``node_managers`` in
-registration order.
+capacity accounting) as plain attributes. The NodeManagers registered
+when the RM starts heartbeat in phase, all stamped by one batched
+periodic; one that rejoins later heartbeats through its own periodic.
+The RM's liveness check walks ``node_managers`` in registration order.
 """
 
 from __future__ import annotations
@@ -205,10 +206,13 @@ class ResourceManager:
         #: (e.g. the atlas zoo policy) can recognise a flapping node
         #: even when the job's own outcome history died with the AM.
         self.node_lost_counts: dict[int, int] = {}
-        # Created before rm-liveness: stamps land before the liveness
-        # check at shared instants.
-        for nm in self.node_managers.values():
-            self._start_heartbeat(nm)
+        # The NMs registered now heartbeat in phase, so one periodic
+        # stamps them all, in registration order. Created before
+        # rm-liveness: stamps land before the liveness check at shared
+        # instants (DESIGN §8).
+        in_phase = list(self.node_managers.values())
+        sim.periodic(self.config.nm_heartbeat_interval,
+                     lambda: self._heartbeat(in_phase), name="nm-heartbeats")
         sim.periodic(self.config.nm_heartbeat_interval, self._liveness_tick,
                      name="rm-liveness")
 
@@ -418,28 +422,37 @@ class ResourceManager:
         self.sim.process(handout(), name=f"grant-c{container.container_id}")
 
     # -- heartbeats & liveness ------------------------------------------------
-    # Both daemons are fixed-interval wakeups with non-yielding bodies,
-    # so they ride the allocation-free Simulator.periodic path.
+    # The heartbeat periodics and rm-liveness are fixed-interval wakeups
+    # with non-yielding bodies, so they ride the allocation-free
+    # Simulator.periodic path.
     def _start_heartbeat(self, nm: NodeManager) -> None:
-        # pure: the tick only stamps last_heartbeat — never schedules.
+        # A rejoined NM heartbeats out of phase, from its registration
+        # instant. pure: the tick only stamps last_heartbeat — never
+        # schedules.
+        own = [nm]
         self.sim.periodic(self.config.nm_heartbeat_interval,
-                          lambda: self._heartbeat_tick(nm),
+                          lambda: self._heartbeat(own),
                           pure=True, name=f"hb:{nm.node.name}")
 
-    def _heartbeat_tick(self, nm: NodeManager):
-        if nm.lost:
-            return False  # stop: a lost NM never heartbeats again
-        if nm.node.reachable:
-            if self.rpc.fallible and self.rpc.heartbeat_dropped(
-                    nm.node.node_id, self.sim.now):
-                return None  # lost on the wire; liveness clock keeps aging
-            nm.last_heartbeat = self.sim.now
+    def _heartbeat(self, nms: list[NodeManager]) -> bool:
+        """One heartbeat from each NM in ``nms``, in list order: drop
+        the lost ones (a lost NM never heartbeats again) and stamp the
+        reachable ones whose heartbeat the channel delivers. ``False``
+        (stop) once none is left."""
+        nms[:] = [nm for nm in nms if not nm.lost]
+        now = self.sim.now
+        rpc = self.rpc if self.rpc.fallible else None
+        for nm in nms:
+            # A dropped heartbeat leaves the liveness clock aging.
+            if nm.node.reachable and not (
+                    rpc and rpc.heartbeat_dropped(nm.node.node_id, now)):
+                nm.last_heartbeat = now
+        return bool(nms)
 
     def _liveness_tick(self) -> None:
+        now, timeout = self.sim.now, self.config.nm_liveness_timeout
         for nm in self.node_managers.values():
-            if nm.lost:
-                continue
-            if self.sim.now - nm.last_heartbeat >= self.config.nm_liveness_timeout:
+            if not nm.lost and now - nm.last_heartbeat >= timeout:
                 self._declare_lost(nm)
         if self.rpc.fallible:
             self._reregister_false_losses()

@@ -294,6 +294,62 @@ class TestLiveness:
         healthy = {n.node_id for n in rm.healthy_nodes()}
         assert healthy == {0, 2}
 
+    def test_heartbeats_precede_events_queued_by_the_liveness_tick(self):
+        # A timeout armed inside a liveness tick, one heartbeat interval
+        # long, runs after the next instant's heartbeats and before its
+        # liveness check. node-1 is stamped at 6.0 and then partitioned,
+        # so it expires at 11.0; stamping at the liveness check instead
+        # would miss the 6.0 heartbeat and expire it at 10.0.
+        sim, cluster, rm = make_env(num_nodes=3, nm_liveness_timeout=5.0)
+        lost = []
+
+        def on_lost(node):
+            lost.append((node.name, sim.now))
+            if node is cluster.nodes[0]:
+                sim.timeout(1.0).callbacks.append(
+                    lambda _: cluster.stop_network(cluster.nodes[1]))
+
+        rm.node_lost_listeners.append(on_lost)
+
+        def killer(sim):
+            yield sim.timeout(0.5)
+            cluster.crash_node(cluster.nodes[0])
+
+        sim.process(killer(sim))
+        sim.run(until=20.0)
+        assert lost == [("node-0", 5.0), ("node-1", 11.0)]
+
+    def test_heartbeat_cost_does_not_grow_with_cluster_size(self):
+        def claimed(num_nodes):
+            sim = Simulator()
+            cluster = Cluster(sim, ClusterSpec(num_nodes=num_nodes))
+            start = sim._seq
+            ResourceManager(sim, cluster)
+            sim.run(until=100.0)
+            return sim._seq - start
+
+        assert claimed(4) == claimed(64)
+
+        # A rejoined NM keeps its own phase: registered at 7.25, it is
+        # last stamped at 9.25 and expires at the 15.0 liveness check
+        # (an in-phase stamp at 9.0 would expire it at 14.0).
+        sim, cluster, rm = make_env(nm_liveness_timeout=5.0)
+        node = cluster.nodes[1]
+        lost = []
+        rm.node_lost_listeners.append(lambda n: lost.append((n.name, sim.now)))
+
+        def flap(sim):
+            cluster.stop_network(node)
+            yield sim.timeout(7.25)
+            cluster.restore_network(node)
+            rm.register_node(node)
+            yield sim.timeout(2.5)
+            cluster.stop_network(node)
+
+        sim.process(flap(sim))
+        sim.run(until=30.0)
+        assert lost == [("node-1", 5.0), ("node-1", 15.0)]
+
 
 class TestConfigValidation:
     def test_bad_bounds(self):
