@@ -51,7 +51,8 @@ heals after DUR seconds), ``rack@T:IDX[:crash|network]`` (rack-wide
 failure), ``am@P[:REPEAT]`` (crash the AppMaster at reduce progress P,
 REPEAT incarnations in a row), ``amtime@T`` (crash the AppMaster at
 time T). Each shorthand parses into the JSON fault spec that chaos
-trials and verify scenarios carry.
+trials and verify scenarios carry; an omitted optional part leaves its
+key out, so the injector class's default applies.
 """
 
 from __future__ import annotations
@@ -89,36 +90,39 @@ def parse_fault(spec: str) -> dict:
     try:
         kind, rest = spec.split("@", 1)
         parts = rest.split(":")
+        at, extra = float(parts[0]), parts[1:]
         if kind in ("reduce", "map"):
-            return {"kind": "task-oom", "task_type": kind,
-                    "task_index": int(parts[1]) if len(parts) > 1 else 0,
-                    "at_progress": float(parts[0])}
+            return {"kind": "task-oom", "task_type": kind, "at_progress": at,
+                    **_given(extra, ("task_index", int))}
         if kind in ("node", "nodetime"):
             when = "at_progress" if kind == "node" else "at_time"
-            return {"kind": "node-network", when: float(parts[0]),
-                    "target": _node_target(parts[1] if len(parts) > 1 else "reducer")}
+            return {"kind": "node-network", when: at, **_given(extra, ("target", _node_target))}
         if kind == "maps":
-            return {"kind": "map-wave", "count": int(parts[1]), "at_time": float(parts[0])}
+            return {"kind": "map-wave", "count": int(extra[0]), "at_time": at}
         if kind == "slow":
-            return {"kind": "degraded", "at_time": float(parts[0]),
-                    "node_index": int(parts[1]) if len(parts) > 1 else 0,
-                    "disk_factor": float(parts[2]) if len(parts) > 2 else 0.1}
+            return {"kind": "degraded", "at_time": at,
+                    **_given(extra, ("node_index", int), ("disk_factor", float))}
         if kind == "partition":
-            return {"kind": "partition", "at_time": float(parts[0]),
-                    "node_indices": [int(i) for i in parts[1].split(",")],
-                    "duration": float(parts[2]) if len(parts) > 2 else 30.0}
+            return {"kind": "partition", "at_time": at,
+                    "node_indices": [int(i) for i in extra[0].split(",")],
+                    **_given(extra[1:], ("duration", float))}
         if kind == "am":
-            return {"kind": "am-crash", "at_progress": float(parts[0]),
-                    "repeat": int(parts[1]) if len(parts) > 1 else 1}
+            return {"kind": "am-crash", "at_progress": at, **_given(extra, ("repeat", int))}
         if kind == "amtime":
-            return {"kind": "am-crash", "at_time": float(parts[0])}
+            return {"kind": "am-crash", "at_time": at}
         if kind == "rack":
-            return {"kind": "rack", "at_time": float(parts[0]),
-                    "rack_index": int(parts[1]) if len(parts) > 1 else 0,
-                    "mode": parts[2] if len(parts) > 2 else "crash"}
+            return {"kind": "rack", "at_time": at,
+                    **_given(extra, ("rack_index", int), ("mode", str))}
     except (ValueError, IndexError) as exc:
         raise argparse.ArgumentTypeError(f"bad fault spec {spec!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(f"unknown fault kind in {spec!r}")
+
+
+def _given(parts: list[str], *keys: tuple) -> dict:
+    """The optional trailing shorthand ``parts`` as JSON keys, cast per
+    ``(key, cast)``; a part left out is a key left out, so the injector
+    class's default applies."""
+    return {key: cast(part) for part, (key, cast) in zip(parts, keys)}
 
 
 def _node_target(text: str):

@@ -17,9 +17,7 @@ from repro.faults.inject import (
     PartitionFault,
     RackFault,
     TaskFault,
-    kill_am_at_progress,
     kill_node_at_progress,
-    kill_node_at_time,
     kill_reduce_at_progress,
     kill_maps_at_time,
 )
@@ -35,9 +33,7 @@ __all__ = [
     "RackFault",
     "SlowNodeFault",
     "TaskFault",
-    "kill_am_at_progress",
     "kill_maps_at_time",
     "kill_node_at_progress",
-    "kill_node_at_time",
     "kill_reduce_at_progress",
 ]

@@ -19,6 +19,7 @@ faults that still violates.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Callable
@@ -49,6 +50,7 @@ __all__ = [
     "AM_FAULT_KINDS",
     "CHAOS_POLICIES",
     "FAULT_KINDS",
+    "FAULT_SPECS",
     "build_fault",
     "build_runtime",
     "generate_trial",
@@ -261,62 +263,66 @@ def _sample_rpc_loss(rng: np.random.Generator) -> dict[str, Any]:
 
 # -- spec -> injector, runtime -----------------------------------------------
 
+#: JSON fault kind -> (injector class, constructor arguments the kind
+#: itself fixes). ``rpc-loss`` is not an injector: :func:`build_runtime`
+#: turns it into RPC-channel knobs.
+FAULT_SPECS: dict[str, tuple[type, dict[str, Any]]] = {
+    "task-oom": (TaskFault, {}),
+    "node-crash": (NodeFault, {"mode": "crash"}),
+    "node-network": (NodeFault, {"mode": "network"}),
+    "partition": (PartitionFault, {}),
+    "rack": (RackFault, {}),
+    "degraded": (SlowNodeFault, {}),
+    "map-wave": (MapWaveFault, {}),
+    "am-crash": (AMFault, {}),
+}
+
+#: JSON fault key -> its constructor argument. Keys not listed pass
+#: through unchanged (``target``, ``mode``, ``after.kind``).
+_CASTS: dict[str, Callable[[Any], Any]] = {
+    "task_type": TaskType,
+    "node_indices": tuple,
+    **dict.fromkeys(("task_index", "repeat", "rack_index", "count", "node_index"), int),
+    **dict.fromkeys(("at_time", "at_progress", "duration", "stagger", "delay",
+                     "disk_factor", "nic_factor", "repeat_gap"), float),
+}
+
+
+def _arguments(cls: type, d: dict[str, Any], where: str,
+               fixed: dict[str, Any] | None = None) -> dict[str, Any]:
+    """Constructor arguments for ``cls`` from the JSON keys ``d`` (plus
+    the ``fixed`` ones), so the class's own defaults fill every key
+    ``d`` omits. An unknown key, a missing required key or an
+    uncastable value is an error naming ``where`` and the key."""
+    args = dict(fixed or {})
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init and f.name not in args}
+    for key, value in d.items():
+        if key not in fields:
+            raise SimulationError(f"{where} has unknown key {key!r}")
+        try:
+            if key == "after":
+                value = EventTrigger(**_arguments(EventTrigger, dict(value),
+                                                  f"{where} 'after'"))
+            elif value is not None and key in _CASTS:
+                value = _CASTS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise SimulationError(f"{where} key {key!r}: {exc}") from None
+        args[key] = value
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and name not in d:
+            raise SimulationError(f"{where} is missing key {name!r}")
+    return args
+
+
 def build_fault(d: dict[str, Any]):
     """Materialise one JSON fault spec as an injector object."""
-    kind = d["kind"]
-    if kind == "task-oom":
-        return TaskFault(
-            task_type=TaskType.MAP if d.get("task_type") == "map" else TaskType.REDUCE,
-            task_index=int(d.get("task_index", 0)),
-            at_progress=float(d.get("at_progress", 0.5)),
-            repeat=int(d.get("repeat", 1)),
-        )
-    if kind in ("node-crash", "node-network"):
-        after = EventTrigger(**d["after"]) if "after" in d else None
-        return NodeFault(
-            target=d.get("target", "reducer"),
-            at_time=d.get("at_time"),
-            at_progress=d.get("at_progress"),
-            after=after,
-            mode="crash" if kind == "node-crash" else "network",
-            duration=d.get("duration"),
-            reduce_task_index=int(d.get("reduce_task_index", 0)),
-        )
-    if kind == "partition":
-        return PartitionFault(
-            node_indices=tuple(d["node_indices"]),
-            at_time=float(d["at_time"]),
-            duration=float(d["duration"]),
-        )
-    if kind == "rack":
-        return RackFault(
-            rack_index=int(d["rack_index"]),
-            count=d.get("count"),
-            at_time=float(d["at_time"]),
-            mode=d.get("mode", "crash"),
-            stagger=float(d.get("stagger", 0.0)),
-            duration=d.get("duration"),
-        )
-    if kind == "degraded":
-        return SlowNodeFault(
-            node_index=int(d["node_index"]),
-            at_time=float(d["at_time"]),
-            disk_factor=float(d.get("disk_factor", 0.1)),
-            nic_factor=float(d.get("nic_factor", 1.0)),
-            duration=d.get("duration"),
-        )
-    if kind == "map-wave":
-        return MapWaveFault(count=int(d["count"]), at_time=float(d["at_time"]))
-    if kind == "am-crash":
-        after = EventTrigger(**d["after"]) if "after" in d else None
-        return AMFault(
-            at_time=d.get("at_time"),
-            at_progress=d.get("at_progress"),
-            after=after,
-            repeat=int(d.get("repeat", 1)),
-            repeat_gap=float(d.get("repeat_gap", 30.0)),
-        )
-    raise SimulationError(f"unknown fault spec kind {kind!r}")
+    kind = d.get("kind")
+    if kind not in FAULT_SPECS:
+        raise SimulationError(f"unknown fault spec kind {kind!r}")
+    cls, fixed = FAULT_SPECS[kind]
+    keys = {k: v for k, v in d.items() if k != "kind"}
+    return cls(**_arguments(cls, keys, f"{kind} fault spec", fixed))
 
 
 #: Keys every trial spec carries; :func:`build_runtime` names any that
@@ -334,6 +340,18 @@ def _require(spec: dict[str, Any], keys: tuple[str, ...]) -> None:
     if missing:
         raise SimulationError(
             f"trial spec is missing required key(s): {', '.join(missing)}")
+
+
+_YARN_FIELDS = {f.name for f in dataclasses.fields(YarnConfig)}
+
+
+def _rpc_knobs(keys: dict[str, Any], where: str) -> dict[str, Any]:
+    """``YarnConfig`` RPC-channel arguments from keys named without
+    their ``rpc_`` prefix."""
+    unknown = [k for k in keys if f"rpc_{k}" not in _YARN_FIELDS]
+    if unknown:
+        raise SimulationError(f"{where} has unknown key {unknown[0]!r}")
+    return {f"rpc_{k}": v for k, v in keys.items()}
 
 
 def build_runtime(spec: dict[str, Any], job_name: str) -> MapReduceRuntime:
@@ -355,19 +373,12 @@ def build_runtime(spec: dict[str, Any], job_name: str) -> MapReduceRuntime:
         yarn["nm_liveness_timeout"] = spec["liveness"]
     faults = []
     for d in spec["faults"]:
-        try:
-            if d["kind"] == "rpc-loss":
-                yarn.update(
-                    rpc_drop_prob=float(d.get("drop_prob", 0.0)),
-                    rpc_delay_prob=float(d.get("delay_prob", 0.0)),
-                    rpc_max_delay=float(d.get("max_delay", 2.0)),
-                    rpc_seed=int(d.get("seed", 0)),
-                )
-            else:
-                faults.append(build_fault(d))
-        except KeyError as exc:
-            raise SimulationError(f"fault spec {d!r} is missing key {exc}") from None
-    yarn.update({f"rpc_{k}": v for k, v in (spec.get("rpc") or {}).items()})
+        if d.get("kind") == "rpc-loss":
+            yarn.update(_rpc_knobs({k: v for k, v in d.items() if k != "kind"},
+                                   "rpc-loss fault spec"))
+        else:
+            faults.append(build_fault(d))
+    yarn.update(_rpc_knobs(spec.get("rpc") or {}, "rpc block"))
     rt = MapReduceRuntime(
         wl,
         conf=JobConf(**spec["conf"]) if spec.get("conf") else None,

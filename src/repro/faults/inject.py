@@ -36,15 +36,20 @@ __all__ = [
     "PartitionFault",
     "RackFault",
     "TaskFault",
-    "kill_am_at_progress",
     "kill_maps_at_time",
     "kill_node_at_progress",
-    "kill_node_at_time",
     "kill_reduce_at_progress",
 ]
 
 #: Poll interval for progress-triggered faults.
 _POLL = 0.25
+
+#: Outage mode -> (``Cluster`` method taking a node down, method
+#: bringing it back).
+_OUTAGE = {
+    "network": ("stop_network", "restore_network"),
+    "crash": ("crash_node", "restart_node"),
+}
 
 
 def _require(condition: bool, field_name: str, message: str) -> None:
@@ -54,10 +59,43 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise SimulationError(f"{field_name}: {message}")
 
 
+def _check_at_time(owner: str, at_time: float) -> None:
+    _require(at_time >= 0, f"{owner}.at_time", f"must be >= 0, got {at_time}")
+
+
+def _check_progress(owner: str, at_progress: float) -> None:
+    _require(0 <= at_progress <= 1, f"{owner}.at_progress",
+             f"must be in [0, 1], got {at_progress}")
+
+
+def _check_duration(owner: str, duration: float | None) -> None:
+    if duration is not None:
+        _require(duration > 0, f"{owner}.duration", f"must be > 0, got {duration}")
+
+
+def _check_worker(rt: "MapReduceRuntime", field_name: str, index: int) -> None:
+    _require(0 <= index < len(rt.workers), field_name,
+             f"worker index {index} out of range [0, {len(rt.workers)})")
+
+
+def _check_mode(owner: str, mode: str) -> None:
+    _require(mode in _OUTAGE, f"{owner}.mode",
+             f"must be 'network' or 'crash', got {mode!r}")
+
+
+def _outage(rt: "MapReduceRuntime", node, mode: str, fault: str, down: bool,
+            **data: Any) -> None:
+    """Log, then apply, the start (``down``) or the end of one node's
+    outage: network stop/restore or machine crash/restart per ``mode``."""
+    rt.trace.log("fault_injected" if down else "fault_recovered",
+                 fault=fault, node=node.name, **data)
+    getattr(rt.cluster, _OUTAGE[mode][0 if down else 1])(node)
+
+
 @dataclass
 class EventTrigger:
-    """Fire on the ``occurrence``-th trace event of ``kind`` (filtered
-    by ``match`` on the event's data), then wait ``delay`` seconds.
+    """Fire on the first trace event of ``kind``, then wait ``delay``
+    seconds.
 
     This is the "second crash 10 s after the first ``node_lost``"
     trigger: event-driven via :meth:`Trace.subscribe`, not polling, so
@@ -66,37 +104,52 @@ class EventTrigger:
 
     kind: str
     delay: float = 0.0
-    occurrence: int = 1
-    match: dict[str, Any] | None = None
 
     def validate(self, prefix: str) -> None:
         _require(bool(self.kind), f"{prefix}.kind", "must name a trace event kind")
         _require(self.delay >= 0, f"{prefix}.delay", f"must be >= 0, got {self.delay}")
-        _require(self.occurrence >= 1, f"{prefix}.occurrence",
-                 f"must be >= 1, got {self.occurrence}")
-
-    def matches(self, event) -> bool:
-        return not self.match or all(event.data.get(k) == v for k, v in self.match.items())
 
 
-def _wait_for_event(rt: "MapReduceRuntime", trigger: EventTrigger):
-    """Generator: suspend until the trigger's event (+delay) arrives."""
-    armed = rt.sim.event()
-    seen = 0
+def _check_trigger(fault) -> None:
+    """Validate a fault's ``at_time | at_progress | after`` trigger:
+    exactly one is set, and it is in range."""
+    owner = type(fault).__name__
+    triggers = sum(x is not None for x in (fault.at_time, fault.at_progress, fault.after))
+    _require(triggers == 1, f"{owner}.at_time/at_progress/after",
+             f"specify exactly one trigger, got {triggers}")
+    if fault.at_time is not None:
+        _check_at_time(owner, fault.at_time)
+    if fault.at_progress is not None:
+        _check_progress(owner, fault.at_progress)
+    if fault.after is not None:
+        fault.after.validate(f"{owner}.after")
 
-    def on_event(te) -> None:
-        nonlocal seen
-        if not trigger.matches(te):
-            return
-        seen += 1
-        if seen == trigger.occurrence and not armed.triggered:
-            armed.succeed(te)
 
-    rt.trace.subscribe(trigger.kind, on_event)
-    yield armed
-    rt.trace.unsubscribe(trigger.kind, on_event)
-    if trigger.delay > 0:
-        yield rt.sim.timeout(trigger.delay)
+def _await_trigger(rt: "MapReduceRuntime", fault, finished):
+    """Generator: suspend until ``fault``'s trigger. Returns False if
+    ``finished()`` reports the job over before an ``at_progress``
+    trigger is reached, True once the trigger has fired."""
+    if fault.after is not None:
+        trigger = fault.after
+        armed = rt.sim.event()
+
+        def on_event(te) -> None:
+            if not armed.triggered:
+                armed.succeed(te)
+
+        rt.trace.subscribe(trigger.kind, on_event)
+        yield armed
+        rt.trace.unsubscribe(trigger.kind, on_event)
+        if trigger.delay > 0:
+            yield rt.sim.timeout(trigger.delay)
+    elif fault.at_time is not None:
+        yield rt.sim.timeout(fault.at_time)
+    else:
+        while rt.am.reduce_phase_progress() < fault.at_progress:
+            if finished():
+                return False
+            yield rt.sim.timeout(_POLL)
+    return True
 
 
 @dataclass
@@ -116,14 +169,12 @@ class TaskFault:
     task_type: TaskType = TaskType.REDUCE
     task_index: int = 0
     at_progress: float = 0.5
-    reason: str = "injected-oom"
     repeat: int = 1
     fired_at: float | None = field(default=None, init=False)
     fired_times: list[float] = field(default_factory=list, init=False)
 
     def install(self, rt: "MapReduceRuntime") -> None:
-        _require(0 <= self.at_progress <= 1, "TaskFault.at_progress",
-                 f"must be in [0, 1], got {self.at_progress}")
+        _check_progress("TaskFault", self.at_progress)
         _require(self.task_index >= 0, "TaskFault.task_index",
                  f"must be >= 0, got {self.task_index}")
         _require(self.repeat >= 1, "TaskFault.repeat",
@@ -153,7 +204,7 @@ class TaskFault:
                 rt.trace.log("fault_injected", fault="task-oom", task=task.name,
                              attempt=attempt.attempt_id, progress=attempt.progress,
                              occurrence=len(self.fired_times))
-                attempt.kill(self.reason)
+                attempt.kill("injected-oom")
                 if len(self.fired_times) >= self.repeat:
                     return
             yield rt.sim.timeout(_POLL)
@@ -165,8 +216,8 @@ class NodeFault:
 
     ``target`` selects the victim:
 
-    - ``"reducer"`` — the node hosting the running attempt of reduce
-      task ``reduce_task_index`` (Figs. 3, 9, 10);
+    - ``"reducer"`` — the node hosting the running attempt of the
+      lowest-indexed reduce task that has one (Figs. 3, 9, 10);
     - ``"map-only"`` — a node holding MOFs but no running ReduceTask
       (the spatial-amplification setup of Fig. 4 / Table II);
     - an ``int`` — that worker index directly.
@@ -187,7 +238,6 @@ class NodeFault:
     at_time: float | None = None
     at_progress: float | None = None
     mode: str = "network"
-    reduce_task_index: int = 0
     duration: float | None = None
     after: EventTrigger | None = None
     fired_at: float | None = field(default=None, init=False)
@@ -195,110 +245,61 @@ class NodeFault:
     victim_name: str | None = field(default=None, init=False)
 
     def install(self, rt: "MapReduceRuntime") -> None:
-        triggers = sum(x is not None for x in (self.at_time, self.at_progress, self.after))
-        _require(triggers == 1, "NodeFault.at_time/at_progress/after",
-                 f"specify exactly one trigger, got {triggers}")
-        _require(self.mode in ("network", "crash"), "NodeFault.mode",
-                 f"must be 'network' or 'crash', got {self.mode!r}")
-        if self.at_time is not None:
-            _require(self.at_time >= 0, "NodeFault.at_time",
-                     f"must be >= 0, got {self.at_time}")
-        if self.at_progress is not None:
-            _require(0 <= self.at_progress <= 1, "NodeFault.at_progress",
-                     f"must be in [0, 1], got {self.at_progress}")
-        if self.after is not None:
-            self.after.validate("NodeFault.after")
-        if self.duration is not None:
-            _require(self.duration > 0, "NodeFault.duration",
-                     f"must be > 0, got {self.duration}")
-        _require(self.reduce_task_index >= 0, "NodeFault.reduce_task_index",
-                 f"must be >= 0, got {self.reduce_task_index}")
+        _check_trigger(self)
+        _check_mode("NodeFault", self.mode)
+        _check_duration("NodeFault", self.duration)
         if isinstance(self.target, int):
-            _require(0 <= self.target < len(rt.workers), "NodeFault.target",
-                     f"worker index out of range [0, {len(rt.workers)})")
+            _check_worker(rt, "NodeFault.target", self.target)
         else:
             _require(self.target in ("reducer", "map-only"), "NodeFault.target",
                      f"must be 'reducer', 'map-only' or a worker index, got {self.target!r}")
         rt.sim.process(self._watch(rt), name=f"fault:node:{self.target}")
 
     def _watch(self, rt: "MapReduceRuntime"):
-        if self.after is not None:
-            yield from _wait_for_event(rt, self.after)
-        elif self.at_time is not None:
-            yield rt.sim.timeout(self.at_time)
-        else:
-            while rt.am.reduce_phase_progress() < self.at_progress:
-                if rt.am._finished:
-                    rt.trace.log("fault_skipped", fault=f"node-{self.mode}",
-                                 reason="job finished before trigger progress")
-                    return
-                yield rt.sim.timeout(_POLL)
+        fault = f"node-{self.mode}"
+        if not (yield from _await_trigger(rt, self, lambda: rt.am._finished)):
+            rt.trace.log("fault_skipped", fault=fault,
+                         reason="job finished before trigger progress")
+            return
         victim = self._pick(rt)
         if victim is None:
-            rt.trace.log("fault_skipped", fault=f"node-{self.mode}",
+            rt.trace.log("fault_skipped", fault=fault,
                          reason=f"no victim for target {self.target!r}")
             return
         down = not victim.alive if self.mode == "crash" else not victim.network_up
         if down:
-            rt.trace.log("fault_skipped", fault=f"node-{self.mode}",
+            rt.trace.log("fault_skipped", fault=fault,
                          node=victim.name, reason="victim already down")
             return
         self.fired_at = rt.sim.now
         self.victim_name = victim.name
-        rt.trace.log("fault_injected", fault=f"node-{self.mode}", node=victim.name)
-        if self.mode == "crash":
-            rt.cluster.crash_node(victim)
-        else:
-            rt.cluster.stop_network(victim)
+        _outage(rt, victim, self.mode, fault, down=True)
         if self.duration is None:
             return
         yield rt.sim.timeout(self.duration)
         self.recovered_at = rt.sim.now
-        rt.trace.log("fault_recovered", fault=f"node-{self.mode}", node=victim.name)
-        if self.mode == "crash":
-            rt.cluster.restart_node(victim)
-        else:
-            rt.cluster.restore_network(victim)
+        _outage(rt, victim, self.mode, fault, down=False)
 
     def _pick(self, rt: "MapReduceRuntime"):
         if isinstance(self.target, int):
             return rt.workers[self.target]
         if self.target == "reducer":
-            if self.reduce_task_index < len(rt.am.reduce_tasks):
-                task = rt.am.reduce_tasks[self.reduce_task_index]
+            for task in rt.am.reduce_tasks:
                 running = task.running_attempts()
                 if running:
                     return running[0].node
-            # Fall back to any node hosting a reducer.
-            for t in rt.am.reduce_tasks:
-                if t.running_attempts():
-                    return t.running_attempts()[0].node
             return None
-        if self.target == "map-only":
-            reducer_nodes = {
-                a.node for t in rt.am.reduce_tasks for a in t.running_attempts()
-            }
-            candidates = [
-                (len(rt.am.registry.on_node(n)), n)
-                for n in rt.workers
-                if n.reachable and n not in reducer_nodes
-                and len(rt.am.registry.on_node(n)) > 0
-            ]
-            if not candidates:
-                # Every node hosts a reducer: fall back to the node
-                # whose loss matters least directly (fewest reducers,
-                # most MOFs) so the experiment still exercises the
-                # lost-MOF path.
-                candidates = [
-                    (len(rt.am.registry.on_node(n)), n)
-                    for n in rt.workers
-                    if n.reachable and len(rt.am.registry.on_node(n)) > 0
-                ]
-                if not candidates:
-                    return None
-            candidates.sort(key=lambda cn: (-cn[0], cn[1].node_id))
-            return candidates[0][1]
-        raise SimulationError(f"unknown target {self.target!r}")
+        # "map-only": the reachable node holding the most MOFs and no
+        # running reducer. If every such node hosts a reducer, fall back
+        # to any MOF holder so the experiment still exercises the
+        # lost-MOF path.
+        reducer_nodes = {a.node for t in rt.am.reduce_tasks for a in t.running_attempts()}
+        holders = [(len(rt.am.registry.on_node(n)), n) for n in rt.workers
+                   if n.reachable and len(rt.am.registry.on_node(n)) > 0]
+        candidates = [(mofs, n) for mofs, n in holders if n not in reducer_nodes] or holders
+        if not candidates:
+            return None
+        return min(candidates, key=lambda cn: (-cn[0], cn[1].node_id))[1]
 
 
 @dataclass
@@ -314,17 +315,15 @@ class RackFault:
     rack_index: int = 0
     count: int | None = None
     at_time: float = 60.0
-    mode: str = "network"
+    mode: str = "crash"
     stagger: float = 0.0
     duration: float | None = None
     fired_at: float | None = field(default=None, init=False)
     victim_names: list[str] = field(default_factory=list, init=False)
 
     def install(self, rt: "MapReduceRuntime") -> None:
-        _require(self.at_time >= 0, "RackFault.at_time",
-                 f"must be >= 0, got {self.at_time}")
-        _require(self.mode in ("network", "crash"), "RackFault.mode",
-                 f"must be 'network' or 'crash', got {self.mode!r}")
+        _check_at_time("RackFault", self.at_time)
+        _check_mode("RackFault", self.mode)
         _require(0 <= self.rack_index < len(rt.cluster.racks), "RackFault.rack_index",
                  f"cluster has only {len(rt.cluster.racks)} racks")
         if self.count is not None:
@@ -332,19 +331,18 @@ class RackFault:
                      f"must be >= 1, got {self.count}")
         _require(self.stagger >= 0, "RackFault.stagger",
                  f"must be >= 0, got {self.stagger}")
-        if self.duration is not None:
-            _require(self.duration > 0, "RackFault.duration",
-                     f"must be > 0, got {self.duration}")
+        _check_duration("RackFault", self.duration)
         rt.sim.process(self._watch(rt), name=f"fault:rack:{self.rack_index}")
 
     def _watch(self, rt: "MapReduceRuntime"):
         yield rt.sim.timeout(self.at_time)
-        members = [n for n in rt.workers if n.rack.rack_id == self.rack_index]
-        victims = [n for n in members if n.reachable]
+        fault = f"rack-{self.mode}"
+        victims = [n for n in rt.workers
+                   if n.rack.rack_id == self.rack_index and n.reachable]
         if self.count is not None:
             victims = victims[: self.count]
         if not victims:
-            rt.trace.log("fault_skipped", fault=f"rack-{self.mode}",
+            rt.trace.log("fault_skipped", fault=fault,
                          rack=self.rack_index, reason="no reachable workers in rack")
             return
         self.fired_at = rt.sim.now
@@ -354,22 +352,12 @@ class RackFault:
             if not victim.reachable:
                 continue  # an earlier fault got there first
             self.victim_names.append(victim.name)
-            rt.trace.log("fault_injected", fault=f"rack-{self.mode}",
-                         node=victim.name, rack=self.rack_index)
-            if self.mode == "crash":
-                rt.cluster.crash_node(victim)
-            else:
-                rt.cluster.stop_network(victim)
+            _outage(rt, victim, self.mode, fault, down=True, rack=self.rack_index)
         if self.duration is None:
             return
         yield rt.sim.timeout(self.duration)
         for victim in victims:
-            rt.trace.log("fault_recovered", fault=f"rack-{self.mode}",
-                         node=victim.name, rack=self.rack_index)
-            if self.mode == "crash":
-                rt.cluster.restart_node(victim)
-            else:
-                rt.cluster.restore_network(victim)
+            _outage(rt, victim, self.mode, fault, down=False, rack=self.rack_index)
 
 
 @dataclass
@@ -391,19 +379,16 @@ class PartitionFault:
     def install(self, rt: "MapReduceRuntime") -> None:
         _require(len(self.node_indices) > 0, "PartitionFault.node_indices",
                  "must list at least one worker index")
-        _require(self.at_time >= 0, "PartitionFault.at_time",
-                 f"must be >= 0, got {self.at_time}")
-        _require(self.duration > 0, "PartitionFault.duration",
-                 f"must be > 0, got {self.duration}")
+        _check_at_time("PartitionFault", self.at_time)
+        _require(self.duration is not None, "PartitionFault.duration", "must be set")
+        _check_duration("PartitionFault", self.duration)
         for idx in self.node_indices:
-            _require(0 <= idx < len(rt.workers), "PartitionFault.node_indices",
-                     f"worker index {idx} out of range [0, {len(rt.workers)})")
+            _check_worker(rt, "PartitionFault.node_indices", idx)
         rt.sim.process(self._watch(rt), name=f"fault:partition:{len(self.node_indices)}")
 
     def _watch(self, rt: "MapReduceRuntime"):
         yield rt.sim.timeout(self.at_time)
-        victims = [rt.workers[i] for i in self.node_indices]
-        live = [n for n in victims if n.reachable]
+        live = [rt.workers[i] for i in self.node_indices if rt.workers[i].reachable]
         if not live:
             rt.trace.log("fault_skipped", fault="partition",
                          reason="all targets already unreachable")
@@ -411,14 +396,11 @@ class PartitionFault:
         self.fired_at = rt.sim.now
         for victim in live:
             self.victim_names.append(victim.name)
-            rt.trace.log("fault_injected", fault="partition", node=victim.name,
-                         duration=self.duration)
-            rt.cluster.stop_network(victim)
+            _outage(rt, victim, "network", "partition", down=True, duration=self.duration)
         yield rt.sim.timeout(self.duration)
         self.recovered_at = rt.sim.now
         for victim in live:
-            rt.trace.log("fault_recovered", fault="partition", node=victim.name)
-            rt.cluster.restore_network(victim)
+            _outage(rt, victim, "network", "partition", down=False)
 
 
 @dataclass
@@ -435,8 +417,7 @@ class MapWaveFault:
     def install(self, rt: "MapReduceRuntime") -> None:
         _require(self.count >= 1, "MapWaveFault.count",
                  f"must be >= 1, got {self.count}")
-        _require(self.at_time >= 0, "MapWaveFault.at_time",
-                 f"must be >= 0, got {self.at_time}")
+        _check_at_time("MapWaveFault", self.at_time)
         rt.sim.process(self._watch(rt), name=f"fault:maps:{self.count}")
 
     def _watch(self, rt: "MapReduceRuntime"):
@@ -468,6 +449,10 @@ class AMFault:
     ``repeat >= am_max_attempts`` this drives the job to AM-attempt
     exhaustion. ``repeat_gap`` is the delay between kills, counted from
     the moment the next incarnation is live.
+
+    Only a :class:`~repro.mapreduce.job.MapReduceRuntime` restarts its
+    AM; installing onto anything else (a
+    :class:`~repro.mapreduce.multijob.JobHandle`) is rejected.
     """
 
     at_time: float | None = None
@@ -478,17 +463,9 @@ class AMFault:
     fired_times: list[float] = field(default_factory=list, init=False)
 
     def install(self, rt: "MapReduceRuntime") -> None:
-        triggers = sum(x is not None for x in (self.at_time, self.at_progress, self.after))
-        _require(triggers == 1, "AMFault.at_time/at_progress/after",
-                 f"specify exactly one trigger, got {triggers}")
-        if self.at_time is not None:
-            _require(self.at_time >= 0, "AMFault.at_time",
-                     f"must be >= 0, got {self.at_time}")
-        if self.at_progress is not None:
-            _require(0 <= self.at_progress <= 1, "AMFault.at_progress",
-                     f"must be in [0, 1], got {self.at_progress}")
-        if self.after is not None:
-            self.after.validate("AMFault.after")
+        _require(hasattr(rt, "kill_am"), "AMFault",
+                 f"{type(rt).__name__} cannot restart its AM")
+        _check_trigger(self)
         _require(self.repeat >= 1, "AMFault.repeat",
                  f"must be >= 1, got {self.repeat}")
         _require(self.repeat_gap > 0, "AMFault.repeat_gap",
@@ -496,17 +473,10 @@ class AMFault:
         rt.sim.process(self._watch(rt), name="fault:am-crash")
 
     def _watch(self, rt: "MapReduceRuntime"):
-        if self.after is not None:
-            yield from _wait_for_event(rt, self.after)
-        elif self.at_time is not None:
-            yield rt.sim.timeout(self.at_time)
-        else:
-            while rt.am.reduce_phase_progress() < self.at_progress:
-                if rt.job_done.triggered:
-                    rt.trace.log("fault_skipped", fault="am-crash",
-                                 reason="job finished before trigger progress")
-                    return
-                yield rt.sim.timeout(_POLL)
+        if not (yield from _await_trigger(rt, self, lambda: rt.job_done.triggered)):
+            rt.trace.log("fault_skipped", fault="am-crash",
+                         reason="job finished before trigger progress")
+            return
         for k in range(self.repeat):
             if rt.job_done.triggered:
                 rt.trace.log("fault_skipped", fault="am-crash",
@@ -543,10 +513,6 @@ class FaultInjector:
         self.faults = list(faults)
         self._installed_on = None
 
-    def add(self, fault) -> "FaultInjector":
-        self.faults.append(fault)
-        return self
-
     def install(self, rt: "MapReduceRuntime") -> None:
         if self._installed_on is not None:
             raise SimulationError(
@@ -559,21 +525,13 @@ class FaultInjector:
 
 # -- convenience constructors used by the experiment drivers ----------------
 
-def kill_reduce_at_progress(progress: float, task_index: int = 0) -> TaskFault:
-    return TaskFault(TaskType.REDUCE, task_index, progress)
+def kill_reduce_at_progress(progress: float, **kw: Any) -> TaskFault:
+    return TaskFault(TaskType.REDUCE, at_progress=progress, **kw)
 
 
-def kill_node_at_time(at_time: float, target: str | int = "reducer", mode: str = "network") -> NodeFault:
-    return NodeFault(target=target, at_time=at_time, mode=mode)
-
-
-def kill_node_at_progress(progress: float, target: str | int = "reducer", mode: str = "network") -> NodeFault:
-    return NodeFault(target=target, at_progress=progress, mode=mode)
+def kill_node_at_progress(progress: float, **kw: Any) -> NodeFault:
+    return NodeFault(at_progress=progress, **kw)
 
 
 def kill_maps_at_time(count: int, at_time: float) -> MapWaveFault:
     return MapWaveFault(count=count, at_time=at_time)
-
-
-def kill_am_at_progress(progress: float, repeat: int = 1) -> AMFault:
-    return AMFault(at_progress=progress, repeat=repeat)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.faults.inject import _require
+from repro.faults.inject import _check_at_time, _check_duration, _check_worker, _require
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapreduce.job import MapReduceRuntime
@@ -46,13 +46,9 @@ class SlowNodeFault:
                  f"must be in (0, 1], got {self.disk_factor}")
         _require(0 < self.nic_factor <= 1, "SlowNodeFault.nic_factor",
                  f"must be in (0, 1], got {self.nic_factor}")
-        _require(self.at_time >= 0, "SlowNodeFault.at_time",
-                 f"must be >= 0, got {self.at_time}")
-        _require(0 <= self.node_index < len(rt.workers), "SlowNodeFault.node_index",
-                 f"worker index out of range [0, {len(rt.workers)})")
-        if self.duration is not None:
-            _require(self.duration > 0, "SlowNodeFault.duration",
-                     f"must be > 0, got {self.duration}")
+        _check_at_time("SlowNodeFault", self.at_time)
+        _check_worker(rt, "SlowNodeFault.node_index", self.node_index)
+        _check_duration("SlowNodeFault", self.duration)
         rt.sim.process(self._watch(rt), name=f"fault:slow-node:{self.node_index}")
 
     def _watch(self, rt: "MapReduceRuntime"):

@@ -34,7 +34,9 @@ class JobHandle:
     Exposes the same attribute surface as
     :class:`~repro.mapreduce.job.MapReduceRuntime` (``sim``, ``cluster``,
     ``workers``, ``am``, ``trace``, ``policy``), so every injector in
-    :mod:`repro.faults` can be installed on a handle unchanged.
+    :mod:`repro.faults` but :class:`~repro.faults.AMFault` can be
+    installed on a handle unchanged. A handle has no AM restart, so
+    ``AMFault.install`` rejects it.
     """
 
     job_name: str

@@ -9,7 +9,6 @@ from repro.faults import (
     FaultInjector,
     NodeFault,
     PartitionFault,
-    kill_am_at_progress,
 )
 from repro.invariants import check_invariants
 from repro.mapreduce.config import JobConf
@@ -55,7 +54,7 @@ class TestRecoveryAblation:
         on a live node is recovered from the job-history log, and *none*
         of them is re-executed (zero post-restart map attempt_starts)."""
         rt = make_runtime(slow_reduce_workload())
-        FaultInjector(kill_am_at_progress(0.5)).install(rt)
+        FaultInjector(AMFault(at_progress=0.5)).install(rt)
         res = run_checked(rt)
         assert res.success
         assert res.counters["am_restarts"] == 1
@@ -70,7 +69,7 @@ class TestRecoveryAblation:
         AM starts from scratch and re-runs every completed map."""
         rt = make_runtime(slow_reduce_workload(),
                           conf=JobConf(am_recovery="rerun-all"))
-        FaultInjector(kill_am_at_progress(0.5)).install(rt)
+        FaultInjector(AMFault(at_progress=0.5)).install(rt)
         res = run_checked(rt)
         assert res.success
         done_before = maps_succeeded_before(rt.trace)
@@ -83,7 +82,7 @@ class TestRecoveryAblation:
         paper's replay-vs-scratch argument, one layer up."""
         def rerun_count(conf):
             rt = make_runtime(slow_reduce_workload(), conf=conf)
-            FaultInjector(kill_am_at_progress(0.5)).install(rt)
+            FaultInjector(AMFault(at_progress=0.5)).install(rt)
             res = run_checked(rt)
             assert res.success
             return len(maps_succeeded_before(rt.trace)
@@ -100,7 +99,7 @@ class TestKeepContainers:
         starting over."""
         rt = make_runtime(slow_reduce_workload(),
                           conf=JobConf(keep_containers_across_am_restart=True))
-        FaultInjector(kill_am_at_progress(0.5)).install(rt)
+        FaultInjector(AMFault(at_progress=0.5)).install(rt)
         res = run_checked(rt)
         assert res.success
         adopted = rt.trace.of_kind("attempt_adopted")
@@ -116,7 +115,7 @@ class TestKeepContainers:
         crashed AM; running reduces restart from scratch."""
         rt = make_runtime(slow_reduce_workload(),
                           conf=JobConf(keep_containers_across_am_restart=False))
-        FaultInjector(kill_am_at_progress(0.5)).install(rt)
+        FaultInjector(AMFault(at_progress=0.5)).install(rt)
         res = run_checked(rt)
         assert res.success
         assert rt.trace.count("attempt_adopted") == 0
@@ -152,7 +151,7 @@ class TestComposedFaults:
         # victim once the crashed AM's attempts have been torn down.
         node_fault = NodeFault(target=1, mode="crash",
                                after=EventTrigger("am_crashed", delay=0.5))
-        FaultInjector(kill_am_at_progress(0.5), node_fault).install(rt)
+        FaultInjector(AMFault(at_progress=0.5), node_fault).install(rt)
         res = run_checked(rt)
         assert res.success
         # The loss was declared while no AM was alive: nobody logged a
@@ -186,7 +185,7 @@ class TestComposedFaults:
                 yarn_config=YarnConfig(nm_liveness_timeout=20.0,
                                        rpc_drop_prob=0.1, rpc_delay_prob=0.15,
                                        rpc_seed=23))
-            FaultInjector(kill_am_at_progress(0.5)).install(rt)
+            FaultInjector(AMFault(at_progress=0.5)).install(rt)
             res = run_checked(rt)
             assert res.success
             return res.trace.digest()

@@ -2,9 +2,15 @@
 generation, spec round-tripping, greedy minimization and the node
 recovery paths the campaigns stress."""
 
+import json
+import re
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from repro.faults import (
+    AMFault,
     EventTrigger,
     MapWaveFault,
     NodeFault,
@@ -116,10 +122,51 @@ class TestBuildFault:
         with pytest.raises(SimulationError):
             build_fault({"kind": "cosmic-ray"})
 
+    @pytest.mark.parametrize("kind, keys, cls", [
+        ("task-oom", {}, TaskFault),
+        ("node-crash", {"at_time": 10.0}, partial(NodeFault, mode="crash")),
+        ("node-network", {"at_time": 10.0}, NodeFault),
+        ("partition", {}, PartitionFault),
+        ("rack", {}, RackFault),
+        ("degraded", {}, SlowNodeFault),
+        ("map-wave", {"count": 1, "at_time": 5.0}, MapWaveFault),
+        ("am-crash", {"at_progress": 0.5}, AMFault),
+    ])
+    def test_minimal_spec_takes_the_class_defaults(self, kind, keys, cls):
+        """The injector classes hold the only fault defaults: a JSON
+        spec naming just the keys its kind needs builds the same fault
+        as the class given those keywords."""
+        assert build_fault({"kind": kind, **keys}) == cls(**keys)
+
     def test_generated_specs_all_buildable(self):
         for i in range(16):
             for d in generate_trial(CAMPAIGN, i)["faults"]:
                 build_fault(d)  # must not raise
+
+
+class TestBenchmarkPins:
+    def test_chaos_pool_digests_match_the_benchmark_pins(self):
+        """Trials 0-98 of the end-to-end benchmark's chaos pool (campaign
+        2015, AM faults on, every registered policy) pair each of the 9
+        policies with each of the 11 fault archetypes, so every JSON
+        fault kind runs under every policy. Each digest must equal its
+        pin in ``benchmarks/e2e/expected.json``."""
+        from repro.policies import policy_names
+
+        expected = Path(__file__).resolve().parents[1] / "benchmarks/e2e/expected.json"
+        pins = json.loads(expected.read_text())["chaos-campaign"]
+        campaign = {"seed": 2015, "am_faults": True, "scale": 1.0,
+                    "policies": list(policy_names())}
+        mismatched, kinds = [], set()
+        for index in range(99):
+            spec = generate_trial(campaign, index)
+            kinds.update(f["kind"] for f in spec["faults"])
+            digest = chaos.run_trial_spec(spec)["digest"]
+            if digest != pins[f"chaos-s2015-x1-t{index}"]["digest"]:
+                mismatched.append(index)
+        assert mismatched == []
+        assert kinds == {"task-oom", "node-crash", "node-network", "partition",
+                         "rack", "degraded", "map-wave", "am-crash", "rpc-loss"}
 
 
 class TestTrialDeterminism:
@@ -180,6 +227,23 @@ class TestBuildRuntime:
         cfg = rt.rm.config
         assert (cfg.rpc_drop_prob, cfg.rpc_delay_prob, cfg.rpc_max_delay,
                 cfg.rpc_seed) == (0.1, 0.2, 1.0, 9)
+
+    @pytest.mark.parametrize("fault, message", [
+        ({"kind": "task-oom", "at_progres": 0.9},
+         "task-oom fault spec has unknown key 'at_progres'"),
+        ({"kind": "node-crash", "target": 1, "mode": "network", "at_time": 5.0},
+         "node-crash fault spec has unknown key 'mode'"),
+        ({"kind": "node-crash", "target": 1,
+          "after": {"kind": "node_lost", "dealy": 5.0}},
+         "node-crash fault spec 'after' has unknown key 'dealy'"),
+        ({"kind": "rpc-loss", "drop": 0.1},
+         "rpc-loss fault spec has unknown key 'drop'"),
+    ], ids=["top-level", "fixed-by-kind", "after", "rpc-loss"])
+    def test_unknown_fault_key_is_named(self, fault, message):
+        """A misspelled key is an error, not a fault silently run at
+        its default."""
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            chaos.build_runtime(self._spec(faults=[fault]), "job")
 
     def test_fault_missing_a_key_is_named(self):
         with pytest.raises(SimulationError, match="missing key 'at_time'"):

@@ -226,8 +226,14 @@ class TestOtherCommands:
          "unknown fault spec kind 'cosmic-ray'"),
         (lambda spec: spec.update(policy="nosuch"), "unknown policy 'nosuch'"),
         (lambda spec: spec.update(workload="grep"), "unknown workload 'grep'"),
+        (lambda spec: spec["faults"].append({"kind": "task-oom", "at_progres": 0.9}),
+         "task-oom fault spec has unknown key 'at_progres'"),
+        (lambda spec: spec["faults"].append(
+            {"kind": "node-crash", "target": 1,
+             "after": {"kind": "node_lost", "dealy": 5.0}}),
+         "node-crash fault spec 'after' has unknown key 'dealy'"),
     ], ids=["missing-key", "unknown-fault-kind", "unregistered-policy",
-            "unknown-workload"])
+            "unknown-workload", "unknown-fault-key", "unknown-after-key"])
     def test_malformed_replay_spec_is_a_usage_error(self, edit, message, tmp_path,
                                                     capsys):
         """Exit 1 means "violation reproduced", so a reproducer that

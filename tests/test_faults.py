@@ -13,7 +13,6 @@ from repro.faults import (
     TaskFault,
     kill_maps_at_time,
     kill_node_at_progress,
-    kill_node_at_time,
     kill_reduce_at_progress,
 )
 from repro.mapreduce.tasks import TaskType
@@ -50,7 +49,7 @@ class TestTaskFault:
 class TestNodeFault:
     def test_time_trigger(self):
         rt = make_runtime(tiny_workload(reducers=1, reduce_cpu=0.1))
-        fault = kill_node_at_time(5.0, target=0)
+        fault = NodeFault(target=0, at_time=5.0)
         fault.install(rt)
         rt.run()
         assert fault.fired_at == pytest.approx(5.0)
@@ -107,7 +106,7 @@ class TestFaultInjector:
         rt = make_runtime(tiny_workload(reducers=2, reduce_cpu=0.1))
         f1 = kill_reduce_at_progress(0.7, task_index=0)
         f2 = kill_reduce_at_progress(0.7, task_index=1)
-        FaultInjector(f1).add(f2).install(rt)
+        FaultInjector(f1, f2).install(rt)
         res = rt.run()
         assert res.success
         assert res.counters["failed_reduce_attempts"] == 2
@@ -149,8 +148,6 @@ class TestConstructValidation:
         rt = make_runtime()
         with pytest.raises(SimulationError, match="after.delay"):
             NodeFault(target=0, after=EventTrigger("node_lost", delay=-1.0)).install(rt)
-        with pytest.raises(SimulationError, match="after.occurrence"):
-            NodeFault(target=0, after=EventTrigger("node_lost", occurrence=0)).install(rt)
         with pytest.raises(SimulationError, match="after.kind"):
             NodeFault(target=0, after=EventTrigger("")).install(rt)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alm import ALMPolicy
-from repro.faults import kill_node_at_progress, kill_reduce_at_progress
+from repro.faults import AMFault, kill_node_at_progress, kill_reduce_at_progress
 from repro.mapreduce.multijob import SharedCluster
 from repro.sim.core import SimulationError
 
@@ -95,6 +95,14 @@ class TestFaultIsolation:
         # Both jobs observed the node loss (shared RM).
         assert ra.counters["nodes_lost"] == 1
         assert rb.counters["nodes_lost"] == 1
+
+    def test_am_fault_on_a_job_handle_is_rejected(self):
+        """A shared-cluster job has no AM restart: the fault fails at
+        install, naming itself, not mid-run."""
+        sc = shared()
+        job = sc.submit(tiny_workload(name="a"), job_name="a")
+        with pytest.raises(SimulationError, match="AMFault: JobHandle cannot restart its AM"):
+            job.install(AMFault(at_progress=0.5))
 
     def test_per_job_policies(self):
         sc = shared()
