@@ -31,7 +31,7 @@ __all__ = ["COLUMNAR_FLOW_MIN_NODES", "Cluster", "ClusterSpec", "flow_scheduler_
 #: measured on shuffle-heavy Terasort jobs (DESIGN.md §13): below it
 #: numpy's per-call overhead on small flow components costs more than
 #: the vectorized refill saves.
-COLUMNAR_FLOW_MIN_NODES = 96
+COLUMNAR_FLOW_MIN_NODES = 192
 
 
 def flow_scheduler_class(num_nodes: int):

@@ -22,15 +22,17 @@ arriving at one timestamp therefore pays one filling pass instead of
 500. This is exact: rates only matter once simulated time advances, and
 the flush is guaranteed to run before it does.
 
-**Scoped incremental recomputation.** The flush re-shares only the
-connected component of the flow/resource bipartite graph reachable from
-the dirtied flows and links. Max-min allocation decomposes across
-connected components, so untouched components keep their frozen rates —
-which are bit-identical to what a full recompute would reassign them.
-
-The filling loop itself works on the component's resources only (not
-the cluster's), in lists indexed by first-encounter order, and picks
-each round's bottleneck with C-level ``min`` and ``list.index``.
+**Incremental resource state, whole-population fill.** Admitting or
+removing a flow keeps the busy resources in *encounter-key* order:
+each resource's key is the fid of its earliest-admitted attached user
+and its position in that flow's route. The flush re-shares every
+attached flow over that kept order, so no fill rebuilds a component,
+a sort or a first-encounter map. Max-min allocation decomposes across
+connected components, so flows outside the dirtied component land on
+the rates they already had, bit for bit. The fill picks each round's
+bottleneck with C-level ``min`` and ``list.index`` and returns the
+completion horizon of the rates it set, so the flush arms the
+completion timer without another pass over the flows.
 
 This fluid model is standard in cluster simulators; it preserves the
 qualitative behaviour the reproduction needs (disk-bound merging,
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
@@ -103,7 +106,7 @@ class Flow:
     """An in-flight transfer of ``size`` bytes across resources."""
 
     __slots__ = ("name", "size", "remaining", "resources", "done", "fid",
-                 "_rate", "_active", "_sched", "_cols", "_slot")
+                 "_threshold", "_rate", "_active", "_sched", "_cols", "_slot")
 
     def __init__(self, name: str, size: float, resources: tuple[LinkResource, ...], done: Event) -> None:
         self.name = name
@@ -117,6 +120,8 @@ class Flow:
         #: monotone in admission order, so sorting fids recovers the
         #: scheduler's flow ordering without touching the flow list.
         self.fid = -1
+        #: The flow completes once ``remaining`` is at or below this.
+        self._threshold = _EPS * max(self.size, 1.0)
         self._rate = 0.0
         self._active = True
         self._sched = None
@@ -157,7 +162,8 @@ class Flow:
         if self._active and self._sched is not None and rate > 0:
             dt = self._sched.sim.now - self._sched._last_update
             if dt > 0:
-                remaining = max(0.0, remaining - rate * dt)
+                remaining -= rate * dt
+                remaining = remaining if remaining > 0.0 else 0.0
         return self.size - remaining
 
     @property
@@ -173,9 +179,8 @@ class FlowScheduler:
 
     Mutations (:meth:`transfer`, :meth:`cancel`, capacity changes,
     completions) are cheap: they update the flow/resource adjacency and
-    mark the touched resources dirty. Rates are re-shared once per
-    simulated instant, at its end, scoped to the dirty connected
-    component.
+    the busy resources' encounter order, and mark the touched resources
+    dirty. Rates are re-shared once per simulated instant, at its end.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -184,6 +189,12 @@ class FlowScheduler:
         self._active: dict[int, Flow] = {}
         #: resource -> {fid: Flow} adjacency, each bucket in admission order.
         self._res_flows: dict[LinkResource, dict[int, Flow]] = {}
+        #: The busy resources (the keys of ``_res_flows``) in ascending
+        #: encounter key, and each one's key: the fid of its
+        #: earliest-admitted attached user and its position in that
+        #: flow's route.
+        self._order: list[LinkResource] = []
+        self._keys: dict[LinkResource, tuple[int, int]] = {}
         self._last_update = sim.now
         self._names = itertools.count()
         self._next_fid = 0
@@ -233,7 +244,8 @@ class FlowScheduler:
             for f in self._active.values():
                 remaining = f.remaining
                 if f._rate > 0:
-                    remaining = max(0.0, remaining - f._rate * dt)
+                    remaining -= f._rate * dt
+                    remaining = remaining if remaining > 0.0 else 0.0
                 total += f.size - remaining
         else:
             for f in self._active.values():
@@ -276,11 +288,17 @@ class FlowScheduler:
             return flow
         if not self._in_batch:
             self._advance()
-        flow.fid = self._next_fid
+        fid = flow.fid = self._next_fid
         self._next_fid += 1
-        self._active[flow.fid] = flow
-        for r in res:
-            self._res_flows.setdefault(r, {})[flow.fid] = flow
+        self._active[fid] = flow
+        res_flows = self._res_flows
+        for pos, r in enumerate(res):
+            bucket = res_flows.get(r)
+            if bucket is None:
+                res_flows[r] = {fid: flow}
+                self._resource_busy(r, fid, pos)
+            else:
+                bucket[fid] = flow
         self._mark_dirty(res)
         self.stats["transfers"] += 1
         return flow
@@ -312,7 +330,7 @@ class FlowScheduler:
 
         Bookkeeping completes for the whole batch before the first
         ``done`` event fails, so failure callbacks observe a consistent
-        scheduler (mirroring :meth:`_complete_finished`).
+        scheduler (mirroring :meth:`_finish`).
         """
         victims = [f for f in flows if f._active]
         if not victims:
@@ -366,28 +384,43 @@ class FlowScheduler:
         if dt <= 0:
             return
         for f in self._active.values():
-            f.remaining = max(0.0, f.remaining - f._rate * dt)
+            remaining = f.remaining - f._rate * dt
+            f.remaining = remaining if remaining > 0.0 else 0.0
 
     def _reshare(self, resource: LinkResource | None = None) -> None:
         """Re-run fairness after an external capacity change."""
-        self._advance()
-        self._complete_finished()
+        self._advance_and_complete()
         self._mark_dirty((resource,) if resource is not None else tuple(self._res_flows))
 
-    def _complete_finished(self, at_timer: bool = False) -> None:
-        """Complete every flow with (almost) nothing left to move. A
-        completion timer also completes the flows whose completion
-        instant rounds to ``now``: no later timer could ever reach them,
-        so without this the timer re-arms at the same instant forever."""
+    def _advance_and_complete(self, at_timer: bool = False) -> None:
+        """Account progress since the last rate change and complete
+        every flow with (almost) nothing left to move, in one pass over
+        the flows. A completion timer also completes the flows whose
+        completion instant rounds to ``now``: no later timer could ever
+        reach them, so without this the timer re-arms at the same
+        instant forever."""
         now = self.sim.now
-        finished = [f for f in self._active.values()
-                    if f.remaining <= _EPS * max(f.size, 1.0)
-                    or (at_timer and f._rate > 0 and now + f.remaining / f._rate == now)]
+        dt = now - self._last_update
+        self._last_update = now
+        finished = []
+        for f in self._active.values():
+            remaining = f.remaining
+            rate = f._rate
+            if dt > 0:
+                remaining -= rate * dt
+                remaining = f.remaining = remaining if remaining > 0.0 else 0.0
+            if (remaining <= f._threshold
+                    or (at_timer and rate > 0 and now + remaining / rate == now)):
+                finished.append(f)
+        self._finish(finished)
+
+    def _finish(self, finished: list[Flow]) -> None:
+        """Complete ``finished``, given in admission order."""
         # Bookkeeping before completions so callbacks observing the
         # scheduler see a consistent state.
         for f in finished:
-            f.remaining = 0.0
             self._remove(f)
+            f.remaining = 0.0
         hook = self.on_complete
         for f in finished:
             if hook is not None:
@@ -397,14 +430,40 @@ class FlowScheduler:
 
     def _remove(self, flow: Flow) -> None:
         flow._active = False
-        del self._active[flow.fid]
+        fid = flow.fid
+        del self._active[fid]
+        res_flows = self._res_flows
         for r in flow.resources:
-            bucket = self._res_flows.get(r)
-            if bucket is not None:
-                bucket.pop(flow.fid, None)
-                if not bucket:
-                    del self._res_flows[r]
+            bucket = res_flows[r]
+            was_first = next(iter(bucket)) == fid
+            del bucket[fid]
+            if not bucket:
+                del res_flows[r]
+                self._resource_idle(r)
+            elif was_first:
+                # Buckets are in fid order, so the first entry left is
+                # the earliest-admitted user still attached.
+                first = next(iter(bucket.values()))
+                self._resource_rekeyed(r, first.fid, first.resources.index(r))
         self._mark_dirty(flow.resources)
+
+    # Encounter-key upkeep: a resource gains its first user, changes its
+    # first user, or loses its last one.
+    def _resource_busy(self, r: LinkResource, fid: int, pos: int) -> None:
+        # The newest flow's fid is the largest, so its key goes last.
+        self._keys[r] = (fid, pos)
+        self._order.append(r)
+
+    def _resource_rekeyed(self, r: LinkResource, fid: int, pos: int) -> None:
+        self._resource_idle(r)
+        self._keys[r] = (fid, pos)
+        insort(self._order, r, key=self._keys.__getitem__)
+
+    def _resource_idle(self, r: LinkResource) -> None:
+        keys = self._keys
+        order = self._order
+        del order[bisect_left(order, keys[r], key=keys.__getitem__)]
+        del keys[r]
 
     def _mark_dirty(self, resources: Iterable[LinkResource]) -> None:
         for r in resources:
@@ -424,47 +483,30 @@ class FlowScheduler:
             self._flush()
 
     def _flush(self) -> None:
-        """Recompute rates for the dirty connected component and
-        refresh the completion timer."""
+        """Re-share the attached flows and refresh the completion timer."""
         self._dirty = False
         dirty = self._dirty_res
         self._dirty_res = {}
         self.stats["recomputes"] += 1
-        if self._active and dirty:
-            fids = self._component_fids(dirty)
-            if fids:
-                self._fill(fids)
-        self._schedule_timer()
-
-    def _component_fids(self, dirty: Iterable[LinkResource]) -> set[int]:
-        """Flows in the connected component(s) reachable from the dirty
-        resources over the flow/resource bipartite graph."""
-        seen_res = set(dirty)
-        stack = list(seen_res)
-        fids: set[int] = set()
         res_flows = self._res_flows
-        while stack:
-            r = stack.pop()
-            for fid, f in res_flows.get(r, {}).items():
-                if fid not in fids:
-                    fids.add(fid)
-                    for r2 in f.resources:
-                        if r2 not in seen_res:
-                            seen_res.add(r2)
-                            stack.append(r2)
-        return fids
+        # A dirty resource with no attached flow left changes no rate.
+        if any(r in res_flows for r in dirty):
+            self._schedule_timer(self._fill())
+        else:
+            self._schedule_timer(self._horizon())
 
-    def _fill(self, fids: set[int]) -> None:
-        """Progressive-filling max-min allocation over one component.
+    def _fill(self) -> float:
+        """Progressive-filling max-min allocation over every attached
+        flow; returns the completion horizon of the rates it set.
 
-        Bit-identical to a full recompute restricted to these flows:
-        resources get local ids in first-encounter order over flows in
-        admission order, and each round's bottleneck is the first
-        minimum share in that order (``min`` then ``index``), which is
-        the reference scheduler's strictly-smaller linear scan, ties
-        included. The component is closed under adjacency, so a
-        resource's users are its whole ``_res_flows`` bucket, already in
-        admission order; only the shares a round touched are refreshed.
+        Bit-identical to the reference scheduler's full recompute:
+        resources are visited in the kept encounter-key order, which is
+        first-encounter order over flows in admission order, and each
+        round's bottleneck is the first minimum share in that order
+        (``min`` then ``index``), the reference's strictly-smaller
+        linear scan, ties included. A resource's users are its
+        ``_res_flows`` bucket, already in admission order; only the
+        shares a round touched are refreshed.
 
         (A lazy min-heap selection is tempting but wrong here: shares
         are monotone non-decreasing during filling only in exact
@@ -473,62 +515,72 @@ class FlowScheduler:
         can freeze resources in a different order than the reference —
         breaking bit-identical rates.)
         """
-        flows = [self._active[fid] for fid in sorted(fids)]
-        self.stats["recomputed_flows"] += len(flows)
-
-        local: dict[LinkResource, int] = {}
-        for f in flows:
-            for r in f.resources:
-                if r not in local:
-                    local[r] = len(local)
-        buckets = [self._res_flows[r] for r in local]
-        cap = [r._capacity for r in local]
-        counts = [len(bucket) for bucket in buckets]
-        shares = [max(c, 0.0) / n for c, n in zip(cap, counts)]
+        active = self._active
+        order = self._order
+        self.stats["recomputed_flows"] += len(active)
+        local = dict(zip(order, range(len(order))))
+        buckets = list(map(self._res_flows.__getitem__, order))
+        cap = [r._capacity for r in order]
+        counts = list(map(len, buckets))
+        shares = [(0.0 if c < 0.0 else c) / n for c, n in zip(cap, counts)]
 
         inf = math.inf
+        horizon = inf
         frozen: set[int] = set()
-        left = len(flows)
+        left = len(active)
         rounds = 0
         while left:
             best = min(shares)
             if best == inf:  # only infinite-capacity resources remain
                 break
             rounds += 1
+            low = inf
             for fid, f in buckets[shares.index(best)].items():
                 if fid not in frozen:
                     frozen.add(fid)
                     left -= 1
                     f._rate = best
-                    for r2 in f.resources:
-                        j = local[r2]
+                    if f.remaining < low:
+                        low = f.remaining
+                    for r in f.resources:
+                        j = local[r]
                         c = cap[j] = cap[j] - best
                         n = counts[j] = counts[j] - 1
-                        shares[j] = max(c, 0.0) / n if n else inf
+                        shares[j] = (0.0 if c < 0.0 else c) / n if n else inf
+            # Division by a positive rate is monotone, so the round's
+            # least remainder gives its least completion delay.
+            if best > 0.0 and low / best < horizon:
+                horizon = low / best
         if left:
-            for f in flows:
-                if f.fid not in frozen:
+            for fid, f in active.items():
+                if fid not in frozen:
                     f._rate = 0.0
         self.stats["filling_rounds"] += rounds
+        return horizon
 
-    def _schedule_timer(self) -> None:
+    def _horizon(self) -> float:
+        """Earliest completion delay over the moving flows, by a scan."""
         horizon = math.inf
         for f in self._active.values():
             if f._rate > 0:
                 h = f.remaining / f._rate
                 if h < horizon:
                     horizon = h
+        return horizon
+
+    def _schedule_timer(self, horizon: float) -> None:
         if not math.isfinite(horizon):
             self._cancel_timer()
             return
-        fire = self.sim.now + max(horizon, 0.0)
+        delay = 0.0 if horizon < 0.0 else horizon
+        fire = self.sim.now + delay
         if self._timer is not None and self._timer_fire == fire:
             # Horizon unchanged: reuse the pending timer instead of
             # piling a dead entry onto the event heap.
             self.stats["timer_reuses"] += 1
             return
         self._cancel_timer()
-        timer = self.sim.timeout(max(horizon, 0.0))
+        timer = self.sim.timeout(delay)
         timer._add_callback(self._on_timer)
         self._timer = timer
         self._timer_fire = fire
@@ -545,10 +597,9 @@ class FlowScheduler:
             return
         self._timer = None
         self._timer_fire = math.inf
-        self._advance()
-        self._complete_finished(at_timer=True)
+        self._advance_and_complete(at_timer=True)
         if not self._dirty:
             # Nothing completed (floating-point residue fire): the
             # flush that would refresh the timer never runs, so refresh
             # it here from the advanced remainders.
-            self._schedule_timer()
+            self._schedule_timer(self._horizon())

@@ -13,30 +13,31 @@ Each resource in use holds a dense id (*rid*) and one row of resource
 columns, kept up to date as flows attach and detach: its capacity, its
 count of attached flows, and its *encounter key* — the fid of its
 earliest-admitted attached user and its position in that flow's route.
-A rid is recycled the moment its last user detaches, so the registry
-stays as small as the set of busy resources. A refill reads these
-columns instead of rebuilding them.
+The key's upkeep is the scalar scheduler's (``FlowScheduler._remove``
+hands a resource to its next user); only where the key is stored
+differs. A rid is recycled the moment its last user detaches, so the
+registry stays as small as the set of busy resources. A refill reads
+these columns instead of rebuilding them.
 
 Bit-identity contract (the same one the incremental scheduler pins
 against the eager reference, DESIGN.md §13):
 
 - **Same arithmetic, elementwise.** Every vectorized expression is the
-  exact float expression the scalar loops evaluate per flow
-  (`max(0.0, rem - rate*dt)`, `max(cap, 0.0)/cnt`, `rem/rate`), and
-  IEEE float ops are elementwise-deterministic, so columns hold the
-  same bits the object attributes would.
+  exact float expression the scalar loops evaluate per flow (``rem -
+  rate*dt`` clamped at 0, ``cap`` clamped at 0 over ``cnt``,
+  ``rem/rate``), and IEEE float ops are elementwise-deterministic, so
+  columns hold the same bits the object attributes would.
 - **Whole-population fill.** A refill re-shares every attached flow,
-  not just the dirty component. Max-min filling decomposes across
-  connected components — a merged fill executes each component's round
-  sequence unchanged, interleaved — so flows outside the dirty
-  component land on the rates they already had (§13 gives the
-  argument). Only the ``filling_rounds``/``recomputed_flows``/
-  ``column_ops`` counters differ from the incremental scheduler; no
-  rate, completion time, or trace byte does.
+  as the scalar fill does. Max-min filling decomposes across connected
+  components — a merged fill executes each component's round sequence
+  unchanged, interleaved — so flows outside the dirty component land
+  on the rates they already had (§13 gives the argument). Only the
+  ``column_ops`` counter differs from the incremental scheduler; no
+  rate, completion time, fill count or trace byte does.
 - **Same tie-break.** The scalar fill visits resources in
   first-encounter order over flows in fid (admission) order, which is
   exactly ascending encounter key ``(fid, position)``. The refill sorts
-  the busy resources by that key once and takes each round's
+  the busy resources by that key once per fill and takes each round's
   bottleneck with ``np.argmin`` — the *first* strict minimum, the
   scalar linear scan's tie-break. Every capacity subtraction of one
   freeze round subtracts the same share, so their order is immaterial.
@@ -72,21 +73,28 @@ class ColumnarFlowScheduler(FlowScheduler):
                                       "fid": "i8", "pos": "i8"}, capacity=64)
 
     # -- resource registry ----------------------------------------------------
-    def _register_rid(self, r: LinkResource, fid: int, pos: int) -> int:
-        rid = self.resources.alloc(cap=r.capacity, fid=fid, pos=pos)
-        r._rid = rid
-        return rid
+    # The encounter-key hooks keep the resource rows instead of the
+    # scalar scheduler's order list.
+    def _resource_busy(self, r: LinkResource, fid: int, pos: int) -> None:
+        r._rid = self.resources.alloc(cap=r.capacity, fid=fid, pos=pos)
+
+    def _resource_rekeyed(self, r: LinkResource, fid: int, pos: int) -> None:
+        res = self.resources
+        res.col("fid")[r._rid] = fid
+        res.col("pos")[r._rid] = pos
+
+    def _resource_idle(self, r: LinkResource) -> None:
+        self.resources.free(r._rid)
+        r._rid = -1
 
     def _attach(self, flow: Flow) -> None:
         cols = self.columns
-        fid = flow.fid
-        rids = [r._rid if r._rid >= 0 else self._register_rid(r, fid, pos)
-                for pos, r in enumerate(flow.resources)]
+        rids = [r._rid for r in flow.resources]
         self.resources.col("count")[rids] += 1
         deg = len(rids)
         cols.ensure_degree(deg)
         slot = cols.alloc(remaining=flow.remaining, rate=0.0, size=flow.size,
-                          fid=fid, deg=deg)
+                          fid=flow.fid, deg=deg)
         row = cols.rids[slot]
         row[:deg] = rids
         row[deg:] = -1
@@ -146,28 +154,18 @@ class ColumnarFlowScheduler(FlowScheduler):
         flow._cols = None
         flow._slot = -1
         cols.free(slot)
-        super()._remove(flow)
-        res = self.resources
-        count = res.col("count")
+        count = self.resources.col("count")
         for r in flow.resources:
-            rid = r._rid
-            count[rid] -= 1
-            if count[rid] == 0:
-                res.free(rid)
-                r._rid = -1
-            elif res.col("fid")[rid] == flow.fid:
-                # fids grow with admission, so the bucket's first entry
-                # is the earliest-admitted user still attached.
-                first = next(iter(self._res_flows[r].values()))
-                res.col("fid")[rid] = first.fid
-                res.col("pos")[rid] = first.resources.index(r)
+            count[r._rid] -= 1
+        super()._remove(flow)
 
     def _reshare(self, resource: LinkResource | None = None) -> None:
         if resource is not None and resource._rid >= 0:
             self.resources.col("cap")[resource._rid] = resource.capacity
         super()._reshare(resource)
 
-    def _complete_finished(self, at_timer: bool = False) -> None:
+    def _advance_and_complete(self, at_timer: bool = False) -> None:
+        self._advance()
         cols = self.columns
         n = cols.size
         if n == 0:
@@ -176,7 +174,7 @@ class ColumnarFlowScheduler(FlowScheduler):
         size = cols.col("size")[:n]
         done = rem <= _EPS * np.maximum(size, 1.0)
         if at_timer:
-            # See FlowScheduler._complete_finished.
+            # See FlowScheduler._advance_and_complete.
             rate = cols.col("rate")[:n]
             moving = rate > 0
             horizon = np.divide(rem, rate, out=np.ones(n), where=moving)
@@ -186,32 +184,14 @@ class ColumnarFlowScheduler(FlowScheduler):
         self.stats["column_ops"] += 1
         if not mask.any():
             return
+        # In admission order — exactly the scalar scheduler's
+        # insertion-ordered walk.
         fids = np.sort(cols.col("fid")[:n][mask])
-        finished = [self._active[fid] for fid in fids.tolist()]
-        # Bookkeeping before completions, in admission order — exactly
-        # the scalar scheduler's insertion-ordered walk.
-        for f in finished:
-            f._cols.col("remaining")[f._slot] = 0.0
-            self._remove(f)
-        hook = self.on_complete
-        for f in finished:
-            if hook is not None:
-                hook(f)
-            f.done.succeed(f)
-        self.stats["completions"] += len(finished)
+        self._finish([self._active[fid] for fid in fids.tolist()])
 
-    def _flush(self) -> None:
-        self._dirty = False
-        dirty = self._dirty_res
-        self._dirty_res = {}
-        self.stats["recomputes"] += 1
-        # A dirty resource with no attached flow left changes no rate.
-        if any(r._rid >= 0 for r in dirty):
-            self._refill()
-        self._schedule_timer()
-
-    def _refill(self) -> None:
-        """Vectorized progressive filling over every attached flow.
+    def _fill(self) -> float:
+        """Vectorized progressive filling over every attached flow;
+        returns the completion horizon of the rates it set.
 
         Mirrors ``FlowScheduler._fill`` round for round on every
         component at once: resources in encounter-key order, the same
@@ -254,31 +234,22 @@ class ColumnarFlowScheduler(FlowScheduler):
             rs = lmat[fb]
             lmat[fb] = m                          # frozen: edges to the sink
             np.subtract.at(rcap, rs, best)
-            np.subtract.at(cnt, rs, 1)
+            cnt -= np.bincount(rs.ravel(), minlength=m + 1)
         cols.col("rate")[slots] = frate
         self.stats["filling_rounds"] += rounds
+        moving = frate > 0
+        if not moving.any():
+            return math.inf
+        return float(np.min(cols.col("remaining")[slots][moving] / frate[moving]))
 
-    def _schedule_timer(self) -> None:
+    def _horizon(self) -> float:
         cols = self.columns
         n = cols.size
-        horizon = math.inf
         if n:
             rate = cols.col("rate")[:n]
             mask = cols.used[:n] & (rate > 0)
             self.stats["column_ops"] += 1
             if mask.any():
                 rem = cols.col("remaining")[:n]
-                horizon = float(np.min(rem[mask] / rate[mask]))
-        if not math.isfinite(horizon):
-            self._cancel_timer()
-            return
-        fire = self.sim.now + max(horizon, 0.0)
-        if self._timer is not None and self._timer_fire == fire:
-            self.stats["timer_reuses"] += 1
-            return
-        self._cancel_timer()
-        timer = self.sim.timeout(max(horizon, 0.0))
-        timer._add_callback(self._on_timer)
-        self._timer = timer
-        self._timer_fire = fire
-        self.stats["timer_pushes"] += 1
+                return float(np.min(rem[mask] / rate[mask]))
+        return math.inf

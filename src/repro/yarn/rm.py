@@ -10,6 +10,7 @@ The RM's liveness check walks ``node_managers`` in registration order.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster
@@ -256,8 +257,9 @@ class ResourceManager:
             req.preferred = tuple(n for n in req.preferred if n.node_id not in req.excluded)
         if request_id is not None:
             self._requests_by_id[request_id] = req
-        self._pending.append(req)
-        self._pending.sort()
+        # (priority, seq) keys are unique, so insort keeps the order a
+        # stable sort would give.
+        insort(self._pending, req)
         self._match()
         return req.grant
 
@@ -386,13 +388,10 @@ class ResourceManager:
             nm = self.node_managers.get(container.node.node_id)
             if nm is not None:
                 nm.release(container)
-            self._pending.append(
-                _PendingRequest(
-                    req.priority, next(self._seq), req.memory_mb,
-                    req.preferred, req.grant, excluded=req.excluded,
-                )
-            )
-            self._pending.sort()
+            insort(self._pending, _PendingRequest(
+                req.priority, next(self._seq), req.memory_mb,
+                req.preferred, req.grant, excluded=req.excluded,
+            ))
             self._match()
 
         def handout(sim=self.sim):

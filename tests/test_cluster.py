@@ -188,9 +188,9 @@ class TestFlowSchedulerChoice:
 
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         # The crossover measured in DESIGN.md §13: columnar won every
-        # repeat from 96 nodes up, and lost or split below.
-        assert COLUMNAR_FLOW_MIN_NODES == 96
-        assert flow_scheduler_class(64) is FlowScheduler
+        # repeat from 192 nodes up, and lost or split below.
+        assert COLUMNAR_FLOW_MIN_NODES == 192
+        assert flow_scheduler_class(128) is FlowScheduler
         below = COLUMNAR_FLOW_MIN_NODES - 1
         assert flow_scheduler_class(below) is FlowScheduler
         assert flow_scheduler_class(COLUMNAR_FLOW_MIN_NODES) is ColumnarFlowScheduler

@@ -317,9 +317,9 @@ def test_completion_timer_does_not_leak_heap_entries():
     assert not live
 
 
-def test_scoped_recompute_skips_disjoint_components():
-    """Dirtying one component must not re-share (or touch) flows in a
-    disjoint component."""
+def test_whole_population_fill_keeps_disjoint_rates():
+    """Dirtying one component re-shares every attached flow, and the
+    flows of a disjoint component land on the rate they already had."""
     sim = Simulator()
     sched = FlowScheduler(sim)
     a = LinkResource("a", 100.0)
@@ -330,9 +330,96 @@ def test_scoped_recompute_skips_disjoint_components():
     base = sched.stats["recomputed_flows"]
     sched.transfer(1000.0, [a], "fa2")
     _ = fa.rate  # flush
-    # Only the two flows of component {a} were re-shared.
-    assert sched.stats["recomputed_flows"] == base + 2
+    # All three attached flows were re-shared, fb's rate bit for bit.
+    assert sched.stats["recomputed_flows"] == base + 3
     assert fb.rate == 100.0
+
+
+def _churn(sched_cls, seed: int, check=None, filled=None):
+    """A seeded random run of admissions (some rate-capped), cancels,
+    node-style sweeps, capacity changes and completions. ``check(sched)``
+    runs after every step and just before every fill; ``filled(sched,
+    horizon)`` runs after every fill with the horizon it returned."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    sched = sched_cls(sim)
+    links = [LinkResource(f"r{j}", 100.0) for j in range(rng.randint(4, 8))]
+    fill = sched._fill
+
+    def observed_fill():
+        if check is not None:
+            check(sched)
+        horizon = fill()
+        if filled is not None:
+            filled(sched, horizon)
+        return horizon
+
+    sched._fill = observed_fill
+
+    def driver():
+        for i in range(120):
+            yield sim.timeout(rng.choice([0.0, 0.0, 0.05, 0.3, 1.0]))
+            kind = rng.random()
+            live = list(sched.active_flows)
+            if kind < 0.65:
+                route = rng.sample(links, rng.randint(0, min(3, len(links))))
+                cap = rng.choice([None, None, 40.0]) if route else 40.0
+                sched.transfer(rng.choice([5.0, 400.0, 3000.0]), route, f"f{i}", rate_cap=cap)
+            elif kind < 0.8 and live:
+                sched.cancel(rng.choice(live), "scripted")
+            elif kind < 0.85:
+                sched.cancel_flows_using(rng.sample(links, 2), "scripted")
+            else:
+                rng.choice(links).set_capacity(rng.choice([25.0, 100.0, 150.0]))
+            if check is not None:
+                check(sched)
+
+    sim.process(driver())
+    sim.run()
+    return sched
+
+
+def _assert_order_is_first_encounter(sched):
+    keys = {}
+    for f in sched._active.values():
+        for pos, r in enumerate(f.resources):
+            keys.setdefault(r, (f.fid, pos))
+    assert sched._order == list(keys)
+    assert sched._keys == keys
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kept_encounter_order_matches_first_encounter_recount(seed):
+    """After every admission, cancel and completion, the busy resources'
+    kept order is the first-encounter order over the active flows in
+    admission order, recomputed from scratch."""
+    sched = _churn(FlowScheduler, seed, check=_assert_order_is_first_encounter)
+    assert sched.stats["completions"] > 5 and sched.stats["cancels"] > 5
+    assert sched._order == [] and sched._keys == {}
+
+
+def test_fill_counters_equal_under_incremental_and_columnar():
+    """Both schedulers skip the same fills and re-share the whole
+    attached population in the same freeze rounds."""
+    counters = ("recomputes", "recomputed_flows", "filling_rounds", "completions")
+    for seed in range(6):
+        scalar = _churn(FlowScheduler, seed).stats
+        columnar = _churn(ColumnarFlowScheduler, seed).stats
+        assert [scalar[k] for k in counters] == [columnar[k] for k in counters], seed
+        assert scalar["filling_rounds"] > scalar["recomputes"] > 20
+
+
+@pytest.mark.parametrize("sched_cls", [FlowScheduler, ColumnarFlowScheduler],
+                         ids=["incremental", "columnar"])
+def test_fill_returns_the_scanned_horizon(sched_cls):
+    """The horizon a fill returns is the one a scan over the rates it
+    set finds, bit for bit."""
+    pairs = []
+    for seed in range(6):
+        _churn(sched_cls, seed,
+               filled=lambda sched, horizon: pairs.append((horizon, sched._horizon())))
+    assert len(pairs) > 100
+    assert all(fill == scan for fill, scan in pairs)
 
 
 def test_digest_identical_across_scheduler_swap():

@@ -193,6 +193,47 @@ class TestMatching:
         assert starved > 0  # the stream does saturate the cluster
 
 
+    def test_pending_queue_stays_sorted_across_requests_and_requeues(self):
+        """Requests at mixed priorities back up behind a saturated
+        cluster while grants handed out to a rejoined node are requeued
+        when it crashes again mid-hand-out; every match walks a queue
+        in ``(priority, seq)`` order."""
+        checks = []
+
+        class CheckedRM(ResourceManager):
+            def _match(self):
+                checks.append(self._pending == sorted(self._pending))
+                super()._match()
+
+        ops = random.Random(7)
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterSpec(num_nodes=4, num_racks=2,
+                                           node=NodeSpec(memory_mb=4096)))
+        rm = CheckedRM(sim, cluster, YarnConfig(nm_memory_fraction=1.0, allocation_latency=2.0,
+                                                nm_liveness_timeout=5.0))
+        cluster.rejoin_listeners.append(rm.register_node)
+        requests = 0
+
+        def ask(count):
+            nonlocal requests
+            for _ in range(count):
+                rm.request_container(ops.choice([1024, 2048]), priority=ops.choice([0, 1, 2, 5]))
+                requests += 1
+                sim.run(until=sim.now + ops.uniform(0.0, 0.5))
+
+        ask(30)  # far more than fits: the queue backs up
+        for node in cluster.nodes[:3]:
+            cluster.crash_node(node)
+            sim.run(until=sim.now + 10.0)  # past the liveness timeout
+            cluster.restart_node(node)     # its memory is granted anew...
+            sim.run(until=sim.now + 1.0)
+            cluster.crash_node(node)       # ...and lost again mid-hand-out
+            ask(5)
+        sim.run(until=sim.now + 30.0)
+        requeues = next(rm._seq) - requests
+        assert requeues > 3 and len(rm._pending) > 10
+        assert all(checks)
+
 class TestNodeManager:
     def test_over_allocation_rejected(self):
         sim, cluster, rm = make_env(num_nodes=1, memory_mb=2048)
