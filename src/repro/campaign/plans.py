@@ -15,7 +15,8 @@ Kinds:
 ``verify-matrix``
     the differential scenario × implementation matrix
     (:mod:`repro.verify.differential`): a ``jobs`` list of
-    ``[scenario, kernel, scheduler, mutate]`` rows.
+    ``[scenario, kernel, scheduler, mutate]`` rows; the kernel column
+    accepts only ``default``.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ def _verify_matrix(spec: dict[str, Any]) -> Family:
     if not isinstance(spec["jobs"], list):
         raise StoreError("verify-matrix jobs must be a list of "
                          "[scenario, kernel, scheduler, mutate] rows")
-    # Per knob, in IMPL_KNOBS order: "default" leaves it unset.
-    choices = [("default", *filter(None, values)) for values in IMPL_KNOBS.values()]
+    # "default" leaves the scheduler unset. There is one kernel left; its
+    # column stays so stored specs keep their campaign ids.
+    schedulers = ("default", *filter(None, IMPL_KNOBS["REPRO_SCHEDULER"]))
     jobs = []
     for row in spec["jobs"]:
         if not (isinstance(row, (list, tuple)) and len(row) == 4
@@ -102,10 +104,11 @@ def _verify_matrix(spec: dict[str, Any]) -> Family:
                              "[scenario, kernel, scheduler, mutate]")
         if row[0] not in SCENARIOS:
             raise StoreError(f"unknown scenario {row[0]!r}")
-        for knob, choice, allowed in zip(IMPL_KNOBS, row[1:3], choices):
-            if choice not in allowed:
-                raise StoreError(f"unknown {knob} choice {choice!r}; "
-                                 f"choose from {', '.join(allowed)}")
+        if row[1] != "default":
+            raise StoreError(f"unknown kernel choice {row[1]!r}; choose from default")
+        if row[2] not in schedulers:
+            raise StoreError(f"unknown REPRO_SCHEDULER choice {row[2]!r}; "
+                             f"choose from {', '.join(schedulers)}")
         jobs.append(tuple(row))
     return ({"kind": "verify-matrix", "jobs": [list(j) for j in jobs]},
             "verify-matrix", run_matrix_trial, {"jobs": tuple(jobs)},

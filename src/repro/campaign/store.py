@@ -7,7 +7,7 @@ fn, kwargs)`` plus the implementation-mode environment. The
 :class:`~repro.runner.TrialRunner` loads every seed it is asked for
 from the store and records each fresh trial into it as the trial
 completes, so re-running the same spec maps onto the same rows, and a
-run under a different ``REPRO_KERNEL`` gets rows of its own (its
+run under a different ``REPRO_SCHEDULER`` gets rows of its own (its
 trials genuinely are different executions). Campaigns add a row in
 ``campaigns`` holding the spec they were built from, which is all
 ``campaign resume`` needs.

@@ -36,7 +36,7 @@ Commands
 
 ``verify``
     Differential verification: run the scenario corpus across the
-    kernel x scheduler implementation matrix, check golden trace
+    flow-scheduler implementation matrix, check golden trace
     digests, and check the metamorphic relations, e.g.::
 
         python -m repro verify --matrix --jobs 4
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="quick-tagged scenarios on 2 matrix corners "
                                "plus golden check (tier-1 budget)")
     p_verify.add_argument("--matrix", action="store_true",
-                          help="full corpus across every kernel x scheduler "
+                          help="full corpus across every flow-scheduler "
                                "combination in verify.COMBOS plus golden check")
     p_verify.add_argument("--metamorphic", action="store_true",
                           help="metamorphic relations only")
@@ -655,7 +655,7 @@ def cmd_verify(args) -> int:
         combos = QUICK_COMBOS if args.quick else COMBOS
         label = "quick" if args.quick else "full"
         print(f"differential matrix ({label}: "
-              f"{len(combos)} kernel x scheduler combos):")
+              f"{len(combos)} kernel/scheduler combos):")
         try:
             report = run_matrix(names=args.scenario,
                                 quick=args.quick, combos=combos,

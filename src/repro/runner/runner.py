@@ -115,21 +115,28 @@ def _stable_name(value: Any) -> str | None:
     return text
 
 
+#: The slot of the retired kernel knob, always empty: there is one
+#: kernel now, but the slot stays in every key so stored trial rows and
+#: campaign ids keep the digests they were recorded under.
+_RETIRED_KERNEL_SLOT = "REPRO_KERNEL="
+
+
 def _env_mode() -> str:
     """The implementation-mode part of the cache key: every knob in
     :data:`repro.sim.core.IMPL_KNOBS`. Digests are pinned identical
-    across kernels and schedulers, but the whole point of a verify run
-    is to prove that — a cached default-kernel payload served to a
-    reference-kernel run would turn the equivalence check into a
+    across schedulers, but the whole point of a verify run is to prove
+    that — a cached default-scheduler payload served to a
+    reference-scheduler run would turn the equivalence check into a
     tautology."""
-    return "\x00".join(f"{k}={os.environ.get(k, '')}" for k in IMPL_KNOBS)
+    return "\x00".join([_RETIRED_KERNEL_SLOT,
+                        *(f"{k}={os.environ.get(k, '')}" for k in IMPL_KNOBS)])
 
 
 def spec_digest(experiment: str, fn: Callable, kwargs: dict[str, Any]) -> str | None:
     """Cache key for a trial spec, or ``None`` if any part of the spec
     is unnameable — such specs are executed but never memoized. The key
     also folds in the implementation-mode environment
-    (``REPRO_KERNEL``/``REPRO_SCHEDULER``) so runs under different
+    (:data:`repro.sim.core.IMPL_KNOBS`) so runs under different
     implementations never share cache entries."""
     parts = [experiment, _stable_name(fn) or "", _env_mode()]
     if not parts[1]:

@@ -23,25 +23,14 @@ Hot-path design:
   per tick, while scheduling with the exact sequence-number pattern the
   equivalent generator loop would produce (same-instant ordering, and
   therefore seeded trace digests, are unchanged).
-- **Stale-entry compaction** — cancelled timeouts use lazy deletion
-  (binary heaps cannot remove arbitrary entries); when stale entries
-  exceed half the heap the kernel rebuilds it in place, bounding the
-  memory and pop-cost of cancel-heavy workloads.
 - **One run loop** — :meth:`Simulator.run` binds the heap to a local,
   inlines :meth:`Simulator.step`, and ticks a started pure periodic at
   the heap root in place (one ``heapreplace`` sift instead of a pop and
   a push).
-
-Set ``REPRO_KERNEL=reference`` to construct simulators whose
-``periodic`` falls back to a plain generator loop, whose ``run`` calls
-``step()`` once per event, and which never compact the heap — the
-pre-optimisation behaviour, kept as an equivalence oracle (mirroring
-``REPRO_SCHEDULER=reference`` for the flow scheduler).
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections.abc import Callable, Generator, Iterable
 from heapq import heappop, heappush, heapreplace
@@ -72,11 +61,10 @@ LATE = 2
 
 
 #: The implementation-mode knobs: each environment variable and the
-#: values it accepts, ``""`` (unset) selecting the default. The kernel,
-#: the flow-scheduler choice, the trial cache key and the differential
+#: values it accepts, ``""`` (unset) selecting the default. The
+#: flow-scheduler choice, the trial cache key and the differential
 #: matrix all read this table, so a new mode cannot be left out of one.
 IMPL_KNOBS: dict[str, tuple[str, ...]] = {
-    "REPRO_KERNEL": ("", "reference"),
     "REPRO_SCHEDULER": ("", "incremental", "columnar", "reference"),
 }
 
@@ -225,8 +213,7 @@ class Timeout(Event):
     (binary heaps cannot delete arbitrary entries) but is discarded
     without running callbacks when popped. This is what lets the flow
     scheduler keep exactly one live completion timer instead of
-    accumulating thousands of version-dead entries; the default kernel
-    compacts such entries out once they dominate the heap.
+    accumulating thousands of version-dead entries.
     """
 
     __slots__ = ("delay", "_cancelled")
@@ -253,15 +240,11 @@ class Timeout(Event):
         if self._cancelled or self._processed:
             return
         self._cancelled = True
-        if not self.sim._reference:
-            self.sim._note_stale()
 
     def _process(self) -> None:
         if self._cancelled:
             self.callbacks = None
             self._processed = True
-            if not self.sim._reference:
-                self.sim._stale -= 1
         else:
             Event._process(self)
 
@@ -460,34 +443,6 @@ class Periodic(Event):
         heappush(sim._heap, (sim._now + self.interval, NORMAL, seq, self))
 
 
-class _GeneratorPeriodic:
-    """Reference-kernel stand-in for :class:`Periodic`: the plain
-    generator-loop representation, with the same ``cancel()`` surface."""
-
-    __slots__ = ("process", "_cancelled")
-
-    def __init__(self, sim: "Simulator", interval: float,
-                 fn: Callable[[], Any], immediate: bool, name: str | None) -> None:
-        self._cancelled = False
-
-        def _loop():
-            if immediate and fn() is False:
-                return
-            while True:
-                yield sim.timeout(interval)
-                if self._cancelled or fn() is False:
-                    return
-
-        self.process = sim.process(_loop(), name=name or getattr(fn, "__name__", "periodic"))
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> None:
-        self._cancelled = True
-
-
 class Condition(Event):
     """Base for composite events over a fixed set of child events.
 
@@ -591,24 +546,13 @@ class Simulator:
 
     # The run loop stores _now/_seq once per event; slot storage keeps
     # those off a dict lookup.
-    __slots__ = ("_now", "_heap", "_seq", "_active_process",
-                 "_stale", "_reference")
-
-    #: Compaction threshold: rebuild the heap once at least this many
-    #: cancelled timeouts are buried in it *and* they outnumber the live
-    #: entries. Small heaps are never worth rebuilding.
-    COMPACT_MIN_STALE = 64
+    __slots__ = ("_now", "_heap", "_seq", "_active_process")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Process | None = None
-        #: Cancelled-but-still-heaped timeout count (lazy deletion debt).
-        self._stale = 0
-        #: ``REPRO_KERNEL=reference``: generator periodics, the ``step()``
-        #: run loop and no compaction.
-        self._reference = impl_choice("REPRO_KERNEL") == "reference"
 
     @property
     def now(self) -> float:
@@ -632,7 +576,7 @@ class Simulator:
 
     def periodic(self, interval: float, fn: Callable[[], Any],
                  immediate: bool = False, pure: bool = False,
-                 name: str | None = None):
+                 name: str | None = None) -> Periodic:
         """Run ``fn()`` every ``interval`` seconds (first run at
         ``now + interval``, or at the current instant too with
         ``immediate=True``) until it returns ``False`` or the returned
@@ -643,12 +587,8 @@ class Simulator:
         This is the allocation-free representation of the ubiquitous
         ``while True: yield sim.timeout(interval); body()`` daemon loop;
         the two representations schedule identically (see
-        :class:`Periodic`). Under ``REPRO_KERNEL=reference`` the
-        generator representation itself is used, and ``pure`` is
-        ignored.
+        :class:`Periodic`).
         """
-        if self._reference:
-            return _GeneratorPeriodic(self, interval, fn, immediate, name)
         return Periodic(self, interval, fn, immediate=immediate, pure=pure, name=name)
 
     def schedule_late(self, cb: Callable[[Event], None]) -> Event:
@@ -671,36 +611,7 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
-    def _note_stale(self) -> None:
-        """Account one newly cancelled heap entry; compact when the lazy
-        deletion debt dominates the heap."""
-        self._stale += 1
-        if self._stale >= self.COMPACT_MIN_STALE and self._stale * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled-timeout entries and re-heapify in place.
-
-        Removed entries are exactly those a pop would discard without
-        observable effect, so compaction never changes behaviour — only
-        heap size. In-place (slice assignment) so the locals-bound run
-        loop keeps seeing the same list object.
-        """
-        heap = self._heap
-        live = [entry for entry in heap
-                if not (type(entry[3]) is Timeout and entry[3]._cancelled)]
-        removed = len(heap) - len(live)
-        if removed:
-            for entry in heap:
-                ev = entry[3]
-                if type(ev) is Timeout and ev._cancelled and not ev._processed:
-                    ev.callbacks = None
-                    ev._processed = True
-            heap[:] = live
-            heapq.heapify(heap)
-        self._stale = 0
+        heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -710,7 +621,7 @@ class Simulator:
         """Process exactly one event."""
         if not self._heap:
             raise SimulationError("no scheduled events")
-        when, _, _, event = heapq.heappop(self._heap)
+        when, _, _, event = heappop(self._heap)
         self._now = when
         event._process()
 
@@ -727,25 +638,12 @@ class Simulator:
             if stop_time < self._now:
                 raise SimulationError(f"until={stop_time} is in the past (now={self._now})")
 
-        if self._reference:
-            # Reference kernel: the pre-overhaul loop, verbatim — one
-            # step() call per event with per-iteration stop checks.
-            while self._heap:
-                if stop_event is not None and stop_event._processed:
-                    return stop_event.value
-                if self._heap[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-                self.step()
-            return self._run_drained(stop_event, stop_time)
-
         # Hot loop: locals-bound heap, step() inlined, and started pure
         # periodics ticked by replacing the heap root in place
         # (heapreplace: one sift, no pop+push, no _process dispatch).
-        # _compact mutates self._heap in place, so the local alias stays
-        # valid. With no stop condition, a heap holding only live
-        # periodics spins forever — exactly as the equivalent while-True
-        # generator loops would.
+        # With no stop condition, a heap holding only live periodics
+        # spins forever — exactly as the equivalent while-True generator
+        # loops would.
         heap = self._heap
         normal = NORMAL
         while heap:
@@ -767,10 +665,7 @@ class Simulator:
             else:
                 heappop(heap)
                 event._process()
-        return self._run_drained(stop_event, stop_time)
-
-    def _run_drained(self, stop_event: Event | None, stop_time: float) -> Any:
-        """Shared run() epilogue: the heap emptied before any stop."""
+        # The heap emptied before any stop.
         if stop_event is not None:
             if stop_event._processed:
                 return stop_event.value

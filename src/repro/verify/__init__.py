@@ -7,8 +7,8 @@ Entry points:
   metamorphic); ``--quick`` for the tier-1 budget, ``--matrix`` /
   ``--metamorphic`` to select one layer, ``--refresh-golden`` to move
   the pins deliberately.
-- :func:`run_matrix` — corpus x (``REPRO_KERNEL`` x ``REPRO_SCHEDULER``)
-  with first-diverging-event reporting.
+- :func:`run_matrix` — corpus x ``REPRO_SCHEDULER`` choices with
+  first-diverging-event reporting.
 - :func:`run_all_relations` — the metamorphic relations, shrinking any
   failure to a minimal JSON reproducer.
 """

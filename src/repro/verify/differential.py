@@ -1,11 +1,10 @@
 """The differential runner: scenario corpus x implementation matrix.
 
-The repo carries two implementations of its DES kernel
-(``REPRO_KERNEL`` default/reference) and three of its max-min flow
-scheduler (``REPRO_SCHEDULER`` incremental/columnar/reference), kept
+The repo carries three implementations of its max-min flow scheduler
+(``REPRO_SCHEDULER`` incremental/columnar/reference), kept
 byte-equivalent by construction. This module is the enforcement: every
-scenario runs under each distinct kernel x scheduler pair in
-:data:`COMBOS` through the :class:`~repro.runner.TrialRunner` fan-out,
+scenario runs under each distinct scheduler in :data:`COMBOS` through
+the :class:`~repro.runner.TrialRunner` fan-out,
 and any digest divergence is a hard failure that names the scenario,
 its seed, and the **first diverging trace event** — located by
 re-running the two disagreeing combinations in-process and
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from repro.sim.core import IMPL_KNOBS, SimulationError
+from repro.sim.core import SimulationError
 from repro.verify.scenarios import SCENARIOS, corpus, quick_corpus, run_verify_spec, scenario_spec
 
 __all__ = [
@@ -46,12 +45,12 @@ __all__ = [
 ]
 
 #: The full implementation matrix: (kernel, scheduler) environment
-#: selections. "default" leaves the knob unset.
+#: selections, the columns of a verify-matrix row. "default" leaves the
+#: knob unset; the kernel column accepts nothing else (there is one
+#: kernel).
 COMBOS: tuple[tuple[str, str], ...] = (
     ("default", "default"),
-    ("reference", "default"),
     ("default", "reference"),
-    ("reference", "reference"),
     # The default scheduler follows the cluster's size: every corpus
     # scenario is below COLUMNAR_FLOW_MIN_NODES, so ("default",
     # "default") already runs the incremental scheduler, and the
@@ -59,12 +58,8 @@ COMBOS: tuple[tuple[str, str], ...] = (
     ("default", "columnar"),
 )
 
-#: The --quick budget still crosses both axes at once: one combo with
-#: everything default, one with everything swapped.
-QUICK_COMBOS: tuple[tuple[str, str], ...] = (
-    ("default", "default"),
-    ("reference", "reference"),
-)
+#: The --quick budget: the default scheduler against the reference one.
+QUICK_COMBOS: tuple[tuple[str, str], ...] = COMBOS[:2]
 
 
 class DivergenceError(SimulationError):
@@ -101,23 +96,21 @@ class Divergence:
 
 
 @contextmanager
-def _impl_env(kernel: str, scheduler: str) -> Iterator[None]:
-    """Select one implementation pair (the :data:`IMPL_KNOBS` in table
-    order) for the current process only."""
-    saved = {k: os.environ.get(k) for k in IMPL_KNOBS}
+def _impl_env(scheduler: str) -> Iterator[None]:
+    """Select one flow scheduler for the current process only."""
+    key = "REPRO_SCHEDULER"
+    saved = os.environ.get(key)
     try:
-        for key, choice in zip(IMPL_KNOBS, (kernel, scheduler), strict=True):
-            if choice == "default":
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = choice
+        if scheduler == "default":
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = scheduler
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = saved
 
 
 def _apply_mutation(payload: dict[str, Any], mutate: str) -> None:
@@ -138,10 +131,10 @@ def run_matrix_trial(seed: int, jobs: tuple[tuple[str, str, str, str], ...],
                      collect_trace: bool = False) -> dict[str, Any]:
     """:class:`TrialRunner` fan-out target. ``seed`` indexes ``jobs``;
     each entry is ``(scenario, kernel, scheduler, mutate)``. The
-    implementation pair is selected *inside* the trial so it holds in
-    whichever worker process the trial lands in."""
+    scheduler is selected *inside* the trial so it holds in whichever
+    worker process the trial lands in."""
     name, kernel, scheduler, mutate = jobs[seed]
-    with _impl_env(kernel, scheduler):
+    with _impl_env(scheduler):
         payload = run_verify_spec(scenario_spec(name), collect_trace=collect_trace)
     payload["combo"] = (kernel, scheduler)
     _apply_mutation(payload, mutate)

@@ -3,7 +3,7 @@
 A scenario is a trial spec (the JSON form :func:`repro.faults.chaos.
 build_runtime` builds, faults and all) plus a ``name`` and ``tags``.
 Scenarios are the unit the differential verifier iterates: every one
-runs under each kernel x scheduler implementation pair in ``COMBOS``,
+runs under each flow-scheduler implementation in ``COMBOS``,
 and its trace digest is pinned in ``tests/golden/scenarios.json``.
 
 The corpus deliberately spans the axes the paper's claims live on:

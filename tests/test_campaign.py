@@ -255,7 +255,7 @@ class TestPlans:
         ({"kind": "verify-matrix", "jobs": [["nosuch", "default", "default", ""]]},
          "unknown scenario 'nosuch'"),
         ({"kind": "verify-matrix", "jobs": [["clean-terasort-yarn", "ref", "default", ""]]},
-         "unknown REPRO_KERNEL choice 'ref'"),
+         "unknown kernel choice 'ref'"),
         ({"kind": "verify-matrix",
           "jobs": [["clean-terasort-yarn", "default", "Columnar", ""]]},
          "unknown REPRO_SCHEDULER choice 'Columnar'"),

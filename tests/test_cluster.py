@@ -223,8 +223,8 @@ class TestFlowSchedulerChoice:
 
     @pytest.mark.parametrize("value", ["Columnar", " columnar", "INCREMENTAL"])
     def test_scheduler_value_is_strict(self, monkeypatch, value):
-        """Like ``REPRO_KERNEL``, only the exact table values select a
-        scheduler: nothing is case-folded or stripped."""
+        """Only the exact ``IMPL_KNOBS`` values select a scheduler:
+        nothing is case-folded or stripped."""
         from repro.cluster.cluster import flow_scheduler_class
 
         monkeypatch.setenv("REPRO_SCHEDULER", value)

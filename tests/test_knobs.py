@@ -11,26 +11,42 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KNOB = re.compile(r"REPRO_[A-Z_]+")
+#: Retired knobs: read by nothing, named only where an old cache key
+#: still spells them (``repro.runner.runner._RETIRED_KERNEL_SLOT``).
+RETIRED = {"REPRO_KERNEL": "runner/runner.py"}
+
+
+def _knob_sites() -> dict[str, set[str]]:
+    """Every ``REPRO_*`` name in the package -> the files naming it."""
+    sites: dict[str, set[str]] = {}
+    package = ROOT / "src" / "repro"
+    for path in package.rglob("*.py"):
+        for knob in KNOB.findall(path.read_text(encoding="utf-8")):
+            sites.setdefault(knob, set()).add(path.relative_to(package).as_posix())
+    return sites
 
 
 def _package_knobs() -> set[str]:
-    knobs = set()
-    for path in (ROOT / "src" / "repro").rglob("*.py"):
-        knobs.update(KNOB.findall(path.read_text(encoding="utf-8")))
-    return knobs
+    return set(_knob_sites())
 
 
 def test_package_reads_exactly_the_supported_knobs():
     """A knob no workload, benchmark or CI step sets is dead weight:
     adding one is a deliberate change to this list."""
-    assert _package_knobs() == {
-        "REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_JOBS", "REPRO_TRIAL_CACHE",
+    assert _package_knobs() - set(RETIRED) == {
+        "REPRO_SCHEDULER", "REPRO_JOBS", "REPRO_TRIAL_CACHE",
         "REPRO_VERIFY", "REPRO_SCALE", "REPRO_INVARIANTS"}
+
+
+def test_retired_knobs_are_named_only_by_the_cache_key():
+    sites = _knob_sites()
+    for knob, path in RETIRED.items():
+        assert sites.get(knob) == {path}, (knob, sites.get(knob))
 
 
 def test_every_env_knob_is_documented_in_readme():
     knobs = _package_knobs()
-    assert "REPRO_KERNEL" in knobs  # the scan itself found the package
+    assert "REPRO_SCHEDULER" in knobs  # the scan itself found the package
     readme = set(KNOB.findall((ROOT / "README.md").read_text(encoding="utf-8")))
     assert sorted(knobs - readme) == []
 

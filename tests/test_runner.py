@@ -142,10 +142,11 @@ class TestTrialRunner:
         assert not other_name[0].cached
 
     def test_cache_keyed_by_implementation_mode(self, tmp_path, monkeypatch):
-        """A cached payload must never leak across REPRO_KERNEL /
-        REPRO_SCHEDULER selections: the mode environment is part of the
-        memoization key, so swapping an implementation re-executes
-        instead of replaying the other mode's trace digest."""
+        """A cached payload must never leak across REPRO_SCHEDULER
+        selections: the mode environment is part of the memoization key,
+        so swapping an implementation re-executes instead of replaying
+        the other mode's trace digest. The retired REPRO_KERNEL is read
+        by nothing, so it does not split the cache."""
         for var in ("REPRO_KERNEL", "REPRO_SCHEDULER"):
             monkeypatch.delenv(var, raising=False)
         runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
@@ -154,8 +155,11 @@ class TestTrialRunner:
         assert not baseline[0].cached
         assert runner.run("mode", _square_trial, [5])[0].cached
 
-        for var, value in (("REPRO_KERNEL", "reference"),
-                           ("REPRO_SCHEDULER", "reference"),
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
+        assert runner.run("mode", _square_trial, [5])[0].cached
+        monkeypatch.delenv("REPRO_KERNEL")
+
+        for var, value in (("REPRO_SCHEDULER", "reference"),
                            ("REPRO_SCHEDULER", "incremental"),
                            ("REPRO_SCHEDULER", "columnar")):
             monkeypatch.setenv(var, value)

@@ -3,12 +3,41 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Interrupt, Simulator
-from repro.sim.core import Periodic, SimulationError
+from repro.sim.core import SimulationError
 
 
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+class _LoopPeriodic:
+    """Test oracle for :meth:`Simulator.periodic`: the generator loop a
+    :class:`Periodic` replaces, with the same ``immediate``,
+    stop-on-``False`` and ``cancel()`` shape."""
+
+    def __init__(self, sim, interval, fn, immediate=False):
+        self.cancelled = False
+
+        def loop():
+            if immediate and fn() is False:
+                return
+            while True:
+                yield sim.timeout(interval)
+                if self.cancelled or fn() is False:
+                    return
+
+        sim.process(loop())
+
+    def cancel(self):
+        self.cancelled = True
+
+
+def _start_periodic(sim, oracle, interval, fn, immediate=False, pure=False):
+    """``sim.periodic``, or with ``oracle`` the generator loop it replaces."""
+    if oracle:
+        return _LoopPeriodic(sim, interval, fn, immediate=immediate)
+    return sim.periodic(interval, fn, immediate=immediate, pure=pure)
 
 
 class TestTimeAndRun:
@@ -358,8 +387,8 @@ class TestConditions:
 
 
 class TestTimeoutPooling:
-    """Repeated timeouts and ``REPRO_KERNEL`` selection (the class name
-    is kept so existing test ids stay stable)."""
+    """Repeated timeouts (the class name is kept so existing test ids
+    stay stable)."""
 
     def test_recycled_timeout_waits_correctly(self, sim):
         times = []
@@ -373,69 +402,24 @@ class TestTimeoutPooling:
         sim.run()
         assert times == [1.5, 3.0, 4.5, 6.0, 7.5]
 
-    @pytest.mark.parametrize("value", ["Reference", "ref", "pooled"])
-    def test_unknown_kernel_value_rejected(self, monkeypatch, value):
-        """A mistyped REPRO_KERNEL must not silently run the default
-        kernel (an oracle run would then check nothing)."""
-        monkeypatch.setenv("REPRO_KERNEL", value)
-        with pytest.raises(SimulationError, match="REPRO_KERNEL"):
-            Simulator()
-        monkeypatch.setenv("REPRO_KERNEL", "")
-        assert isinstance(Simulator().periodic(1.0, lambda: None), Periodic)
-
-
-class TestHeapCompaction:
-    """Lazy deletion of cancelled timeouts with threshold compaction."""
-
-    @pytest.fixture(autouse=True)
-    def _default_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-
-    def test_cancelled_timeouts_are_compacted_out(self, sim):
-        cancelled = [sim.timeout(1000.0) for _ in range(200)]
-        live = sim.timeout(5.0)
-        fired = []
-        live._add_callback(lambda ev: fired.append(sim.now))
-        for t in cancelled:
-            t.cancel()
-        # the lazy-deletion debt crossed COMPACT_MIN_STALE while
-        # outnumbering live entries, so the heap was rebuilt (repeatedly)
-        # in place: the bulk of the 200 dead entries is gone and the
-        # remaining debt sits below the threshold again
-        assert len(sim._heap) < 100
-        assert sim._stale < Simulator.COMPACT_MIN_STALE
-        assert sim._stale == len(sim._heap) - 1  # every survivor but `live` is dead
-        sim.run(until=10.0)
-        assert fired == [5.0]
-
-    def test_small_heaps_are_never_compacted(self, sim):
-        timeouts = [sim.timeout(100.0) for _ in range(10)]
-        for t in timeouts:
-            t.cancel()
-        # 10 < COMPACT_MIN_STALE: all entries still heaped, just dead
-        assert sim._stale == 10
-        assert len(sim._heap) == 10
-        sim.run()
-        assert sim.now == 100.0
-
-    def test_compaction_preserves_live_timers(self, sim):
+    def test_cancelled_timeouts_are_dropped_lazily(self, sim):
+        """A cancelled timeout keeps its heap entry until popped, never
+        runs its callbacks, and leaves the live timers around it on
+        time."""
         fired = []
         for i in range(1, 6):
-            t = sim.timeout(float(i))
-            t._add_callback(lambda ev, i=i: fired.append((sim.now, i)))
-        doomed = [sim.timeout(500.0) for _ in range(150)]
+            sim.timeout(float(i))._add_callback(lambda ev, i=i: fired.append((sim.now, i)))
+        doomed = [sim.timeout(3.5) for _ in range(150)]
         for t in doomed:
+            t._add_callback(lambda ev: fired.append((sim.now, "doomed")))
             t.cancel()
-        sim.run(until=10.0)
+        assert len(sim._heap) == 155 and all(t.cancelled for t in doomed)
+        sim.run()
         assert fired == [(1.0, 1), (2.0, 2), (3.0, 3), (4.0, 4), (5.0, 5)]
-
+        assert all(t.processed for t in doomed)
 
 class TestPeriodic:
     """The allocation-free periodic-wakeup path."""
-
-    @pytest.fixture(autouse=True)
-    def _default_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
 
     @pytest.mark.parametrize("pure", [False, True])
     def test_ticks_at_interval(self, sim, pure):
@@ -490,26 +474,56 @@ class TestPeriodic:
         with pytest.raises(SimulationError, match="pure periodic"):
             sim.run(until=10.0)
 
-    def test_reference_kernel_uses_generator_loop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        sim = Simulator()
-        ticks = []
-        p = sim.periodic(2.0, lambda: ticks.append(sim.now), immediate=True)
-        sim.run(until=5.0)
-        assert ticks == [0.0, 2.0, 4.0]
-        p.cancel()
-        sim.run(until=9.0)
-        assert ticks == [0.0, 2.0, 4.0]
+    def test_impure_ticks_interleave_like_generator_loops(self):
+        """Non-pure periodics whose ticks schedule events, sharing
+        instants with plain timeouts, a cancel and a self-stop, order
+        every event exactly as their generator loops would."""
+
+        def trace(oracle):
+            sim = Simulator()
+            log = []
+
+            def ticker(tag, stop_at=None):
+                def tick():
+                    log.append((sim.now, tag))
+                    sim.timeout(0.0)._add_callback(
+                        lambda _ev: log.append((sim.now, tag, "follow-up")))
+                    sim.timeout(0.5)._add_callback(
+                        lambda _ev: log.append((sim.now, tag, "half")))
+                    if stop_at is not None and sim.now >= stop_at:
+                        return False
+
+                return tick
+
+            _start_periodic(sim, oracle, 1.0, ticker("a"))
+            _start_periodic(sim, oracle, 0.5, ticker("b", stop_at=2.0), immediate=True)
+            victim = _start_periodic(sim, oracle, 1.5, ticker("c"))
+
+            def timeouts(sim):
+                for _ in range(8):
+                    yield sim.timeout(0.5)
+                    log.append((sim.now, "timeout"))
+                    if sim.now == 3.0:
+                        victim.cancel()
+
+            sim.process(timeouts(sim))
+            sim.run(until=5.0)
+            return log
+
+        default = trace(oracle=False)
+        assert default == trace(oracle=True)
+        assert (1.0, "a") in default and (0.0, "b") in default
+        assert max(t for t, tag, *_ in default if tag == "b") == 2.5
+        assert [t for t, tag, *rest in default if tag == "c" and not rest] == [1.5, 3.0]
 
 
 class TestBatchTick:
     """A same-instant cohort of pure periodics, ticked in place at the
-    heap root, against the reference kernel's generator loops."""
+    heap root, against the generator loops they replace."""
 
     COHORT = 64
 
-    def _tick_trace(self, kernel, monkeypatch, wire=None):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
+    def _tick_trace(self, oracle, wire=None):
         sim = Simulator()
         ticks = []
         handles = []
@@ -517,33 +531,33 @@ class TestBatchTick:
             def tick(i=i):
                 ticks.append((sim.now, i))
 
-            handles.append(sim.periodic(1.0, tick, pure=True))
+            handles.append(_start_periodic(sim, oracle, 1.0, tick, pure=True))
         if wire is not None:
-            wire(sim, handles, ticks)
+            wire(sim, handles, ticks, oracle)
         sim.run(until=4.5)
         return ticks
 
-    def _compare(self, monkeypatch, wire=None):
-        default = self._tick_trace("", monkeypatch, wire)
-        assert default == self._tick_trace("reference", monkeypatch, wire)
+    def _compare(self, wire=None):
+        default = self._tick_trace(False, wire)
+        assert default == self._tick_trace(True, wire)
         return default
 
-    def test_batch_matches_one_at_a_time(self, monkeypatch):
-        ticks = self._compare(monkeypatch)
+    def test_batch_matches_one_at_a_time(self):
+        ticks = self._compare()
         assert len(ticks) == self.COHORT * 4
 
-    def test_shared_instant_aborts_batch(self, monkeypatch):
-        def wire(sim, handles, ticks):
+    def test_shared_instant_aborts_batch(self):
+        def wire(sim, handles, ticks, oracle):
             # a plain timeout landing on a cohort instant interleaves
             # with the in-place ticks in sequence order
             t = sim.timeout(2.0)
             t._add_callback(lambda ev: ticks.append((sim.now, "timeout")))
 
-        ticks = self._compare(monkeypatch, wire)
+        ticks = self._compare(wire)
         assert (2.0, "timeout") in ticks
 
-    def test_cancel_from_within_cohort(self, monkeypatch):
-        def wire(sim, handles, ticks):
+    def test_cancel_from_within_cohort(self):
+        def wire(sim, handles, ticks, oracle):
             victim = handles[-1]
 
             def assassin(sim):
@@ -552,13 +566,13 @@ class TestBatchTick:
 
             sim.process(assassin(sim))
 
-        ticks = self._compare(monkeypatch, wire)
+        ticks = self._compare(wire)
         # the victim ticked at 1.0 and 2.0 only
         victim_ticks = [t for t, i in ticks if i == self.COHORT - 1]
         assert victim_ticks == [1.0, 2.0]
 
-    def test_stop_from_within_batch(self, monkeypatch):
-        def wire(sim, handles, ticks):
+    def test_stop_from_within_batch(self):
+        def wire(sim, handles, ticks, oracle):
             # a cohort member retires itself on its second tick
             calls = []
 
@@ -568,30 +582,26 @@ class TestBatchTick:
                 if len(calls) == 2:
                     return False
 
-            handles.append(sim.periodic(1.0, quitter, pure=True))
+            handles.append(_start_periodic(sim, oracle, 1.0, quitter, pure=True))
 
-        ticks = self._compare(monkeypatch, wire)
+        ticks = self._compare(wire)
         quitter_ticks = [t for t, i in ticks if i == "quitter"]
         assert quitter_ticks == [1.0, 2.0]
 
 
 class TestLateEvents:
     """``Simulator.schedule_late`` runs its callback at the end of the
-    current instant, identically under both kernels."""
+    current instant."""
 
-    @pytest.fixture(params=["", "reference"], ids=["default", "reference"])
-    def any_sim(self, request, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", request.param)
-        return Simulator()
-
-    def test_late_runs_after_every_event_of_its_instant(self, any_sim):
-        sim = any_sim
+    @pytest.mark.parametrize("oracle", [False, True], ids=["default", "reference"])
+    def test_late_runs_after_every_event_of_its_instant(self, sim, oracle):
+        """``reference`` ticks the periodic as its generator loop."""
         order = []
 
         def log(tag):
             return lambda _event=None: order.append((sim.now, tag))
 
-        sim.periodic(1.0, log("tick"), pure=True)
+        _start_periodic(sim, oracle, 1.0, log("tick"), pure=True)
         sim.timeout(1.5)._add_callback(log("later"))
 
         def worker(sim):
@@ -620,8 +630,7 @@ class TestLateEvents:
             (1.0, "waited on late"), (1.5, "later"),
         ]
 
-    def test_late_events_run_in_scheduling_order(self, any_sim):
-        sim = any_sim
+    def test_late_events_run_in_scheduling_order(self, sim):
         order = []
         sim.schedule_late(lambda _event: order.append("first"))
         sim.schedule_late(lambda _event: order.append("second"))
@@ -671,18 +680,3 @@ class TestConditionDetach:
         winner.succeed("x")
         sim.run()
         assert not any(cb == cond._check for cb in (loser.callbacks or []))
-
-
-class TestKernelEquivalence:
-    """REPRO_KERNEL=reference (generator periodics, the step() run
-    loop, no compaction) must reproduce the default kernel's seeded
-    digests exactly."""
-
-    def test_periodic_path_on_off_same_digest(self, monkeypatch):
-        from tests.conftest import make_runtime
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        d_default = make_runtime(seed=11).run().trace.digest()
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        d_reference = make_runtime(seed=11).run().trace.digest()
-        assert d_default == d_reference

@@ -7,10 +7,9 @@ CI, and the failure message says how to move the pin deliberately
 (``python -m repro verify --refresh-golden``).
 
 The pins are stronger than the old swap steps: each scenario's digest
-is compared against the checked-in golden value under *every*
-implementation selection, so a drift in either the default or the
-reference implementation is caught — not just a disagreement between
-the two.
+is compared against the checked-in golden value under the default and
+the reference flow scheduler, so a drift in either is caught — not just
+a disagreement between the two.
 """
 
 import pytest
@@ -50,26 +49,14 @@ class TestGoldenQuick:
 
 
 class TestSwapPins:
-    """The ported PIN steps: the reference kernel and the reference
-    scheduler must reproduce the golden digest byte-for-byte."""
-
-    def test_reference_kernel_matches_golden(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        payload = run_verify_spec(scenario_spec(_PIN_SCENARIO))
-        _assert_pinned(_PIN_SCENARIO, payload["digest"], "REPRO_KERNEL=reference")
+    """The ported PIN step: the reference scheduler must reproduce the
+    golden digest byte-for-byte."""
 
     def test_reference_scheduler_matches_golden(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULER", "reference")
         payload = run_verify_spec(scenario_spec(_PIN_SCENARIO))
         _assert_pinned(_PIN_SCENARIO, payload["digest"],
                        "REPRO_SCHEDULER=reference")
-
-    def test_reference_both_matches_golden(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        monkeypatch.setenv("REPRO_SCHEDULER", "reference")
-        payload = run_verify_spec(scenario_spec(_PIN_SCENARIO))
-        _assert_pinned(_PIN_SCENARIO, payload["digest"],
-                       "both reference implementations")
 
 
 @pytest.mark.slow

@@ -82,32 +82,44 @@ class TestScenarioRegistry:
 
 class TestMatrixTrial:
     def test_combo_selected_inside_trial(self, monkeypatch):
-        """The implementation pair is chosen inside the trial (so it
-        holds in worker processes) and restored afterwards."""
+        """The scheduler is chosen inside the trial (so it holds in
+        worker processes) and restored afterwards."""
         import os
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        jobs = (("clean-terasort-yarn", "reference", "reference", ""),)
+        import repro.cluster.cluster as cluster_mod
+        from repro.sim.flows_reference import ReferenceFlowScheduler
+
+        chosen = []
+        pick = cluster_mod.flow_scheduler_class
+
+        def recording_pick(num_nodes):
+            chosen.append(pick(num_nodes))
+            return chosen[-1]
+
+        monkeypatch.setattr(cluster_mod, "flow_scheduler_class", recording_pick)
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        jobs = (("clean-terasort-yarn", "default", "reference", ""),)
         payload = run_matrix_trial(0, jobs)
-        assert payload["combo"] == ("reference", "reference")
-        assert "REPRO_KERNEL" not in os.environ
+        assert payload["combo"] == ("default", "reference")
+        assert chosen and set(chosen) == {ReferenceFlowScheduler}
+        assert "REPRO_SCHEDULER" not in os.environ
         assert payload["invariant_violations"] == []
 
     def test_combos_select_distinct_implementations(self):
-        """Every COMBOS entry runs a different (kernel, flow-scheduler
-        class) pair at the corpus's cluster sizes: a duplicate pair
-        re-runs the same code and proves nothing."""
+        """Every COMBOS entry runs different flow-scheduler classes at
+        the corpus's cluster sizes: a duplicate entry re-runs the same
+        code and proves nothing. The kernel column is always
+        ``default``."""
         from repro.cluster.cluster import flow_scheduler_class
-        from repro.sim.core import Simulator
         from repro.verify.differential import _impl_env
         from repro.verify.scenarios import corpus
 
         sizes = sorted({scenario["nodes"] for scenario in corpus()})
         selected = []
         for kernel, scheduler in COMBOS:
-            with _impl_env(kernel, scheduler):
-                selected.append((Simulator()._reference,
-                                 tuple(flow_scheduler_class(n) for n in sizes)))
+            assert kernel == "default"
+            with _impl_env(scheduler):
+                selected.append(tuple(flow_scheduler_class(n) for n in sizes))
         assert len(set(selected)) == len(COMBOS), selected
 
     def test_single_scenario_full_matrix_identical(self):
@@ -124,14 +136,14 @@ class TestSeededDivergence:
         with pytest.raises(DivergenceError) as excinfo:
             run_matrix(
                 names=["oom-reduce-yarn"],
-                mutations={("oom-reduce-yarn", "reference", "default"):
+                mutations={("oom-reduce-yarn", "default", "reference"):
                            "append-event"},
                 echo=_quiet,
             )
         divergence = excinfo.value.divergence
         assert divergence.scenario == "oom-reduce-yarn"
         assert divergence.seed == 11
-        assert divergence.combo_b == ("reference", "default")
+        assert divergence.combo_b == ("default", "reference")
         assert divergence.event_index is not None
         assert divergence.event_b == {"time": -1.0,
                                       "kind": "verify_divergence_probe"}
