@@ -594,24 +594,32 @@ class MRAppMaster:
 
     # -- live metrics (used by samplers and fault triggers) -----------------
     def reduce_phase_progress(self) -> float:
-        """Mean progress over all reduce tasks (completed count as 1)."""
+        """Mean progress over all reduce tasks (completed count as 1).
+
+        Polled every sampler tick and every ``at_progress`` fault poll,
+        so it scans attempts inline instead of building
+        ``running_attempts()`` lists. The strict ``>`` keeps builtin
+        ``max``'s first-maximum rule, and the sum runs in task order,
+        so the float result is unchanged."""
         if not self.reduce_tasks:
             return 1.0
         total = 0.0
         for task in self.reduce_tasks:
             if task.state is TaskState.SUCCEEDED:
                 total += 1.0
-            else:
-                running = task.running_attempts()
-                if running:
-                    total += max(a.progress for a in running)
+                continue
+            best = None
+            for a in task.attempts:
+                if a.state is AttemptState.RUNNING:
+                    p = a.progress
+                    if best is None or p > best:
+                        best = p
+            if best is not None:
+                total += best
         return total / self.num_reduces
 
     def map_phase_progress(self) -> float:
         return self.completed_maps / max(self.num_maps, 1)
-
-    def failed_reduce_attempts(self) -> int:
-        return self.trace.count("attempt_failed", type="reduce")
 
     def log_task_progress(self) -> None:
         """Emit one ``task_progress`` record per running attempt: maps

@@ -114,6 +114,10 @@ class MapReduceRuntime:
 
             spec_cfg = speculation if isinstance(speculation, SpeculationConfig) else None
             self.speculator = self.policy.make_speculator(self.am, spec_cfg)
+        #: Reduce ``attempt_failed`` events so far, kept as they are
+        #: logged; the trace is per job, so the count spans AM restarts.
+        self.failed_reduce_attempts = 0
+        self.trace.subscribe("attempt_failed", self._count_failed_attempt)
         self.sampler = ProgressSampler(self.sim, self.trace, interval=sample_interval)
         # Probes go through ``self.am`` late-bound so they track the
         # live incarnation across AM restarts.
@@ -122,9 +126,13 @@ class MapReduceRuntime:
         self.sampler.add_probe("map_progress",
                                lambda: self.am.map_phase_progress())
         self.sampler.add_probe("failed_reduce_attempts",
-                               lambda: float(self.am.failed_reduce_attempts()))
+                               lambda: self.failed_reduce_attempts)
         if record_progress:
             self.sampler.add_probe_block(self._task_progress_block)
+
+    def _count_failed_attempt(self, event) -> None:
+        if event["type"] == "reduce":
+            self.failed_reduce_attempts += 1
 
     def _task_progress_block(self):
         self.am.log_task_progress()
@@ -224,7 +232,7 @@ class MapReduceRuntime:
             "completed_maps": self.am.completed_maps,
             "committed_reduces": self.am.committed_reduces,
             "failed_map_attempts": self.trace.count("attempt_failed", type="map"),
-            "failed_reduce_attempts": self.trace.count("attempt_failed", type="reduce"),
+            "failed_reduce_attempts": self.failed_reduce_attempts,
             "map_reruns": self.trace.count("map_rerun"),
             "am_restarts": self.trace.count("am_restarted"),
             "nodes_lost": self.trace.count("node_lost"),

@@ -110,6 +110,8 @@ class SharedCluster:
         )
         sampler = ProgressSampler(self.sim, trace, interval=self.sample_interval)
         sampler.add_probe("reduce_progress", am.reduce_phase_progress)
+        # A finished job stops sampling, as MapReduceRuntime.run does.
+        am.done._add_callback(lambda _event: sampler.stop())
         for fault in faults:
             handle.install(fault)
 

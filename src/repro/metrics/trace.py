@@ -19,9 +19,19 @@ digest is maintained incrementally as events are recorded (see
 end.
 
 Every event is stored one way: a ``TraceEvent`` appended to ``events``
-and indexed under its kind. Each record is hashed into the streaming
-digest through ``_export_record`` — the same coercion the JSON exports
-use — so the digest is by construction the hash of the export.
+and indexed under its kind. Each record goes into the streaming digest
+through ``_export_record`` — the same coercion the JSON exports use —
+so the digest is by construction the hash of the export.
+
+The digest pays per batch, not per record: ``log`` queues the coerced
+record, and every :data:`_DIGEST_BATCH` records one cached encoder
+encodes the whole queue as a JSON list, whose brackets are stripped
+before hashing. A JSON list is its items joined by ``,``, so the
+hashed bytes equal encoding each record alone and joining them with
+``,`` — the same bytes as one ``json.dumps`` of the whole document.
+Records are coerced when logged (primitives kept, anything else
+``str``-ed), so mutating a logged ``data`` dict later cannot reach the
+digest. :meth:`Trace.digest` drains the queue first.
 """
 
 from __future__ import annotations
@@ -69,6 +79,11 @@ def _matches(event: TraceEvent, match: dict[str, Any]) -> bool:
 #: bytes equal one ``json.dumps`` of the whole-trace document (see
 #: :meth:`Trace.digest`).
 _DUMPS_KW = dict(sort_keys=True, separators=(",", ":"), default=str)
+#: One encoder for every digest batch and series dump: ``json.dumps``
+#: with non-default kwargs builds a fresh ``JSONEncoder`` per call.
+_ENCODER = json.JSONEncoder(**_DUMPS_KW)
+#: Records queued per digest encoding (see the module docstring).
+_DIGEST_BATCH = 256
 
 
 def _export_record(time: float, kind: str, data: dict[str, Any]) -> dict[str, Any]:
@@ -95,11 +110,13 @@ class Trace:
         self.series: dict[str, list[tuple[float, float]]] = {}
         self._by_kind: dict[str, list[TraceEvent]] = {}
         self._listeners: dict[str, list[Any]] = {}
-        # Incremental digest state: every recorded event is hashed here
-        # as it lands, byte-compatible with json.dumps of the whole
-        # {"events": [...], "series": {...}} document (see digest()).
+        # Incremental digest state, byte-compatible with json.dumps of
+        # the whole {"events": [...], "series": {...}} document (see
+        # digest()): export records queue in _pending and are hashed
+        # one batch at a time by _drain.
         self._hasher = hashlib.sha256(b'{"events":[')
-        self._first_hashed = True
+        self._pending: list[dict[str, Any]] = []
+        self._hashed_any = False
 
     # -- events -----------------------------------------------------------
     def log(self, kind: str, **data: Any) -> None:
@@ -111,20 +128,25 @@ class Trace:
         if bucket is None:
             bucket = self._by_kind[kind] = []
         bucket.append(event)
-        self._hash_record(now, kind, data)
+        pending = self._pending
+        pending.append(_export_record(now, kind, data))
+        if len(pending) >= _DIGEST_BATCH:
+            self._drain()
         if listeners:
             for fn in list(listeners):
                 fn(event)
 
-    def _hash_record(self, time: float, kind: str, data: dict[str, Any]) -> None:
-        # The digest is defined over the exported record shape, so both
-        # go through _export_record.
-        record = _export_record(time, kind, data)
-        if self._first_hashed:
-            self._first_hashed = False
-        else:
+    def _drain(self) -> None:
+        """Hash the queued records: one list encoding, brackets
+        stripped, joined to the previous batch by ``,``."""
+        pending = self._pending
+        if not pending:
+            return
+        if self._hashed_any:
             self._hasher.update(b",")
-        self._hasher.update(json.dumps(record, **_DUMPS_KW).encode())
+        self._hashed_any = True
+        self._hasher.update(_ENCODER.encode(pending)[1:-1].encode())
+        pending.clear()
 
     def digest(self) -> str:
         """Determinism digest of everything recorded so far.
@@ -132,13 +154,14 @@ class Trace:
         Byte-identical to hashing ``json.dumps({"events": trace_records
         (self), "series": self.series}, sort_keys=True, separators=
         (",", ":"), default=str)`` — the pre-streaming definition — but
-        events were already hashed when logged, so only the (small)
-        series dict is encoded here. Cheap to call repeatedly: the
-        event hasher is cloned, never consumed.
+        events were hashed in batches as they were logged, so only the
+        queued tail and the (small) series dict are encoded here. Cheap
+        to call repeatedly: the event hasher is cloned, never consumed.
         """
+        self._drain()
         h = self._hasher.copy()
         h.update(b'],"series":')
-        h.update(json.dumps(self.series, **_DUMPS_KW).encode())
+        h.update(_ENCODER.encode(self.series).encode())
         h.update(b"}")
         return h.hexdigest()
 
@@ -229,9 +252,14 @@ class ProgressSampler:
         self._blocks: list[Any] = []
         self._running = False
         self._periodic = None
+        #: ``(series points list, probe)`` per probe, bound on the first
+        #: tick after an ``add_probe`` (not before: an unsampled series
+        #: must stay absent from the digest).
+        self._bound: list[tuple[list, Any]] | None = None
 
     def add_probe(self, name: str, fn) -> None:
         self._probes[name] = fn
+        self._bound = None
 
     def add_probe_block(self, fn) -> None:
         """Register a *batched* probe: ``fn()`` returns an iterable of
@@ -260,8 +288,14 @@ class ProgressSampler:
     def _tick(self):
         if not self._running:
             return False
-        for name, fn in self._probes.items():
-            self.trace.sample(name, fn())
+        bound = self._bound
+        if bound is None:
+            series = self.trace.series
+            bound = self._bound = [(series.setdefault(name, []), fn)
+                                   for name, fn in self._probes.items()]
+        now = self.sim.now
+        for points, fn in bound:
+            points.append((now, float(fn())))
         for block in self._blocks:
             for name, value in block():
                 self.trace.sample(name, value)

@@ -11,6 +11,8 @@ halves apart:
 - *Convergence*: with a synthetic oracle ("the culprit fault is still
   in the schedule"), the minimizer drops every decoy and converges to
   exactly the 1-fault reproducer recorded in the JSON.
+- *Replay-identical*: each full spec and each ``minimized_faults`` spec
+  replays to the trace digest pinned in ``tests/golden/reproducers.json``.
 """
 
 import json
@@ -21,6 +23,9 @@ import pytest
 from repro.faults.chaos import minimize_spec, run_trial_spec
 
 REPRODUCERS = sorted((Path(__file__).parent / "reproducers").glob("*.json"))
+#: Trace digest of each reproducer's full spec and of its spec cut down
+#: to ``minimized_faults``.
+REPLAY_GOLDEN = Path(__file__).parent / "golden" / "reproducers.json"
 
 
 def _load(path: Path) -> dict:
@@ -56,6 +61,19 @@ class TestReproducers:
         assert len(runs) <= n_faults * n_faults
         # The input spec is untouched (minimize returns a new dict).
         assert len(repro["spec"]["faults"]) == n_faults
+
+
+@pytest.mark.parametrize("path", REPRODUCERS, ids=lambda p: p.stem)
+def test_reproducer_replays_byte_identically(path):
+    repro = _load(path)
+    golden = _load(REPLAY_GOLDEN)[path.stem]
+    minimized = dict(repro["spec"], faults=repro["minimized_faults"])
+    assert run_trial_spec(repro["spec"])["digest"] == golden["spec"]
+    assert run_trial_spec(minimized)["digest"] == golden["minimized"]
+
+
+def test_replay_golden_names_every_reproducer():
+    assert sorted(_load(REPLAY_GOLDEN)) == [p.stem for p in REPRODUCERS]
 
 
 class TestMinimizeSpec:

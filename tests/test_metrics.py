@@ -1,5 +1,6 @@
 """Tests for trace collection, exports and text reports."""
 
+import enum
 import json
 
 import pytest
@@ -15,6 +16,8 @@ from repro.metrics import (
     task_gantt,
     trace_records,
 )
+from repro.mapreduce.tasks import TaskState
+from repro.metrics.trace import _DIGEST_BATCH
 from repro.sim import Simulator
 
 from tests.conftest import make_runtime, tiny_workload
@@ -222,25 +225,38 @@ class TestReports:
         assert "ok" in out
 
 
+def _whole_document_digest(trace: Trace) -> str:
+    """The digest's definition: sha256 of one ``json.dumps`` of the
+    exported events plus the series."""
+    import hashlib
+
+    blob = json.dumps({"events": trace_records(trace), "series": trace.series},
+                      sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _log_n(trace: Trace, start: int, stop: int) -> None:
+    for i in range(start, stop):
+        trace.log("hb", node=i, lag=i / 8.0, ok=i % 3 == 0, note=None)
+
+
+_N = _DIGEST_BATCH
+
+
 class TestStreamingDigest:
     """The incremental digest must stay byte-compatible with hashing the
-    whole-trace JSON document, the digest's pre-streaming definition."""
+    whole-trace JSON document, the digest's pre-streaming definition.
+    ``Trace.log`` hashes records one batch of ``_DIGEST_BATCH`` at a
+    time, so every batch boundary is checked too."""
 
     def test_matches_legacy_whole_trace_encoding(self, result):
-        import hashlib
-
         # A whole job, plus two kinds interleaved record by record.
         interleaved = Trace(Simulator())
         for i in range(11):
             interleaved.log("hb", node=i, lag=i / 8.0)
             interleaved.log("other", step=i)
         for trace in (result.trace, interleaved):
-            payload = {
-                "events": trace_records(trace),
-                "series": {name: points for name, points in trace.series.items()},
-            }
-            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-            assert trace.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            assert trace.digest() == _whole_document_digest(trace)
 
     def test_digest_clones_not_consumes(self):
         sim = Simulator()
@@ -261,3 +277,48 @@ class TestStreamingDigest:
         blob = json.dumps({"events": [], "series": {}},
                           sort_keys=True, separators=(",", ":"), default=str)
         assert trace.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("n", [0, 1, _N - 1, _N, _N + 1, 3 * _N + 7])
+    def test_matches_whole_document(self, n):
+        trace = Trace(Simulator())
+        _log_n(trace, 0, n)
+        trace.sample("progress", 0.5)
+        assert trace.digest() == _whole_document_digest(trace)
+
+    def test_digest_between_logs_changes_nothing(self):
+        probed, plain = Trace(Simulator()), Trace(Simulator())
+        _log_n(plain, 0, 3 * _N + 7)
+        cuts = [0, _N - 1, _N, _N + 1, 3 * _N + 7]
+        for lo, hi in zip(cuts, cuts[1:]):
+            _log_n(probed, lo, hi)
+            assert probed.digest() == _whole_document_digest(probed)
+        assert probed.digest() == plain.digest()
+
+    @pytest.mark.parametrize("n", [1, _N - 1, _N])
+    def test_mutation_after_log_does_not_reach_digest(self, n):
+        """The record is coerced when logged, whether it is still queued
+        (``n`` < batch) or already hashed (``n`` = batch)."""
+        mutated, twin = Trace(Simulator()), Trace(Simulator())
+        for trace in (mutated, twin):
+            _log_n(trace, 0, n - 1)
+        nodes = [1, 2]
+        mutated.log("lost", nodes=nodes, count=2)
+        twin.log("lost", nodes=[1, 2], count=2)
+        nodes.append(3)
+        mutated.events[-1].data["count"] = 3
+        assert mutated.digest() == twin.digest()
+
+    def test_non_primitive_values_coerced_as_exported(self):
+        class Colour(enum.Enum):
+            RED = "red"
+
+        class Level(enum.IntEnum):
+            HIGH = 2
+
+        trace = Trace(Simulator())
+        _log_n(trace, 0, _N - 2)
+        for i in range(4):
+            trace.log("odd", colour=Colour.RED, level=Level.HIGH, pair=(i, "x"),
+                      state=TaskState.RUNNING)
+        assert trace_records(trace)[-1]["pair"] == "(3, 'x')"
+        assert trace.digest() == _whole_document_digest(trace)

@@ -46,6 +46,19 @@ class TestSubmission:
         with pytest.raises(SimulationError):
             sc.submit(tiny_workload())
 
+    def test_finished_job_stops_sampling(self):
+        """Each job's sampler stops with its AM: a short job sharing the
+        cluster with a long one takes no sample after its own end."""
+        sc = shared()
+        sc.submit(tiny_workload(input_mb=256, name="short"), job_name="short")
+        sc.submit(tiny_workload(input_mb=4096, name="long"), job_name="long")
+        short, long_ = sc.run_all()
+        assert short.end_time < long_.end_time
+        for result in (short, long_):
+            times = [t for t, _ in result.trace.series_values("reduce_progress")]
+            assert times
+            assert max(times) <= result.end_time
+
 
 class TestContention:
     def test_concurrent_jobs_slower_than_alone(self):

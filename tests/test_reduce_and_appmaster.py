@@ -2,10 +2,29 @@
 
 import pytest
 
+from repro.faults import AMFault, SlowNodeFault, kill_node_at_progress, kill_reduce_at_progress
 from repro.mapreduce.config import JobConf
+from repro.mapreduce.speculation import SpeculationConfig
 from repro.mapreduce.tasks import TaskState
 
 from tests.conftest import make_runtime, tiny_workload
+
+
+def _listed_reduce_progress(am) -> float:
+    """Oracle for ``MRAppMaster.reduce_phase_progress``: the
+    list-building loop it replaced (``running_attempts()`` per
+    unfinished task, builtin ``max``)."""
+    if not am.reduce_tasks:
+        return 1.0
+    total = 0.0
+    for task in am.reduce_tasks:
+        if task.state is TaskState.SUCCEEDED:
+            total += 1.0
+        else:
+            running = task.running_attempts()
+            if running:
+                total += max(a.progress for a in running)
+    return total / am.num_reduces
 
 
 class TestReduceExecution:
@@ -123,3 +142,60 @@ class TestAppMaster:
         assert rt.am.reduce_phase_progress() == 0.0
         rt.run()
         assert rt.am.reduce_phase_progress() == 1.0
+
+
+class TestProgressExactness:
+    """The sampled ``reduce_progress`` and ``failed_reduce_attempts``
+    series equal their oracles at every tick, bit for bit."""
+
+    @staticmethod
+    def _run_with_oracles(rt):
+        rt.sampler.add_probe("oracle_reduce_progress",
+                             lambda: _listed_reduce_progress(rt.am))
+        rt.sampler.add_probe("oracle_failed_reduce_attempts",
+                             lambda: rt.trace.count("attempt_failed", type="reduce"))
+        res = rt.run()
+        series = rt.trace.series
+        progress = [(t, v.hex()) for t, v in series["reduce_progress"]]
+        assert progress == [(t, v.hex()) for t, v in series["oracle_reduce_progress"]]
+        assert series["failed_reduce_attempts"] == series["oracle_failed_reduce_attempts"]
+        assert res.counters["failed_reduce_attempts"] == rt.trace.count(
+            "attempt_failed", type="reduce")
+        return res
+
+    def test_reducer_node_crash(self):
+        rt = make_runtime(tiny_workload(input_mb=1024, reducers=3, reduce_cpu=0.1), nodes=8)
+        kill_node_at_progress(0.4, target="reducer").install(rt)
+        res = self._run_with_oracles(rt)
+        assert res.success
+        assert res.counters["failed_reduce_attempts"] >= 1
+        # Some tick saw a fraction that is not a whole number of tasks.
+        assert any(v % (1 / 3) for _, v in rt.trace.series["reduce_progress"])
+
+    def test_speculative_duplicates(self):
+        """Ticks where a reduce task runs two attempts exercise the
+        running maximum, not just the sum."""
+        rt = make_runtime(tiny_workload(input_mb=1024, reducers=4, reduce_cpu=0.05),
+                          speculation=SpeculationConfig(interval=2.0, min_runtime=5.0,
+                                                        slowness_threshold=1.2))
+        SlowNodeFault(node_index=0, at_time=2.0, disk_factor=0.05).install(rt)
+        duplicated = []
+        rt.sampler.add_probe("duplicated", lambda: duplicated.append(any(
+            len(t.running_attempts()) > 1 for t in rt.am.reduce_tasks)) or 0)
+        assert self._run_with_oracles(rt).success
+        assert any(duplicated)
+
+    def test_am_restart_keeps_the_failure_count(self):
+        """Reduce failures before the AM crash stay counted after it: the
+        count belongs to the job, not to one AM incarnation."""
+        rt = make_runtime(tiny_workload(reducers=2, reduce_cpu=0.1))
+        kill_reduce_at_progress(0.3).install(rt)
+        AMFault(at_progress=0.6).install(rt)
+        res = self._run_with_oracles(rt)
+        assert res.success
+        assert res.counters["am_restarts"] == 1
+        crash = rt.trace.first("am_crashed").time
+        before = [v for t, v in rt.trace.series["failed_reduce_attempts"] if t < crash]
+        after = [v for t, v in rt.trace.series["failed_reduce_attempts"] if t > crash]
+        assert before[-1] >= 1
+        assert after[-1] >= before[-1]
