@@ -26,7 +26,7 @@ def main() -> None:
               policy=ALMPolicy(), delay=60.0)
 
     # The node failure triggers off the Terasort's reduce progress.
-    ts.install(kill_node_at_progress(0.3, target="map-only"))
+    kill_node_at_progress(0.3, target="map-only").install(ts)
 
     results = sc.run_all()
 

@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.alm import ALMConfig, ALMPolicy
-from repro.baselines import ISSPolicy
 from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
 from repro.faults import kill_node_at_progress, kill_reduce_at_progress
-from repro.mapreduce.job import MapReduceRuntime
 from repro.workloads import terasort, wordcount
 from repro.yarn.rm import YarnConfig
 
@@ -43,10 +41,11 @@ class AblationRow:
     map_reruns: int
 
 
-def _sfm(proactive: bool = True, wait: bool = True, fcm_cap: int = 10) -> ALMPolicy:
+def _sfm(proactive: bool, wait: bool) -> ALMPolicy:
+    """SFM with one of its two levers switched off."""
     return ALMPolicy(ALMConfig(enable_alg=False, enable_sfm=True,
                                proactive_regeneration=proactive,
-                               wait_dont_fail=wait, fcm_cap=fcm_cap))
+                               wait_dont_fail=wait))
 
 
 def ablate_sfm_components(
@@ -58,19 +57,16 @@ def ablate_sfm_components(
     scale = scale_from_env(1.0) if scale is None else scale
     wl = terasort(100.0 * scale, num_reducers=20)
     variants = [
-        ("yarn (neither)", None),
+        ("yarn (neither)", "yarn"),
         ("regen only", _sfm(proactive=True, wait=False)),
         ("wait only", _sfm(proactive=False, wait=True)),
-        ("full sfm", _sfm(proactive=True, wait=True)),
+        ("full sfm", "sfm"),
     ]
     rows = []
-    for name, policy in variants:
+    for name, system in variants:
         fault = kill_node_at_progress(crash_progress, target="map-only")
-        if policy is None:
-            _, res = run_benchmark_job(wl, "yarn", faults=[fault], config=config,
-                                       job_name=f"ablate-{name}")
-        else:
-            _, res = _run_with_policy(wl, policy, [fault], config, f"ablate-{name}")
+        _, res = run_benchmark_job(wl, system, faults=[fault], config=config,
+                                   job_name=f"ablate-{name}")
         rows.append(AblationRow(name, res.elapsed,
                                 res.counters["failed_reduce_attempts"],
                                 res.counters["map_reruns"]))
@@ -92,8 +88,9 @@ def ablate_fcm_cap(
     for cap in caps:
         faults = [kill_reduce_at_progress(0.75, task_index=i)
                   for i in range(concurrent_failures)]
-        _, res = _run_with_policy(wl, _sfm(fcm_cap=cap), faults, config,
-                                  f"ablate-fcmcap{cap}")
+        _, res = run_benchmark_job(wl, "sfm", faults=faults, config=config,
+                                   job_name=f"ablate-fcmcap{cap}",
+                                   policy_kwargs={"fcm_cap": cap})
         rows.append(AblationRow(f"fcm_cap={cap}", res.elapsed,
                                 res.counters["failed_reduce_attempts"],
                                 res.counters["map_reruns"]))
@@ -112,7 +109,8 @@ def ablate_liveness_timeout(
         cfg = ExperimentConfig(yarn=YarnConfig(nm_liveness_timeout=timeout))
         wl = wordcount(10.0 * scale, num_reducers=1)
         fault = kill_node_at_progress(0.35, target="reducer")
-        _, res = _run_with_policy(wl, _sfm(), [fault], cfg, f"ablate-to{timeout}")
+        _, res = run_benchmark_job(wl, "sfm", faults=[fault], config=cfg,
+                                   job_name=f"ablate-to{timeout}")
         rows.append(AblationRow(f"timeout={timeout:.0f}s", res.elapsed,
                                 res.counters["failed_reduce_attempts"],
                                 res.counters["map_reruns"]))
@@ -136,20 +134,14 @@ def ablate_alg_frequency_recovery(
     wl = wordcount(10.0 * scale, num_reducers=1)
     rows = []
     for freq in frequencies:
-        pol = ALMPolicy(ALMConfig(enable_alg=True, enable_sfm=False,
-                                  alg=replace_freq(freq)))
         fault = kill_reduce_at_progress(failure_progress)
-        _, res = _run_with_policy(wl, pol, [fault], config, f"ablate-freq{freq}")
+        _, res = run_benchmark_job(wl, "alg", faults=[fault], config=config,
+                                   job_name=f"ablate-freq{freq}",
+                                   policy_kwargs={"alg_frequency": freq})
         rows.append(AblationRow(f"interval={freq:.0f}s", res.elapsed,
                                 res.counters["failed_reduce_attempts"],
                                 res.counters["map_reruns"]))
     return rows
-
-
-def replace_freq(freq: float):
-    from repro.alm import ALGConfig
-
-    return ALGConfig(frequency=freq)
 
 
 def compare_iss(
@@ -167,35 +159,14 @@ def compare_iss(
     scale = scale_from_env(1.0) if scale is None else scale
     wl = terasort(100.0 * scale, num_reducers=20)
     rows = []
-    for name, make in (("yarn", lambda: None), ("iss", ISSPolicy), ("sfm", _sfm)):
-        policy = make()
-        # failure-free
-        if policy is None:
-            _, free = run_benchmark_job(wl, "yarn", config=config,
-                                        job_name=f"iss-free-{name}")
-        else:
-            _, free = _run_with_policy(wl, policy, [], config, f"iss-free-{name}")
+    for name in ("yarn", "iss", "sfm"):
+        _, free = run_benchmark_job(wl, name, config=config, job_name=f"iss-free-{name}")
         rows.append(AblationRow(f"{name} failure-free", free.elapsed, 0, 0))
-        # node failure
-        policy = make()
         fault = kill_node_at_progress(crash_progress, target="reducer")
-        if policy is None:
-            _, res = run_benchmark_job(wl, "yarn", faults=[fault], config=config,
-                                       job_name=f"iss-fail-{name}")
-        else:
-            _, res = _run_with_policy(wl, policy, [fault], config, f"iss-fail-{name}")
+        _, res = run_benchmark_job(wl, name, faults=[fault], config=config,
+                                   job_name=f"iss-fail-{name}")
         rows.append(AblationRow(f"{name} node-failure", res.elapsed,
                                 res.counters["failed_reduce_attempts"],
                                 res.counters["map_reruns"]))
     return rows
 
-
-def _run_with_policy(wl, policy, faults, config, job_name):
-    cfg = config or ExperimentConfig()
-    rt = MapReduceRuntime(
-        wl, conf=cfg.job, cluster_spec=cfg.cluster, yarn_config=cfg.yarn,
-        hdfs_config=cfg.hdfs, policy=policy, job_name=job_name,
-    )
-    for fault in faults:
-        fault.install(rt)
-    return rt, rt.run()

@@ -10,6 +10,7 @@ from repro.cluster import ClusterSpec
 from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import JobResult, MapReduceRuntime
+from repro.mapreduce.recovery import RecoveryPolicy
 from repro.policies import make_policy
 from repro.runner import TrialRunner
 from repro.workloads import Workload
@@ -65,21 +66,28 @@ class ExperimentConfig:
 
 def run_benchmark_job(
     workload: Workload,
-    system: str = "yarn",
+    system: str | RecoveryPolicy = "yarn",
     faults: Iterable[Any] = (),
     config: ExperimentConfig | None = None,
     job_name: str | None = None,
     policy_kwargs: dict | None = None,
 ) -> tuple[MapReduceRuntime, JobResult]:
-    """Run one job under one system with faults; returns (runtime, result)."""
+    """Run one job under one system with faults; returns (runtime, result).
+
+    ``system`` is a registered policy name (built with
+    ``policy_kwargs``) or a ready :class:`RecoveryPolicy` instance."""
     cfg = config or ExperimentConfig()
+    if isinstance(system, str):
+        policy = make_policy(system, **(policy_kwargs or {}))
+    else:
+        policy, system = system, system.name
     rt = MapReduceRuntime(
         workload,
         conf=cfg.job,
         cluster_spec=cfg.cluster,
         yarn_config=cfg.yarn,
         hdfs_config=cfg.hdfs,
-        policy=make_policy(system, **(policy_kwargs or {})),
+        policy=policy,
         job_name=job_name or f"{workload.name}-{system}",
     )
     for fault in faults:

@@ -58,8 +58,7 @@ def _build(mix: TraceMix, policy_name: str, with_faults: bool,
         rng = np.random.default_rng(mix.seed + 1)
         victims = rng.choice(len(sc.jobs), size=min(2, len(sc.jobs)), replace=False)
         for v in np.atleast_1d(victims):
-            fault = kill_node_at_progress(0.5, target="reducer")
-            sc.jobs[int(v)].install(fault)
+            kill_node_at_progress(0.5, target="reducer").install(sc.jobs[int(v)])
     return sc
 
 

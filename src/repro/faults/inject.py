@@ -449,10 +449,6 @@ class AMFault:
     ``repeat >= am_max_attempts`` this drives the job to AM-attempt
     exhaustion. ``repeat_gap`` is the delay between kills, counted from
     the moment the next incarnation is live.
-
-    Only a :class:`~repro.mapreduce.job.MapReduceRuntime` restarts its
-    AM; installing onto anything else (a
-    :class:`~repro.mapreduce.multijob.JobHandle`) is rejected.
     """
 
     at_time: float | None = None
@@ -463,8 +459,6 @@ class AMFault:
     fired_times: list[float] = field(default_factory=list, init=False)
 
     def install(self, rt: "MapReduceRuntime") -> None:
-        _require(hasattr(rt, "kill_am"), "AMFault",
-                 f"{type(rt).__name__} cannot restart its AM")
         _check_trigger(self)
         _require(self.repeat >= 1, "AMFault.repeat",
                  f"must be >= 1, got {self.repeat}")

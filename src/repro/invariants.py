@@ -111,7 +111,7 @@ def check_no_orphans(rt: "MapReduceRuntime", result: "JobResult") -> list[str]:
         return []  # a wedged run leaves work in flight by definition
     out = []
     seen: set[int] = set()
-    for am in getattr(rt, "am_incarnations", [rt.am]):
+    for am in rt.am_incarnations:
         for task in am.map_tasks + am.reduce_tasks:
             for attempt in task.attempts:
                 if id(attempt) in seen:
@@ -194,7 +194,7 @@ def check_am_singleton(rt: "MapReduceRuntime", result: "JobResult") -> list[str]
     newest must have crashed before its successor was launched. Two
     concurrently-live AMs would double-schedule every task."""
     out = []
-    incarnations = getattr(rt, "am_incarnations", [rt.am])
+    incarnations = rt.am_incarnations
     live = [am for am in incarnations if not am._crashed]
     if len(live) > 1:
         out.append(f"am_singleton: {len(live)} non-crashed AM incarnations "
@@ -216,7 +216,7 @@ def check_am_no_orphans(rt: "MapReduceRuntime", result: "JobResult") -> list[str
     if result.counters.get("stalled"):
         return []
     out = []
-    incarnations = getattr(rt, "am_incarnations", [rt.am])
+    incarnations = rt.am_incarnations
     for am in incarnations:
         if not am._crashed:
             continue

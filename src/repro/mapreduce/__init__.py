@@ -14,21 +14,21 @@ This package implements the machinery the paper studies and patches:
   pluggable :class:`~repro.mapreduce.recovery.RecoveryPolicy` (stock
   YARN task re-execution here; the paper's ALM policy in
   :mod:`repro.alm`).
-- :mod:`~repro.mapreduce.job` — one-call job runner wiring the whole
-  stack together.
+- :mod:`~repro.mapreduce.job` — one job (AM, sampler, result) wired
+  onto a :mod:`~repro.mapreduce.multijob` shared cluster, private by
+  default.
 """
 
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import JobResult, MapReduceRuntime, run_job
 from repro.mapreduce.mof import MapOutput, MOFRegistry
-from repro.mapreduce.multijob import JobHandle, SharedCluster
+from repro.mapreduce.multijob import SharedCluster
 from repro.mapreduce.recovery import RecoveryPolicy, YarnRecoveryPolicy
 from repro.mapreduce.speculation import SpeculationConfig, Speculator
 from repro.mapreduce.tasks import Task, TaskAttempt, TaskFailed, TaskState, TaskType
 
 __all__ = [
     "JobConf",
-    "JobHandle",
     "JobResult",
     "MapOutput",
     "MOFRegistry",

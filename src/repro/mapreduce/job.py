@@ -1,9 +1,12 @@
-"""One-call job runner: wires sim, cluster, HDFS, YARN and the AM.
+"""One job on a simulated cluster: the AM, its sampler and its result.
 
 :class:`MapReduceRuntime` is the object the experiment drivers and
 fault injectors hold: it exposes every layer before the clock starts so
 faults and probes can be attached, then :meth:`run` drives the
-simulation to job completion and returns a :class:`JobResult`.
+simulation to job completion and returns a :class:`JobResult`. The
+platform it runs on (sim, cluster, HDFS, YARN) is a
+:class:`~repro.mapreduce.multijob.SharedCluster`: a private one by
+default, or one shared with other jobs via ``shared=``.
 """
 
 from __future__ import annotations
@@ -11,23 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster import Cluster, ClusterSpec
-from repro.hdfs.hdfs import Hdfs, HdfsConfig
+from repro.cluster import ClusterSpec
+from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.appmaster import MRAppMaster
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.history import JobHistoryLog
+from repro.mapreduce.multijob import SharedCluster, StallError
 from repro.mapreduce.recovery import RecoveryPolicy, YarnRecoveryPolicy
 from repro.metrics.trace import ProgressSampler, Trace
-from repro.sim.core import SimulationError, Simulator
+from repro.sim.core import SimulationError
 from repro.workloads import Workload
-from repro.yarn.rm import ResourceManager, YarnConfig
+from repro.yarn.rm import YarnConfig
 
 __all__ = ["JobResult", "MapReduceRuntime", "StallError", "run_job"]
-
-
-class StallError(SimulationError):
-    """The stall watchdog declared the simulation wedged: neither the
-    event loop nor job progress moved for a full stall window."""
 
 
 @dataclass
@@ -53,7 +52,13 @@ class JobResult:
 
 
 class MapReduceRuntime:
-    """A fully wired simulated cluster ready to run one job."""
+    """One job, wired onto a cluster and ready to run.
+
+    Without ``shared`` the runtime builds a private
+    :class:`~repro.mapreduce.multijob.SharedCluster` from
+    ``cluster_spec``/``yarn_config``/``hdfs_config``; with ``shared``
+    it joins that cluster's jobs, and those three must be omitted.
+    """
 
     def __init__(
         self,
@@ -67,20 +72,21 @@ class MapReduceRuntime:
         sample_interval: float = 1.0,
         speculation: bool | "SpeculationConfig" = False,
         record_progress: bool = False,
+        shared: SharedCluster | None = None,
     ) -> None:
-        self.sim = Simulator()
-        self.cluster = Cluster(self.sim, cluster_spec or ClusterSpec())
-        if len(self.cluster.nodes) < 2:
-            raise SimulationError("need at least 2 nodes (RM/NN + 1 worker)")
-        #: Node 0 is dedicated to the RM and NameNode (paper §V-A).
-        self.master = self.cluster.nodes[0]
-        self.workers = self.cluster.nodes[1:]
-        self.hdfs = Hdfs(self.sim, self.cluster, hdfs_config or HdfsConfig())
-        self.hdfs.datanodes = list(self.workers)
-        self.rm = ResourceManager(self.sim, self.cluster, yarn_config or YarnConfig(),
-                                  worker_nodes=self.workers)
-        # Healed/restarted nodes re-register with the RM (fresh NM).
-        self.cluster.rejoin_listeners.append(self.rm.register_node)
+        if shared is None:
+            shared = SharedCluster(cluster_spec, yarn_config, hdfs_config)
+        elif (cluster_spec, yarn_config, hdfs_config) != (None, None, None):
+            raise SimulationError(
+                "MapReduceRuntime: a job on a shared cluster takes its "
+                "cluster_spec, yarn_config and hdfs_config from that cluster")
+        self.shared = shared
+        self.sim = shared.sim
+        self.cluster = shared.cluster
+        self.master = shared.master
+        self.workers = shared.workers
+        self.hdfs = shared.hdfs
+        self.rm = shared.rm
         self.conf = conf or JobConf()
         self.workload = workload
         self.policy = policy or YarnRecoveryPolicy()
@@ -129,6 +135,13 @@ class MapReduceRuntime:
                                lambda: self.failed_reduce_attempts)
         if record_progress:
             self.sampler.add_probe_block(self._task_progress_block)
+        # A finished job stops sampling, while its neighbours run on.
+        self.job_done._add_callback(lambda _event: self.sampler.stop())
+        #: Start delay on a shared cluster (set by ``SharedCluster.submit``).
+        self.submit_delay = 0.0
+        #: Why the run loop declared this job wedged, if it did.
+        self.stall_reason: str | None = None
+        shared.add_job(self)
 
     def _count_failed_attempt(self, event) -> None:
         if event["type"] == "reduce":
@@ -197,37 +210,23 @@ class MapReduceRuntime:
         new_am.recover(old, keep_containers=self.conf.keep_containers_across_am_restart)
         new_am.start()
 
-    def run(self, timeout: float = 100_000.0,
-            stall_timeout: float | None = 2_000.0) -> JobResult:
-        """Run the job to completion and summarise.
-
-        A watchdog guards the two ways a buggy schedule can hang the
-        simulation: ``timeout`` is a hard ceiling on simulated time, and
-        ``stall_timeout`` fails the run if *nothing observable* (trace
-        events, task counters, phase progress, flow bytes) changes for
-        that long — the event loop may still be ticking heartbeats, but
-        the job is wedged. A stalled run returns a failed
-        :class:`JobResult` with ``counters["stalled"]`` set instead of
-        simulating forever. ``stall_timeout=None`` disables the
-        freeze check (the hard ceiling still applies).
-        """
+    def start(self) -> None:
+        """Start sampling and launch the AM (and speculator)."""
         self.sampler.start()
         if self.speculator is not None:
             self.speculator.start()
         self.am.start()
-        self._stall_reason: str | None = None
-        self.sim.process(self._watchdog(timeout, stall_timeout), name="stall-watchdog")
-        try:
-            outcome = self.sim.run(until=self.job_done)
-        except StallError:
-            outcome = {
-                "success": False,
-                "start_time": self.am_incarnations[0].start_time,
-                "end_time": self.sim.now,
-            }
-        self.sampler.stop()
-        if outcome is None:
-            raise SimulationError("job did not complete (ran out of events)")
+
+    def run(self, timeout: float = 100_000.0,
+            stall_timeout: float | None = 2_000.0) -> JobResult:
+        """Run the job's cluster to completion and return this job's
+        result; see :meth:`SharedCluster.run_all
+        <repro.mapreduce.multijob.SharedCluster.run_all>` for the hard
+        ``timeout`` and the ``stall_timeout`` watchdog."""
+        return self.shared.run_all(timeout, stall_timeout)[self.shared.jobs.index(self)]
+
+    def result(self, outcome: dict[str, Any]) -> JobResult:
+        """Summarise the job from its ``job_done`` outcome."""
         counters = {
             "completed_maps": self.am.completed_maps,
             "committed_reduces": self.am.committed_reduces,
@@ -239,9 +238,9 @@ class MapReduceRuntime:
             "fetch_failure_reports": len(self.trace.of_kind("fetch_failure_report")),
             "map_locality": self.am.map_locality_counts(),
         }
-        if self._stall_reason is not None:
+        if self.stall_reason is not None:
             counters["stalled"] = True
-            counters["stall_reason"] = self._stall_reason
+            counters["stall_reason"] = self.stall_reason
         return JobResult(
             job_name=self.job_name,
             workload=self.workload.name,
@@ -253,8 +252,7 @@ class MapReduceRuntime:
             counters=counters,
         )
 
-    # -- stall watchdog -----------------------------------------------------
-    def _activity_snapshot(self) -> tuple:
+    def activity_snapshot(self) -> tuple:
         """Everything that moves when the job is making progress. Flow
         byte counts make long single transfers register as activity even
         though they schedule no events while in flight."""
@@ -268,30 +266,6 @@ class MapReduceRuntime:
             flows.active_count,
             round(flows.total_transferred(), 3),
         )
-
-    def _watchdog(self, timeout: float | None, stall_timeout: float | None):
-        check = max(1.0, min((stall_timeout or 2_000.0) / 4.0, 50.0))
-        last = self._activity_snapshot()
-        last_change = self.sim.now
-        while not self.job_done.triggered:
-            yield self.sim.timeout(check)
-            if self.job_done.triggered:
-                return
-            if timeout is not None and self.sim.now >= timeout:
-                self._declare_stall(f"exceeded hard timeout of {timeout:g}s")
-            snap = self._activity_snapshot()
-            if snap != last:
-                last = snap
-                last_change = self.sim.now
-            elif (stall_timeout is not None
-                  and self.sim.now - last_change >= stall_timeout):
-                self._declare_stall(
-                    f"no observable progress for {self.sim.now - last_change:g}s")
-
-    def _declare_stall(self, reason: str) -> None:
-        self._stall_reason = reason
-        self.trace.log("stall_detected", reason=reason)
-        raise StallError(f"{self.job_name}: {reason}")
 
 
 def run_job(

@@ -1,59 +1,38 @@
-"""Multi-tenant simulation: several MapReduce jobs on one YARN cluster.
+"""The simulated platform, shared by every job that runs on it.
 
 Real YARN is shared infrastructure — the paper's motivation cites
 production traces (Kavulya et al.) where failures delay *workloads*,
 not single jobs. :class:`SharedCluster` wires one simulator, cluster,
-HDFS and ResourceManager, and lets you submit any number of jobs (each
-with its own AM, recovery policy and faults) that compete for
-containers; a failure injected into one job can perturb its neighbours
-through the shared nodes, disks and network.
+HDFS and ResourceManager; every job on it is a
+:class:`~repro.mapreduce.job.MapReduceRuntime` (with its own AM,
+recovery policy and faults) competing for containers, so a failure
+injected into one job can perturb its neighbours through the shared
+nodes, disks and network. A single-job runtime is the one-job case: it
+builds a private cluster and runs it through the same
+:meth:`SharedCluster.run_all` loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.hdfs.hdfs import Hdfs, HdfsConfig
-from repro.mapreduce.appmaster import MRAppMaster
 from repro.mapreduce.config import JobConf
-from repro.mapreduce.job import JobResult
-from repro.mapreduce.recovery import RecoveryPolicy, YarnRecoveryPolicy
-from repro.metrics.trace import ProgressSampler, Trace
+from repro.mapreduce.recovery import RecoveryPolicy
 from repro.sim.core import SimulationError, Simulator
 from repro.workloads import Workload
 from repro.yarn.rm import ResourceManager, YarnConfig
 
-__all__ = ["JobHandle", "SharedCluster"]
+if TYPE_CHECKING:
+    from repro.mapreduce.job import JobResult, MapReduceRuntime
+
+__all__ = ["SharedCluster", "StallError"]
 
 
-@dataclass
-class JobHandle:
-    """One submitted job plus the view fault injectors need.
-
-    Exposes the same attribute surface as
-    :class:`~repro.mapreduce.job.MapReduceRuntime` (``sim``, ``cluster``,
-    ``workers``, ``am``, ``trace``, ``policy``), so every injector in
-    :mod:`repro.faults` but :class:`~repro.faults.AMFault` can be
-    installed on a handle unchanged. A handle has no AM restart, so
-    ``AMFault.install`` rejects it.
-    """
-
-    job_name: str
-    workload: Workload
-    sim: Simulator
-    cluster: Cluster
-    workers: list
-    hdfs: Hdfs
-    am: MRAppMaster
-    trace: Trace
-    policy: RecoveryPolicy
-    submit_delay: float = 0.0
-    result: JobResult | None = field(default=None, init=False)
-
-    def install(self, fault) -> "JobHandle":
-        fault.install(self)
-        return self
+class StallError(SimulationError):
+    """The stall watchdog declared the simulation wedged: neither the
+    event loop nor job progress moved for a full stall window."""
 
 
 class SharedCluster:
@@ -69,7 +48,8 @@ class SharedCluster:
         self.sim = Simulator()
         self.cluster = Cluster(self.sim, cluster_spec or ClusterSpec())
         if len(self.cluster.nodes) < 2:
-            raise SimulationError("need at least 2 nodes")
+            raise SimulationError("need at least 2 nodes (RM/NN + 1 worker)")
+        #: Node 0 is dedicated to the RM and NameNode (paper §V-A).
         self.master = self.cluster.nodes[0]
         self.workers = self.cluster.nodes[1:]
         self.hdfs = Hdfs(self.sim, self.cluster, hdfs_config or HdfsConfig())
@@ -77,10 +57,19 @@ class SharedCluster:
         self.rm = ResourceManager(self.sim, self.cluster,
                                   yarn_config or YarnConfig(),
                                   worker_nodes=self.workers)
+        # Healed/restarted nodes re-register with the RM (fresh NM).
         self.cluster.rejoin_listeners.append(self.rm.register_node)
         self.sample_interval = sample_interval
-        self.jobs: list[JobHandle] = []
+        self.jobs: list[MapReduceRuntime] = []
+        #: Delayed jobs whose start is still ahead of the clock.
+        self._pending = 0
         self._ran = False
+
+    def add_job(self, job: "MapReduceRuntime") -> None:
+        """Register a runtime built with ``shared=self``."""
+        if self._ran:
+            raise SimulationError("cluster already ran; build a new one")
+        self.jobs.append(job)
 
     def submit(
         self,
@@ -90,69 +79,91 @@ class SharedCluster:
         job_name: str | None = None,
         delay: float = 0.0,
         faults: tuple = (),
-    ) -> JobHandle:
+    ) -> "MapReduceRuntime":
         """Register a job; it starts ``delay`` seconds into the run."""
-        if self._ran:
-            raise SimulationError("cluster already ran; build a new one")
-        name = job_name or f"job{len(self.jobs)}-{workload.name}"
-        input_path = f"input/{name}"
-        self.hdfs.ingest(input_path, workload.input_size)
-        trace = Trace(self.sim)
-        pol = policy or YarnRecoveryPolicy()
-        am = MRAppMaster(
-            self.sim, self.cluster, self.rm, self.hdfs, workload,
-            conf or JobConf(), pol, trace, input_path=input_path, job_name=name,
+        from repro.mapreduce.job import MapReduceRuntime
+
+        job = MapReduceRuntime(
+            workload, conf=conf, policy=policy,
+            job_name=job_name or f"job{len(self.jobs)}-{workload.name}",
+            sample_interval=self.sample_interval, shared=self,
         )
-        handle = JobHandle(
-            job_name=name, workload=workload, sim=self.sim,
-            cluster=self.cluster, workers=self.workers, hdfs=self.hdfs,
-            am=am, trace=trace, policy=pol, submit_delay=delay,
-        )
-        sampler = ProgressSampler(self.sim, trace, interval=self.sample_interval)
-        sampler.add_probe("reduce_progress", am.reduce_phase_progress)
-        # A finished job stops sampling, as MapReduceRuntime.run does.
-        am.done._add_callback(lambda _event: sampler.stop())
+        job.submit_delay = delay
         for fault in faults:
-            handle.install(fault)
+            fault.install(job)
+        return job
 
-        def starter(sim=self.sim):
-            if delay > 0:
-                yield sim.timeout(delay)
-            sampler.start()
-            am.start()
+    def run_all(self, timeout: float | None = 100_000.0,
+                stall_timeout: float | None = 2_000.0) -> list[JobResult]:
+        """Run the simulation until every job ends; one result per job.
 
-        self.sim.process(starter(), name=f"submit:{name}")
-        self.jobs.append(handle)
-        return handle
-
-    def run_all(self) -> list[JobResult]:
-        """Run the simulation until every submitted job ends."""
+        A watchdog guards the two ways a buggy schedule can hang the
+        simulation: ``timeout`` is a hard ceiling on simulated time, and
+        ``stall_timeout`` fails the run if *nothing observable* in any
+        job (trace events, task counters, phase progress, flow bytes)
+        changes for that long while no delayed job is still waiting to
+        start — the event loop may still be ticking heartbeats, but the
+        jobs are wedged. Then every unfinished job gets a failed
+        :class:`~repro.mapreduce.job.JobResult` with
+        ``counters["stalled"]`` set, and every finished job keeps its
+        own result. ``stall_timeout=None`` disables the freeze check
+        (the hard ceiling still applies).
+        """
         if not self.jobs:
             raise SimulationError("no jobs submitted")
         self._ran = True
-        all_done = self.sim.all_of([h.am.done for h in self.jobs])
-        outcome = self.sim.run(until=all_done)
-        if outcome is None:
-            raise SimulationError("jobs did not complete")
-        results = []
-        for handle, oc in zip(self.jobs, outcome):
-            counters = {
-                "completed_maps": handle.am.completed_maps,
-                "committed_reduces": handle.am.committed_reduces,
-                "failed_map_attempts": handle.trace.count("attempt_failed", type="map"),
-                "failed_reduce_attempts": handle.trace.count("attempt_failed", type="reduce"),
-                "map_reruns": handle.trace.count("map_rerun"),
-                "nodes_lost": handle.trace.count("node_lost"),
-            }
-            handle.result = JobResult(
-                job_name=handle.job_name,
-                workload=handle.workload.name,
-                policy=handle.policy.name,
-                success=oc["success"],
-                start_time=oc["start_time"],
-                end_time=oc["end_time"],
-                trace=handle.trace,
-                counters=counters,
-            )
-            results.append(handle.result)
-        return results
+        for job in self.jobs:
+            if job.submit_delay > 0:
+                self._pending += 1
+                self.sim.process(self._start_later(job), name=f"submit:{job.job_name}")
+            else:
+                job.start()
+        all_done = self.sim.all_of([job.job_done for job in self.jobs])
+        self.sim.process(self._watchdog(all_done, timeout, stall_timeout),
+                         name="stall-watchdog")
+        try:
+            outcomes = self.sim.run(until=all_done)
+        except StallError:
+            outcomes = [job.job_done.value if job.job_done.triggered else {
+                "success": False,
+                "start_time": job.am_incarnations[0].start_time,
+                "end_time": self.sim.now,
+            } for job in self.jobs]
+        if outcomes is None:
+            raise SimulationError("jobs did not complete (ran out of events)")
+        return [job.result(outcome) for job, outcome in zip(self.jobs, outcomes)]
+
+    def _start_later(self, job: "MapReduceRuntime"):
+        yield self.sim.timeout(job.submit_delay)
+        self._pending -= 1
+        job.start()
+
+    # -- stall watchdog -----------------------------------------------------
+    def _snapshot(self) -> tuple:
+        return tuple(job.activity_snapshot() for job in self.jobs)
+
+    def _watchdog(self, all_done, timeout: float | None, stall_timeout: float | None):
+        check = max(1.0, min((stall_timeout or 2_000.0) / 4.0, 50.0))
+        last = self._snapshot()
+        last_change = self.sim.now
+        while not all_done.triggered:
+            yield self.sim.timeout(check)
+            if all_done.triggered:
+                return
+            if timeout is not None and self.sim.now >= timeout:
+                self._declare_stall(f"exceeded hard timeout of {timeout:g}s")
+            snap = self._snapshot()
+            if snap != last or self._pending:
+                last = snap
+                last_change = self.sim.now
+            elif (stall_timeout is not None
+                  and self.sim.now - last_change >= stall_timeout):
+                self._declare_stall(
+                    f"no observable progress for {self.sim.now - last_change:g}s")
+
+    def _declare_stall(self, reason: str) -> None:
+        stalled = [job for job in self.jobs if not job.job_done.triggered]
+        for job in stalled:
+            job.stall_reason = reason
+            job.trace.log("stall_detected", reason=reason)
+        raise StallError(f"{', '.join(job.job_name for job in stalled)}: {reason}")
