@@ -67,7 +67,7 @@ class FCMReduceAttempt(ReduceAttempt):
         conf = self.am.conf
         wl = self.am.workload
         self._fcm_frac = 0.0
-        yield from self._step(self.sim.timeout(conf.task_startup_seconds))
+        yield self._guard(self.sim.timeout(conf.task_startup_seconds))
 
         if self.recovery is not None:
             self.reduce_resume_fraction = self.recovery.reduce_resume_fraction
@@ -80,7 +80,7 @@ class FCMReduceAttempt(ReduceAttempt):
         self._registered = True
         try:
             while len(self._known_mofs()) < self.num_maps:
-                yield from self._step(self.sim.timeout(1.0))
+                yield self._guard(self.sim.timeout(1.0))
         finally:
             self.am.unregister_reducer(self)
             self._registered = False
@@ -93,7 +93,7 @@ class FCMReduceAttempt(ReduceAttempt):
 
         # Synchronisation/bookkeeping cost of establishing the MPQs.
         setup = FCM_SETUP_SECONDS + FCM_PER_PARTICIPANT_SECONDS * len(by_node)
-        yield from self._step(self.cluster.compute(self.node, setup))
+        yield self._guard(self.cluster.compute(self.node, setup))
 
         work_frac = 1.0 - self.reduce_resume_fraction
         total_in = sum(by_node.values()) * work_frac
@@ -145,7 +145,7 @@ class FCMReduceAttempt(ReduceAttempt):
             self._children.append(writer)
             waits.append(writer)
         try:
-            yield from self._step(self.sim.all_of(waits))
+            yield self._guard(self.sim.all_of(waits))
         except FlowCancelled as exc:
             # A participant died mid-recovery. FCM holds no local state,
             # so the clean response is to fail this attempt and let the

@@ -57,7 +57,8 @@ class MapReduceRuntime:
     Without ``shared`` the runtime builds a private
     :class:`~repro.mapreduce.multijob.SharedCluster` from
     ``cluster_spec``/``yarn_config``/``hdfs_config``; with ``shared``
-    it joins that cluster's jobs, and those three must be omitted.
+    it joins that cluster's jobs, and those three must be omitted. A
+    ``record_progress`` job must be alone on its cluster.
     """
 
     def __init__(
@@ -80,6 +81,13 @@ class MapReduceRuntime:
             raise SimulationError(
                 "MapReduceRuntime: a job on a shared cluster takes its "
                 "cluster_spec, yarn_config and hdfs_config from that cluster")
+        elif shared.jobs and (record_progress
+                              or any(job.record_progress for job in shared.jobs)):
+            # The flow_done hook is the cluster's, not the job's: it
+            # would log every job's flows into one job's trace.
+            raise SimulationError(
+                "MapReduceRuntime: a record_progress job cannot share its "
+                "cluster with another job")
         self.shared = shared
         self.sim = shared.sim
         self.cluster = shared.cluster
@@ -92,6 +100,7 @@ class MapReduceRuntime:
         self.policy = policy or YarnRecoveryPolicy()
         self.trace = Trace(self.sim)
         self.job_name = job_name
+        self.record_progress = record_progress
         # Opt-in high-volume observations: a ``task_progress`` record
         # per running attempt per sampler tick and a ``flow_done``
         # record per completed flow. They only add trace records; the

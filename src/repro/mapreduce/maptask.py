@@ -53,7 +53,7 @@ class MapAttempt(TaskAttempt):
         block = self.task.block
         assert block is not None, "map task needs an input split"
 
-        yield from self._step(self.sim.timeout(conf.task_startup_seconds))
+        yield self._guard(self.sim.timeout(conf.task_startup_seconds))
 
         # 1. Read the input split, preferring local then rack-local
         # replicas, failing over if a source dies mid-read.
@@ -76,7 +76,7 @@ class MapAttempt(TaskAttempt):
                 continue
             self._read_flow = self._flow(fl)
             try:
-                yield from self._step(fl.done)
+                yield self._guard(fl.done)
                 read_ok = True
                 if src is self.node:
                     self.locality = "data-local"
@@ -93,7 +93,7 @@ class MapAttempt(TaskAttempt):
         # 2. Map function CPU.
         self._stage = "cpu"
         cpu_s = wl.map_cpu_per_mb * (block.size / MB)
-        yield from self._step(self.cluster.compute(self.node, cpu_s))
+        yield self._guard(self.cluster.compute(self.node, cpu_s))
         self._stage_frac = 1.0
 
         # 3. Sort/spill the MOF to local disk. Output larger than the
@@ -107,7 +107,7 @@ class MapAttempt(TaskAttempt):
             self._write_flow = self._flow(
                 self.cluster.disk_write(self.node, write_bytes, name=f"mof:{self.attempt_id}")
             )
-            yield from self._step(self._write_flow.done)
+            yield self._guard(self._write_flow.done)
         self._stage_frac = 1.0
         self._stage = "done"
 

@@ -182,7 +182,7 @@ class ReduceAttempt(TaskAttempt):
     def run(self):
         conf = self.am.conf
         wl = self.am.workload
-        yield from self._step(self.sim.timeout(conf.task_startup_seconds))
+        yield self._guard(self.sim.timeout(conf.task_startup_seconds))
 
         if self.recovery is not None:
             self._apply_recovery(self.recovery)
@@ -197,7 +197,7 @@ class ReduceAttempt(TaskAttempt):
                     self._spawn(self._fetcher(i), name=f"{self.attempt_id}.fetch{i}")
                 self._spawn(self._merger(), name=f"{self.attempt_id}.merger")
                 self._spawn(self._health_loop(), name=f"{self.attempt_id}.health")
-            yield from self._step(self.shuffle_done)
+            yield self._guard(self.shuffle_done)
         finally:
             if self._registered:
                 self.am.unregister_reducer(self)
@@ -206,7 +206,7 @@ class ReduceAttempt(TaskAttempt):
         # Wait out any in-flight memory flush so segment accounting is
         # complete before merge planning.
         while self._flushing_bytes > 1.0:
-            yield from self._step(self.sim.timeout(0.5))
+            yield self._guard(self.sim.timeout(0.5))
 
         # Final merge: bring on-disk runs down to io.sort.factor.
         self.stage = "merge"
@@ -416,10 +416,10 @@ class ReduceAttempt(TaskAttempt):
             bytes_merged = sum(s.size for s in group)
             # Read every run and write the merged run: 2x through the disk.
             fl = self._flow(self.cluster.disk_read(self.node, bytes_merged, name=f"merge-r:{self.attempt_id}"))
-            yield from self._step(fl.done)
-            yield from self._step(self.cluster.compute(self.node, wl.merge_cpu_per_mb * bytes_merged / MB))
+            yield self._guard(fl.done)
+            yield self._guard(self.cluster.compute(self.node, wl.merge_cpu_per_mb * bytes_merged / MB))
             fl = self._flow(self.cluster.disk_write(self.node, bytes_merged, name=f"merge-w:{self.attempt_id}"))
-            yield from self._step(fl.done)
+            yield self._guard(fl.done)
             for s in group:
                 self.node.delete_file(s.path)
             self._new_disk_segment(bytes_merged)
@@ -487,4 +487,4 @@ class ReduceAttempt(TaskAttempt):
             self._children.append(writer)
             waits.append(writer)
         if waits:
-            yield from self._step(self.sim.all_of(waits))
+            yield self._guard(self.sim.all_of(waits))

@@ -17,7 +17,7 @@ import enum
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.hdfs.hdfs import Block, HdfsError
-from repro.sim.core import Event, Interrupt, Process, SimulationError
+from repro.sim.core import AnyOf, Event, Interrupt, Process, SimulationError
 from repro.sim.flows import Flow, FlowCancelled
 from repro.yarn.rm import Container, ContainerKilled
 
@@ -94,8 +94,8 @@ class TaskAttempt:
     """One execution attempt, bound to a container on a node.
 
     Subclasses implement :meth:`run` as a generator; the base class
-    handles guarded waiting (racing every step against the container's
-    kill event), cleanup of in-flight flows and child processes, and
+    handles guarded waiting (every wait yields :meth:`_guard`, which
+    races it against the container's kill event), cleanup of in-flight flows and child processes, and
     outcome classification.
     """
 
@@ -143,12 +143,12 @@ class TaskAttempt:
         return (self.end_time if self.end_time is not None else self.sim.now) - self.start_time
 
     # -- guarded waiting -------------------------------------------------------
-    def _step(self, event: Event) -> Generator[Event, Any, Any]:
-        """``yield from self._step(ev)``: wait for ``ev`` or die with the
-        container. Flow cancellations and container kills surface as
-        exceptions out of the ``yield``."""
-        value = yield self.sim.any_of([event, self.container.killed])
-        return value
+    def _guard(self, event: Event) -> AnyOf:
+        """``yield self._guard(ev)``: wait for ``ev`` or die with the
+        container. This returns the ``any_of`` event itself, so a guarded
+        wait runs no generator of its own. Flow cancellations and
+        container kills surface as exceptions out of the ``yield``."""
+        return AnyOf(self.sim, [event, self.container.killed])
 
     def _flow(self, flow: Flow) -> Flow:
         self._flows.append(flow)

@@ -27,6 +27,17 @@ Hot-path design:
   inlines :meth:`Simulator.step`, and ticks a started pure periodic at
   the heap root in place (one ``heapreplace`` sift instead of a pop and
   a push).
+- **One frame per event** — every constructor (timeouts, process starts
+  and interrupts, conditions, periodics, the :meth:`Simulator.schedule_late`
+  event) and every trigger (``succeed``/``fail``, a condition deciding,
+  a process ending) writes its slots and pushes
+  ``(time, priority, seq, event)`` in its own frame, with no
+  ``Event.__init__`` or scheduling helper under it; a :class:`Timeout`
+  dispatches its callbacks itself. A :class:`Process` binds ``_resume``
+  once and appends that object to each event it waits on; a
+  :class:`Condition` binds ``_check`` once per attach or detach pass.
+  Each push claims its sequence number at the point the helper did, so
+  same-instant order cannot move.
 """
 
 from __future__ import annotations
@@ -158,7 +169,9 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule(self, NORMAL, 0.0)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, NORMAL, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -174,7 +187,9 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._triggered = True
         self._exc = exc
-        self.sim._schedule(self, NORMAL, 0.0)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, NORMAL, seq, self))
         return self
 
     def defuse(self) -> None:
@@ -188,10 +203,6 @@ class Event:
             cb(self)
         else:
             self.callbacks.append(cb)
-
-    def _remove_callback(self, cb: Callable[["Event"], None]) -> None:
-        if self.callbacks is not None and cb in self.callbacks:
-            self.callbacks.remove(cb)
 
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
@@ -221,12 +232,17 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = value
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        self._defused = False
         self.delay = delay
         self._cancelled = False
-        self._triggered = True
-        self._value = value
-        sim._schedule(self, NORMAL, delay)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now + delay, NORMAL, seq, self))
 
     @property
     def cancelled(self) -> bool:
@@ -242,11 +258,12 @@ class Timeout(Event):
         self._cancelled = True
 
     def _process(self) -> None:
-        if self._cancelled:
-            self.callbacks = None
-            self._processed = True
-        else:
-            Event._process(self)
+        # A timeout never fails, so there is no unhandled-failure check.
+        callbacks, self.callbacks = self.callbacks, None
+        self._processed = True
+        if not self._cancelled:
+            for cb in callbacks:
+                cb(self)
 
 
 class Initialize(Event):
@@ -255,10 +272,15 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process") -> None:
-        super().__init__(sim)
-        self.callbacks.append(process._resume)
+        self.sim = sim
+        self.callbacks = [process._resume_cb]
+        self._value = None
+        self._exc = None
         self._triggered = True
-        sim._schedule(self, URGENT, 0.0)
+        self._processed = False
+        self._defused = False
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, URGENT, seq, self))
 
 
 class _InterruptEvent(Event):
@@ -267,12 +289,15 @@ class _InterruptEvent(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process", cause: Any) -> None:
-        super().__init__(sim)
-        self.callbacks.append(process._resume)
-        self._triggered = True
+        self.sim = sim
+        self.callbacks = [process._resume_cb]
+        self._value = None
         self._exc = Interrupt(cause)
+        self._triggered = True
+        self._processed = False
         self._defused = True
-        sim._schedule(self, URGENT, 0.0)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, URGENT, seq, self))
 
 
 class Process(Event):
@@ -280,16 +305,27 @@ class Process(Event):
     the generator returns (value = return value) or raises.
     """
 
-    __slots__ = ("gen", "name", "_target")
+    __slots__ = ("gen", "name", "_target", "_resume_cb")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str | None = None) -> None:
         if not hasattr(gen, "throw"):
             raise SimulationError(f"{gen!r} is not a generator")
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         #: The event this process is currently waiting on, if any.
         self._target: Event | None = None
+        #: ``_resume`` bound once for the process's life: every wait
+        #: appends this one object, and detaching finds it by identity.
+        #: Dropped when the process ends, which breaks the
+        #: process -> bound method -> process cycle.
+        self._resume_cb: Callable[[Event], None] | None = self._resume
         Initialize(sim, self)
 
     @property
@@ -314,16 +350,20 @@ class Process(Event):
             return
         # Detach from the current target; an interrupt may arrive while we
         # are still registered on another event.
-        if self._target is not None and self._target is not event:
-            self._target._remove_callback(self._resume)
-            if not self._target.callbacks:
+        target = self._target
+        if target is not None and target is not event:
+            cbs = target.callbacks
+            if cbs is not None and self._resume_cb in cbs:
+                cbs.remove(self._resume_cb)
+            if not cbs:
                 # Abandoned with no other listeners: a later failure of
                 # this event is expected fallout (e.g. flows cancelled
                 # during cleanup), not an unhandled error.
-                self._target._defused = True
+                target._defused = True
         self._target = None
 
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         try:
             if event._exc is not None:
                 event._defused = True
@@ -331,27 +371,36 @@ class Process(Event):
             else:
                 next_ev = self.gen.send(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
+            sim._active_process = None
             self._triggered = True
             self._value = stop.value
-            self.sim._schedule(self, NORMAL, 0.0)
+            self._resume_cb = None
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim._now, NORMAL, seq, self))
             return
         except BaseException as exc:
-            self.sim._active_process = None
+            sim._active_process = None
             self._triggered = True
             self._exc = exc
-            self.sim._schedule(self, NORMAL, 0.0)
+            self._resume_cb = None
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim._now, NORMAL, seq, self))
             return
-        self.sim._active_process = None
+        sim._active_process = None
 
         if not isinstance(next_ev, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded a non-event: {next_ev!r}"
             )
-        if next_ev.sim is not self.sim:
+        if next_ev.sim is not sim:
             raise SimulationError("cannot wait on an event from another simulator")
         self._target = next_ev
-        next_ev._add_callback(self._resume)
+        cbs = next_ev.callbacks
+        if cbs is None:
+            # Already processed: resume at once, as _add_callback would.
+            self._resume(next_ev)
+        else:
+            cbs.append(self._resume_cb)
 
 
 class Periodic(Event):
@@ -394,8 +443,13 @@ class Periodic(Event):
                  pure: bool = False, name: str | None = None) -> None:
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive: {interval}")
-        super().__init__(sim)
+        self.sim = sim
         self.callbacks = None  # never waitable
+        self._value = None
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        self._defused = False
         self.interval = interval
         self.fn = fn
         self.name = name or getattr(fn, "__name__", "periodic")
@@ -404,8 +458,8 @@ class Periodic(Event):
         self._immediate = immediate
         self._started = False
         self._cancelled = False
-        self._triggered = True
-        sim._schedule(self, URGENT, 0.0)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, URGENT, seq, self))
 
     @property
     def cancelled(self) -> bool:
@@ -457,26 +511,40 @@ class Condition(Event):
     __slots__ = ("events", "_remaining")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = list(events)
-        for ev in self.events:
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
+        self._defused = False
+        self.events = events = list(events)
+        for ev in events:
             if ev.sim is not sim:
                 raise SimulationError("all condition events must share one simulator")
-        self._remaining = len(self.events)
-        if not self.events:
+        self._remaining = len(events)
+        if not events:
             self._on_empty()
             return
-        for ev in self.events:
-            ev._add_callback(self._check)
+        # One bound method for every child; a processed child runs it at
+        # once, as _add_callback would.
+        check = self._check
+        for ev in events:
+            cbs = ev.callbacks
+            if cbs is None:
+                check(ev)
+            else:
+                cbs.append(check)
 
     def _abandon_rest(self) -> None:
         """Unsubscribe from children that have not triggered yet."""
+        check = self._check
         for ev in self.events:
             cbs = ev.callbacks
             if cbs is None or ev._triggered:
                 continue
-            if self._check in cbs:
-                cbs.remove(self._check)
+            if check in cbs:
+                cbs.remove(check)
             if not cbs:
                 ev._defused = True
 
@@ -502,16 +570,23 @@ class AllOf(Condition):
         self.succeed([])
 
     def _check(self, event: Event) -> None:
+        # Triggers inline: succeed()/fail() minus checks that cannot fire.
         if self._triggered:
             return
         if event._exc is not None:
             event._defused = True
-            self.fail(event._exc)
+            self._exc = event._exc
+        else:
+            self._remaining -= 1
+            if self._remaining:
+                return
+            self._value = [ev._value for ev in self.events]
+        self._triggered = True
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, NORMAL, seq, self))
+        if self._exc is not None:
             self._abandon_rest()
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([ev._value for ev in self.events])
 
 
 class AnyOf(Condition):
@@ -531,13 +606,18 @@ class AnyOf(Condition):
         )
 
     def _check(self, event: Event) -> None:
+        # Triggers inline: succeed()/fail() minus checks that cannot fire.
         if self._triggered:
             return
         if event._exc is not None:
             event._defused = True
-            self.fail(event._exc)
+            self._exc = event._exc
         else:
-            self.succeed(event._value)
+            self._value = event._value
+        self._triggered = True
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, NORMAL, seq, self))
         self._abandon_rest()
 
 
@@ -596,10 +676,16 @@ class Simulator:
         every other event at this time, including events queued after
         this call or chained from their callbacks, and before any event
         at a later time."""
-        event = Event(self)
-        event.callbacks.append(cb)
+        event = Event.__new__(Event)  # no __init__: the slots are written here
+        event.sim = self
+        event.callbacks = [cb]
+        event._value = None
+        event._exc = None
         event._triggered = True
-        self._schedule(event, LATE, 0.0)
+        event._processed = False
+        event._defused = False
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now, LATE, seq, event))
         return event
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -609,10 +695,6 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else float("inf")

@@ -105,6 +105,27 @@ class TestRunLoop:
             MapReduceRuntime(tiny_workload(), shared=sc, cluster_spec=small_cluster())
         assert sc.jobs == []
 
+    def test_record_progress_job_cannot_join_an_occupied_cluster(self):
+        """``record_progress`` takes the cluster-wide flow-completion
+        hook, so it would log its neighbours' ``flow_done`` records."""
+        sc = shared()
+        first = sc.submit(tiny_workload(name="a"), job_name="a")
+        hook = sc.cluster.flows.on_complete
+        with pytest.raises(SimulationError, match="record_progress job cannot share"):
+            MapReduceRuntime(tiny_workload(name="b"), job_name="b",
+                             record_progress=True, shared=sc)
+        assert sc.jobs == [first] and sc.cluster.flows.on_complete is hook
+
+    def test_no_job_can_join_a_record_progress_job(self):
+        sc = shared()
+        first = MapReduceRuntime(tiny_workload(name="a"), job_name="a",
+                                 record_progress=True, shared=sc)
+        with pytest.raises(SimulationError, match="record_progress job cannot share"):
+            sc.submit(tiny_workload(name="b"), job_name="b")
+        assert sc.jobs == [first]
+        result = first.run()
+        assert result.success and result.trace.count("flow_done") > 0
+
 
 class TestContention:
     def test_concurrent_jobs_slower_than_alone(self):

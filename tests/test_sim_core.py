@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.sim import AllOf, AnyOf, Interrupt, Simulator
@@ -680,3 +683,153 @@ class TestConditionDetach:
         winner.succeed("x")
         sim.run()
         assert not any(cb == cond._check for cb in (loser.callbacks or []))
+
+
+def _kernel_program(seed):
+    """A seeded random kernel program; returns its resume log of
+    ``(now, label, value or exception type)`` entries.
+
+    Eight workers take random guarded and unguarded waits (timeouts,
+    shared signals that succeed or fail, ``any_of`` races whose losers
+    fail later, ``all_of`` joins that fail fast, a cancelled timeout,
+    waits on finished and unfinished processes), an interrupter
+    interrupts them at random, one process is interrupted before it
+    starts, and pure and non-pure periodics and ``schedule_late``
+    callbacks share their instants. Delays are multiples of 0.5, so most
+    entries tie on time and the log pins same-instant order.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    log = []
+
+    def note(label, value=None):
+        log.append((sim.now, label, value))
+
+    def late(label):
+        sim.schedule_late(lambda _ev: note(label, "late"))
+
+    signals = [sim.event() for _ in range(6)]
+    losers = []
+    delays = (0.0, 0.5, 1.0, 1.5)
+
+    def quick():
+        note("quick")
+        return "quick-done"
+        yield  # pragma: no cover - makes this a generator
+
+    finished = sim.process(quick(), name="quick")
+    workers = []
+
+    def wait(label, ev):
+        try:
+            value = yield ev
+        except Interrupt as intr:
+            note(label, ("interrupt", intr.cause))
+        except Exception as exc:  # every failure is logged
+            note(label, type(exc).__name__)
+        else:
+            note(label, value)
+
+    def worker(w):
+        for step in range(16):
+            label = f"w{w}.{step}"
+            kind = rng.randrange(8)
+            if kind == 0:
+                ev = sim.timeout(rng.choice(delays), value=label)
+            elif kind == 1:
+                ev = signals[rng.randrange(len(signals))]
+            elif kind == 2:
+                loser = sim.event()
+                losers.append(loser)
+                ev = sim.any_of([sim.timeout(rng.choice(delays), label), loser])
+            elif kind == 3:
+                bad = sim.event()
+                sim.timeout(rng.choice(delays))._add_callback(
+                    lambda _ev, bad=bad: bad.fail(KeyError(label)))
+                ev = sim.all_of([sim.timeout(rng.choice(delays) + 0.5, label), bad])
+            elif kind == 4:
+                doomed = sim.timeout(0.5, "doomed")
+                doomed.cancel()
+                ev = sim.any_of([doomed, sim.timeout(1.0, label)])
+            elif kind == 5:
+                # A finished process, or a guarded wait on a worker that
+                # may never finish.
+                target = finished if rng.random() < 0.5 else workers[rng.randrange(len(workers))]
+                ev = sim.any_of([target, sim.timeout(2.0, "gave-up")])
+            elif kind == 6:
+                late(label)
+                ev = sim.timeout(0.0, label)
+            else:
+                ev = sim.all_of([sim.timeout(rng.choice(delays), i) for i in range(3)])
+            yield from wait(label, ev)
+        return f"w{w}-done"
+
+    for w in range(8):
+        workers.append(sim.process(worker(w), name=f"w{w}"))
+
+    def signaller():
+        for i, ev in enumerate(signals):
+            yield sim.timeout(rng.choice(delays) + 0.5)
+            if ev.triggered:  # an impure tick got there first
+                note("signal-taken", i)
+            elif rng.random() < 0.5:
+                ev.succeed(f"sig{i}")
+            else:
+                ev.fail(ValueError(f"sig{i}"))
+                ev.defuse()
+            note("signal", i)
+
+    def interrupter():
+        early = sim.process(wait("early", sim.timeout(1.0, "early")), name="early")
+        early.interrupt("before-start")
+        for i in range(16):
+            yield sim.timeout(rng.choice(delays) + 0.5)
+            victim = workers[rng.randrange(len(workers))]
+            if victim.is_alive:
+                victim.interrupt(f"int{i}")
+
+    def loser_failer():
+        for _ in range(30):
+            yield sim.timeout(1.0)
+            for loser in losers:
+                if not loser.triggered:
+                    loser.fail(RuntimeError("loser"))
+                    note("loser-failed")
+
+    def impure_tick():
+        note("tick")
+        late("tick")
+        sim.timeout(0.5)._add_callback(lambda _ev: note("tick-half"))
+        if rng.random() < 0.3:
+            ev = signals[rng.randrange(len(signals))]
+            if not ev.triggered:
+                ev.succeed("tick-signal")
+
+    pure_ticks = []
+    sim.periodic(1.5, lambda: note("pure", len(pure_ticks)) or pure_ticks.append(1),
+                 immediate=True, pure=True)
+    sim.periodic(1.0, impure_tick)
+    cancelled = sim.periodic(0.5, lambda: note("victim-tick"))
+    sim.timeout(3.0)._add_callback(lambda _ev: cancelled.cancel())
+    sim.process(signaller(), name="signaller")
+    sim.process(interrupter(), name="interrupter")
+    sim.process(loser_failer(), name="loser-failer")
+    sim.run(until=30.0)
+    return log
+
+
+class TestKernelOrderPin:
+    """The exact same-instant order of a random kernel program, pinned
+    by digest: a kernel refactor that moves any sequence number, priority
+    or callback position changes it."""
+
+    DIGEST = "82cca7a0219a5297d318d5f7e068356b9218d8c6118928bef17d8eeebcbea9f2"
+
+    def test_resume_log_digest_is_pinned(self):
+        log = _kernel_program(1729)
+        assert log == _kernel_program(1729)
+        labels = {label.split(".")[0] for _, label, _ in log}
+        assert {"quick", "early", "signal", "loser-failed", "tick", "tick-half",
+                "pure", "victim-tick"} <= labels
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()
+        assert digest == self.DIGEST, (len(log), digest)
