@@ -112,7 +112,6 @@ class AnalyticsLogStore:
             state.disk_segments = list(local.disk_segments)
         if hdfs is not None:
             state.reduce_resume_fraction = hdfs.reduce_fraction
-            state.skip_deserialization = True
         return state
 
     def clear(self, task: Task) -> None:

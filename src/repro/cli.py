@@ -72,9 +72,9 @@ __all__ = ["main", "parse_fault"]
 
 
 def _policy_choices() -> tuple[str, ...]:
-    """Every registered recovery policy (the zoo), lazily discovered so
-    ``--help`` stays cheap and a broken policy module fails loudly at
-    the point of use, not at import."""
+    """Every recovery policy (the zoo), imported lazily so ``--help``
+    stays cheap and a broken policy module fails loudly at the point of
+    use, not at import."""
     from repro.policies import policy_names
 
     return policy_names()
@@ -685,13 +685,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_list(_args) -> int:
-    from repro.policies import policy_specs
+    from repro.faults.chaos import CHAOS_POLICIES
+    from repro.policies import POLICIES
 
     print("workloads:  " + ", ".join(sorted(BENCHMARKS)))
     print("policies:")
-    for spec in policy_specs():
-        tag = " [seed]" if spec.seed else ""
-        print(f"  {spec.name:10s} {spec.description}{tag}")
+    for name, (_factory, description) in POLICIES.items():
+        tag = " [seed]" if name in CHAOS_POLICIES else ""
+        print(f"  {name:10s} {description}{tag}")
     print("experiments:" + " " + ", ".join(_EXPERIMENTS))
     return 0
 

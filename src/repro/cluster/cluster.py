@@ -112,9 +112,6 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
-    def alive_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.alive]
-
     def reachable_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.reachable]
 
@@ -210,20 +207,17 @@ class Cluster:
         node.network_up = True
         self._notify_rejoin(node)
 
-    def restart_node(self, node: Node, wipe_disk: bool = False) -> None:
+    def restart_node(self, node: Node) -> None:
         """Bring a crashed machine back up.
 
-        By default the disk survives the power cycle (real crashes do
-        not erase disks), so surviving replicas can be re-registered by
-        rejoin listeners — the HDFS "block report" path. ``wipe_disk``
-        models a reimaged replacement machine instead.
+        The disk survives the power cycle (real crashes do not erase
+        disks), so surviving replicas can be re-registered by rejoin
+        listeners — the HDFS "block report" path.
         """
         if node.alive:
             return
         node.alive = True
         node.network_up = True
-        if wipe_disk:
-            node.clear_files()
         self._notify_rejoin(node)
 
     def _sever(self, node: Node, reason: str, include_disk: bool = True) -> None:

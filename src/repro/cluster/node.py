@@ -74,20 +74,11 @@ class Node:
         self._files[path] = f
         return f
 
-    def read_file(self, path: str) -> LocalFile:
-        if not self.alive:
-            raise SimulationError(f"read on dead {self.name}")
-        return self._files[path]
-
     def has_file(self, path: str) -> bool:
         return self.alive and path in self._files
 
     def delete_file(self, path: str) -> None:
         self._files.pop(path, None)
-
-    def clear_files(self) -> None:
-        """Drop every local file (a reimaged replacement machine)."""
-        self._files.clear()
 
     def files(self, kind: str | None = None) -> list[LocalFile]:
         fs = list(self._files.values())

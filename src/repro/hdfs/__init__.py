@@ -3,13 +3,12 @@
 Only the aspects the paper exercises are modelled: block-granular
 placement with rack awareness, pipelined replicated writes (whose cost
 grows with the replication *level* — node, rack or cluster — exactly
-the knob ALG tunes in Fig. 13), locality-aware reads with failover
-across replicas, and replica loss when a node dies.
+the knob ALG tunes in Fig. 13), locality-ordered replica lists that map
+split reads fail over across, and replica loss when a node dies.
 """
 
 from repro.hdfs.hdfs import (
     Block,
-    BlockLostError,
     Hdfs,
     HdfsConfig,
     HdfsError,
@@ -19,7 +18,6 @@ from repro.hdfs.hdfs import (
 
 __all__ = [
     "Block",
-    "BlockLostError",
     "Hdfs",
     "HdfsConfig",
     "HdfsError",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster
@@ -13,7 +12,6 @@ from repro.sim.flows import FlowCancelled
 
 __all__ = [
     "Block",
-    "BlockLostError",
     "Hdfs",
     "HdfsConfig",
     "HdfsError",
@@ -24,10 +22,6 @@ __all__ = [
 
 class HdfsError(Exception):
     """Base error for file-system operations."""
-
-
-class BlockLostError(HdfsError):
-    """All replicas of a required block are gone."""
 
 
 class ReplicationLevel(enum.Enum):
@@ -121,9 +115,6 @@ class Hdfs:
         for b in f.blocks:
             for n in b.live_replicas():
                 n.delete_file(self._replica_path(b))
-
-    def total_bytes(self) -> float:
-        return sum(f.size for f in self._files.values())
 
     def _replica_path(self, block: Block) -> str:
         return f"hdfs/{block.path}/blk_{block.block_id}"
@@ -292,39 +283,7 @@ class Hdfs:
         self._files[path] = f
         return f
 
-    # -- read path ---------------------------------------------------------
-    def read(self, reader: Node, path: str) -> Process:
-        """Read the whole file to ``reader``; returns a process event."""
-        return self.sim.process(self._read_proc(reader, self.file(path).blocks), name=f"hdfs-read:{path}")
-
-    def read_block(self, reader: Node, block: Block) -> Process:
-        return self.sim.process(self._read_proc(reader, [block]), name=f"hdfs-readblk:{block.block_id}")
-
-    def _read_proc(self, reader, blocks):
-        total = 0.0
-        for block in blocks:
-            candidates = self._ordered_replicas(reader, block)
-            if not candidates:
-                raise BlockLostError(f"block {block.block_id} of {block.path} lost")
-            done = False
-            for src in candidates:
-                try:
-                    if src is reader:
-                        fl = self.cluster.disk_read(reader, block.size, name=f"hdfs-r{block.block_id}")
-                    else:
-                        fl = self.cluster.net_transfer(
-                            src, reader, block.size, name=f"hdfs-r{block.block_id}"
-                        )
-                    yield fl.done
-                    done = True
-                    break
-                except (FlowCancelled, SimulationError):
-                    continue  # replica died mid-read: try the next one
-            if not done:
-                raise BlockLostError(f"block {block.block_id} of {block.path} lost mid-read")
-            total += block.size
-        return total
-
+    # -- split reads (``MapAttempt.run`` streams them) ----------------------
     def _ordered_replicas(self, reader: Node, block: Block) -> list[Node]:
         """Replicas sorted by locality: local, rack-local, remote."""
 
@@ -335,13 +294,6 @@ class Hdfs:
 
         live = [n for n in block.live_replicas() if n.reachable or n is reader]
         return sorted(live, key=rank)
-
-    def preferred_nodes(self, path: str) -> list[list[Node]]:
-        """Per-block locality hints for the scheduler (split placement)."""
-        return [b.live_replicas() for b in self.blocks(path)]
-
-    def num_blocks(self, size: float) -> int:
-        return max(1, math.ceil(size / self.config.block_size))
 
     # -- failure handling --------------------------------------------------
     def _on_node_failure(self, node: Node) -> None:

@@ -61,9 +61,6 @@ class ReduceRecoveryState:
     disk_segments: list[DiskSegment] = field(default_factory=list)
     mem_flushed_bytes: float = 0.0
     reduce_resume_fraction: float = 0.0
-    #: Whether the resumed stream is already deserialised (reduce-stage
-    #: logs record MPQ offsets, so the skipped prefix costs nothing).
-    skip_deserialization: bool = True
 
 
 class ReduceAttempt(TaskAttempt):
@@ -231,12 +228,10 @@ class ReduceAttempt(TaskAttempt):
             self.disk_segments = list(reusable)
             self.fetched = set(rec.fetched_map_ids)
             self.shuffled_bytes = sum(s.size for s in reusable) + rec.mem_flushed_bytes
+        # Reduce-stage logs live on HDFS and imply shuffle finished; a
+        # migrated attempt must still re-shuffle the bytes unless its
+        # segments survived locally (adopted above).
         self.reduce_resume_fraction = rec.reduce_resume_fraction
-        if rec.reduce_resume_fraction > 0 and not rec.fetched_map_ids <= self.fetched:
-            # Reduce-stage logs live on HDFS and imply shuffle finished;
-            # a migrated attempt must still re-shuffle the bytes unless
-            # its segments survived locally (handled above).
-            pass
 
     # -- fetchers --------------------------------------------------------
     def _fetcher(self, idx: int):
@@ -433,14 +428,11 @@ class ReduceAttempt(TaskAttempt):
         disk_in = sum(s.size for s in self.disk_segments)
         work_frac = 1.0 - resume
         read_bytes = disk_in * work_frac
+        # A logged resume charges nothing extra: the MPQ offsets in the
+        # log point past the already-consumed prefix, so no bytes of it
+        # are re-deserialised. (Without logs a restarted attempt re-runs
+        # the whole stage: resume == 0.)
         cpu_s = wl.reduce_cpu_per_mb * (total_in * work_frac) / MB
-        if self.recovery is not None and self.recovery.skip_deserialization and resume > 0:
-            # The MPQ offsets in the log point past the already-consumed
-            # prefix, so no bytes of it are re-deserialised; nothing
-            # extra to charge. (Without logs a restarted attempt would
-            # re-run the whole stage, which is the baseline path where
-            # resume == 0.)
-            pass
         out_bytes = total_in * wl.reduce_selectivity * work_frac
 
         # The input read, reduce CPU and output pipeline all start at

@@ -64,16 +64,13 @@ class Speculator:
             self._running = True
             self.am.sim.process(self._loop(), name="speculator")
 
-    def stop(self) -> None:
-        self._running = False
-
     @property
     def launched(self) -> int:
         return len(self.speculated)
 
     # -- internals --------------------------------------------------------
     def _loop(self):
-        while self._running and not self.am._finished:
+        while not self.am._finished:
             yield self.am.sim.timeout(self.config.interval)
             self._scan(self.am.map_tasks, TaskType.MAP)
             self._scan(self.am.reduce_tasks, TaskType.REDUCE)

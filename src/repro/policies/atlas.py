@@ -23,7 +23,6 @@ from collections import deque
 from repro.cluster.node import Node
 from repro.mapreduce.recovery import YarnRecoveryPolicy
 from repro.mapreduce.tasks import Task
-from repro.policies import register_policy
 from repro.sim.core import SimulationError
 
 __all__ = ["AtlasPolicy", "make_atlas"]
@@ -107,8 +106,3 @@ def make_atlas(window: int = 8, min_observations: int = 3,
                failure_threshold: float = 0.5):
     return AtlasPolicy(window=window, min_observations=min_observations,
                        failure_threshold=failure_threshold)
-
-
-register_policy("atlas", make_atlas,
-                "failure-aware placement: sliding-window node outcome "
-                "history vetoes chronically failing nodes")

@@ -27,7 +27,6 @@ from repro.cluster.node import Node
 from repro.mapreduce.recovery import YarnRecoveryPolicy
 from repro.mapreduce.reducetask import ReduceRecoveryState
 from repro.mapreduce.tasks import Task, TaskType
-from repro.policies import register_policy
 
 __all__ = ["BinocularPolicy", "make_binocular"]
 
@@ -100,8 +99,3 @@ class BinocularPolicy(YarnRecoveryPolicy):
 
 def make_binocular(max_parallel_attempts: int = 2):
     return BinocularPolicy(max_parallel_attempts=max_parallel_attempts)
-
-
-register_policy("binocular", make_binocular,
-                "dual recovery eyes per failed reduce: same-node state "
-                "re-adoption + speculative migration")

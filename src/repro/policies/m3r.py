@@ -22,7 +22,6 @@ from repro.cluster.node import Node
 from repro.mapreduce.recovery import YarnRecoveryPolicy
 from repro.mapreduce.reducetask import ReduceAttempt
 from repro.mapreduce.tasks import Task
-from repro.policies import register_policy
 from repro.yarn.rm import Container
 
 __all__ = ["M3RPolicy", "M3RReduceAttempt", "make_m3r"]
@@ -65,8 +64,3 @@ class M3RPolicy(YarnRecoveryPolicy):
 
 def make_m3r():
     return M3RPolicy()
-
-
-register_policy("m3r", make_m3r,
-                "M3R in-memory shuffle: no spills on the happy path, "
-                "eager map regeneration on node loss")

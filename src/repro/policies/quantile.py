@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.mapreduce.recovery import YarnRecoveryPolicy
 from repro.mapreduce.speculation import SpeculationConfig, Speculator
-from repro.policies import register_policy
 from repro.sim.core import SimulationError
 
 __all__ = ["QuantilePolicy", "QuantileSpeculator", "make_quantile",
@@ -91,8 +90,3 @@ class QuantilePolicy(YarnRecoveryPolicy):
 
 def make_quantile(min_samples: int = 4, fence_k: float = 1.5):
     return QuantilePolicy(min_samples=min_samples, fence_k=fence_k)
-
-
-register_policy("quantile", make_quantile,
-                "statistical straggler detector: Tukey-fence cutoff over "
-                "peer durations replaces the fixed LATE threshold")

@@ -363,7 +363,6 @@ class Process(Event):
         self._target = None
 
         sim = self.sim
-        sim._active_process = self
         try:
             if event._exc is not None:
                 event._defused = True
@@ -371,7 +370,6 @@ class Process(Event):
             else:
                 next_ev = self.gen.send(event._value)
         except StopIteration as stop:
-            sim._active_process = None
             self._triggered = True
             self._value = stop.value
             self._resume_cb = None
@@ -379,14 +377,12 @@ class Process(Event):
             heappush(sim._heap, (sim._now, NORMAL, seq, self))
             return
         except BaseException as exc:
-            sim._active_process = None
             self._triggered = True
             self._exc = exc
             self._resume_cb = None
             sim._seq = seq = sim._seq + 1
             heappush(sim._heap, (sim._now, NORMAL, seq, self))
             return
-        sim._active_process = None
 
         if not isinstance(next_ev, Event):
             raise SimulationError(
@@ -527,11 +523,16 @@ class Condition(Event):
             self._on_empty()
             return
         # One bound method for every child; a processed child runs it at
-        # once, as _add_callback would.
+        # once, as _add_callback would. Once a processed child has decided
+        # the condition the rest are losers: leave them unsubscribed and
+        # defuse those nobody else listens to, as _abandon_rest does.
         check = self._check
         for ev in events:
             cbs = ev.callbacks
-            if cbs is None:
+            if self._triggered:
+                if cbs == []:
+                    ev._defused = True
+            elif cbs is None:
                 check(ev)
             else:
                 cbs.append(check)
@@ -626,22 +627,17 @@ class Simulator:
 
     # The run loop stores _now/_seq once per event; slot storage keeps
     # those off a dict lookup.
-    __slots__ = ("_now", "_heap", "_seq", "_active_process")
+    __slots__ = ("_now", "_heap", "_seq")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Process | None = None
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
 
     # -- event construction ------------------------------------------------
     def event(self) -> Event:

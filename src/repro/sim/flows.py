@@ -303,16 +303,6 @@ class FlowScheduler:
         self.stats["transfers"] += 1
         return flow
 
-    def transfer_many(self, requests: Iterable[dict]) -> list[Flow]:
-        """Start several flows at the current instant in one batch.
-
-        Each request is a dict of :meth:`transfer` keyword arguments.
-        All flows share a single progress advance and a single deferred
-        recompute.
-        """
-        with self.batch():
-            return [self.transfer(**req) for req in requests]
-
     def cancel(self, flow: Flow, reason: str = "") -> None:
         """Abort a flow; its ``done`` event fails with :class:`FlowCancelled`."""
         if not flow._active:

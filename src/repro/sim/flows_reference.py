@@ -17,9 +17,9 @@ It exists for two jobs:
 
 It shares :class:`~repro.sim.flows.Flow`, ``LinkResource`` and
 ``FlowCancelled`` with the production module, so model code cannot tell
-the schedulers apart; it also mirrors the batch API (``transfer_many``,
-``cancel_many``, iterable ``cancel_flows_using``, ``batch()``) by
-degrading each to the seed's sequential per-operation behaviour.
+the schedulers apart; it also mirrors the batch API (``cancel_many``,
+iterable ``cancel_flows_using``, ``batch()``) by degrading each to the
+seed's sequential per-operation behaviour.
 """
 
 from __future__ import annotations
@@ -122,9 +122,6 @@ class ReferenceFlowScheduler:
         self._recompute()
         self.stats["transfers"] += 1
         return flow
-
-    def transfer_many(self, requests: Iterable[dict]) -> list[Flow]:
-        return [self.transfer(**req) for req in requests]
 
     def cancel(self, flow: Flow, reason: str = "") -> None:
         if not flow._active:

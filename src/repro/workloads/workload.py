@@ -66,9 +66,6 @@ class Workload:
         w = rng.lognormal(mean=0.0, sigma=self.partition_skew, size=self.num_reducers)
         return w / w.sum()
 
-    def with_input(self, input_size: float) -> "Workload":
-        return replace(self, input_size=input_size)
-
     def with_reducers(self, num_reducers: int) -> "Workload":
         return replace(self, num_reducers=num_reducers)
 

@@ -169,6 +169,23 @@ class TestBenchmarkPins:
                          "rack", "degraded", "map-wave", "am-crash", "rpc-loss"}
 
 
+class TestKnownStall:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: the restarted AM recovers maps whose MOFs sit on a "
+        "node the RM has declared lost, and the run stalls at 2,100 s"))
+    def test_seed8_trial245_completes(self):
+        """The one violation every wide chaos sweep finds (seed 8, AM
+        faults, every policy): ``sfm``, a partition of two workers and an
+        AM crash with ``keep_containers_across_am_restart``."""
+        from repro.policies import policy_names
+
+        spec = generate_trial({"seed": 8, "am_faults": True,
+                               "policies": list(policy_names())}, 245)
+        result = chaos.run_trial_spec(spec)
+        assert result["success"] is True
+        assert result["violations"] == []
+
+
 class TestTrialDeterminism:
     def test_same_trial_same_digest(self):
         a = run_chaos_trial(0, CAMPAIGN)

@@ -21,26 +21,6 @@ class TestHdfsBlockAPI:
                                            seed=3))
         return sim, cluster, Hdfs(sim, cluster, HdfsConfig(block_size=64 * MB))
 
-    def test_read_single_block(self, env):
-        sim, cluster, hdfs = env
-        f = hdfs.ingest("x", 192 * MB)
-        reader = f.blocks[1].replicas[0]
-        got = sim.run(until=hdfs.read_block(reader, f.blocks[1]))
-        assert got == f.blocks[1].size
-
-    def test_num_blocks_helper(self, env):
-        _, _, hdfs = env
-        assert hdfs.num_blocks(1) == 1
-        assert hdfs.num_blocks(64 * MB) == 1
-        assert hdfs.num_blocks(65 * MB) == 2
-
-    def test_preferred_nodes_per_block(self, env):
-        _, _, hdfs = env
-        f = hdfs.ingest("x", 128 * MB)
-        prefs = hdfs.preferred_nodes("x")
-        assert len(prefs) == len(f.blocks)
-        assert all(len(p) == 2 for p in prefs)
-
     def test_delete_missing_is_noop(self, env):
         _, _, hdfs = env
         hdfs.delete("ghost")  # no exception

@@ -4,8 +4,12 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
 from repro.cluster.node import MB
-from repro.hdfs import Hdfs, HdfsConfig, HdfsError, BlockLostError, ReplicationLevel
+from repro.hdfs import Hdfs, HdfsConfig, HdfsError, ReplicationLevel
+from repro.mapreduce.config import JobConf
+from repro.mapreduce.tasks import AttemptState
 from repro.sim import Simulator
+
+from tests.conftest import make_runtime, tiny_workload
 
 
 @pytest.fixture
@@ -143,65 +147,97 @@ class TestWrite:
 
 
 class TestRead:
-    def test_local_read_prefers_local_replica(self, env):
-        sim, cluster, hdfs = env
-        f = hdfs.ingest("input", 64 * MB)
-        reader = f.blocks[0].replicas[0]
-        p = hdfs.read(reader, "input")
-        sim.run(until=p)
-        assert sim.now == pytest.approx(64 / 100, rel=1e-6)  # local disk only
+    """Split reads: a map attempt streams its block from the nearest live
+    replica (``Hdfs._ordered_replicas``) and fails over to the next one
+    when the source dies mid-read."""
 
-    def test_remote_read_moves_over_network(self, env):
-        sim, cluster, hdfs = env
-        f = hdfs.ingest("input", 64 * MB)
-        holders = set(f.blocks[0].replicas)
-        reader = next(n for n in cluster.nodes if n not in holders)
-        p = hdfs.read(reader, "input")
-        sim.run(until=p)
-        assert sim.now > 0
+    def test_local_read_prefers_local_replica(self):
+        rt = _one_map_per_node()
+        assert rt.run().success
+        local = [a for a in _map_attempts(rt) if a.node in a.task.block.replicas]
+        assert local
+        for a in local:
+            assert a.locality == "data-local"
+            assert a.node.nic_in not in a._read_flow.resources  # disk only
 
-    def test_read_fails_over_to_surviving_replica(self, env):
-        sim, cluster, hdfs = env
-        f = hdfs.ingest("input", 64 * MB, replication=2)
-        primary, secondary = f.blocks[0].replicas
-        reader = next(n for n in cluster.nodes if n not in (primary, secondary))
+    def test_remote_read_moves_over_network(self):
+        rt = _one_map_per_node()
+        assert rt.run().success
+        remote = [a for a in _map_attempts(rt) if a.node not in a.task.block.replicas]
+        assert remote
+        for a in remote:
+            same_rack = any(n.rack is a.node.rack for n in a.task.block.replicas)
+            assert a.locality == ("rack-local" if same_rack else "off-rack")
+            assert a.node.nic_in in a._read_flow.resources
 
-        result = {}
+    def test_read_fails_over_to_surviving_replica(self):
+        rt = _one_map_per_node()
+        victim = _crash_remote_source_mid_read(rt)
+        assert rt.run().success
+        attempt, src = victim
+        survivor = next(n for n in attempt.task.block.replicas if n is not src)
+        assert attempt.state is AttemptState.SUCCEEDED
+        assert attempt.task.attempts == [attempt]  # no rerun needed
+        assert attempt.locality == ("rack-local" if survivor.rack is attempt.node.rack
+                                    else "off-rack")
+        assert not rt.trace.count("attempt_failed", reason="input-block-lost")
 
-        def reading(sim):
-            total = yield hdfs.read(reader, "input")
-            result["bytes"] = total
+    def test_read_lost_block_raises(self):
+        rt = make_runtime(tiny_workload(input_mb=256, reducers=1), replication=1)
+        task = rt.am.map_tasks[0]
+        rt.cluster.crash_node(task.block.replicas[0])
+        assert not rt.run().success
+        failed = rt.trace.of_kind("attempt_failed")
+        assert [e["reason"] for e in failed] == ["input-block-lost"] * rt.am.conf.max_attempts
+        assert {e["task"] for e in failed} == {task.name}
 
-        def killer(sim):
-            yield sim.timeout(0.1)
-            cluster.crash_node(primary)
-
-        sim.process(reading(sim))
-        sim.process(killer(sim))
-        sim.run()
-        assert result["bytes"] == 64 * MB
-
-    def test_read_lost_block_raises(self, env):
-        sim, cluster, hdfs = env
-        f = hdfs.ingest("input", 64 * MB, replication=1)
-        cluster.crash_node(f.blocks[0].replicas[0])
-        reader = cluster.nodes[5]
-        caught = []
-
-        def reading(sim):
-            try:
-                yield hdfs.read(reader, "input")
-            except BlockLostError:
-                caught.append(True)
-
-        sim.process(reading(sim))
-        sim.run()
-        assert caught == [True]
+    def test_read_lost_mid_read_fails_the_attempt(self):
+        rt = _one_map_per_node(replication=1)
+        victim = _crash_remote_source_mid_read(rt)
+        rt.run()
+        attempt, _ = victim
+        assert attempt.state is AttemptState.FAILED
+        assert rt.trace.count("attempt_failed", attempt=attempt.attempt_id,
+                              reason="input-block-lost") == 1
 
     def test_missing_file_raises(self, env):
-        _, cluster, hdfs = env
+        _, _, hdfs = env
         with pytest.raises(HdfsError):
-            hdfs.read(cluster.nodes[0], "ghost")
+            hdfs.file("ghost")
+
+
+def _one_map_per_node(replication: int = 2):
+    """A 12-block job whose map containers fill a whole node, so some
+    maps run away from their split's replicas and read it remotely."""
+    return make_runtime(tiny_workload(input_mb=768, reducers=1),
+                        conf=JobConf(map_memory_mb=16 * 1024),
+                        replication=replication)
+
+
+def _map_attempts(rt):
+    return [a for t in rt.am.map_tasks for a in t.attempts]
+
+
+def _crash_remote_source_mid_read(rt):
+    """Crash the source of the first remote split read once a fifth of
+    it has streamed; the returned list receives ``attempt, source``."""
+    victim = []
+
+    def saboteur(sim):
+        while True:
+            yield sim.timeout(0.1)
+            for a in _map_attempts(rt):
+                fl = a._read_flow
+                block = a.task.block
+                if (fl is not None and fl.active and fl.progress > 0.2
+                        and a.node not in block.replicas):
+                    src = rt.hdfs._ordered_replicas(a.node, block)[0]
+                    victim.extend((a, src))
+                    rt.cluster.crash_node(src)
+                    return
+
+    rt.sim.process(saboteur(rt.sim))
+    return victim
 
 
 class TestFailureBookkeeping:
@@ -227,9 +263,3 @@ class TestFailureBookkeeping:
         hdfs.delete("input")
         assert sum(n.local_bytes("hdfs") for n in cluster.nodes) == 0
         assert not hdfs.exists("input")
-
-    def test_total_bytes(self, env):
-        _, _, hdfs = env
-        hdfs.ingest("a", 10 * MB)
-        hdfs.ingest("b", 20 * MB)
-        assert hdfs.total_bytes() == 30 * MB

@@ -1,14 +1,14 @@
-"""The policy registry: discovery, construction, and the conformance
-property every registered policy must satisfy.
+"""The policy table: enumeration, construction, and the conformance
+property every policy must satisfy.
 
-Tier-1 covers the registry mechanics (discovery is complete, the seed
-roster is pinned, each factory receives only the kwargs it declares).
-The tier-2 conformance suite is the registry's real teeth: *every*
-registered policy — seed or zoo, present or future — runs a seeded
-smoke workload under each fault kind and must pass all invariants,
-terminate, and produce byte-identical trace digests on rerun and across
-the ``REPRO_SCHEDULER`` implementation modes. A new policy module gets
-this safety net just by registering.
+Tier-1 covers the table mechanics (the name order is pinned, the seed
+roster is the chaos rotation, each factory receives only the kwargs it
+declares). The tier-2 conformance suite is the table's real teeth:
+*every* policy — seed or zoo, present or future — runs a seeded smoke
+workload under each fault kind and must pass all invariants, terminate,
+and produce byte-identical trace digests on rerun and across the
+``REPRO_SCHEDULER`` implementation modes. A new table row gets this
+safety net for free.
 """
 
 import os
@@ -20,32 +20,23 @@ from hypothesis import strategies as st
 from repro.alm import ALMPolicy
 from repro.faults.chaos import CHAOS_POLICIES
 from repro.mapreduce.recovery import RecoveryPolicy, YarnRecoveryPolicy
-from repro.policies import (
-    check_registry,
-    make_policy,
-    policy_names,
-    policy_specs,
-    register_policy,
-    seed_policy_names,
-)
+from repro.policies import POLICIES, make_policy, policy_names
 from repro.sim.core import SimulationError
 
 from tests.conftest import make_runtime, tiny_workload
 
 
 class TestDiscovery:
-    def test_check_registry_passes(self):
-        """The CI discovery gate: every module registers, seeds pinned."""
-        check_registry()
+    """What every harness enumerates through ``policy_names()``."""
 
     def test_seed_roster_is_the_chaos_rotation(self):
-        assert seed_policy_names() == ("yarn", "alg", "sfm", "alm", "iss")
-        assert seed_policy_names() == CHAOS_POLICIES
+        assert policy_names()[:5] == CHAOS_POLICIES
 
     def test_seed_policies_enumerate_first(self):
-        names = policy_names()
-        assert names[:5] == seed_policy_names()
-        assert len(names) >= 9
+        """The exact table order, seeds first: chaos rotations and
+        campaign ids index this tuple."""
+        assert policy_names() == ("yarn", "alg", "sfm", "alm", "iss",
+                                  "atlas", "binocular", "m3r", "quantile")
 
     def test_zoo_policies_present(self):
         names = policy_names()
@@ -53,9 +44,9 @@ class TestDiscovery:
             assert name in names
 
     def test_specs_carry_descriptions_and_modules(self):
-        for spec in policy_specs():
-            assert spec.description
-            assert spec.module.startswith("repro.")
+        for name, (factory, description) in POLICIES.items():
+            assert description, name
+            assert factory.__module__.startswith("repro.policies."), name
 
     def test_every_policy_is_a_recovery_policy(self):
         for name in policy_names():
@@ -63,10 +54,6 @@ class TestDiscovery:
 
 
 class TestConstruction:
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(SimulationError, match="duplicate"):
-            register_policy("yarn", YarnRecoveryPolicy, "imposter")
-
     def test_unknown_name_rejected(self):
         with pytest.raises(SimulationError, match="unknown policy"):
             make_policy("no-such-policy")

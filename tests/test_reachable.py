@@ -3,7 +3,6 @@ module that only its own tests import is dead code to delete, not to
 maintain."""
 
 import ast
-import pkgutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,11 +35,8 @@ def test_every_module_is_imported_by_src_or_benchmarks():
         me = _module_name(path) if SRC in path.parents else str(path)
         for name in _imported_names(path):
             importers.setdefault(name, set()).add(me)
-    # Entry points with no importer by design: ``python -m repro`` and
-    # the policy plugins the registry finds with ``pkgutil``.
-    plugins = {f"repro.policies.{info.name}"
-               for info in pkgutil.iter_modules([str(SRC / "repro" / "policies")])}
-    exempt = {"repro.__main__", *plugins}
+    # The entry point with no importer by design: ``python -m repro``.
+    exempt = {"repro.__main__"}
     modules = {_module_name(p) for p in (SRC / "repro").rglob("*.py")
                if p.name != "__init__.py"}
     assert "repro.sim.core" in modules  # the scan itself found the package

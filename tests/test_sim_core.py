@@ -302,18 +302,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.process(lambda: None)
 
-    def test_active_process_visible_during_execution(self, sim):
-        seen = []
-
-        def proc(sim):
-            seen.append(sim.active_process)
-            yield sim.timeout(0)
-
-        p = sim.process(proc(sim))
-        sim.run()
-        assert seen == [p]
-        assert sim.active_process is None
-
 
 class TestConditions:
     def test_all_of_collects_values_in_order(self, sim):
@@ -683,6 +671,27 @@ class TestConditionDetach:
         winner.succeed("x")
         sim.run()
         assert not any(cb == cond._check for cb in (loser.callbacks or []))
+
+    def test_anyof_decided_at_construction_skips_later_children(self, sim):
+        done, pending = sim.event(), sim.event()
+        done.succeed("first")
+        sim.run()
+        cond = sim.any_of([done, pending])
+        assert pending.callbacks == [] and pending._defused
+        pending.fail(RuntimeError("late loser"))
+        sim.run()  # defused: the loser's failure does not escape
+        assert cond.value == "first"
+
+    def test_allof_failed_at_construction_skips_later_children(self, sim):
+        bad, pending = sim.event(), sim.event()
+        bad.fail(RuntimeError("first failure"))
+        bad.defuse()
+        sim.run()
+        cond = sim.all_of([bad, pending])
+        cond.defuse()
+        assert pending.callbacks == [] and pending._defused
+        sim.run()
+        assert str(cond._exc) == "first failure"
 
 
 def _kernel_program(seed):

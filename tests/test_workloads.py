@@ -56,11 +56,6 @@ class TestPartitionWeights:
 
 
 class TestDerivedWorkloads:
-    def test_with_input(self):
-        wl = terasort(10.0).with_input(5 * GB)
-        assert wl.input_size == 5 * GB
-        assert wl.name == "terasort"
-
     def test_with_reducers(self):
         assert terasort(10.0).with_reducers(7).num_reducers == 7
 
