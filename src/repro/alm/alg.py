@@ -32,6 +32,12 @@ from repro.sim.flows import FlowCancelled
 
 __all__ = ["ALGConfig", "AnalyticsLogStore", "AnalyticsLogger", "LogRecord"]
 
+#: Size of one log record on disk (metadata is tiny).
+RECORD_BYTES = 1.0 * MB
+#: Seconds the on-disk merger pauses while its file list is snapshotted
+#: (the paper pauses rather than waits for completion).
+MERGER_PAUSE_SECONDS = 0.05
+
 
 @dataclass(frozen=True)
 class ALGConfig:
@@ -41,17 +47,10 @@ class ALGConfig:
     frequency: float = 10.0
     #: Replication spread for reduce-stage logs/output (Fig. 13).
     level: ReplicationLevel = ReplicationLevel.RACK
-    #: Size of one log record on disk (metadata is tiny).
-    record_bytes: float = 1.0 * MB
-    #: Pause charged to the on-disk merger while its file list is
-    #: snapshotted (the paper pauses rather than waits for completion).
-    merger_pause_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.frequency <= 0:
             raise SimulationError("logging frequency must be positive")
-        if self.record_bytes < 0 or self.merger_pause_seconds < 0:
-            raise SimulationError("record size / pause must be >= 0")
 
 
 @dataclass
@@ -164,7 +163,6 @@ class AnalyticsLogger:
             return
 
     def _log_shuffle(self, attempt: ReduceAttempt):
-        cfg = self.config
         # Temporary in-memory merger: make shuffled-but-in-memory bytes
         # durable. The more frequent the tick, the less there is to
         # flush — the Fig. 12 effect. The snapshot must be *quiescent*
@@ -188,11 +186,9 @@ class AnalyticsLogger:
             fetched_map_ids=set(attempt.fetched),
             disk_segments=list(attempt.disk_segments),
         )
-        yield attempt.sim.timeout(cfg.merger_pause_seconds)
-        if cfg.record_bytes > 0:
-            fl = attempt.cluster.disk_write(attempt.node, cfg.record_bytes,
-                                            name=f"alg-rec:{attempt.attempt_id}")
-            yield fl.done
+        yield attempt.sim.timeout(MERGER_PAUSE_SECONDS)
+        yield attempt.cluster.disk_write(attempt.node, RECORD_BYTES,
+                                         name=f"alg-rec:{attempt.attempt_id}").done
         self.store.put(record)
 
     def _log_reduce(self, attempt: ReduceAttempt, last_fraction: float):
@@ -204,21 +200,19 @@ class AnalyticsLogger:
         # pipeline placed at the ALG replication level (the policy sets
         # it on the attempt), so the hflush at this tick only has to
         # persist the MPQ-offset record — locally and at one replica.
-        waits = []
-        if cfg.record_bytes > 0:
-            # The local hflush and its replica copy start together:
-            # batch them into one scheduler update.
-            with cluster.flows.batch():
-                waits.append(cluster.disk_write(node, cfg.record_bytes,
-                                                name=f"alg-hrec:{attempt.attempt_id}").done)
-                if cfg.level is not ReplicationLevel.NODE:
-                    target = self._replica_target(attempt, cfg.level)
-                    if target is not None:
-                        waits.append(cluster.net_transfer(
-                            node, target, cfg.record_bytes,
-                            name=f"alg-rec-repl:{attempt.attempt_id}",
-                            read_src_disk=False, write_dst_disk=True,
-                        ).done)
+        # The local hflush and its replica copy start together: batch
+        # them into one scheduler update.
+        with cluster.flows.batch():
+            waits = [cluster.disk_write(node, RECORD_BYTES,
+                                        name=f"alg-hrec:{attempt.attempt_id}").done]
+            if cfg.level is not ReplicationLevel.NODE:
+                target = self._replica_target(attempt, cfg.level)
+                if target is not None:
+                    waits.append(cluster.net_transfer(
+                        node, target, RECORD_BYTES,
+                        name=f"alg-rec-repl:{attempt.attempt_id}",
+                        read_src_disk=False, write_dst_disk=True,
+                    ).done)
         for w in waits:
             yield w
         self.store.put(LogRecord(

@@ -23,6 +23,7 @@ charge plus a per-participant bookkeeping charge.
 from __future__ import annotations
 
 from repro.cluster.node import MB
+from repro.mapreduce.config import OUTPUT_REPLICATION, TASK_STARTUP_SECONDS
 from repro.mapreduce.reducetask import ReduceAttempt
 from repro.mapreduce.tasks import TaskFailed
 from repro.sim.flows import FlowCancelled
@@ -64,10 +65,9 @@ class FCMReduceAttempt(ReduceAttempt):
         return super().total_input_bytes
 
     def run(self):
-        conf = self.am.conf
         wl = self.am.workload
         self._fcm_frac = 0.0
-        yield self._guard(self.sim.timeout(conf.task_startup_seconds))
+        yield self._guard(self.sim.timeout(TASK_STARTUP_SECONDS))
 
         if self.recovery is not None:
             self.reduce_resume_fraction = self.recovery.reduce_resume_fraction
@@ -140,7 +140,7 @@ class FCMReduceAttempt(ReduceAttempt):
         if out_bytes > 0:
             out_path = f"out/{self.am.job_name}/{self.attempt_id}"
             writer = self.am.hdfs.write(self.node, out_path, out_bytes,
-                                        replication=conf.output_replication,
+                                        replication=OUTPUT_REPLICATION,
                                         overwrite=True)
             self._children.append(writer)
             waits.append(writer)

@@ -27,12 +27,17 @@ from dataclasses import dataclass, field
 from repro.alm.alg import ALGConfig, AnalyticsLogStore, AnalyticsLogger
 from repro.alm.fcm import FCMReduceAttempt
 from repro.cluster.node import Node
+from repro.mapreduce.config import (MAP_PRIORITY, RECOVERY_MAP_PRIORITY, RECOVERY_REDUCE_PRIORITY,
+                                    REDUCE_PRIORITY)
 from repro.mapreduce.recovery import RecoveryPolicy
 from repro.mapreduce.reducetask import ReduceAttempt
 from repro.mapreduce.tasks import Task, TaskType
 from repro.sim.core import SimulationError
 
 __all__ = ["ALMConfig", "ALMPolicy"]
+
+#: Max concurrent attempts per reduce task (Algorithm 1 line 14's bound).
+MAX_PARALLEL_ATTEMPTS = 2
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,6 @@ class ALMConfig:
     fcm_cap: int = 10
     #: Same-node relaunch budget for transient failures (line 10).
     limit_local: int = 2
-    #: Max concurrent attempts per reduce task (line 14's bound).
-    max_parallel_attempts: int = 2
     # -- ablation switches (both on in the paper's SFM) ---------------------
     #: Re-execute a dead node's completed maps immediately on detection
     #: (Algorithm 1 lines 5-7). Off = stock YARN's report-driven reruns.
@@ -112,7 +115,7 @@ class ALMPolicy(RecoveryPolicy):
         am = self.am
         if task.task_type is TaskType.MAP:
             # Line 6: higher-priority re-execution on a healthy node.
-            am.schedule_task(task, priority=am.conf.recovery_map_priority,
+            am.schedule_task(task, priority=RECOVERY_MAP_PRIORITY,
                              exclude=[attempt.node] if not attempt.node.reachable else None)
             return
         self._recover_reduce(task, failed_node=attempt.node)
@@ -134,9 +137,9 @@ class ALMPolicy(RecoveryPolicy):
         if (has_local_log and failed_node.reachable
                 and not am.rm.is_lost(failed_node)
                 and self._attempts_on(task, failed_node) <= cfg.limit_local
-                and live < cfg.max_parallel_attempts):
+                and live < MAX_PARALLEL_ATTEMPTS):
             am.schedule_task(
-                task, priority=am.conf.recovery_reduce_priority,
+                task, priority=RECOVERY_REDUCE_PRIORITY,
                 preferred=[failed_node],
                 attempt_kwargs={"mode": "regular"},
             )
@@ -146,15 +149,15 @@ class ALMPolicy(RecoveryPolicy):
             if live == 0:
                 # ALG without SFM falls back to stock re-execution
                 # (still resuming from logs where possible).
-                am.schedule_task(task, priority=am.conf.reduce_priority,
+                am.schedule_task(task, priority=REDUCE_PRIORITY,
                                  attempt_kwargs={"mode": "regular"})
             return
 
         # Lines 14-21: speculative recovery attempt on a healthy node.
-        if live < cfg.max_parallel_attempts:
+        if live < MAX_PARALLEL_ATTEMPTS:
             mode = "fcm" if self._fcm_tasks_running() < cfg.fcm_cap else "regular"
             am.schedule_task(
-                task, priority=am.conf.recovery_reduce_priority,
+                task, priority=RECOVERY_REDUCE_PRIORITY,
                 exclude=[failed_node] if failed_node is not None else None,
                 attempt_kwargs={"mode": mode, "speculative": True},
             )
@@ -173,12 +176,12 @@ class ALMPolicy(RecoveryPolicy):
             if task.is_finished or task.running_attempts() or task.outstanding_requests:
                 continue
             if task.task_type is TaskType.MAP:
-                prio = am.conf.recovery_map_priority if sfm else am.conf.map_priority
+                prio = RECOVERY_MAP_PRIORITY if sfm else MAP_PRIORITY
                 am.schedule_task(task, priority=prio, exclude=[node])
             elif sfm:
                 self._recover_reduce(task, failed_node=node)
             else:
-                am.schedule_task(task, priority=am.conf.reduce_priority,
+                am.schedule_task(task, priority=REDUCE_PRIORITY,
                                  attempt_kwargs={"mode": "regular"})
 
     def on_node_rejoined(self, node: Node) -> None:
@@ -196,7 +199,7 @@ class ALMPolicy(RecoveryPolicy):
         if lost_maps:
             am.trace.log("sfm_regenerate", node=node.name, maps=len(lost_maps))
         for task in lost_maps:
-            am.rerun_map(task, priority=am.conf.recovery_map_priority)
+            am.rerun_map(task, priority=RECOVERY_MAP_PRIORITY)
 
     # -- fetch-failure handling (§V-C) ----------------------------------------
     def on_fetch_failure_report(self, map_task: Task, report_count: int) -> None:

@@ -208,19 +208,19 @@ class CampaignStore:
 
     # -- trials -------------------------------------------------------------
     def record_trial(self, campaign_id: str, seed: int, payload: dict[str, Any],
-                     wall_seconds: float = 0.0, status: str = "done") -> None:
+                     wall_seconds: float = 0.0) -> None:
         """Record one completed trial in its own transaction — this is
         the durability point the whole layer exists for."""
         self._conn.execute(
             "INSERT INTO trials"
             " (campaign_id, seed, status, payload, digest, wall_seconds, completed_at)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)"
+            " VALUES (?, ?, 'done', ?, ?, ?, ?)"
             " ON CONFLICT(campaign_id, seed) DO UPDATE SET"
             "   status = excluded.status, payload = excluded.payload,"
             "   digest = excluded.digest, wall_seconds = excluded.wall_seconds,"
             "   completed_at = excluded.completed_at,"
             "   run_count = run_count + 1",
-            (campaign_id, int(seed), status, json.dumps(payload, sort_keys=True),
+            (campaign_id, int(seed), json.dumps(payload, sort_keys=True),
              payload.get("digest"), float(wall_seconds), time.time()))
         self._conn.commit()
 

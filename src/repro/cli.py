@@ -354,6 +354,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.policies and args.name != "table2":
+        print(f"repro experiment: error: --policies applies to table2 only, "
+              f"not {args.name}", file=sys.stderr)
+        return 2
     if args.trial_cache is not None:
         os.environ["REPRO_TRIAL_CACHE"] = args.trial_cache
 

@@ -288,35 +288,52 @@ _CASTS: dict[str, Callable[[Any], Any]] = {
 }
 
 
+#: Annotation -> the JSON values it accepts (an integer is a ``float``);
+#: a key with any other annotation is cast or passes through.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "list": (list,)}
+
+
+def _check_type(where: str, key: str, value: Any, annotation: str) -> None:
+    if annotation in _JSON_TYPES and not isinstance(value, _JSON_TYPES[annotation]):
+        raise SimulationError(f"{where} key {key!r}: expected {annotation}, got {value!r}")
+
+
 def _arguments(cls: type, d: dict[str, Any], where: str,
-               fixed: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Constructor arguments for ``cls`` from the JSON keys ``d`` (plus
-    the ``fixed`` ones), so the class's own defaults fill every key
-    ``d`` omits. An unknown key, a missing required key or an
-    uncastable value is an error naming ``where`` and the key."""
+               fixed: dict[str, Any] | None = None, prefix: str = "") -> dict[str, Any]:
+    """Constructor arguments for ``cls`` from the JSON object ``d`` (a
+    field is named ``prefix`` + its key) plus the ``fixed`` ones; the
+    class's defaults fill the rest. An unknown key, a missing required
+    key or a value of the wrong type is an error naming ``where`` and
+    the key."""
+    if not isinstance(d, dict):
+        raise SimulationError(f"{where} is not a JSON object: {d!r}")
     args = dict(fixed or {})
     fields = {f.name: f for f in dataclasses.fields(cls) if f.init and f.name not in args}
     for key, value in d.items():
-        if key not in fields:
+        field = fields.get(prefix + key)
+        if field is None:
             raise SimulationError(f"{where} has unknown key {key!r}")
         try:
             if key == "after":
-                value = EventTrigger(**_arguments(EventTrigger, dict(value),
-                                                  f"{where} 'after'"))
+                value = EventTrigger(**_arguments(EventTrigger, value, f"{where} 'after'"))
             elif value is not None and key in _CASTS:
                 value = _CASTS[key](value)
+            else:
+                _check_type(where, key, value, field.type)
         except (TypeError, ValueError) as exc:
             raise SimulationError(f"{where} key {key!r}: {exc}") from None
-        args[key] = value
+        args[field.name] = value
     for name, f in fields.items():
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        if required and name not in d:
+        if required and name not in args:
             raise SimulationError(f"{where} is missing key {name!r}")
     return args
 
 
 def build_fault(d: dict[str, Any]):
     """Materialise one JSON fault spec as an injector object."""
+    if not isinstance(d, dict):
+        raise SimulationError(f"fault spec is not a JSON object: {d!r}")
     kind = d.get("kind")
     if kind not in FAULT_SPECS:
         raise SimulationError(f"unknown fault spec kind {kind!r}")
@@ -334,24 +351,18 @@ REQUIRED_KEYS = ("workload", "input_gb", "reducers", "nodes", "racks",
 OPTIONAL_KEYS = ("liveness", "conf", "rpc", "replication", "speculation",
                  "record_progress")
 
+#: The type of each trial spec key that is not an object.
+_SPEC_TYPES = {"workload": "str", "policy": "str", "input_gb": "float", "reducers": "int", "nodes": "int",
+               "racks": "int", "runtime_seed": "int", "faults": "list", "liveness": "float",
+               "replication": "int", "speculation": "bool", "record_progress": "bool",
+               "hard_timeout": "float", "stall_timeout": "float"}
+
 
 def _require(spec: dict[str, Any], keys: tuple[str, ...]) -> None:
     missing = [k for k in keys if k not in spec]
     if missing:
         raise SimulationError(
             f"trial spec is missing required key(s): {', '.join(missing)}")
-
-
-_YARN_FIELDS = {f.name for f in dataclasses.fields(YarnConfig)}
-
-
-def _rpc_knobs(keys: dict[str, Any], where: str) -> dict[str, Any]:
-    """``YarnConfig`` RPC-channel arguments from keys named without
-    their ``rpc_`` prefix."""
-    unknown = [k for k in keys if f"rpc_{k}" not in _YARN_FIELDS]
-    if unknown:
-        raise SimulationError(f"{where} has unknown key {unknown[0]!r}")
-    return {f"rpc_{k}": v for k, v in keys.items()}
 
 
 def build_runtime(spec: dict[str, Any], job_name: str) -> MapReduceRuntime:
@@ -364,6 +375,9 @@ def build_runtime(spec: dict[str, Any], job_name: str) -> MapReduceRuntime:
     from repro.policies import make_policy
 
     _require(spec, REQUIRED_KEYS)
+    for key, annotation in _SPEC_TYPES.items():
+        if key in spec:
+            _check_type("trial spec", key, spec[key], annotation)
     if spec["workload"] not in BENCHMARKS:
         raise SimulationError(f"unknown workload {spec['workload']!r}")
     wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
@@ -373,15 +387,15 @@ def build_runtime(spec: dict[str, Any], job_name: str) -> MapReduceRuntime:
         yarn["nm_liveness_timeout"] = spec["liveness"]
     faults = []
     for d in spec["faults"]:
-        if d.get("kind") == "rpc-loss":
-            yarn.update(_rpc_knobs({k: v for k, v in d.items() if k != "kind"},
-                                   "rpc-loss fault spec"))
+        if isinstance(d, dict) and d.get("kind") == "rpc-loss":
+            yarn.update(_arguments(YarnConfig, {k: v for k, v in d.items() if k != "kind"},
+                                   "rpc-loss fault spec", prefix="rpc_"))
         else:
             faults.append(build_fault(d))
-    yarn.update(_rpc_knobs(spec.get("rpc") or {}, "rpc block"))
+    yarn.update(_arguments(YarnConfig, spec.get("rpc") or {}, "rpc block", prefix="rpc_"))
     rt = MapReduceRuntime(
         wl,
-        conf=JobConf(**spec["conf"]) if spec.get("conf") else None,
+        conf=JobConf(**_arguments(JobConf, spec["conf"], "conf block")) if spec.get("conf") else None,
         cluster_spec=ClusterSpec(num_nodes=spec["nodes"], num_racks=spec["racks"],
                                  seed=spec["runtime_seed"]),
         yarn_config=YarnConfig(**yarn),
@@ -389,8 +403,8 @@ def build_runtime(spec: dict[str, Any], job_name: str) -> MapReduceRuntime:
                      if "replication" in spec else None),
         policy=make_policy(spec["policy"]),
         job_name=job_name,
-        speculation=bool(spec.get("speculation", False)),
-        record_progress=bool(spec.get("record_progress", False)),
+        speculation=spec.get("speculation", False),
+        record_progress=spec.get("record_progress", False),
     )
     FaultInjector(*faults).install(rt)
     return rt

@@ -29,7 +29,6 @@ __all__ = [
     "INVARIANTS",
     "InvariantViolation",
     "check_invariants",
-    "settle",
     "state_probe",
 ]
 
@@ -245,27 +244,20 @@ INVARIANTS: dict[str, Callable] = {
 
 # -- entry points ------------------------------------------------------------
 
-def settle(rt: "MapReduceRuntime", seconds: float = _SETTLE_SECONDS) -> None:
-    """Advance the simulation a little past job end.
-
-    ``sim.run(until=am.done)`` returns the instant the job-end event
-    fires; kill interrupts and flow cancels issued *at* that instant are
-    still in the heap. Draining a few simulated seconds separates
-    "teardown in flight" from genuinely leaked work."""
-    if rt.sim.peek() == float("inf"):
-        return
-    rt.sim.run(until=rt.sim.now + seconds)
-
-
 def check_invariants(
     rt: "MapReduceRuntime",
     result: "JobResult",
     names: list[str] | None = None,
-    pre_settle: bool = True,
 ) -> list[str]:
-    """Run the selected (default: all) checkers; return all violations."""
-    if pre_settle and not result.counters.get("stalled"):
-        settle(rt)
+    """Run the selected (default: all) checkers; return all violations.
+
+    A run that did not stall first settles: ``sim.run(until=am.done)``
+    returns the instant the job-end event fires, with the kill
+    interrupts and flow cancels issued at that instant still in the
+    heap; draining a few simulated seconds separates "teardown in
+    flight" from genuinely leaked work."""
+    if not result.counters.get("stalled") and rt.sim.peek() != float("inf"):
+        rt.sim.run(until=rt.sim.now + _SETTLE_SECONDS)
     selected = names if names is not None else list(INVARIANTS)
     violations: list[str] = []
     for name in selected:

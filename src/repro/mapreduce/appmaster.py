@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 from repro.cluster import Cluster
 from repro.cluster.node import Node
 from repro.hdfs.hdfs import Hdfs
-from repro.mapreduce.config import JobConf
+from repro.mapreduce.config import MAP_PRIORITY, RECOVERY_MAP_PRIORITY, REDUCE_PRIORITY, JobConf
 from repro.mapreduce.history import JobHistoryLog
 from repro.mapreduce.maptask import MapAttempt
 from repro.mapreduce.mof import MOFRegistry
@@ -122,7 +122,7 @@ class MRAppMaster:
             # recovered and adopted tasks are skipped.
             if task.is_finished or task.running_attempts() or task.outstanding_requests:
                 continue
-            self.schedule_task(task, priority=self.conf.map_priority)
+            self.schedule_task(task, priority=MAP_PRIORITY)
         if (self.conf.slowstart_completed_maps <= 0
                 or self.completed_maps >= self._reduce_launch_threshold()):
             self._launch_reducers()
@@ -261,7 +261,7 @@ class MRAppMaster:
         # node can become permanently unsatisfiable if the remaining
         # nodes die later (observed as a multi-job deadlock).
         grant = self._request_container(
-            self.conf.reduce_memory_mb, priority=self.conf.reduce_priority,
+            self.conf.reduce_memory_mb, priority=REDUCE_PRIORITY,
             preferred=sorted(empty, key=lambda n: n.node_id),
         )
 
@@ -363,7 +363,7 @@ class MRAppMaster:
             # first launch every reducer is pending and none is skipped.
             if task.is_finished or task.running_attempts() or task.outstanding_requests:
                 continue
-            self.schedule_task(task, priority=self.conf.reduce_priority)
+            self.schedule_task(task, priority=REDUCE_PRIORITY)
 
     def register_reducer(self, attempt: "ReduceAttempt") -> None:
         self.active_reducers.append(attempt)
@@ -401,7 +401,7 @@ class MRAppMaster:
         task.state = TaskState.RUNNING
         self.trace.log("map_rerun", task=task.name)
         self.schedule_task(task, priority=priority if priority is not None
-                           else self.conf.recovery_map_priority)
+                           else RECOVERY_MAP_PRIORITY)
 
     # -- task timeout -------------------------------------------------------
     def on_attempt_vanished(self, attempt) -> None:

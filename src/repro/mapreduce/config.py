@@ -9,6 +9,26 @@ from repro.sim.core import SimulationError
 
 __all__ = ["JobConf"]
 
+# Hadoop 2.2 settings that no job, experiment or trial spec varies are
+# module constants, not JobConf fields.
+OUTPUT_REPLICATION = 2                  # dfs.replication for job output (Table I)
+SHUFFLE_SINGLE_SEGMENT_FRACTION = 0.25  # mapreduce.reduce.shuffle.memory.limit.percent
+SHUFFLE_MERGE_FRACTION = 0.66           # mapreduce.reduce.shuffle.merge.percent
+FETCH_CONNECT_TIMEOUT = 3.0             # s lost per connect to an unreachable host
+FETCH_RETRY_BASE_DELAY = 3.0            # s; fetch retry k waits base * 2^(k-1)
+# ShuffleSchedulerImpl.checkReducerHealth(): a reducer is unhealthy once
+# failures/(failures+done) reaches MAX_ALLOWED_FAILED_FETCH_ATTEMPT_PERCENT,
+# and stall-based suicide needs done/total >= MIN_REQUIRED_PROGRESS_PERCENT.
+MAX_ALLOWED_FAILED_FETCH_FRACTION = 0.5
+MIN_REQUIRED_PROGRESS_FRACTION = 0.5
+# Container request priorities, lower wins (RMContainerAllocator's
+# PRIORITY_*): fast-fail/recovery maps > reduces > normal maps.
+MAP_PRIORITY = 20.0
+REDUCE_PRIORITY = 10.0
+RECOVERY_MAP_PRIORITY = 2.0
+RECOVERY_REDUCE_PRIORITY = 3.0
+TASK_STARTUP_SECONDS = 1.0              # fixed per-task container/JVM startup cost
+
 
 @dataclass(frozen=True)
 class JobConf:
@@ -24,34 +44,19 @@ class JobConf:
     map_memory_mb: int = 1536          # mapreduce.map.java.opts
     reduce_memory_mb: int = 4096       # mapreduce.reduce.java.opts
     io_sort_factor: int = 100          # mapreduce.task.io.sort.factor
-    output_replication: int = 2        # dfs.replication for job output
 
     # -- shuffle machinery ----------------------------------------------------
     #: Concurrent fetcher threads per ReduceTask (mapreduce.reduce.shuffle.parallelcopies).
     num_fetchers: int = 5
     #: Fraction of the reduce heap used as shuffle buffer.
     shuffle_buffer_fraction: float = 0.70
-    #: A fetched segment larger than this fraction of the buffer goes
-    #: straight to disk (mapreduce.reduce.shuffle.memory.limit.percent).
-    shuffle_single_segment_fraction: float = 0.25
-    #: In-memory merge is triggered above this buffer occupancy
-    #: (mapreduce.reduce.shuffle.merge.percent).
-    shuffle_merge_fraction: float = 0.66
-    #: Connection attempt cost against an unreachable host (seconds).
-    fetch_connect_timeout: float = 3.0
     #: Attempts against one host before declaring a fetch failure.
     fetch_retries_per_host: int = 4
-    #: Base of the exponential retry backoff (seconds): base * 2^k.
-    fetch_retry_base_delay: float = 3.0
 
     # -- fetch-failure accounting (the amplification engine) -----------------
     # Modelled on Hadoop's ShuffleSchedulerImpl.checkReducerHealth():
     # the reducer kills itself when cumulative fetch failures dominate
     # its progress, or when it has progressed far but then stalls.
-    #: Reducer is "unhealthy" when failures/(failures+done) >= this.
-    max_allowed_failed_fetch_fraction: float = 0.5
-    #: Stall-based suicide requires done/total >= this.
-    min_required_progress_fraction: float = 0.5
     #: ... and no shuffle progress for at least this long (a floor over
     #: Hadoop's 0.5 * max-map-runtime term).
     reducer_stall_seconds: float = 45.0
@@ -73,14 +78,6 @@ class JobConf:
     #: RM's liveness timeout: the node is never declared lost, so no
     #: node-lost rescheduling ever fires.
     task_timeout: float = 600.0
-    #: Container request priorities (lower wins). Hadoop order:
-    #: fast-fail/recovery maps > reduces > normal maps.
-    map_priority: float = 20.0
-    reduce_priority: float = 10.0
-    recovery_map_priority: float = 2.0
-    recovery_reduce_priority: float = 3.0
-    #: Fixed per-task container/JVM startup cost (seconds).
-    task_startup_seconds: float = 1.0
 
     # -- AM survivability (yarn.app.mapreduce.am.*) -----------------------
     #: AM incarnations before the RM gives the job up
@@ -110,10 +107,7 @@ class JobConf:
             raise SimulationError("io_sort_factor must be >= 2")
         if self.num_fetchers < 1:
             raise SimulationError("need at least one fetcher")
-        for frac in (self.shuffle_buffer_fraction, self.shuffle_single_segment_fraction,
-                     self.shuffle_merge_fraction, self.slowstart_completed_maps,
-                     self.max_allowed_failed_fetch_fraction,
-                     self.min_required_progress_fraction):
+        for frac in (self.shuffle_buffer_fraction, self.slowstart_completed_maps):
             if not 0 < frac <= 1:
                 raise SimulationError(f"fraction {frac} out of (0, 1]")
         if self.max_attempts < 1:
@@ -135,8 +129,8 @@ class JobConf:
 
     @property
     def shuffle_merge_trigger_bytes(self) -> float:
-        return self.shuffle_buffer_bytes * self.shuffle_merge_fraction
+        return self.shuffle_buffer_bytes * SHUFFLE_MERGE_FRACTION
 
     @property
     def shuffle_single_segment_max(self) -> float:
-        return self.shuffle_buffer_bytes * self.shuffle_single_segment_fraction
+        return self.shuffle_buffer_bytes * SHUFFLE_SINGLE_SEGMENT_FRACTION

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.cluster.node import MB
+from repro.mapreduce.config import TASK_STARTUP_SECONDS
 from repro.mapreduce.mof import MapOutput
 from repro.mapreduce.tasks import Task, TaskAttempt, TaskFailed
 from repro.sim.flows import FlowCancelled
@@ -53,7 +54,7 @@ class MapAttempt(TaskAttempt):
         block = self.task.block
         assert block is not None, "map task needs an input split"
 
-        yield self._guard(self.sim.timeout(conf.task_startup_seconds))
+        yield self._guard(self.sim.timeout(TASK_STARTUP_SECONDS))
 
         # 1. Read the input split, preferring local then rack-local
         # replicas, failing over if a source dies mid-read.

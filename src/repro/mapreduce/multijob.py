@@ -78,7 +78,6 @@ class SharedCluster:
         conf: JobConf | None = None,
         job_name: str | None = None,
         delay: float = 0.0,
-        faults: tuple = (),
     ) -> "MapReduceRuntime":
         """Register a job; it starts ``delay`` seconds into the run."""
         from repro.mapreduce.job import MapReduceRuntime
@@ -89,8 +88,6 @@ class SharedCluster:
             sample_interval=self.sample_interval, shared=self,
         )
         job.submit_delay = delay
-        for fault in faults:
-            fault.install(job)
         return job
 
     def run_all(self, timeout: float | None = 100_000.0,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.node import Node
+from repro.mapreduce.config import MAP_PRIORITY, RECOVERY_MAP_PRIORITY, REDUCE_PRIORITY
 from repro.mapreduce.tasks import Task, TaskType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,9 +121,9 @@ class YarnRecoveryPolicy(RecoveryPolicy):
         if task.task_type is TaskType.MAP:
             # Hadoop retries failed maps at PRIORITY_FAST_FAIL_MAP,
             # ahead of the normal map backlog.
-            am.schedule_task(task, priority=am.conf.recovery_map_priority)
+            am.schedule_task(task, priority=RECOVERY_MAP_PRIORITY)
         else:
-            am.schedule_task(task, priority=am.conf.reduce_priority)
+            am.schedule_task(task, priority=REDUCE_PRIORITY)
 
     def on_node_lost(self, node: Node) -> None:
         am = self.am
@@ -131,8 +132,7 @@ class YarnRecoveryPolicy(RecoveryPolicy):
         for task in am.tasks_running_on(node):
             if (not task.is_finished and not task.running_attempts()
                     and task.outstanding_requests == 0):
-                prio = (am.conf.map_priority if task.task_type is TaskType.MAP
-                        else am.conf.reduce_priority)
+                prio = MAP_PRIORITY if task.task_type is TaskType.MAP else REDUCE_PRIORITY
                 am.schedule_task(task, priority=prio)
         # NOTE: completed maps on the dead node are deliberately NOT
         # re-executed here — that is the stock-YARN behaviour whose

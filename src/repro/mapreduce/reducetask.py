@@ -23,6 +23,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.cluster.node import MB, Node
+from repro.mapreduce.config import (
+    FETCH_CONNECT_TIMEOUT, FETCH_RETRY_BASE_DELAY, MAX_ALLOWED_FAILED_FETCH_FRACTION,
+    MIN_REQUIRED_PROGRESS_FRACTION, OUTPUT_REPLICATION, TASK_STARTUP_SECONDS,
+)
 from repro.mapreduce.mof import MapOutput
 from repro.mapreduce.tasks import Task, TaskAttempt
 from repro.sim.core import Interrupt, SimulationError
@@ -179,7 +183,7 @@ class ReduceAttempt(TaskAttempt):
     def run(self):
         conf = self.am.conf
         wl = self.am.workload
-        yield self._guard(self.sim.timeout(conf.task_startup_seconds))
+        yield self._guard(self.sim.timeout(TASK_STARTUP_SECONDS))
 
         if self.recovery is not None:
             self._apply_recovery(self.recovery)
@@ -271,9 +275,9 @@ class ReduceAttempt(TaskAttempt):
         )
         for k in range(conf.fetch_retries_per_host):
             if k > 0:
-                yield self.sim.timeout(conf.fetch_retry_base_delay * (2 ** (k - 1)))
+                yield self.sim.timeout(FETCH_RETRY_BASE_DELAY * (2 ** (k - 1)))
             if not host.reachable:
-                yield self.sim.timeout(conf.fetch_connect_timeout)
+                yield self.sim.timeout(FETCH_CONNECT_TIMEOUT)
                 continue
             try:
                 fl = self._flow(self.cluster.net_transfer(
@@ -289,7 +293,6 @@ class ReduceAttempt(TaskAttempt):
 
     def _account_success(self, node_id: int, batch: dict[int, MapOutput], size: float,
                          to_disk: bool) -> None:
-        conf = self.am.conf
         pending = self.host_pending.get(node_id, {})
         for mid in batch:
             pending.pop(mid, None)
@@ -349,8 +352,8 @@ class ReduceAttempt(TaskAttempt):
         failures = self.total_failures
         if failures == 0:
             return
-        healthy = failures / (failures + max(done, 1)) < conf.max_allowed_failed_fetch_fraction
-        progressed = done / max(self.num_maps, 1) >= conf.min_required_progress_fraction
+        healthy = failures / (failures + max(done, 1)) < MAX_ALLOWED_FAILED_FETCH_FRACTION
+        progressed = done / max(self.num_maps, 1) >= MIN_REQUIRED_PROGRESS_FRACTION
         stall_window = max(conf.reducer_stall_seconds, 0.5 * self.am.max_map_runtime)
         stalled = (self.sim.now - self.last_shuffle_progress) > stall_window
         if (not healthy) or (progressed and stalled and self.unique_failed):
@@ -454,7 +457,7 @@ class ReduceAttempt(TaskAttempt):
             if level is None:
                 writer = self.am.hdfs.write(
                     self.node, out_path, out_bytes,
-                    replication=conf.output_replication, overwrite=True,
+                    replication=OUTPUT_REPLICATION, overwrite=True,
                 )
             elif level.value == "node":
                 # ALG node-level: stream locally only. Durability is
@@ -469,7 +472,7 @@ class ReduceAttempt(TaskAttempt):
                 # Rack level: local + rack replica. Cluster level: a
                 # third, off-rack replica rides the core switch — the
                 # expensive configuration Fig. 13 quantifies.
-                repl = 2 if level.value == "rack" else max(3, conf.output_replication)
+                repl = 2 if level.value == "rack" else 3
                 writer = self.am.hdfs.write(
                     self.node, out_path, out_bytes,
                     replication=repl, level=level, overwrite=True,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.mapreduce.config import MAP_PRIORITY, REDUCE_PRIORITY
 from repro.mapreduce.tasks import Task, TaskState, TaskType
 from repro.sim.core import SimulationError
 
@@ -24,6 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mapreduce.appmaster import MRAppMaster
 
 __all__ = ["SpeculationConfig", "Speculator"]
+
+#: Progress floor used when estimating a stalled attempt's rate.
+MIN_PROGRESS = 0.02
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,6 @@ class SpeculationConfig:
     min_runtime: float = 10.0
     #: Cap on concurrently running speculative duplicates per job.
     max_speculative: int = 4
-    #: Progress floor used when estimating a stalled attempt's rate.
-    min_progress: float = 0.02
 
     def __post_init__(self) -> None:
         if self.interval <= 0 or self.slowness_threshold <= 1.0:
@@ -101,8 +103,7 @@ class Speculator:
                 active_dups += 1
                 self.am.trace.log("speculation", task=task.name,
                                   estimate=est, mean=mean_est)
-                prio = (self.am.conf.map_priority if task_type is TaskType.MAP
-                        else self.am.conf.reduce_priority)
+                prio = MAP_PRIORITY if task_type is TaskType.MAP else REDUCE_PRIORITY
                 exclude = [task.running_attempts()[0].node]
                 self.am.schedule_task(task, priority=prio, exclude=exclude,
                                       attempt_kwargs={"speculative": True})
@@ -144,6 +145,6 @@ class Speculator:
                 continue
             # A stalled attempt (no progress at all) is the worst
             # straggler; clamp the rate rather than excluding it.
-            rate = max(a.progress, cfg.min_progress) / runtime
+            rate = max(a.progress, MIN_PROGRESS) / runtime
             estimates.append((runtime + (1.0 - a.progress) / rate, task))
         return estimates

@@ -35,18 +35,14 @@ def result_summary(result: "JobResult") -> dict[str, Any]:
     }
 
 
-def export_result_json(result: "JobResult", path: str | Path,
-                       include_events: bool = True,
-                       include_series: bool = True) -> Path:
+def export_result_json(result: "JobResult", path: str | Path) -> Path:
     """Write a full job report as JSON; returns the path written."""
-    payload: dict[str, Any] = {"summary": result_summary(result)}
-    if include_events:
-        payload["events"] = trace_records(result.trace)
-    if include_series:
-        payload["series"] = {
-            name: [{"time": t, "value": v} for t, v in points]
-            for name, points in result.trace.series.items()
-        }
+    payload: dict[str, Any] = {
+        "summary": result_summary(result),
+        "events": trace_records(result.trace),
+        "series": {name: [{"time": t, "value": v} for t, v in points]
+                   for name, points in result.trace.series.items()},
+    }
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2, default=str))
     return path

@@ -15,17 +15,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["failure_timeline", "progress_curve", "task_gantt"]
 
+#: Bar widths in characters, and the progress curve's sample stride.
+CURVE_WIDTH = 50
+GANTT_WIDTH = 60
+CURVE_STEP = 5
 
-def progress_curve(trace: Trace, name: str = "reduce_progress",
-                   width: int = 50, step: int = 5) -> str:
+
+def progress_curve(trace: Trace, name: str = "reduce_progress") -> str:
     """ASCII rendering of a sampled progress series."""
-    points = trace.series_values(name)[::step]
+    points = trace.series_values(name)[::CURVE_STEP]
     if not points:
         return f"(no samples for series {name!r})"
     lines = [f"{name} over time:"]
     for t, v in points:
-        bar = "#" * int(max(0.0, min(v, 1.0)) * width)
-        lines.append(f"  t={t:8.1f}s |{bar:<{width}}| {v * 100:5.1f}%")
+        bar = "#" * int(max(0.0, min(v, 1.0)) * CURVE_WIDTH)
+        lines.append(f"  t={t:8.1f}s |{bar:<{CURVE_WIDTH}}| {v * 100:5.1f}%")
     return "\n".join(lines)
 
 
@@ -49,8 +53,7 @@ def failure_timeline(trace: Trace) -> str:
     return "\n".join(lines)
 
 
-def task_gantt(result: "JobResult", task_filter: str = "reduce",
-               width: int = 60) -> str:
+def task_gantt(result: "JobResult", task_filter: str = "reduce") -> str:
     """Per-attempt execution bars ('#' running, 'x' failed end)."""
     starts = {e.data["attempt"]: e.time for e in result.trace.of_kind("attempt_start")
               if e.data["type"] == task_filter}
@@ -69,9 +72,9 @@ def task_gantt(result: "JobResult", task_filter: str = "reduce",
     for attempt in sorted(starts):
         t0 = starts[attempt]
         t1, state = ends.get(attempt, (result.end_time, "ok"))
-        a = int(t0 / span * width)
-        b = max(a + 1, int(t1 / span * width))
+        a = int(t0 / span * GANTT_WIDTH)
+        b = max(a + 1, int(t1 / span * GANTT_WIDTH))
         mark = {"ok": "#", "fail": "x", "killed": "k"}[state]
         bar = " " * a + mark * (b - a)
-        lines.append(f"  {attempt:16s} |{bar:<{width}}| {state}")
+        lines.append(f"  {attempt:16s} |{bar:<{GANTT_WIDTH}}| {state}")
     return "\n".join(lines)

@@ -88,6 +88,4 @@ def make_policy(name: str, **kwargs: Any):
             f"unknown policy {name!r}; registered: {', '.join(POLICIES)}")
     factory = row[0]
     params = inspect.signature(factory).parameters
-    if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
-        kwargs = {k: v for k, v in kwargs.items() if k in params}
-    return factory(**kwargs)
+    return factory(**{k: v for k, v in kwargs.items() if k in params})

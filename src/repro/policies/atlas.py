@@ -102,7 +102,5 @@ class AtlasPolicy(YarnRecoveryPolicy):
         return preferred, new_exclude
 
 
-def make_atlas(window: int = 8, min_observations: int = 3,
-               failure_threshold: float = 0.5):
-    return AtlasPolicy(window=window, min_observations=min_observations,
-                       failure_threshold=failure_threshold)
+def make_atlas():
+    return AtlasPolicy()

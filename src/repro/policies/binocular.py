@@ -24,21 +24,21 @@ state to share once the node's disks are gone).
 from __future__ import annotations
 
 from repro.cluster.node import Node
+from repro.mapreduce.config import MAP_PRIORITY, REDUCE_PRIORITY
 from repro.mapreduce.recovery import YarnRecoveryPolicy
 from repro.mapreduce.reducetask import ReduceRecoveryState
 from repro.mapreduce.tasks import Task, TaskType
 
 __all__ = ["BinocularPolicy", "make_binocular"]
 
+#: Concurrent attempts per failed reduce task: the two eyes.
+MAX_PARALLEL_ATTEMPTS = 2
+
 
 class BinocularPolicy(YarnRecoveryPolicy):
     """Two-eyed reduce recovery on top of stock map handling."""
 
     name = "binocular"
-
-    def __init__(self, max_parallel_attempts: int = 2) -> None:
-        super().__init__()
-        self.max_parallel_attempts = max_parallel_attempts
 
     # -- failure hooks ---------------------------------------------------------
     def on_task_failed(self, task: Task, attempt, reason: str) -> None:
@@ -64,7 +64,7 @@ class BinocularPolicy(YarnRecoveryPolicy):
                     or task.outstanding_requests):
                 continue
             if task.task_type is TaskType.MAP:
-                am.schedule_task(task, priority=am.conf.map_priority)
+                am.schedule_task(task, priority=MAP_PRIORITY)
             else:
                 # The node's disks died with it; nothing to share.
                 self._dual_launch(task, shared=None, anchor=None, avoid=node)
@@ -74,14 +74,14 @@ class BinocularPolicy(YarnRecoveryPolicy):
                      anchor: Node | None, avoid: Node | None) -> None:
         am = self.am
         live = len(task.running_attempts()) + task.outstanding_requests
-        if live >= self.max_parallel_attempts:
+        if live >= MAX_PARALLEL_ATTEMPTS:
             return
         kwargs: dict = {"recovery": shared} if shared is not None else {}
         am.trace.log("binocular_dual", task=task.name,
                      anchor=anchor.name if anchor is not None else "none")
         # Eye 1: the anchor — prefer the failure site to re-adopt spills.
         am.schedule_task(
-            task, priority=am.conf.reduce_priority,
+            task, priority=REDUCE_PRIORITY,
             preferred=[anchor] if anchor is not None else None,
             exclude=None if anchor is not None else
             ([avoid] if avoid is not None else None),
@@ -89,13 +89,13 @@ class BinocularPolicy(YarnRecoveryPolicy):
         )
         live += 1
         # Eye 2: the migrated speculative duplicate, away from the site.
-        if live < self.max_parallel_attempts:
+        if live < MAX_PARALLEL_ATTEMPTS:
             am.schedule_task(
-                task, priority=am.conf.reduce_priority,
+                task, priority=REDUCE_PRIORITY,
                 exclude=[avoid] if avoid is not None else None,
                 attempt_kwargs=dict(kwargs, speculative=True),
             )
 
 
-def make_binocular(max_parallel_attempts: int = 2):
-    return BinocularPolicy(max_parallel_attempts=max_parallel_attempts)
+def make_binocular():
+    return BinocularPolicy()

@@ -19,6 +19,7 @@ reproduces that trade so the zoo can measure it:
 from __future__ import annotations
 
 from repro.cluster.node import Node
+from repro.mapreduce.config import RECOVERY_MAP_PRIORITY
 from repro.mapreduce.recovery import YarnRecoveryPolicy
 from repro.mapreduce.reducetask import ReduceAttempt
 from repro.mapreduce.tasks import Task
@@ -58,8 +59,7 @@ class M3RPolicy(YarnRecoveryPolicy):
             self.am.trace.log("m3r_regenerate", node=node.name,
                               maps=len(doomed))
             for task in doomed:
-                self.am.rerun_map(task,
-                                  priority=self.am.conf.recovery_map_priority)
+                self.am.rerun_map(task, priority=RECOVERY_MAP_PRIORITY)
 
 
 def make_m3r():

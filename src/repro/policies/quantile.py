@@ -88,5 +88,5 @@ class QuantilePolicy(YarnRecoveryPolicy):
                                   fence_k=self.fence_k)
 
 
-def make_quantile(min_samples: int = 4, fence_k: float = 1.5):
-    return QuantilePolicy(min_samples=min_samples, fence_k=fence_k)
+def make_quantile():
+    return QuantilePolicy()

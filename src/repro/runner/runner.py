@@ -89,13 +89,13 @@ class TrialError(RuntimeError):
     worker-process pickle boundary intact."""
 
 
-def jobs_from_env(default: int = 1) -> int:
-    """Worker-process count: the ``REPRO_JOBS`` environment variable,
-    clamped to >= 1. ``1`` means serial in-process execution."""
+def jobs_from_env() -> int:
+    """Worker-process count: ``REPRO_JOBS`` clamped to >= 1; unset or
+    malformed means 1, serial in-process execution."""
     try:
-        return max(1, int(os.environ.get("REPRO_JOBS", str(default))))
+        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
-        return max(1, default)
+        return 1
 
 
 def _stable_name(value: Any) -> str | None:

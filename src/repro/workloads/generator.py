@@ -20,6 +20,8 @@ from repro.workloads.workload import Workload, secondarysort, terasort, wordcoun
 __all__ = ["TraceMix"]
 
 _FAMILIES = (terasort, wordcount, secondarysort)
+#: Log-normal shape of the input sizes.
+SIGMA_INPUT = 0.8
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class TraceMix:
 
     num_jobs: int = 8
     median_input_gb: float = 8.0
-    sigma_input: float = 0.8
     mean_reducers: float = 19.0
     max_reducers: int = 145
     mean_interarrival: float = 30.0
@@ -54,8 +55,7 @@ class TraceMix:
         t = 0.0
         for i in range(self.num_jobs):
             family = _FAMILIES[int(rng.integers(len(_FAMILIES)))]
-            size_gb = float(np.exp(rng.normal(np.log(self.median_input_gb),
-                                              self.sigma_input)))
+            size_gb = float(np.exp(rng.normal(np.log(self.median_input_gb), SIGMA_INPUT)))
             size_gb = max(0.5, min(size_gb, 200.0))
             reducers = 1 + int(rng.geometric(1.0 / self.mean_reducers))
             reducers = min(reducers, self.max_reducers)

@@ -21,6 +21,13 @@ from repro.sim.rpc import RpcChannel
 
 __all__ = ["Container", "ContainerKilled", "NodeManager", "ResourceManager", "YarnConfig"]
 
+#: Retransmit backoff for lost allocate/grant messages on the fallible
+#: control-plane channel (yarn.resourcemanager.connect.retry-interval.ms
+#: analogue): base seconds, cap seconds and retry count.
+RPC_RETRY_BASE = 0.5
+RPC_RETRY_MAX_INTERVAL = 8.0
+RPC_RETRY_LIMIT = 12
+
 
 @dataclass(frozen=True)
 class YarnConfig:
@@ -50,10 +57,6 @@ class YarnConfig:
     rpc_max_delay: float = 2.0
     #: Channel seed: message fates are hashed from (seed, lane, seq).
     rpc_seed: int = 0
-    #: Retransmit backoff for lost allocate/grant messages.
-    rpc_retry_base: float = 0.5
-    rpc_retry_max_interval: float = 8.0
-    rpc_retry_limit: int = 12
 
     def __post_init__(self) -> None:
         if self.min_allocation_mb < 1 or self.max_allocation_mb < self.min_allocation_mb:
@@ -62,8 +65,6 @@ class YarnConfig:
             raise SimulationError("heartbeat timings must be positive")
         if not (0.0 <= self.rpc_drop_prob < 1.0) or not (0.0 <= self.rpc_delay_prob < 1.0):
             raise SimulationError("rpc probabilities must be in [0, 1)")
-        if self.rpc_retry_base <= 0 or self.rpc_retry_limit < 0:
-            raise SimulationError("rpc retry parameters must be positive")
 
 
 class ContainerKilled(Exception):
@@ -180,9 +181,8 @@ class ResourceManager:
                               cfg.rpc_max_delay, cfg.rpc_seed)
         #: Retransmit schedule shared by the AM allocate loop and the
         #: RM grant-redelivery loop.
-        self.retry_policy = BackoffPolicy(
-            base=cfg.rpc_retry_base, max_interval=cfg.rpc_retry_max_interval,
-            max_retries=cfg.rpc_retry_limit)
+        self.retry_policy = BackoffPolicy(base=RPC_RETRY_BASE, max_interval=RPC_RETRY_MAX_INTERVAL,
+                                          max_retries=RPC_RETRY_LIMIT)
         #: request_id -> live request. A retransmitted allocate with a
         #: known id returns the *same* grant event without enqueueing a
         #: second request — the structural fix for the double-allocate
@@ -278,7 +278,7 @@ class ResourceManager:
                 if not outcome.dropped:
                     delay += outcome.delay
                     break
-                delay += self.config.rpc_retry_base
+                delay += RPC_RETRY_BASE
             if delay > 0.0:
                 self.sim.process(self._delayed_release(container, delay),
                                  name=f"release-c{container.container_id}")
@@ -402,7 +402,7 @@ class ResourceManager:
                 # exactly once above — only its *delivery* retries, so a
                 # lossy channel can delay but never double-allocate.
                 lane = f"grant|g{next(self._grant_seq)}"
-                for attempt in range(self.config.rpc_retry_limit + 1):
+                for attempt in range(RPC_RETRY_LIMIT + 1):
                     outcome = self.rpc.send(lane)
                     if not outcome.dropped:
                         if outcome.delay > 0.0:

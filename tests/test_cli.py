@@ -150,6 +150,16 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "Table II" in out
 
+    @pytest.mark.parametrize("name", ["fig11", "fig02"])
+    def test_policies_outside_table2_is_a_usage_error(self, name, capsys):
+        """Only table2 sweeps a roster; any other experiment would
+        silently ignore the flag, so it refuses it before running."""
+        assert main(["experiment", name, "--scale", "0.01", "--policies", "atlas"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("repro experiment: error: --policies applies to "
+                                f"table2 only, not {name}\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["chaos"],
         ["chaos", "--store", "campaign.db"],
@@ -232,8 +242,31 @@ class TestOtherCommands:
             {"kind": "node-crash", "target": 1,
              "after": {"kind": "node_lost", "dealy": 5.0}}),
          "node-crash fault spec 'after' has unknown key 'dealy'"),
+        (lambda spec: spec.update(conf={"no_such_key": 1}),
+         "conf block has unknown key 'no_such_key'"),
+        (lambda spec: spec.update(conf={"max_attempts": "x"}),
+         "conf block key 'max_attempts': expected int, got 'x'"),
+        (lambda spec: spec.update(liveness="x"),
+         "trial spec key 'liveness': expected float, got 'x'"),
+        (lambda spec: spec.update(replication="x"),
+         "trial spec key 'replication': expected int, got 'x'"),
+        (lambda spec: spec.update(nodes="7"), "trial spec key 'nodes': expected int, got '7'"),
+        (lambda spec: spec.update(reducers=2.5),
+         "trial spec key 'reducers': expected int, got 2.5"),
+        (lambda spec: spec.update(faults="x"),
+         "trial spec key 'faults': expected list, got 'x'"),
+        (lambda spec: spec.update(faults=[1]), "fault spec is not a JSON object: 1"),
+        (lambda spec: spec.update(workload=["terasort"]),
+         "trial spec key 'workload': expected str, got ['terasort']"),
+        (lambda spec: spec.update(rpc={"drop_prob": "x"}),
+         "rpc block key 'drop_prob': expected float, got 'x'"),
+        (lambda spec: spec.update(speculation="no"),
+         "trial spec key 'speculation': expected bool, got 'no'"),
     ], ids=["missing-key", "unknown-fault-kind", "unregistered-policy",
-            "unknown-workload", "unknown-fault-key", "unknown-after-key"])
+            "unknown-workload", "unknown-fault-key", "unknown-after-key",
+            "unknown-conf-key", "conf-value-type", "liveness-type", "replication-type",
+            "nodes-type", "reducers-type", "faults-not-list", "fault-not-object",
+            "workload-type", "rpc-value-type", "speculation-type"])
     def test_malformed_replay_spec_is_a_usage_error(self, edit, message, tmp_path,
                                                     capsys):
         """Exit 1 means "violation reproduced", so a reproducer that

@@ -1,6 +1,7 @@
 """The package reads a fixed set of environment knobs, each documented
-in README.md, and its CLI offers a fixed set of options; the trial paths
-do not load the trial store's ``sqlite3``."""
+in README.md; its CLI, config objects and policy factories offer fixed
+sets of options; the trial paths do not load the trial store's
+``sqlite3``."""
 
 import argparse
 import os
@@ -94,3 +95,65 @@ def test_trial_paths_do_not_import_sqlite3():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert out.stdout.strip() == "False"
+
+
+def test_config_objects_offer_exactly_the_settable_fields():
+    """Every field is a setting some job, experiment, trial spec or test
+    varies; a value nothing sets is a module constant. Adding or
+    removing a field is a deliberate change to this list."""
+    import dataclasses
+
+    from repro.alm.alg import ALGConfig
+    from repro.alm.sfm import ALMConfig
+    from repro.baselines.iss import ISSConfig
+    from repro.cluster.cluster import ClusterSpec
+    from repro.cluster.node import NodeSpec
+    from repro.hdfs.hdfs import HdfsConfig
+    from repro.mapreduce.config import JobConf
+    from repro.mapreduce.speculation import SpeculationConfig
+    from repro.sim.backoff import BackoffPolicy
+    from repro.workloads.generator import TraceMix
+    from repro.yarn.rm import YarnConfig
+
+    expected = {
+        JobConf: ("map_memory_mb", "reduce_memory_mb", "io_sort_factor", "num_fetchers",
+                  "shuffle_buffer_fraction", "fetch_retries_per_host",
+                  "reducer_stall_seconds", "host_failure_penalty", "map_refetch_reports",
+                  "slowstart_completed_maps", "max_attempts", "task_timeout",
+                  "am_max_attempts", "am_recovery", "keep_containers_across_am_restart",
+                  "am_restart_delay", "io_sort_mb"),
+        YarnConfig: ("min_allocation_mb", "max_allocation_mb", "nm_heartbeat_interval",
+                     "nm_liveness_timeout", "allocation_latency", "nm_memory_fraction",
+                     "rpc_drop_prob", "rpc_delay_prob", "rpc_max_delay", "rpc_seed"),
+        HdfsConfig: ("block_size", "replication", "level"),
+        ClusterSpec: ("num_nodes", "num_racks", "node", "core_bandwidth", "seed"),
+        NodeSpec: ("cores", "memory_mb", "disk_bandwidth", "nic_bandwidth"),
+        ALMConfig: ("enable_alg", "enable_sfm", "alg", "fcm_cap", "limit_local",
+                    "proactive_regeneration", "wait_dont_fail"),
+        ALGConfig: ("frequency", "level"),
+        SpeculationConfig: ("interval", "slowness_threshold", "min_runtime",
+                            "max_speculative"),
+        ISSConfig: ("replicas", "off_rack"),
+        BackoffPolicy: ("base", "multiplier", "max_interval", "max_retries", "jitter"),
+        TraceMix: ("num_jobs", "median_input_gb", "mean_reducers", "max_reducers",
+                   "mean_interarrival", "seed"),
+    }
+    assert {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in expected} \
+        == expected
+
+
+def test_policy_factories_declare_exactly_the_swept_keywords():
+    """``make_policy`` passes a factory only the keywords it declares;
+    the paper's figures vary the ALG frequency and level and the FCM
+    cap, and no factory declares anything else."""
+    import inspect
+
+    from repro.policies import POLICIES
+
+    expected = {
+        "yarn": (), "alg": ("alg_frequency", "alg_level"), "sfm": ("fcm_cap",),
+        "alm": ("alg_frequency", "alg_level", "fcm_cap"), "iss": (), "atlas": (),
+        "binocular": (), "m3r": (), "quantile": (),
+    }
+    assert {name: tuple(inspect.signature(factory).parameters)
+            for name, (factory, _) in POLICIES.items()} == expected

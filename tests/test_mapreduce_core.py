@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import MB
-from repro.mapreduce.config import JobConf
+from repro.mapreduce.config import OUTPUT_REPLICATION, JobConf
 from repro.mapreduce.mof import MapOutput, MOFRegistry
 from repro.mapreduce.tasks import Task, TaskState, TaskType
 from repro.sim.core import SimulationError
@@ -18,7 +18,7 @@ class TestJobConf:
         assert conf.map_memory_mb == 1536
         assert conf.reduce_memory_mb == 4096
         assert conf.io_sort_factor == 100
-        assert conf.output_replication == 2
+        assert OUTPUT_REPLICATION == 2
 
     def test_shuffle_buffer_derivations(self):
         conf = JobConf()
