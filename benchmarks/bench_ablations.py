@@ -23,8 +23,9 @@ def _table(rows):
     )
 
 
-def test_ablation_sfm_components(benchmark, report):
-    rows = benchmark.pedantic(ablate_sfm_components, rounds=1, iterations=1)
+def test_ablation_sfm_components(benchmark, report, scale):
+    rows = benchmark.pedantic(ablate_sfm_components, rounds=1, iterations=1,
+                              kwargs={"scale": scale})
     report("Ablation — SFM anti-amplification levers", _table(rows))
     by = {r.variant: r for r in rows}
     # Either lever alone already removes (or greatly reduces) the
@@ -34,32 +35,34 @@ def test_ablation_sfm_components(benchmark, report):
     assert by["wait only"].additional_reduce_failures <= by["yarn (neither)"].additional_reduce_failures
 
 
-def test_ablation_fcm_cap(benchmark, report):
-    rows = benchmark.pedantic(ablate_fcm_cap, rounds=1, iterations=1)
+def test_ablation_fcm_cap(benchmark, report, scale):
+    rows = benchmark.pedantic(ablate_fcm_cap, rounds=1, iterations=1, kwargs={"scale": scale})
     report("Ablation — FCM budget under 5 concurrent reducer failures", _table(rows))
     by = {r.variant: r.job_time for r in rows}
     # FCM-mode recovery should not lose to regular-mode recovery.
     assert by["fcm_cap=10"] <= by["fcm_cap=0"] * 1.05
 
 
-def test_ablation_liveness_timeout(benchmark, report):
-    rows = benchmark.pedantic(ablate_liveness_timeout, rounds=1, iterations=1)
+def test_ablation_liveness_timeout(benchmark, report, scale):
+    rows = benchmark.pedantic(ablate_liveness_timeout, rounds=1, iterations=1,
+                              kwargs={"scale": scale})
     report("Ablation — NM liveness timeout (detection floor)", _table(rows))
     times = [r.job_time for r in rows]
     # Longer expiry -> strictly later detection -> longer job.
     assert times[0] < times[1] < times[2]
 
 
-def test_ablation_alg_frequency_recovery(benchmark, report):
-    rows = benchmark.pedantic(ablate_alg_frequency_recovery, rounds=1, iterations=1)
+def test_ablation_alg_frequency_recovery(benchmark, report, scale):
+    rows = benchmark.pedantic(ablate_alg_frequency_recovery, rounds=1, iterations=1,
+                              kwargs={"scale": scale})
     report("Ablation — ALG interval vs post-failure job time", _table(rows))
     times = [r.job_time for r in rows]
     # Sparser logging loses more work on a late failure.
     assert times[0] <= times[-1] + 1.0
 
 
-def test_compare_iss_baseline(benchmark, report):
-    rows = benchmark.pedantic(compare_iss, rounds=1, iterations=1)
+def test_compare_iss_baseline(benchmark, report, scale):
+    rows = benchmark.pedantic(compare_iss, rounds=1, iterations=1, kwargs={"scale": scale})
     report("Baseline — ISS (Ko et al., §VI) vs YARN vs SFM", _table(rows))
     by = {r.variant: r.job_time for r in rows}
     # ISS pays replication overhead on the failure-free run...

@@ -4,21 +4,12 @@ Paper claim: recovering from a single ReduceTask failure takes an order
 of magnitude longer than recovering from the failure of 200 MapTasks.
 """
 
-from repro.experiments import fig01_recovery_time, format_table
-
-
-def test_fig01_recovery_time(benchmark, report):
+def test_fig01_recovery_time(figure):
     # Always at the paper's input size: the reduce-vs-map recovery gap
     # is what this figure is about, and it shrinks at toy scales where
     # a reducer redoes only seconds of work.
-    rows = benchmark.pedantic(
-        fig01_recovery_time, rounds=1, iterations=1,
-        kwargs={"scale": 1.0, "reduce_failure_progress": 0.9},
-    )
-    report("Fig. 1 — recovery time vs failure type", format_table(
-        ["failure", "count", "job time (s)", "recovery time (s)"],
-        [(r.failure, r.count, r.job_time, r.recovery_time) for r in rows],
-    ))
+    rows = figure("fig01", "Fig. 1 — recovery time vs failure type",
+                  scale=1.0, reduce_failure_progress=0.9)
     reduce_rec = next(r for r in rows if r.failure == "reducetask").recovery_time
     map_recs = [r.recovery_time for r in rows if r.failure == "maptasks"]
     print(f"\nreduce recovery = {reduce_rec:.1f}s vs worst map recovery = "

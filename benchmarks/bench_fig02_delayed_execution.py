@@ -4,16 +4,9 @@ Paper claim: map failure is negligible; a ReduceTask failure degrades
 Terasort/Wordcount by >43.2%/>50.3%, growing with the failure point.
 """
 
-from repro.experiments import fig02_delayed_execution, format_table
 
-
-def test_fig02_delayed_execution(benchmark, report):
-    rows = benchmark.pedantic(fig02_delayed_execution, rounds=1, iterations=1)
-    report("Fig. 2 — job delay from a single task failure", format_table(
-        ["workload", "failure", "progress", "job time (s)", "baseline (s)", "degradation %"],
-        [(r.workload, r.failure, r.progress, r.job_time, r.baseline, r.degradation_pct)
-         for r in rows],
-    ))
+def test_fig02_delayed_execution(figure):
+    rows = figure("fig02", "Fig. 2 — job delay from a single task failure")
     for wl in ("terasort", "wordcount"):
         map_deg = max(r.degradation_pct for r in rows
                       if r.workload == wl and r.failure == "maptask")

@@ -4,18 +4,8 @@ Paper: a single node crash (hosting MOFs, no ReduceTasks) at 176 s
 causes 6 additional failures among the 20 healthy ReduceTasks.
 """
 
-from repro.experiments import fig04_spatial_amplification, format_table
 
-
-def test_fig04_spatial_amplification(benchmark, report):
-    res = benchmark.pedantic(fig04_spatial_amplification, rounds=1, iterations=1)
-    report("Fig. 4 — spatial amplification (stock YARN)", "\n".join([
-        f"victim node               {res.victim}",
-        f"crash time                {res.crash_time:8.1f} s",
-        f"additional failures       {res.additional_failures:8d}     (paper: 6)",
-        f"job time                  {res.job_time:8.1f} s",
-        "",
-        format_table(["time (s)", "reducer attempt", "node"],
-                     [(t, a, n) for t, a, n in res.infected_failures]),
-    ]))
+def test_fig04_spatial_amplification(figure):
+    res = figure("fig04", "Fig. 4 — spatial amplification (stock YARN)")
+    print("paper: 6 additional failures")
     assert res.additional_failures >= 1, "expected infected healthy reducers"

@@ -5,16 +5,11 @@ Paper: ALG outperforms YARN by 15.4/20.1/15.9% on average, up to
 28.9/40.8/31.3% at the 90% point, and stays close to failure-free.
 """
 
-from repro.experiments import fig08_alg_task_failure, format_table
 from repro.experiments.fig08_alg import mean_improvement
 
 
-def test_fig08_alg_task_failure(benchmark, report):
-    rows = benchmark.pedantic(fig08_alg_task_failure, rounds=1, iterations=1)
-    report("Fig. 8 — ALG vs YARN, single ReduceTask failure", format_table(
-        ["workload", "system", "failure point", "job time (s)"],
-        [(r.workload, r.system, r.progress, r.job_time) for r in rows],
-    ))
+def test_fig08_alg_task_failure(figure):
+    rows = figure("fig08", "Fig. 8 — ALG vs YARN, single ReduceTask failure")
     paper_mean = {"terasort": 15.4, "wordcount": 20.1, "secondarysort": 15.9}
     for wl in ("terasort", "wordcount", "secondarysort"):
         gain = mean_improvement(rows, wl)

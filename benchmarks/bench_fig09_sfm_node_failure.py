@@ -6,24 +6,13 @@ Paper: SFM shortens migration+recovery by 10.9/39.4/18.8% on average
 even beat the failure-free run.
 """
 
-from repro.experiments import fig09_sfm_node_failure, format_table
+from repro.experiments.fig08_alg import mean_improvement
 
 
-def test_fig09_sfm_node_failure(benchmark, report):
-    rows = benchmark.pedantic(fig09_sfm_node_failure, rounds=1, iterations=1)
-    report("Fig. 9 — SFM vs YARN, node failure in reduce phase", format_table(
-        ["workload", "system", "failure point", "job time (s)", "extra reduce failures"],
-        [(r.workload, r.system, r.progress, r.job_time, r.additional_reduce_failures)
-         for r in rows],
-    ))
+def test_fig09_sfm_node_failure(figure):
+    rows = figure("fig09", "Fig. 9 — SFM vs YARN, node failure in reduce phase")
     paper_mean = {"terasort": 10.9, "wordcount": 39.4, "secondarysort": 18.8}
     for wl in paper_mean:
-        by_p = {}
-        for r in rows:
-            if r.workload == wl and r.progress >= 0:
-                by_p.setdefault(r.progress, {})[r.system] = r.job_time
-        gains = [(1 - v["sfm"] / v["yarn"]) * 100 for v in by_p.values()
-                 if "yarn" in v and "sfm" in v]
-        mean_gain = sum(gains) / len(gains)
+        mean_gain = mean_improvement(rows, wl, system="sfm")
         print(f"{wl}: mean SFM improvement {mean_gain:.1f}% (paper: {paper_mean[wl]}%)")
         assert mean_gain > 0.0

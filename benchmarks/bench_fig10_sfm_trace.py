@@ -5,20 +5,12 @@ lost MOFs (delaying the recovery launch by ~18 s); the recovered
 ReduceTask suffers no repeated timeouts/preemptions.
 """
 
-from repro.experiments import fig10_sfm_trace
 
-
-def test_fig10_sfm_trace(benchmark, report):
-    res = benchmark.pedantic(fig10_sfm_trace, rounds=1, iterations=1)
-    report("Fig. 10 — SFM recovery timeline vs stock YARN", "\n".join([
-        "                          YARN        SFM",
-        f"crash time          {res.yarn.crash_time:10.1f} {res.sfm.crash_time:10.1f}",
-        f"detect time         {res.yarn.detect_time:10.1f} {res.sfm.detect_time:10.1f}",
-        f"repeat failures     {len(res.yarn.repeat_failure_times):10d} {len(res.sfm.repeat_failure_times):10d}",
-        f"job time            {res.yarn.job_time:10.1f} {res.sfm.job_time:10.1f}",
-        f"SFM recovery-launch delay (MOF regeneration): "
-        f"{res.recovery_launch_delay:.1f} s (paper: ~18 s)",
-    ]))
+def test_fig10_sfm_trace(figure):
+    res = figure("fig10", "Fig. 10 — SFM recovery timeline vs stock YARN")
+    print(f"YARN: {len(res.yarn.repeat_failure_times)} repeat failures, "
+          f"job {res.yarn.job_time:.1f} s; SFM recovery-launch delay (MOF "
+          f"regeneration) {res.recovery_launch_delay:.1f} s (paper: ~18 s)")
     assert res.sfm_eliminates_repeat_failures
     assert len(res.yarn.repeat_failure_times) >= 1
     assert res.sfm.job_time < res.yarn.job_time

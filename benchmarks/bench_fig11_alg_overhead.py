@@ -3,17 +3,12 @@
 Paper: negligible penalty at every size.
 """
 
-from repro.experiments import fig11_alg_overhead, format_table
 from repro.experiments.fig11_overhead import overhead_pct
 
 
-def test_fig11_alg_overhead(benchmark, report):
-    rows = benchmark.pedantic(fig11_alg_overhead, rounds=1, iterations=1)
+def test_fig11_alg_overhead(figure):
+    rows = figure("fig11", "Fig. 11 — ALG failure-free overhead")
     over = overhead_pct(rows)
-    report("Fig. 11 — ALG failure-free overhead", format_table(
-        ["input (GB, paper-scale)", "system", "job time (s)"],
-        [(r.input_gb, r.system, r.job_time) for r in rows],
-    ))
     for gb, pct in sorted(over.items()):
         print(f"{gb:.0f} GB: ALG overhead {pct:+.1f}% (paper: ~0%)")
         # "Negligible": small in either direction (ALG's rack-local

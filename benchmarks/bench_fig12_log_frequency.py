@@ -4,15 +4,9 @@ Paper: performance is fairly stable across frequencies; more frequent
 logging means less analytics progress to persist per tick.
 """
 
-from repro.experiments import fig12_log_frequency, format_table
 
-
-def test_fig12_log_frequency(benchmark, report):
-    rows = benchmark.pedantic(fig12_log_frequency, rounds=1, iterations=1)
-    report("Fig. 12 — ALG at different logging frequencies", format_table(
-        ["log interval (s)", "job time (s)", "log ticks"],
-        [(r.frequency, r.job_time, r.log_ticks) for r in rows],
-    ))
+def test_fig12_log_frequency(figure):
+    rows = figure("fig12", "Fig. 12 — ALG at different logging frequencies")
     times = [r.job_time for r in rows]
     spread = (max(times) / min(times) - 1.0) * 100.0
     print(f"spread across frequencies: {spread:.1f}% (paper: 'fairly stable')")

@@ -4,15 +4,9 @@ Paper: rack-level replication delays the reduce phase ~18.4% at 320 GB;
 cluster-level replication ~55.7%.
 """
 
-from repro.experiments import fig13_replication_levels, format_table
 
-
-def test_fig13_replication_levels(benchmark, report):
-    rows = benchmark.pedantic(fig13_replication_levels, rounds=1, iterations=1)
-    report("Fig. 13 — ALG replication level vs reduce-stage time", format_table(
-        ["input (GB, paper-scale)", "level", "job time (s)", "reduce phase (s)"],
-        [(r.input_gb, r.level, r.job_time, r.reduce_phase_time) for r in rows],
-    ))
+def test_fig13_replication_levels(figure):
+    rows = figure("fig13", "Fig. 13 — ALG replication level vs reduce-stage time")
     by_gb = {}
     for r in rows:
         by_gb.setdefault(r.input_gb, {})[r.level] = r.reduce_phase_time

@@ -5,17 +5,9 @@ concurrent failures, and the improvement grows with the per-reducer
 data size (37.2% at 1 GB -> 62.1% at 32 GB under 5 failures).
 """
 
-from repro.experiments import fig14_concurrent_failures, format_table
 
-
-def test_fig14_concurrent_failures(benchmark, report):
-    rows = benchmark.pedantic(fig14_concurrent_failures, rounds=1, iterations=1)
-    report("Fig. 14 — concurrent-failure recovery, YARN vs SFM", format_table(
-        ["per-reducer (GB, paper-scale)", "failures", "system",
-         "job time (s)", "recovery (s)"],
-        [(r.per_reducer_gb, r.concurrent_failures, r.system, r.job_time,
-          r.recovery_time) for r in rows],
-    ))
+def test_fig14_concurrent_failures(figure):
+    rows = figure("fig14", "Fig. 14 — concurrent-failure recovery, YARN vs SFM")
     # Compute improvement per (size, count).
     by_key = {}
     for r in rows:

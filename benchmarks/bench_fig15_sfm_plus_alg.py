@@ -6,16 +6,11 @@ Secondarysort because its logged reduce progress is the most expensive
 to recompute.
 """
 
-from repro.experiments import fig15_sfm_plus_alg, format_table
 from repro.experiments.fig15_combined import further_improvement
 
 
-def test_fig15_sfm_plus_alg(benchmark, report):
-    rows = benchmark.pedantic(fig15_sfm_plus_alg, rounds=1, iterations=1)
-    report("Fig. 15 — SFM-only vs SFM+ALG recovery", format_table(
-        ["workload", "system", "job time (s)", "recovery time (s)"],
-        [(r.workload, r.system, r.job_time, r.recovery_time) for r in rows],
-    ))
+def test_fig15_sfm_plus_alg(figure):
+    rows = figure("fig15", "Fig. 15 — SFM-only vs SFM+ALG recovery")
     paper = {"terasort": 11.4, "wordcount": 16.1, "secondarysort": 25.8}
     gains = further_improvement(rows)
     for wl, pct in gains.items():

@@ -6,23 +6,11 @@ Paper rows (Terasort, 20 reducers):
   SFM  @10/20/30%: 0/0/0 additional failures, 435/449/445 s
 """
 
-from repro.experiments import format_table, table2_spatial_recovery
 
-
-def test_table2_spatial_recovery(benchmark, report):
-    rows = benchmark.pedantic(table2_spatial_recovery, rounds=1, iterations=1)
-    paper = {
-        ("YARN", 0.1): (2, 429), ("SFM", 0.1): (0, 435),
-        ("YARN", 0.2): (5, 533), ("SFM", 0.2): (0, 449),
-        ("YARN", 0.3): (3, 516), ("SFM", 0.3): (0, 445),
-    }
-    report("Table II — spatial amplification, YARN vs SFM", format_table(
-        ["type", "first failure", "add'l failures", "exec time (s)",
-         "paper add'l", "paper time (s)"],
-        [(r.system, f"{int(r.first_failure_point*100)}%", r.additional_failures,
-          r.execution_time, *paper[(r.system, r.first_failure_point)])
-         for r in rows],
-    ))
+def test_table2_spatial_recovery(figure):
+    rows = figure("table2", "Table II — spatial amplification, YARN vs SFM")
+    print("paper: YARN 2/5/3 additional failures (429/533/516 s), "
+          "SFM 0/0/0 (435/449/445 s)")
     # SFM: zero additional failures at every point.
     for r in rows:
         if r.system == "SFM":

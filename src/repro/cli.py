@@ -62,7 +62,7 @@ import inspect
 import os
 import sys
 
-from repro.experiments import format_table
+from repro.experiments import EXPERIMENTS
 from repro.faults.chaos import build_runtime
 from repro.metrics import export_result_json, failure_timeline, progress_curve, task_gantt
 from repro.sim.core import SimulationError
@@ -78,10 +78,6 @@ def _policy_choices() -> tuple[str, ...]:
     from repro.policies import policy_names
 
     return policy_names()
-_EXPERIMENTS = (
-    "fig01", "fig02", "fig03", "fig04", "fig08", "fig09", "fig10",
-    "fig11", "fig12", "fig13", "fig14", "fig15", "table2",
-)
 
 
 def parse_fault(spec: str) -> dict:
@@ -191,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the full trace as JSON")
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    p_exp.add_argument("name", choices=_EXPERIMENTS)
+    p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--scale", type=_positive(float), default=0.5,
                        help="input-size scale vs the paper (default 0.5)")
     p_exp.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
@@ -354,78 +350,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.policies and args.name != "table2":
-        print(f"repro experiment: error: --policies applies to table2 only, "
-              f"not {args.name}", file=sys.stderr)
-        return 2
+    # Only table2 sweeps a roster, and only fig02 runs its seeds through
+    # the TrialRunner; any other experiment would silently ignore these.
+    for flag, value, owner in (("--policies", args.policies, "table2"),
+                               ("--jobs", args.jobs, "fig02"),
+                               ("--trial-cache", args.trial_cache, "fig02")):
+        if value is not None and args.name != owner:
+            print(f"repro experiment: error: {flag} applies to {owner} only, "
+                  f"not {args.name}", file=sys.stderr)
+            return 2
     if args.trial_cache is not None:
         os.environ["REPRO_TRIAL_CACHE"] = args.trial_cache
-
-    import repro.experiments as ex
-
-    scale = args.scale
-    name = args.name
-    if name == "fig01":
-        rows = ex.fig01_recovery_time(scale=scale)
-        print(format_table(["failure", "count", "job (s)", "recovery (s)"],
-                           [(r.failure, r.count, r.job_time, r.recovery_time) for r in rows],
-                           title="Fig. 1"))
-    elif name == "fig02":
-        rows = ex.fig02_delayed_execution(scale=scale)
-        print(format_table(["workload", "failure", "progress", "job (s)", "deg %"],
-                           [(r.workload, r.failure, r.progress, r.job_time,
-                             r.degradation_pct) for r in rows], title="Fig. 2"))
-    elif name in ("fig03", "fig10"):
-        res = (ex.fig03_temporal_amplification(scale=scale) if name == "fig03"
-               else ex.fig10_sfm_trace(scale=scale).sfm)
-        print(f"{name}: crash={res.crash_time:.1f}s detect={res.detect_time:.1f}s "
-              f"repeats={[round(t, 1) for t in res.repeat_failure_times]} "
-              f"job={res.job_time:.1f}s")
-    elif name == "fig04":
-        res = ex.fig04_spatial_amplification(scale=scale)
-        print(f"fig04: victim={res.victim} crash={res.crash_time:.1f}s "
-              f"additional failures={res.additional_failures} job={res.job_time:.1f}s")
-    elif name == "fig08":
-        rows = ex.fig08_alg_task_failure(scale=scale)
-        print(format_table(["workload", "system", "progress", "job (s)"],
-                           [(r.workload, r.system, r.progress, r.job_time) for r in rows],
-                           title="Fig. 8"))
-    elif name == "fig09":
-        rows = ex.fig09_sfm_node_failure(scale=scale)
-        print(format_table(["workload", "system", "progress", "job (s)", "extra fails"],
-                           [(r.workload, r.system, r.progress, r.job_time,
-                             r.additional_reduce_failures) for r in rows], title="Fig. 9"))
-    elif name == "fig11":
-        rows = ex.fig11_alg_overhead(scale=scale)
-        print(format_table(["GB", "system", "job (s)"],
-                           [(r.input_gb, r.system, r.job_time) for r in rows],
-                           title="Fig. 11"))
-    elif name == "fig12":
-        rows = ex.fig12_log_frequency(scale=scale)
-        print(format_table(["interval (s)", "job (s)", "ticks"],
-                           [(r.frequency, r.job_time, r.log_ticks) for r in rows],
-                           title="Fig. 12"))
-    elif name == "fig13":
-        rows = ex.fig13_replication_levels(scale=scale)
-        print(format_table(["GB", "level", "job (s)", "reduce phase (s)"],
-                           [(r.input_gb, r.level, r.job_time, r.reduce_phase_time)
-                            for r in rows], title="Fig. 13"))
-    elif name == "fig14":
-        rows = ex.fig14_concurrent_failures(scale=scale)
-        print(format_table(["GB/reducer", "failures", "system", "job (s)", "recovery (s)"],
-                           [(r.per_reducer_gb, r.concurrent_failures, r.system,
-                             r.job_time, r.recovery_time) for r in rows], title="Fig. 14"))
-    elif name == "fig15":
-        rows = ex.fig15_sfm_plus_alg(scale=scale)
-        print(format_table(["workload", "system", "job (s)", "recovery (s)"],
-                           [(r.workload, r.system, r.job_time, r.recovery_time)
-                            for r in rows], title="Fig. 15"))
-    elif name == "table2":
-        kwargs = {"systems": args.policies} if args.policies else {}
-        rows = ex.table2_spatial_recovery(scale=scale, **kwargs)
-        print(format_table(["type", "point", "extra fails", "time (s)"],
-                           [(r.system, r.first_failure_point, r.additional_failures,
-                             r.execution_time) for r in rows], title="Table II"))
+    driver, render = EXPERIMENTS[args.name]
+    kwargs = {"systems": args.policies} if args.policies else {}
+    print(render(driver(scale=args.scale, **kwargs)))
     return 0
 
 
@@ -697,7 +635,7 @@ def cmd_list(_args) -> int:
     for name, (_factory, description) in POLICIES.items():
         tag = " [seed]" if name in CHAOS_POLICIES else ""
         print(f"  {name:10s} {description}{tag}")
-    print("experiments:" + " " + ", ".join(_EXPERIMENTS))
+    print("experiments:" + " " + ", ".join(EXPERIMENTS))
     return 0
 
 

@@ -13,25 +13,28 @@ from repro.mapreduce.job import JobResult, MapReduceRuntime
 from repro.mapreduce.recovery import RecoveryPolicy
 from repro.policies import make_policy
 from repro.runner import TrialRunner
-from repro.workloads import Workload
+from repro.workloads import BENCHMARKS, Workload
 from repro.yarn.rm import YarnConfig
 
 __all__ = [
+    "PAPER_INPUTS",
     "ExperimentConfig",
     "averaged_job_time",
     "format_table",
     "invariants_from_env",
+    "paper_workloads",
     "run_benchmark_job",
     "run_benchmark_trial",
-    "scale_from_env",
 ]
 
+#: §V-B input sizes (GB): Terasort 100, Wordcount 10, Secondarysort 10.
+PAPER_INPUTS = {"terasort": 100.0, "wordcount": 10.0, "secondarysort": 10.0}
 
-def scale_from_env(default: float = 1.0) -> float:
-    """Input-size scale: 1.0 reproduces the paper's sizes; the
-    ``REPRO_SCALE`` environment variable overrides (benchmarks use it
-    to trade fidelity for wall time)."""
-    return float(os.environ.get("REPRO_SCALE", default))
+
+def paper_workloads(scale: float) -> list[Workload]:
+    """The three benchmarks Figs. 8, 9 and 15 sweep, at ``scale`` times
+    the paper's input sizes."""
+    return [BENCHMARKS[name](gb * scale) for name, gb in PAPER_INPUTS.items()]
 
 
 def invariants_from_env() -> bool:
@@ -137,7 +140,6 @@ def averaged_job_time(
     config: ExperimentConfig | None = None,
     repeats: int = 3,
     job_name: str = "avg",
-    policy_kwargs: dict | None = None,
 ) -> float:
     """Mean job time over ``repeats`` seeds (the paper's 'average of
     three test runs'); damps placement/scheduling noise that a single
@@ -155,8 +157,7 @@ def averaged_job_time(
         fn=run_benchmark_trial,
         seeds=seeds,
         kwargs=dict(workload=workload, system=system, fault_factory=fault_factory,
-                    base_config=cfg, job_name=job_name,
-                    policy_kwargs=policy_kwargs),
+                    base_config=cfg, job_name=job_name),
     )
     times = [r.payload["elapsed"] for r in results]
     return sum(times) / len(times)

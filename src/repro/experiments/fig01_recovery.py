@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import format_table, run_benchmark_job
 from repro.faults import kill_maps_at_time, kill_reduce_at_progress
 from repro.workloads import terasort
 
-__all__ = ["Fig01Row", "fig01_recovery_time"]
+__all__ = ["Fig01Row", "fig01_recovery_time", "render"]
 
 
 @dataclass
@@ -33,10 +33,8 @@ class Fig01Row:
 def fig01_recovery_time(
     map_failure_counts=(1, 10, 50, 100, 200),
     reduce_failure_progress: float = 0.9,
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
+    scale: float = 1.0,
 ) -> list[Fig01Row]:
-    scale = scale_from_env(1.0) if scale is None else scale
     wl = terasort(100.0 * scale)
     rows: list[Fig01Row] = []
 
@@ -44,17 +42,21 @@ def fig01_recovery_time(
     first_wave_kill_time = 10.0
     for n in map_failure_counts:
         fault = kill_maps_at_time(n, at_time=first_wave_kill_time)
-        _, res = run_benchmark_job(wl, "yarn", faults=[fault], config=config,
-                                   job_name=f"fig01-maps{n}")
+        _, res = run_benchmark_job(wl, "yarn", faults=[fault], job_name=f"fig01-maps{n}")
         recovery = _map_wave_recovery(res, fault)
         rows.append(Fig01Row("maptasks", fault.killed, res.elapsed, recovery))
 
     fault = kill_reduce_at_progress(reduce_failure_progress)
-    _, res = run_benchmark_job(wl, "yarn", faults=[fault], config=config,
-                               job_name="fig01-reduce")
+    _, res = run_benchmark_job(wl, "yarn", faults=[fault], job_name="fig01-reduce")
     rows.append(Fig01Row("reducetask", 1, res.elapsed,
                          _reduce_recovery(res, fault)))
     return rows
+
+
+def render(rows: list[Fig01Row]) -> str:
+    return format_table(["failure", "count", "job (s)", "recovery (s)"],
+                        [(r.failure, r.count, r.job_time, r.recovery_time) for r in rows],
+                        title="Fig. 1")
 
 
 def _map_wave_recovery(res, fault) -> float:

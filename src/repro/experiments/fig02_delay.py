@@ -10,16 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from repro.experiments.common import (
-    ExperimentConfig,
-    averaged_job_time,
-    scale_from_env,
-)
+from repro.experiments.common import averaged_job_time, format_table
 from repro.faults.inject import TaskFault
 from repro.mapreduce.tasks import TaskType
 from repro.workloads import terasort, wordcount
 
-__all__ = ["Fig02Row", "fig02_delayed_execution"]
+__all__ = ["Fig02Row", "fig02_delayed_execution", "render"]
 
 
 @dataclass
@@ -37,28 +33,32 @@ class Fig02Row:
 
 def fig02_delayed_execution(
     progress_points=(0.3, 0.6, 0.9),
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
+    scale: float = 1.0,
     repeats: int = 3,
 ) -> list[Fig02Row]:
     """Each point is the mean of ``repeats`` seeded runs (§V-B: 'each
     of the results is the average of three test runs') — a single run's
     placement noise can exceed the effect of one short map failure."""
-    scale = scale_from_env(1.0) if scale is None else scale
     workloads = [terasort(100.0 * scale), wordcount(10.0 * scale)]
     rows: list[Fig02Row] = []
     for wl in workloads:
-        base = averaged_job_time(wl, "yarn", None, config, repeats,
+        base = averaged_job_time(wl, "yarn", repeats=repeats,
                                  job_name=f"fig02-{wl.name}-base")
         for p in progress_points:
             # partial() over the fault class keeps the factory nameable,
             # so these arms are memoized and fan out like the baseline.
             t_map = averaged_job_time(
                 wl, "yarn", partial(TaskFault, TaskType.MAP, 0, p),
-                config, repeats, job_name=f"fig02-{wl.name}-map{p}")
+                repeats=repeats, job_name=f"fig02-{wl.name}-map{p}")
             rows.append(Fig02Row(wl.name, "maptask", p, t_map, base))
             t_red = averaged_job_time(
                 wl, "yarn", partial(TaskFault, TaskType.REDUCE, 0, p),
-                config, repeats, job_name=f"fig02-{wl.name}-red{p}")
+                repeats=repeats, job_name=f"fig02-{wl.name}-red{p}")
             rows.append(Fig02Row(wl.name, "reducetask", p, t_red, base))
     return rows
+
+
+def render(rows: list[Fig02Row]) -> str:
+    return format_table(["workload", "failure", "progress", "job (s)", "deg %"],
+                        [(r.workload, r.failure, r.progress, r.job_time,
+                          r.degradation_pct) for r in rows], title="Fig. 2")

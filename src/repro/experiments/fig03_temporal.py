@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import run_benchmark_job
 from repro.faults import kill_node_at_progress
 from repro.workloads import wordcount
 
-__all__ = ["Fig03Result", "fig03_temporal_amplification"]
+__all__ = ["CRASH_PROGRESS", "Fig03Result", "fig03_temporal_amplification", "render"]
+
+#: Reduce progress at which the reducer's node crashes (Figs. 3 and 10).
+CRASH_PROGRESS = 0.35
 
 
 @dataclass
@@ -42,17 +45,10 @@ class Fig03Result:
         return self.repeat_failure_times[0] - self.recovery_start
 
 
-def fig03_temporal_amplification(
-    crash_progress: float = 0.35,
-    system: str = "yarn",
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
-) -> Fig03Result:
-    scale = scale_from_env(1.0) if scale is None else scale
+def fig03_temporal_amplification(system: str = "yarn", scale: float = 1.0) -> Fig03Result:
     wl = wordcount(10.0 * scale, num_reducers=1)
-    fault = kill_node_at_progress(crash_progress, target="reducer")
-    rt, res = run_benchmark_job(wl, system, faults=[fault], config=config,
-                                job_name=f"fig03-{system}")
+    fault = kill_node_at_progress(CRASH_PROGRESS, target="reducer")
+    rt, res = run_benchmark_job(wl, system, faults=[fault], job_name=f"fig03-{system}")
     trace = res.trace
     lost = trace.first("node_lost")
     detect_time = lost.time if lost else float("nan")
@@ -71,3 +67,9 @@ def fig03_temporal_amplification(
         repeat_failure_times=repeats,
         progress_series=trace.series_values("reduce_progress"),
     )
+
+
+def render(res: Fig03Result, name: str = "fig03") -> str:
+    return (f"{name}: crash={res.crash_time:.1f}s detect={res.detect_time:.1f}s "
+            f"repeats={[round(t, 1) for t in res.repeat_failure_times]} "
+            f"job={res.job_time:.1f}s")

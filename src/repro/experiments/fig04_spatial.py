@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import run_benchmark_job
 from repro.faults import kill_node_at_progress
 from repro.workloads import terasort
 
-__all__ = ["Fig04Result", "fig04_spatial_amplification"]
+__all__ = ["Fig04Result", "fig04_spatial_amplification", "render"]
 
 
 @dataclass
@@ -30,18 +30,11 @@ class Fig04Result:
         return len(self.infected_failures)
 
 
-def fig04_spatial_amplification(
-    crash_progress: float = 0.2,
-    system: str = "yarn",
-    num_reducers: int = 20,
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
-) -> Fig04Result:
-    scale = scale_from_env(1.0) if scale is None else scale
-    wl = terasort(100.0 * scale, num_reducers=num_reducers)
-    fault = kill_node_at_progress(crash_progress, target="map-only")
-    rt, res = run_benchmark_job(wl, system, faults=[fault], config=config,
-                                job_name=f"fig04-{system}")
+def fig04_spatial_amplification(scale: float = 1.0) -> Fig04Result:
+    """Stock YARN; the node fails at 20% of the reduce phase."""
+    wl = terasort(100.0 * scale, num_reducers=20)
+    fault = kill_node_at_progress(0.2, target="map-only")
+    rt, res = run_benchmark_job(wl, "yarn", faults=[fault], job_name="fig04-yarn")
     trace = res.trace
     crash_time = fault.fired_at if fault.fired_at is not None else float("nan")
     infected = [
@@ -59,3 +52,8 @@ def fig04_spatial_amplification(
         progress_series=trace.series_values("reduce_progress"),
         failed_series=trace.series_values("failed_reduce_attempts"),
     )
+
+
+def render(res: Fig04Result) -> str:
+    return (f"fig04: victim={res.victim} crash={res.crash_time:.1f}s "
+            f"additional failures={res.additional_failures} job={res.job_time:.1f}s")

@@ -6,12 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
-from repro.experiments.fig08_alg import PAPER_INPUTS
+from repro.experiments.common import format_table, paper_workloads, run_benchmark_job
 from repro.faults import kill_node_at_progress
-from repro.workloads import secondarysort, terasort, wordcount
 
-__all__ = ["Fig09Row", "fig09_sfm_node_failure"]
+__all__ = ["Fig09Row", "fig09_sfm_node_failure", "render"]
 
 
 @dataclass
@@ -25,28 +23,24 @@ class Fig09Row:
 
 def fig09_sfm_node_failure(
     progress_points=(0.1, 0.3, 0.5, 0.7, 0.9),
-    systems=("yarn", "sfm"),
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
+    scale: float = 1.0,
 ) -> list[Fig09Row]:
-    scale = scale_from_env(1.0) if scale is None else scale
-    workloads = [
-        terasort(PAPER_INPUTS["terasort"] * scale),
-        wordcount(PAPER_INPUTS["wordcount"] * scale),
-        secondarysort(PAPER_INPUTS["secondarysort"] * scale),
-    ]
     rows: list[Fig09Row] = []
-    for wl in workloads:
-        _, base = run_benchmark_job(wl, "yarn", config=config,
-                                    job_name=f"fig09-{wl.name}-base")
+    for wl in paper_workloads(scale):
+        _, base = run_benchmark_job(wl, "yarn", job_name=f"fig09-{wl.name}-base")
         rows.append(Fig09Row(wl.name, "failure-free", -1.0, base.elapsed, 0))
         for p in progress_points:
-            for system in systems:
+            for system in ("yarn", "sfm"):
                 fault = kill_node_at_progress(p, target="reducer")
                 _, res = run_benchmark_job(
-                    wl, system, faults=[fault], config=config,
-                    job_name=f"fig09-{wl.name}-{system}-{p}")
+                    wl, system, faults=[fault], job_name=f"fig09-{wl.name}-{system}-{p}")
                 rows.append(Fig09Row(
                     wl.name, system, p, res.elapsed,
                     res.counters["failed_reduce_attempts"]))
     return rows
+
+
+def render(rows: list[Fig09Row]) -> str:
+    return format_table(["workload", "system", "progress", "job (s)", "extra fails"],
+                        [(r.workload, r.system, r.progress, r.job_time,
+                          r.additional_reduce_failures) for r in rows], title="Fig. 9")

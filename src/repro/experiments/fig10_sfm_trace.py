@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig
 from repro.experiments.fig03_temporal import Fig03Result, fig03_temporal_amplification
+from repro.experiments.fig03_temporal import render as render_fig03
 
-__all__ = ["Fig10Result", "fig10_sfm_trace"]
+__all__ = ["Fig10Result", "fig10_sfm_trace", "render"]
 
 
 @dataclass
@@ -32,12 +32,12 @@ class Fig10Result:
         return self.sfm.effective_recovery_start - self.sfm.detect_time
 
 
-def fig10_sfm_trace(
-    crash_progress: float = 0.35,
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
-) -> Fig10Result:
+def fig10_sfm_trace(scale: float = 1.0) -> Fig10Result:
     return Fig10Result(
-        yarn=fig03_temporal_amplification(crash_progress, "yarn", scale, config),
-        sfm=fig03_temporal_amplification(crash_progress, "sfm", scale, config),
+        yarn=fig03_temporal_amplification("yarn", scale),
+        sfm=fig03_temporal_amplification("sfm", scale),
     )
+
+
+def render(res: Fig10Result) -> str:
+    return render_fig03(res.sfm, "fig10")

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import format_table, run_benchmark_job
 from repro.workloads import terasort
 
-__all__ = ["Fig11Row", "fig11_alg_overhead"]
+__all__ = ["Fig11Row", "fig11_alg_overhead", "overhead_pct", "render"]
 
 
 @dataclass
@@ -20,21 +20,20 @@ class Fig11Row:
     job_time: float
 
 
-def fig11_alg_overhead(
-    input_sizes_gb=(10.0, 20.0, 40.0, 80.0, 160.0, 320.0),
-    systems=("yarn", "alg"),
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
-) -> list[Fig11Row]:
-    scale = scale_from_env(1.0) if scale is None else scale
+def fig11_alg_overhead(scale: float = 1.0) -> list[Fig11Row]:
     rows: list[Fig11Row] = []
-    for gb in input_sizes_gb:
+    for gb in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0):
         wl = terasort(gb * scale)
-        for system in systems:
-            _, res = run_benchmark_job(wl, system, config=config,
-                                       job_name=f"fig11-{system}-{gb}")
+        for system in ("yarn", "alg"):
+            _, res = run_benchmark_job(wl, system, job_name=f"fig11-{system}-{gb}")
             rows.append(Fig11Row(gb, system, res.elapsed))
     return rows
+
+
+def render(rows: list[Fig11Row]) -> str:
+    return format_table(["GB", "system", "job (s)"],
+                        [(r.input_gb, r.system, r.job_time) for r in rows],
+                        title="Fig. 11")
 
 
 def overhead_pct(rows: list[Fig11Row]) -> dict[float, float]:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import format_table, run_benchmark_job
 from repro.workloads import terasort
 
-__all__ = ["Fig12Row", "fig12_log_frequency"]
+__all__ = ["Fig12Row", "fig12_log_frequency", "render"]
 
 
 @dataclass
@@ -25,15 +25,19 @@ class Fig12Row:
 def fig12_log_frequency(
     frequencies=(2.0, 5.0, 10.0, 20.0, 40.0),
     input_gb: float = 100.0,
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
+    scale: float = 1.0,
 ) -> list[Fig12Row]:
-    scale = scale_from_env(1.0) if scale is None else scale
     wl = terasort(input_gb * scale)
     rows: list[Fig12Row] = []
     for freq in frequencies:
         rt, res = run_benchmark_job(
-            wl, "alg", config=config, job_name=f"fig12-{freq}",
+            wl, "alg", job_name=f"fig12-{freq}",
             policy_kwargs={"alg_frequency": freq})
         rows.append(Fig12Row(freq, res.elapsed, rt.policy.logger.ticks))
     return rows
+
+
+def render(rows: list[Fig12Row]) -> str:
+    return format_table(["interval (s)", "job (s)", "ticks"],
+                        [(r.frequency, r.job_time, r.log_ticks) for r in rows],
+                        title="Fig. 12")

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import format_table, run_benchmark_job
 from repro.hdfs.hdfs import ReplicationLevel
 from repro.workloads import terasort
 
-__all__ = ["Fig13Row", "fig13_replication_levels"]
+__all__ = ["Fig13Row", "fig13_replication_levels", "render"]
 
 
 @dataclass
@@ -32,20 +32,19 @@ def _reduce_phase_time(res) -> float:
     return res.end_time - first.time
 
 
-def fig13_replication_levels(
-    input_sizes_gb=(10.0, 40.0, 160.0, 320.0),
-    levels=(ReplicationLevel.NODE, ReplicationLevel.RACK, ReplicationLevel.CLUSTER),
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
-) -> list[Fig13Row]:
-    scale = scale_from_env(1.0) if scale is None else scale
+def fig13_replication_levels(scale: float = 1.0) -> list[Fig13Row]:
     rows: list[Fig13Row] = []
-    for gb in input_sizes_gb:
+    for gb in (10.0, 40.0, 160.0, 320.0):
         wl = terasort(gb * scale)
-        for level in levels:
+        for level in (ReplicationLevel.NODE, ReplicationLevel.RACK, ReplicationLevel.CLUSTER):
             _, res = run_benchmark_job(
-                wl, "alg", config=config,
-                job_name=f"fig13-{level.value}-{gb}",
+                wl, "alg", job_name=f"fig13-{level.value}-{gb}",
                 policy_kwargs={"alg_level": level})
             rows.append(Fig13Row(gb, level.value, res.elapsed, _reduce_phase_time(res)))
     return rows
+
+
+def render(rows: list[Fig13Row]) -> str:
+    return format_table(["GB", "level", "job (s)", "reduce phase (s)"],
+                        [(r.input_gb, r.level, r.job_time, r.reduce_phase_time)
+                         for r in rows], title="Fig. 13")

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import format_table, run_benchmark_job
 from repro.faults import kill_reduce_at_progress
 from repro.workloads import terasort
 
-__all__ = ["Fig14Row", "fig14_concurrent_failures"]
+__all__ = ["Fig14Row", "fig14_concurrent_failures", "render"]
 
 
 @dataclass
@@ -30,26 +30,27 @@ class Fig14Row:
 def fig14_concurrent_failures(
     per_reducer_gb=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
     failure_counts=(1, 5, 10),
-    systems=("yarn", "sfm"),
     num_reducers: int = 10,
-    failure_progress: float = 0.75,
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
+    scale: float = 1.0,
 ) -> list[Fig14Row]:
-    scale = scale_from_env(1.0) if scale is None else scale
+    """The failed reducers die at 75% of their progress."""
     rows: list[Fig14Row] = []
     for gb in per_reducer_gb:
         wl = terasort(gb * num_reducers * scale, num_reducers=num_reducers)
         for k in failure_counts:
             k = min(k, num_reducers)
-            for system in systems:
-                faults = [kill_reduce_at_progress(failure_progress, task_index=i)
-                          for i in range(k)]
+            for system in ("yarn", "sfm"):
+                faults = [kill_reduce_at_progress(0.75, task_index=i) for i in range(k)]
                 _, res = run_benchmark_job(
-                    wl, system, faults=faults, config=config,
-                    job_name=f"fig14-{system}-{gb}x{k}")
+                    wl, system, faults=faults, job_name=f"fig14-{system}-{gb}x{k}")
                 fired = [f.fired_at for f in faults if f.fired_at is not None]
                 t0 = min(fired) if fired else res.end_time
                 rows.append(Fig14Row(gb, k, system, res.elapsed,
                                      max(0.0, res.end_time - t0)))
     return rows
+
+
+def render(rows: list[Fig14Row]) -> str:
+    return format_table(["GB/reducer", "failures", "system", "job (s)", "recovery (s)"],
+                        [(r.per_reducer_gb, r.concurrent_failures, r.system,
+                          r.job_time, r.recovery_time) for r in rows], title="Fig. 14")

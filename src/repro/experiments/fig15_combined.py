@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
-from repro.experiments.fig08_alg import PAPER_INPUTS
+from repro.experiments.common import format_table, paper_workloads, run_benchmark_job
 from repro.faults import kill_node_at_progress
-from repro.workloads import secondarysort, terasort, wordcount
 
-__all__ = ["Fig15Row", "fig15_sfm_plus_alg"]
+__all__ = ["Fig15Row", "fig15_sfm_plus_alg", "further_improvement", "render"]
 
 
 @dataclass
@@ -27,29 +25,24 @@ class Fig15Row:
     recovery_time: float
 
 
-def fig15_sfm_plus_alg(
-    failure_progress: float = 0.8,
-    systems=("sfm", "alm"),
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
-) -> list[Fig15Row]:
-    scale = scale_from_env(1.0) if scale is None else scale
-    workloads = [
-        terasort(PAPER_INPUTS["terasort"] * scale),
-        wordcount(PAPER_INPUTS["wordcount"] * scale),
-        secondarysort(PAPER_INPUTS["secondarysort"] * scale),
-    ]
+def fig15_sfm_plus_alg(scale: float = 1.0) -> list[Fig15Row]:
+    """The reducer's node fails at 80% of the reduce phase."""
     rows: list[Fig15Row] = []
-    for wl in workloads:
-        for system in systems:
-            fault = kill_node_at_progress(failure_progress, target="reducer")
+    for wl in paper_workloads(scale):
+        for system in ("sfm", "alm"):
+            fault = kill_node_at_progress(0.8, target="reducer")
             _, res = run_benchmark_job(wl, system, faults=[fault],
-                                       config=config,
                                        job_name=f"fig15-{wl.name}-{system}")
             t0 = fault.fired_at if fault.fired_at is not None else res.end_time
             rows.append(Fig15Row(wl.name, system, res.elapsed,
                                  _failed_task_recovery_time(res, t0)))
     return rows
+
+
+def render(rows: list[Fig15Row]) -> str:
+    return format_table(["workload", "system", "job (s)", "recovery (s)"],
+                        [(r.workload, r.system, r.job_time, r.recovery_time)
+                         for r in rows], title="Fig. 15")
 
 
 def _failed_task_recovery_time(res, fault_time: float) -> float:

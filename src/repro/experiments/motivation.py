@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.alm import ALMPolicy
-from repro.experiments.common import ExperimentConfig, scale_from_env
+from repro.experiments.common import ExperimentConfig
 from repro.faults import kill_node_at_progress
+from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.multijob import SharedCluster
+from repro.policies import make_policy
 from repro.workloads.generator import TraceMix
 
 __all__ = ["FleetResult", "run_fleet", "motivation_fleet"]
@@ -50,8 +51,8 @@ def _build(mix: TraceMix, policy_name: str, with_faults: bool,
     sc = SharedCluster(cluster_spec=config.cluster, yarn_config=config.yarn,
                        hdfs_config=config.hdfs)
     for i, (wl, delay) in enumerate(mix.sample()):
-        policy = ALMPolicy() if policy_name == "alm" else None
-        sc.submit(wl, policy=policy, job_name=f"j{i}-{wl.name}", delay=delay)
+        sc.submit(wl, policy=make_policy(policy_name), job_name=f"j{i}-{wl.name}",
+                  delay=delay)
     if with_faults:
         # Two node failures timed against distinct jobs' reduce phases
         # (mid-activity by construction, like operators see in traces).
@@ -80,29 +81,20 @@ def run_fleet(policy_name: str, mix: TraceMix,
     return result
 
 
-def motivation_fleet(
-    num_jobs: int = 6,
-    scale: float | None = None,
-    seed: int = 7,
-    config: ExperimentConfig | None = None,
-) -> dict[str, FleetResult]:
+def motivation_fleet(num_jobs: int = 6, scale: float = 1.0) -> dict[str, FleetResult]:
     """YARN-vs-ALM fleet comparison under the same random failures.
 
-    Input replication defaults to 3 here (the production norm, unlike
+    Input replication is 3 here (the production norm, unlike
     the testbed's dfs.replication=2): with two concurrent node
     failures, 2-way replication can genuinely strand input blocks,
     which fails jobs under *any* recovery policy and would only add
     noise to the comparison.
     """
-    scale = scale_from_env(1.0) if scale is None else scale
-    if config is None:
-        from repro.hdfs.hdfs import HdfsConfig
-
-        config = ExperimentConfig(hdfs=HdfsConfig(replication=3))
+    config = ExperimentConfig(hdfs=HdfsConfig(replication=3))
     # Reducer counts are capped below the trace's >145 tail: a 145-way
     # job on 20 simulated workers is all queueing, no extra signal, and
     # dominates the harness wall time.
-    mix = TraceMix(num_jobs=num_jobs, seed=seed,
+    mix = TraceMix(num_jobs=num_jobs, seed=7,
                    mean_reducers=8.0, max_reducers=24).scaled(scale)
     return {
         "yarn": run_fleet("yarn", mix, config),

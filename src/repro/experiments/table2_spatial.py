@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentConfig, run_benchmark_job, scale_from_env
+from repro.experiments.common import format_table, run_benchmark_job
 from repro.faults import kill_node_at_progress
 from repro.workloads import terasort
 
-__all__ = ["Table2Row", "table2_spatial_recovery"]
+__all__ = ["Table2Row", "render", "table2_spatial_recovery"]
 
 
 @dataclass
@@ -29,24 +29,17 @@ class Table2Row:
 def table2_spatial_recovery(
     points=(0.1, 0.2, 0.3),
     systems=("yarn", "sfm"),
-    num_reducers: int = 20,
-    scale: float | None = None,
-    config: ExperimentConfig | None = None,
+    scale: float = 1.0,
 ) -> list[Table2Row]:
-    """The paper's pair by default; ``systems="all"`` (or any explicit
-    roster) sweeps the whole policy registry through the same failure
-    grid — the full-zoo comparison in one call."""
-    if systems == "all":
-        from repro.policies import policy_names
-
-        systems = policy_names()
-    scale = scale_from_env(1.0) if scale is None else scale
-    wl = terasort(100.0 * scale, num_reducers=num_reducers)
+    """The paper's pair by default; any roster of registered policies
+    (``repro experiment table2 --policies all``: the whole registry)
+    runs through the same failure grid."""
+    wl = terasort(100.0 * scale, num_reducers=20)
     rows: list[Table2Row] = []
     for p in points:
         for system in systems:
             fault = kill_node_at_progress(p, target="map-only")
-            _, res = run_benchmark_job(wl, system, faults=[fault], config=config,
+            _, res = run_benchmark_job(wl, system, faults=[fault],
                                        job_name=f"table2-{system}-{p}")
             rows.append(Table2Row(
                 system=system.upper(),
@@ -55,3 +48,9 @@ def table2_spatial_recovery(
                 execution_time=res.elapsed,
             ))
     return rows
+
+
+def render(rows: list[Table2Row]) -> str:
+    return format_table(["type", "point", "extra fails", "time (s)"],
+                        [(r.system, r.first_failure_point, r.additional_failures,
+                          r.execution_time) for r in rows], title="Table II")

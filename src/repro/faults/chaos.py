@@ -277,24 +277,39 @@ FAULT_SPECS: dict[str, tuple[type, dict[str, Any]]] = {
     "am-crash": (AMFault, {}),
 }
 
-#: JSON fault key -> its constructor argument. Keys not listed pass
-#: through unchanged (``target``, ``mode``, ``after.kind``).
+#: JSON fault key -> its constructor argument, once its type is checked
+#: (an integer time or factor becomes a float). Keys not listed pass
+#: through unchanged.
 _CASTS: dict[str, Callable[[Any], Any]] = {
     "task_type": TaskType,
     "node_indices": tuple,
-    **dict.fromkeys(("task_index", "repeat", "rack_index", "count", "node_index"), int),
     **dict.fromkeys(("at_time", "at_progress", "duration", "stagger", "delay",
                      "disk_factor", "nic_factor", "repeat_gap"), float),
 }
 
 
-#: Annotation -> the JSON values it accepts (an integer is a ``float``);
-#: a key with any other annotation is cast or passes through.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "list": (list,)}
+def _json(*types: type) -> Callable[[Any], bool]:
+    """A check for JSON values of ``types``; a bool is not a number."""
+    return lambda value: isinstance(value, types) and (
+        bool in types or not isinstance(value, bool))
+
+
+#: Annotation -> the check its JSON values pass (an integer is a
+#: ``float``); a key with any other annotation passes through or is cast.
+_JSON_TYPES = {"int": _json(int), "float": _json(int, float), "str": _json(str),
+               "bool": _json(bool), "list": _json(list),
+               "tuple[int, ...]": lambda value: isinstance(value, list)
+               and all(map(_json(int), value))}
 
 
 def _check_type(where: str, key: str, value: Any, annotation: str) -> None:
-    if annotation in _JSON_TYPES and not isinstance(value, _JSON_TYPES[annotation]):
+    """``X | None`` accepts null and the values of ``X``."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return
+        annotation = annotation.removesuffix(" | None")
+    check = _JSON_TYPES.get(annotation)
+    if check is not None and not check(value):
         raise SimulationError(f"{where} key {key!r}: expected {annotation}, got {value!r}")
 
 
@@ -316,10 +331,10 @@ def _arguments(cls: type, d: dict[str, Any], where: str,
         try:
             if key == "after":
                 value = EventTrigger(**_arguments(EventTrigger, value, f"{where} 'after'"))
-            elif value is not None and key in _CASTS:
-                value = _CASTS[key](value)
             else:
                 _check_type(where, key, value, field.type)
+                if value is not None and key in _CASTS:
+                    value = _CASTS[key](value)
         except (TypeError, ValueError) as exc:
             raise SimulationError(f"{where} key {key!r}: {exc}") from None
         args[field.name] = value

@@ -134,6 +134,16 @@ class TestRunCommand:
         assert captured.out == ""
 
 
+#: How each experiment's rendered output begins.
+RENDERED_TITLES = {
+    "fig01": "Fig. 1\n", "fig02": "Fig. 2\n", "fig03": "fig03: crash=",
+    "fig04": "fig04: victim=", "fig08": "Fig. 8\n", "fig09": "Fig. 9\n",
+    "fig10": "fig10: crash=", "fig11": "Fig. 11\n", "fig12": "Fig. 12\n",
+    "fig13": "Fig. 13\n", "fig14": "Fig. 14\n", "fig15": "Fig. 15\n",
+    "table2": "Table II\n",
+}
+
+
 class TestOtherCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -150,6 +160,12 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "Table II" in out
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", list(RENDERED_TITLES))
+    def test_every_experiment_runs_and_renders(self, name, capsys):
+        assert main(["experiment", name, "--scale", "0.05"]) == 0
+        assert capsys.readouterr().out.startswith(RENDERED_TITLES[name])
+
     @pytest.mark.parametrize("name", ["fig11", "fig02"])
     def test_policies_outside_table2_is_a_usage_error(self, name, capsys):
         """Only table2 sweeps a roster; any other experiment would
@@ -159,6 +175,24 @@ class TestOtherCommands:
         assert captured.err == ("repro experiment: error: --policies applies to "
                                 f"table2 only, not {name}\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("name, flags", [
+        ("fig03", ["--jobs", "2"]),
+        ("table2", ["--jobs", "2"]),
+        ("fig11", ["--trial-cache", "cache"]),
+    ])
+    def test_runner_flags_outside_fig02_are_a_usage_error(self, name, flags, tmp_path,
+                                                         monkeypatch, capsys):
+        """Only fig02 runs its seeds through the TrialRunner, so ``--jobs``
+        and ``--trial-cache`` would do nothing for any other experiment."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)  # main() sets it from --jobs
+        assert main(["experiment", name, "--scale", "0.01", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"repro experiment: error: {flags[0]} applies to "
+                                f"fig02 only, not {name}\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["chaos"],
@@ -262,11 +296,21 @@ class TestOtherCommands:
          "rpc block key 'drop_prob': expected float, got 'x'"),
         (lambda spec: spec.update(speculation="no"),
          "trial spec key 'speculation': expected bool, got 'no'"),
+        (lambda spec: spec.update(reducers=True),
+         "trial spec key 'reducers': expected int, got True"),
+        (lambda spec: spec["faults"].append({"kind": "task-oom", "task_index": 2.7}),
+         "task-oom fault spec key 'task_index': expected int, got 2.7"),
+        (lambda spec: spec["faults"].append({"kind": "task-oom", "at_progress": "0.5"}),
+         "task-oom fault spec key 'at_progress': expected float, got '0.5'"),
+        (lambda spec: spec["faults"].append(
+            {"kind": "partition", "node_indices": "12", "at_time": 10.0, "duration": 5.0}),
+         "partition fault spec key 'node_indices': expected tuple[int, ...], got '12'"),
     ], ids=["missing-key", "unknown-fault-kind", "unregistered-policy",
             "unknown-workload", "unknown-fault-key", "unknown-after-key",
             "unknown-conf-key", "conf-value-type", "liveness-type", "replication-type",
             "nodes-type", "reducers-type", "faults-not-list", "fault-not-object",
-            "workload-type", "rpc-value-type", "speculation-type"])
+            "workload-type", "rpc-value-type", "speculation-type", "reducers-bool",
+            "task-index-float", "at-progress-str", "node-indices-str"])
     def test_malformed_replay_spec_is_a_usage_error(self, edit, message, tmp_path,
                                                     capsys):
         """Exit 1 means "violation reproduced", so a reproducer that

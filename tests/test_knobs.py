@@ -1,7 +1,7 @@
 """The package reads a fixed set of environment knobs, each documented
-in README.md; its CLI, config objects and policy factories offer fixed
-sets of options; the trial paths do not load the trial store's
-``sqlite3``."""
+in README.md; its CLI, config objects, policy factories and experiment
+drivers offer fixed sets of options; the trial paths do not load the
+trial store's ``sqlite3``."""
 
 import argparse
 import os
@@ -36,7 +36,7 @@ def test_package_reads_exactly_the_supported_knobs():
     adding one is a deliberate change to this list."""
     assert _package_knobs() - set(RETIRED) == {
         "REPRO_SCHEDULER", "REPRO_JOBS", "REPRO_TRIAL_CACHE",
-        "REPRO_VERIFY", "REPRO_SCALE", "REPRO_INVARIANTS"}
+        "REPRO_VERIFY", "REPRO_INVARIANTS"}
 
 
 def test_retired_knobs_are_named_only_by_the_cache_key():
@@ -157,3 +157,40 @@ def test_policy_factories_declare_exactly_the_swept_keywords():
     }
     assert {name: tuple(inspect.signature(factory).parameters)
             for name, (factory, _) in POLICIES.items()} == expected
+
+
+def test_experiment_drivers_declare_exactly_the_passed_parameters():
+    """A driver parameter is one some test, bench or CLI call passes;
+    a value nothing varies is fixed in the driver. Adding or removing
+    one is a deliberate change to this list."""
+    import inspect
+
+    from repro.experiments import EXPERIMENTS
+
+    expected = {
+        "fig01": ("map_failure_counts", "reduce_failure_progress", "scale"),
+        "fig02": ("progress_points", "scale", "repeats"),
+        "fig03": ("system", "scale"),
+        "fig04": ("scale",),
+        "fig08": ("progress_points", "scale"),
+        "fig09": ("progress_points", "scale"),
+        "fig10": ("scale",),
+        "fig11": ("scale",),
+        "fig12": ("frequencies", "input_gb", "scale"),
+        "fig13": ("scale",),
+        "fig14": ("per_reducer_gb", "failure_counts", "num_reducers", "scale"),
+        "fig15": ("scale",),
+        "table2": ("points", "systems", "scale"),
+    }
+    assert {name: tuple(inspect.signature(driver).parameters)
+            for name, (driver, _) in EXPERIMENTS.items()} == expected
+
+
+def test_repro_list_names_exactly_the_experiment_table(capsys):
+    from repro.cli import main
+    from repro.experiments import EXPERIMENTS
+
+    assert main(["list"]) == 0
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("experiments:")]
+    assert line.removeprefix("experiments:").strip().split(", ") == list(EXPERIMENTS)
