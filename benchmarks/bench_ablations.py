@@ -26,7 +26,7 @@ def _table(rows):
 def test_ablation_sfm_components(benchmark, report, scale):
     rows = benchmark.pedantic(ablate_sfm_components, rounds=1, iterations=1,
                               kwargs={"scale": scale})
-    report("Ablation — SFM anti-amplification levers", _table(rows))
+    report("Ablation — SFM anti-amplification levers", _table(rows), scale)
     by = {r.variant: r for r in rows}
     # Either lever alone already removes (or greatly reduces) the
     # amplification; the full mechanism removes it entirely.
@@ -37,7 +37,7 @@ def test_ablation_sfm_components(benchmark, report, scale):
 
 def test_ablation_fcm_cap(benchmark, report, scale):
     rows = benchmark.pedantic(ablate_fcm_cap, rounds=1, iterations=1, kwargs={"scale": scale})
-    report("Ablation — FCM budget under 5 concurrent reducer failures", _table(rows))
+    report("Ablation — FCM budget under 5 concurrent reducer failures", _table(rows), scale)
     by = {r.variant: r.job_time for r in rows}
     # FCM-mode recovery should not lose to regular-mode recovery.
     assert by["fcm_cap=10"] <= by["fcm_cap=0"] * 1.05
@@ -46,7 +46,7 @@ def test_ablation_fcm_cap(benchmark, report, scale):
 def test_ablation_liveness_timeout(benchmark, report, scale):
     rows = benchmark.pedantic(ablate_liveness_timeout, rounds=1, iterations=1,
                               kwargs={"scale": scale})
-    report("Ablation — NM liveness timeout (detection floor)", _table(rows))
+    report("Ablation — NM liveness timeout (detection floor)", _table(rows), scale)
     times = [r.job_time for r in rows]
     # Longer expiry -> strictly later detection -> longer job.
     assert times[0] < times[1] < times[2]
@@ -55,7 +55,7 @@ def test_ablation_liveness_timeout(benchmark, report, scale):
 def test_ablation_alg_frequency_recovery(benchmark, report, scale):
     rows = benchmark.pedantic(ablate_alg_frequency_recovery, rounds=1, iterations=1,
                               kwargs={"scale": scale})
-    report("Ablation — ALG interval vs post-failure job time", _table(rows))
+    report("Ablation — ALG interval vs post-failure job time", _table(rows), scale)
     times = [r.job_time for r in rows]
     # Sparser logging loses more work on a late failure.
     assert times[0] <= times[-1] + 1.0
@@ -63,7 +63,7 @@ def test_ablation_alg_frequency_recovery(benchmark, report, scale):
 
 def test_compare_iss_baseline(benchmark, report, scale):
     rows = benchmark.pedantic(compare_iss, rounds=1, iterations=1, kwargs={"scale": scale})
-    report("Baseline — ISS (Ko et al., §VI) vs YARN vs SFM", _table(rows))
+    report("Baseline — ISS (Ko et al., §VI) vs YARN vs SFM", _table(rows), scale)
     by = {r.variant: r.job_time for r in rows}
     # ISS pays replication overhead on the failure-free run...
     assert by["iss failure-free"] > by["yarn failure-free"] * 1.02

@@ -91,7 +91,6 @@ def measure_resume_overhead(tmp: Path, seed: int, trials: int,
 def _spawn_campaign(store: Path, seed: int, trials: int, scale: float):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_JOBS", None)  # serial child: finest checkpoint granularity
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "chaos",
          "--store", str(store), "--seed", str(seed),

@@ -14,9 +14,10 @@ def test_motivation_fleet(benchmark, report):
     # Fixed small scale: the fleet runs 4 whole shared-cluster
     # simulations (clean+faulty x 2 policies); the claim is qualitative
     # and does not need paper-sized inputs.
+    scale = 0.3
     results = benchmark.pedantic(
         motivation_fleet, rounds=1, iterations=1,
-        kwargs={"num_jobs": 5, "scale": 0.3})
+        kwargs={"num_jobs": 5, "scale": scale})
     rows = []
     for name, r in results.items():
         rows.append((name, r.mean_slowdown, r.worst_slowdown,
@@ -25,7 +26,7 @@ def test_motivation_fleet(benchmark, report):
         ["policy", "mean slowdown", "worst slowdown", "delayed >1.3x",
          "failed jobs", "reduce task failures"],
         rows,
-    ))
+    ), scale)
     yarn, alm = results["yarn"], results["alm"]
     # ALM contains the damage: fewer reducer casualties and milder
     # fleet-level slowdown under identical failures.

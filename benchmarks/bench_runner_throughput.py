@@ -3,7 +3,7 @@ serial baseline.
 
 This bench establishes the perf baseline for the experiment pipeline
 itself (not a paper figure): a multi-trial experiment is executed (a)
-serially in-process, (b) fanned out across ``REPRO_JOBS`` worker
+serially in-process, (b) fanned out across ``JOBS`` = 4 worker
 processes, and (c) twice against a trial store (cold, then warm).
 Per-seed trace digests must be bit-identical across all modes — the
 speedup must never come at the cost of determinism.
@@ -32,6 +32,7 @@ from repro.runner import TrialRunner, shutdown_pools
 from repro.workloads import terasort
 
 SEEDS = [2015 + 101 * k for k in range(6)]
+JOBS = 4
 TRIAL_KWARGS = dict(
     workload=terasort(20.0),
     system="yarn",
@@ -41,7 +42,7 @@ TRIAL_KWARGS = dict(
 
 
 def _timed_run(jobs: int, store=None):
-    runner = TrialRunner(jobs=jobs, store=store, verify=False)
+    runner = TrialRunner(jobs=jobs, store=store)
     t0 = time.perf_counter()
     results = runner.run("bench_runner_throughput", run_benchmark_trial,
                          SEEDS, kwargs=TRIAL_KWARGS)
@@ -49,7 +50,6 @@ def _timed_run(jobs: int, store=None):
 
 
 def test_runner_throughput(report, tmp_path):
-    jobs = max(2, int(os.environ.get("REPRO_JOBS", "4") or 4))
     cores = os.cpu_count() or 1
 
     serial_s, serial_res = _timed_run(jobs=1)
@@ -58,10 +58,10 @@ def test_runner_throughput(report, tmp_path):
     parallel_fields: dict
     if cores > 1:
         shutdown_pools()  # first parallel run pays the full pool spawn cost
-        parallel_s, parallel_res = _timed_run(jobs=jobs)
+        parallel_s, parallel_res = _timed_run(jobs=JOBS)
         # Second fan-out reuses the cached worker pool: this is the
         # per-sweep-step cost an experiment driver actually pays.
-        parallel_warm_s, parallel_warm_res = _timed_run(jobs=jobs)
+        parallel_warm_s, parallel_warm_res = _timed_run(jobs=JOBS)
 
         # Determinism: the parallel fan-out reproduces the serial
         # digests bit-for-bit, seed by seed.
@@ -99,7 +99,7 @@ def test_runner_throughput(report, tmp_path):
         "trials": len(SEEDS),
         "workload": "terasort-20GB",
         "cores": cores,
-        "jobs": jobs,
+        "jobs": JOBS,
         "serial_seconds": round(serial_s, 3),
         **parallel_fields,
         "cache_cold_seconds": round(cold_s, 3),
@@ -120,5 +120,5 @@ def test_runner_throughput(report, tmp_path):
     # fan-out itself is expected to clear it.
     best = max(filter(None, (parallel_speedup, cache_speedup)))
     assert best >= 2.0, payload
-    if cores >= 2 * jobs:  # plenty of headroom: fan-out itself must win
+    if cores >= 2 * JOBS:  # plenty of headroom: fan-out itself must win
         assert parallel_speedup >= 2.0, payload

@@ -9,7 +9,9 @@ reproduction target (see EXPERIMENTS.md).
 Input sizes default to half the paper's (REPRO_SCALE=0.5) to keep the
 suite's wall time reasonable; set REPRO_SCALE=1.0 for the full-size
 reproduction. The ``scale`` fixture is the only reader of REPRO_SCALE:
-the ``figure`` fixture passes it to each figure's driver.
+the ``figure`` fixture passes it to each figure's driver unless the
+bench fixes its own. Each banner names the scale its bench ran at, and
+benches that take no scale print none.
 """
 
 import os
@@ -23,9 +25,10 @@ def scale() -> float:
 
 
 @pytest.fixture
-def report(scale):
-    def print_report(title: str, body: str) -> None:
-        print(f"\n=== {title} (REPRO_SCALE={scale}) ===")
+def report():
+    def print_report(title: str, body: str, scale: float | None = None) -> None:
+        at = "" if scale is None else f" (scale={scale})"
+        print(f"\n=== {title}{at} ===")
         print(body)
     return print_report
 
@@ -38,8 +41,8 @@ def figure(benchmark, report, scale):
 
     def run(name: str, title: str, **kwargs):
         driver, render = EXPERIMENTS[name]
-        result = benchmark.pedantic(driver, rounds=1, iterations=1,
-                                    kwargs={"scale": scale, **kwargs})
-        report(title, render(result))
+        kwargs = {"scale": scale, **kwargs}
+        result = benchmark.pedantic(driver, rounds=1, iterations=1, kwargs=kwargs)
+        report(title, render(result), kwargs["scale"])
         return result
     return run

@@ -85,7 +85,7 @@ def _chaos(spec: dict[str, Any]) -> Family:
 
 
 def _verify_matrix(spec: dict[str, Any]) -> Family:
-    from repro.sim.core import IMPL_KNOBS
+    from repro.cluster.cluster import SCHEDULERS
     from repro.verify.differential import run_matrix_trial
     from repro.verify.scenarios import SCENARIOS
 
@@ -95,7 +95,7 @@ def _verify_matrix(spec: dict[str, Any]) -> Family:
                          "[scenario, kernel, scheduler, mutate] rows")
     # "default" leaves the scheduler unset. There is one kernel left; its
     # column stays so stored specs keep their campaign ids.
-    schedulers = ("default", *filter(None, IMPL_KNOBS["REPRO_SCHEDULER"]))
+    schedulers = ("default", *filter(None, SCHEDULERS))
     jobs = []
     for row in spec["jobs"]:
         if not (isinstance(row, (list, tuple)) and len(row) == 4
@@ -122,9 +122,9 @@ KINDS: dict[str, Callable[[dict[str, Any]], Family]] = {
 }
 
 
-def run_spec(spec: dict[str, Any], store: CampaignStore) -> dict[str, Any]:
+def run_spec(spec: dict[str, Any], store: CampaignStore, jobs: int = 1) -> dict[str, Any]:
     """Register the campaign ``spec`` describes in ``store`` and run its
-    seeds to completion.
+    seeds to completion across ``jobs`` worker processes.
 
     Seeds run in fifo waves of ``max(16, 4 * jobs)`` through a
     :class:`~repro.runner.TrialRunner` backed by ``store``: trials the
@@ -144,8 +144,8 @@ def run_spec(spec: dict[str, Any], store: CampaignStore) -> dict[str, Any]:
     spec, experiment, fn, kwargs, seeds = kind(spec)
     campaign_id = spec_digest(experiment, fn, kwargs)
     store.register(campaign_id, spec)
-    runner = TrialRunner(store=store)
-    wave = max(16, 4 * runner.jobs)
+    runner = TrialRunner(jobs=jobs, store=store)
+    wave = max(16, 4 * jobs)
     executed = skipped = 0
     t0 = time.perf_counter()
     try:

@@ -192,10 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="input-size scale vs the paper (default 0.5)")
     p_exp.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
                        help="run seeded trials across N worker processes "
-                            "(sets REPRO_JOBS; default: serial)")
-    p_exp.add_argument("--trial-cache", metavar="DIR", default=None,
-                       help="memoize completed trials in the store "
-                            "DIR/trials.db (sets REPRO_TRIAL_CACHE)")
+                            "(fig02 only; default: serial)")
     p_exp.add_argument("--policies", metavar="LIST", default=None,
                        type=_parse_policies,
                        help="comma-separated policy roster, or 'all' for the "
@@ -220,9 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default: the five seed systems)")
     p_chaos.add_argument("--smoke", action="store_true",
                          help="CI budget: smaller inputs, at most 30 trials")
-    p_chaos.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
+    p_chaos.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
                          help="fan trials across N worker processes "
-                              "(sets REPRO_JOBS; default: serial)")
+                              "(default: serial)")
     p_chaos.add_argument("--out", metavar="DIR", default="chaos-reports",
                          help="directory for reproducer JSON files")
     p_chaos.add_argument("--no-minimize", action="store_true",
@@ -246,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="JSON campaign spec (kind chaos or verify-matrix); "
                                "`repro chaos --store FILE` submits a chaos "
                                "campaign from flags")
-    c_submit.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
+    c_submit.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
                           help="fan trials across N worker processes")
     c_submit.add_argument("--out", metavar="DIR", default=None,
                           help="reproducer directory for chaos campaigns")
@@ -257,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c_resume.add_argument("--id", default=None, metavar="PREFIX",
                           help="campaign id prefix (default: the most "
                                "recently updated incomplete campaign)")
-    c_resume.add_argument("--jobs", type=_positive(int), default=None, metavar="N")
+    c_resume.add_argument("--jobs", type=_positive(int), default=1, metavar="N")
     c_resume.add_argument("--out", metavar="DIR", default=None)
     c_resume.add_argument("--no-minimize", action="store_true")
     c_status = camp_sub.add_parser(
@@ -290,9 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "tests/golden/scenarios.json")
     p_verify.add_argument("--scenario", action="append", default=None,
                           metavar="NAME", help="restrict to named scenario(s)")
-    p_verify.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
+    p_verify.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
                           help="fan matrix runs across N worker processes "
-                               "(sets REPRO_JOBS; default: serial)")
+                               "(default: serial)")
     p_verify.add_argument("--out", metavar="DIR", default="chaos-reports",
                           help="directory for metamorphic reproducer JSON "
                                "files")
@@ -352,17 +349,17 @@ def cmd_run(args) -> int:
 def cmd_experiment(args) -> int:
     # Only table2 sweeps a roster, and only fig02 runs its seeds through
     # the TrialRunner; any other experiment would silently ignore these.
-    for flag, value, owner in (("--policies", args.policies, "table2"),
-                               ("--jobs", args.jobs, "fig02"),
-                               ("--trial-cache", args.trial_cache, "fig02")):
-        if value is not None and args.name != owner:
+    kwargs = {}
+    for flag, key, value, owner in (("--policies", "systems", args.policies, "table2"),
+                                    ("--jobs", "jobs", args.jobs, "fig02")):
+        if value is None:
+            continue
+        if args.name != owner:
             print(f"repro experiment: error: {flag} applies to {owner} only, "
                   f"not {args.name}", file=sys.stderr)
             return 2
-    if args.trial_cache is not None:
-        os.environ["REPRO_TRIAL_CACHE"] = args.trial_cache
+        kwargs[key] = value
     driver, render = EXPERIMENTS[args.name]
-    kwargs = {"systems": args.policies} if args.policies else {}
     print(render(driver(scale=args.scale, **kwargs)))
     return 0
 
@@ -428,10 +425,10 @@ def _run_campaign_spec(spec, args) -> int:
     try:
         if spec.get("kind") == "chaos":
             summary = run_campaign(spec, store=args.store, out_dir=args.out,
-                                   minimize=not args.no_minimize)
+                                   minimize=not args.no_minimize, jobs=args.jobs)
         else:
             with CampaignStore(args.store) as store:
-                stats = run_spec(spec, store)
+                stats = run_spec(spec, store, jobs=args.jobs)
                 agg = aggregate_payloads(spec["kind"],
                                          store.payloads(stats["campaign_id"]))
     except KeyboardInterrupt:
@@ -582,7 +579,7 @@ def cmd_verify(args) -> int:
     )
 
     if args.refresh_golden:
-        report = run_matrix(names=args.scenario, combos=COMBOS[:1])
+        report = run_matrix(names=args.scenario, combos=COMBOS[:1], jobs=args.jobs)
         path = refresh_golden(report["digests"])
         print(f"golden digests for {report['scenarios']} scenarios written "
               f"to {path}")
@@ -601,7 +598,7 @@ def cmd_verify(args) -> int:
         try:
             report = run_matrix(names=args.scenario,
                                 quick=args.quick, combos=combos,
-                                store=args.store)
+                                store=args.store, jobs=args.jobs)
         except DivergenceError as exc:
             print(f"DIVERGENCE: {exc}")
             return 1
@@ -641,10 +638,6 @@ def cmd_list(_args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # The runner reads its parallelism from the environment so every
-    # driver picks it up without plumbing.
-    if getattr(args, "jobs", None) is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.command == "run":
         return cmd_run(args)
     if args.command == "experiment":

@@ -16,15 +16,17 @@ remote peers experience a dead machine: their transfers abort with
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.node import GB, MB, Node, NodeSpec, Rack
-from repro.sim.core import Event, SimulationError, Simulator, impl_choice
+from repro.sim.core import Event, SimulationError, Simulator
 from repro.sim.flows import Flow, FlowScheduler, LinkResource
 
-__all__ = ["COLUMNAR_FLOW_MIN_NODES", "Cluster", "ClusterSpec", "flow_scheduler_class"]
+__all__ = ["COLUMNAR_FLOW_MIN_NODES", "SCHEDULERS", "Cluster", "ClusterSpec",
+           "flow_scheduler_class", "scheduler_choice"]
 
 #: Clusters with at least this many nodes get the columnar flow
 #: scheduler; smaller ones the incremental one. The crossover was
@@ -32,6 +34,23 @@ __all__ = ["COLUMNAR_FLOW_MIN_NODES", "Cluster", "ClusterSpec", "flow_scheduler_
 #: numpy's per-call overhead on small flow components costs more than
 #: the vectorized refill saves.
 COLUMNAR_FLOW_MIN_NODES = 192
+
+#: The values ``REPRO_SCHEDULER`` accepts, ``""`` (unset) selecting the
+#: default. The flow-scheduler choice, the trial cache key and the
+#: differential matrix all read this tuple, so a new choice cannot be
+#: left out of one.
+SCHEDULERS = ("", "incremental", "columnar", "reference")
+
+
+def scheduler_choice() -> str:
+    """The ``REPRO_SCHEDULER`` value, the one environment setting the
+    package reads. Any value outside :data:`SCHEDULERS` raises, so a
+    mistyped oracle run cannot silently check the default
+    implementation against itself."""
+    choice = os.environ.get("REPRO_SCHEDULER", "")
+    if choice not in SCHEDULERS:
+        raise SimulationError(f"unknown REPRO_SCHEDULER {choice!r}")
+    return choice
 
 
 def flow_scheduler_class(num_nodes: int):
@@ -44,7 +63,7 @@ def flow_scheduler_class(num_nodes: int):
     columns) or ``reference`` (the eager full-recompute seed
     implementation, kept as the equivalence oracle). All three are
     bit-identical."""
-    choice = impl_choice("REPRO_SCHEDULER")
+    choice = scheduler_choice()
     if choice == "":
         choice = "columnar" if num_nodes >= COLUMNAR_FLOW_MIN_NODES else "incremental"
     if choice == "reference":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -21,7 +20,6 @@ __all__ = [
     "ExperimentConfig",
     "averaged_job_time",
     "format_table",
-    "invariants_from_env",
     "paper_workloads",
     "run_benchmark_job",
     "run_benchmark_trial",
@@ -35,13 +33,6 @@ def paper_workloads(scale: float) -> list[Workload]:
     """The three benchmarks Figs. 8, 9 and 15 sweep, at ``scale`` times
     the paper's input sizes."""
     return [BENCHMARKS[name](gb * scale) for name, gb in PAPER_INPUTS.items()]
-
-
-def invariants_from_env() -> bool:
-    """Whether to run the post-run invariant suite on every trial
-    (``REPRO_INVARIANTS=1``): trials record violations in their payload
-    and the :class:`~repro.runner.TrialRunner` fails loudly on any."""
-    return os.environ.get("REPRO_INVARIANTS", "") not in ("", "0")
 
 
 @dataclass
@@ -112,25 +103,24 @@ def run_benchmark_trial(
     This is the :class:`~repro.runner.TrialRunner` fan-out target for
     every experiment that averages or sweeps independent seeds: workers
     cannot ship a live :class:`MapReduceRuntime` back across the process
-    boundary, so the trial collapses to elapsed time, counters and the
-    trace digest that pins seed-determinism.
+    boundary, so the trial collapses to elapsed time, counters, the
+    trace digest that pins seed-determinism and the post-run invariant
+    violations, which the runner fails loudly on.
     """
+    from repro.invariants import check_invariants
+
     cfg = (base_config or ExperimentConfig()).with_seed(seed)
     faults = [fault_factory()] if fault_factory is not None else []
     rt, res = run_benchmark_job(workload, system, faults=faults, config=cfg,
                                 job_name=f"{job_name}-s{seed}",
                                 policy_kwargs=policy_kwargs)
-    payload = {
+    return {
         "elapsed": res.elapsed,
         "success": res.success,
         "counters": dict(res.counters),
         "digest": res.trace.digest(),
+        "invariant_violations": check_invariants(rt, res),
     }
-    if invariants_from_env():
-        from repro.invariants import check_invariants
-
-        payload["invariant_violations"] = check_invariants(rt, res)
-    return payload
 
 
 def averaged_job_time(
@@ -140,19 +130,19 @@ def averaged_job_time(
     config: ExperimentConfig | None = None,
     repeats: int = 3,
     job_name: str = "avg",
+    jobs: int = 1,
 ) -> float:
     """Mean job time over ``repeats`` seeds (the paper's 'average of
     three test runs'); damps placement/scheduling noise that a single
     simulated run shares with a single testbed run.
 
     Trials go through the :class:`~repro.runner.TrialRunner`: with
-    ``REPRO_JOBS > 1`` (and a picklable spec) the seeds run in worker
-    processes, and with ``REPRO_TRIAL_CACHE`` set, completed seeds are
-    memoized on disk. Results are identical to the serial path.
+    ``jobs > 1`` the seeds run in worker processes. Results are
+    identical to the serial path.
     """
     cfg = config or ExperimentConfig()
     seeds = [cfg.seed + 101 * k for k in range(repeats)]
-    results = TrialRunner().run(
+    results = TrialRunner(jobs=jobs).run(
         experiment=f"averaged_job_time:{workload.name}:{system}:{job_name}",
         fn=run_benchmark_trial,
         seeds=seeds,

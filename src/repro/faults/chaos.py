@@ -6,8 +6,8 @@ trial ``i`` derives its workload, cluster shape, policy and fault
 schedule from ``numpy.random.default_rng([seed, i])``, so the same seed
 always regenerates the identical campaign — schedules *and* trace
 digests. Trials fan out through the
-:class:`~repro.runner.TrialRunner` (``REPRO_JOBS`` parallelism and
-caching apply unchanged).
+:class:`~repro.runner.TrialRunner` (``jobs`` worker processes and the
+campaign store's memoization apply unchanged).
 
 Every trial runs the full invariant suite (:mod:`repro.invariants`).
 A violation produces a *reproducer*: a self-contained JSON spec (the
@@ -506,12 +506,13 @@ def run_campaign(
     out_dir: str | Path | None = None,
     minimize: bool = True,
     echo=print,
+    jobs: int = 1,
 ) -> dict[str, Any]:
     """Run (or resume) the chaos campaign ``spec`` describes (``kind``
     ``chaos``: ``seed``, ``trials``, optional ``scale``, ``am_faults``,
     ``policies``, ``hard_timeout``, ``stall_timeout``) through
-    :func:`repro.campaign.run_spec`; write a reproducer per violating
-    trial.
+    :func:`repro.campaign.run_spec` across ``jobs`` worker processes;
+    write a reproducer per violating trial.
 
     ``store`` selects durability: ``None`` runs on an ephemeral
     in-memory store, a path (or an open
@@ -530,7 +531,7 @@ def run_campaign(
     from repro.runner import atomic_write_text
 
     with open_store(store) as opened:
-        run_stats = run_spec(spec, opened)
+        run_stats = run_spec(spec, opened, jobs=jobs)
         campaign_id = run_stats["campaign_id"]
         seed, scale = run_stats["spec"]["seed"], run_stats["spec"]["scale"]
         summary = aggregate_chaos(opened.payloads(campaign_id))

@@ -10,9 +10,9 @@ Each checker is ``fn(rt, result) -> list[str]`` where ``rt`` is the
 :class:`~repro.mapreduce.job.MapReduceRuntime` *after* ``rt.run()``
 returned ``result``. An empty list means the invariant holds.
 
-Use :func:`check_invariants` standalone, or set ``REPRO_INVARIANTS=1``
-to make the experiment drivers record (and the trial runner reject)
-violations on every trial.
+Every experiment trial (:func:`repro.experiments.common.run_benchmark_trial`)
+runs the suite and records its violations, which the trial runner
+rejects; :func:`check_invariants` also runs standalone.
 """
 
 from __future__ import annotations

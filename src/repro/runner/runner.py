@@ -4,39 +4,33 @@ Every experiment in this repo averages (or sweeps) seeded trials that
 are completely independent of one another, so the runner is the one
 place that knows how to execute them fast and honestly:
 
-- ``REPRO_JOBS > 1`` fans trials out across worker processes with
-  :class:`concurrent.futures.ProcessPoolExecutor`; ``REPRO_JOBS=1``
-  (the default) runs them in-process, serially, in seed order — the
+- ``jobs > 1`` fans trials out across worker processes with
+  :class:`concurrent.futures.ProcessPoolExecutor`; ``jobs=1`` (the
+  default) runs them in-process, serially, in seed order — the
   deterministic reference path. Fan-out is *chunked*: each worker task
   is one contiguous block of seeds, so ``(fn, kwargs)`` is pickled once
   per chunk (not once per seed) and results return one message per
   chunk. On a single-core host the serial path is auto-selected even
-  when ``REPRO_JOBS > 1`` (process fan-out is strictly overhead there).
+  when ``jobs > 1`` (process fan-out is strictly overhead there).
 - A trial is a **module-level** callable ``fn(seed, **kwargs)``
-  returning a JSON-serialisable dict. Specs that cannot be pickled
-  (lambda fault factories, closures) silently fall back to the serial
-  path so existing callers keep working.
+  returning a JSON-serialisable dict. Fanning out a spec that cannot be
+  pickled (lambda fault factories, closures) is a :class:`TrialError`.
 - Completed trials are memoized in a trial store
   (:class:`~repro.campaign.store.CampaignStore`, the same sqlite store
-  durable campaigns use) keyed by ``(spec_digest, seed)`` when one is
-  configured (``REPRO_TRIAL_CACHE``). Every seed is loaded from the
-  store, and every fresh trial is recorded into it as it completes, so
-  an interrupted run loses only trials in flight. Specs containing
-  unnameable callables are never cached. The store is opened only when
-  a cacheable spec runs, so trial paths without one never load
+  durable campaigns use) keyed by ``(spec_digest, seed)`` when the
+  caller passes one. Every seed is loaded from the store, and every
+  fresh trial is recorded into it as it completes, so an interrupted
+  run loses only trials in flight. Specs containing unnameable
+  callables are never cached. The store is opened only when a
+  cacheable spec runs, so trial paths without one never load
   ``sqlite3``.
-- ``REPRO_VERIFY=1`` re-runs the first trial in-process and compares
-  payloads: the same seed must produce the identical result (for job
-  trials, the identical trace digest) no matter where it ran.
 """
 
 from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -45,18 +39,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.sim.core import IMPL_KNOBS
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.store import CampaignStore
 
 __all__ = [
-    "DeterminismError",
     "TrialError",
     "TrialResult",
     "TrialRunner",
     "atomic_write_text",
-    "jobs_from_env",
     "shutdown_pools",
     "spec_digest",
 ]
@@ -78,24 +68,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-class DeterminismError(RuntimeError):
-    """A seed produced different results on re-execution."""
-
-
 class TrialError(RuntimeError):
     """A trial raised; the message names the experiment and seed.
 
     Raised with a plain string argument so it round-trips through the
     worker-process pickle boundary intact."""
-
-
-def jobs_from_env() -> int:
-    """Worker-process count: ``REPRO_JOBS`` clamped to >= 1; unset or
-    malformed means 1, serial in-process execution."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _stable_name(value: Any) -> str | None:
@@ -122,21 +99,20 @@ _RETIRED_KERNEL_SLOT = "REPRO_KERNEL="
 
 
 def _env_mode() -> str:
-    """The implementation-mode part of the cache key: every knob in
-    :data:`repro.sim.core.IMPL_KNOBS`. Digests are pinned identical
-    across schedulers, but the whole point of a verify run is to prove
-    that — a cached default-scheduler payload served to a
-    reference-scheduler run would turn the equivalence check into a
-    tautology."""
-    return "\x00".join([_RETIRED_KERNEL_SLOT,
-                        *(f"{k}={os.environ.get(k, '')}" for k in IMPL_KNOBS)])
+    """The implementation-mode part of the cache key: the
+    ``REPRO_SCHEDULER`` choice. Digests are pinned identical across
+    schedulers, but the whole point of a verify run is to prove that —
+    a cached default-scheduler payload served to a reference-scheduler
+    run would turn the equivalence check into a tautology."""
+    from repro.cluster.cluster import scheduler_choice
+
+    return f"{_RETIRED_KERNEL_SLOT}\x00REPRO_SCHEDULER={scheduler_choice()}"
 
 
 def spec_digest(experiment: str, fn: Callable, kwargs: dict[str, Any]) -> str | None:
     """Cache key for a trial spec, or ``None`` if any part of the spec
     is unnameable — such specs are executed but never memoized. The key
-    also folds in the implementation-mode environment
-    (:data:`repro.sim.core.IMPL_KNOBS`) so runs under different
+    also folds in the flow-scheduler choice so runs under different
     implementations never share cache entries."""
     parts = [experiment, _stable_name(fn) or "", _env_mode()]
     if not parts[1]:
@@ -148,16 +124,6 @@ def spec_digest(experiment: str, fn: Callable, kwargs: dict[str, Any]) -> str | 
         parts.append(f"{key}={name}")
     blob = "\x00".join(parts)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _store_from_env() -> Path | None:
-    """The trial store ``REPRO_TRIAL_CACHE`` names: ``DIR/trials.db``,
-    ``1`` for the per-user default directory, unset or ``0`` for none."""
-    raw = os.environ.get("REPRO_TRIAL_CACHE", "")
-    if not raw or raw == "0":
-        return None
-    directory = Path.home() / ".cache" / "repro" / "trials" if raw == "1" else Path(raw)
-    return directory / "trials.db"
 
 
 def _invoke_trial(fn: Callable, seed: int, kwargs: dict[str, Any]) -> tuple[dict, float]:
@@ -226,14 +192,6 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def _spec_picklable(fn: Callable, kwargs: dict[str, Any]) -> bool:
-    try:
-        pickle.dumps((fn, kwargs))
-        return True
-    except Exception:
-        return False
-
-
 def _parallel_viable() -> bool:
     """Whether process fan-out can possibly win on this host.
 
@@ -256,30 +214,18 @@ class TrialResult:
 
 
 class TrialRunner:
-    """Fans seeded trials out across processes, memoizes them in a trial
-    store and optionally verifies seed-determinism.
+    """Fans seeded trials out across ``jobs`` worker processes and
+    memoizes them in a trial store.
 
-    Parameters default from the environment so experiment drivers can
-    construct a runner unconditionally: ``REPRO_JOBS`` (parallelism,
-    default 1), ``REPRO_TRIAL_CACHE`` (store directory, holding
-    ``trials.db``; ``1`` means ``~/.cache/repro/trials``, unset/``0``
-    disables), ``REPRO_VERIFY`` (re-run the first seed and compare
-    payloads). ``store`` is an open
-    :class:`~repro.campaign.store.CampaignStore` (borrowed, never
-    closed here) or the path of one (opened for each :meth:`run`).
+    ``store`` is an open :class:`~repro.campaign.store.CampaignStore`
+    (borrowed, never closed here), the path of one (opened for each
+    :meth:`run`) or ``None`` for no memoization.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        store: "CampaignStore | str | Path | None" = None,
-        verify: bool | None = None,
-    ) -> None:
-        self.jobs = jobs_from_env() if jobs is None else max(1, int(jobs))
-        self.store = store if store is not None else _store_from_env()
-        if verify is None:
-            verify = os.environ.get("REPRO_VERIFY", "") not in ("", "0")
-        self.verify = verify
+    def __init__(self, jobs: int = 1,
+                 store: "CampaignStore | str | Path | None" = None) -> None:
+        self.jobs = jobs
+        self.store = store
 
     # -- public API ---------------------------------------------------------
     def run(
@@ -328,8 +274,7 @@ class TrialRunner:
                     todo.append(seed)
 
             if todo:
-                if (self.jobs > 1 and len(todo) > 1 and _parallel_viable()
-                        and _spec_picklable(fn, kwargs)):
+                if self.jobs > 1 and len(todo) > 1 and _parallel_viable():
                     self._run_parallel(experiment, fn, todo, kwargs, emit, results)
                 else:
                     for s in todo:
@@ -337,14 +282,12 @@ class TrialRunner:
 
         ordered = [results[s] for s in seeds]
         self._check_invariant_payloads(experiment, ordered)
-        if self.verify and ordered:
-            self._verify_first(experiment, fn, kwargs, ordered[0])
         return ordered
 
     @staticmethod
     def _check_invariant_payloads(experiment: str, results: list["TrialResult"]) -> None:
-        """Trials run under ``REPRO_INVARIANTS=1`` carry their post-run
-        invariant violations in the payload (see
+        """Experiment trials carry their post-run invariant violations
+        in the payload (see
         :func:`repro.experiments.common.run_benchmark_trial`); surface
         any as a hard failure so a quietly-corrupted experiment cannot
         average its way into a figure. (The chaos campaign collects its
@@ -403,7 +346,8 @@ class TrialRunner:
             except TrialError:
                 raise
             except Exception as exc:
-                # Pool-layer failure (unpicklable result, worker teardown):
+                # Pool-layer failure (unpicklable spec or result, worker
+                # teardown):
                 # still name the seeds so the block is identifiable.
                 block = futures[future]
                 raise TrialError(
@@ -430,18 +374,3 @@ class TrialRunner:
                         pass  # best-effort flush; the interrupt wins
             _discard_pool(workers)  # shutdown + cancel pending futures
             raise
-
-    def _verify_first(self, experiment: str, fn: Callable,
-                      kwargs: dict[str, Any], reference: TrialResult) -> None:
-        rerun = self._run_one(experiment, fn, reference.seed, kwargs)
-        if rerun.payload != reference.payload:
-            raise DeterminismError(
-                f"{experiment}: seed {reference.seed} is not deterministic — "
-                f"payloads differ between executions "
-                f"({_payload_digest(reference.payload)} vs {_payload_digest(rerun.payload)})"
-            )
-
-
-def _payload_digest(payload: dict[str, Any]) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]

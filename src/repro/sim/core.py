@@ -42,7 +42,6 @@ Hot-path design:
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Generator, Iterable
 from heapq import heappop, heappush, heapreplace
 from typing import Any
@@ -51,14 +50,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "IMPL_KNOBS",
     "Interrupt",
     "Periodic",
     "Process",
     "SimulationError",
     "Simulator",
     "Timeout",
-    "impl_choice",
 ]
 
 #: Priority used for ordinary events.
@@ -69,26 +66,6 @@ URGENT = 0
 #: it sorts after every ordinary event at the same time, including ones
 #: queued later.
 LATE = 2
-
-
-#: The implementation-mode knobs: each environment variable and the
-#: values it accepts, ``""`` (unset) selecting the default. The
-#: flow-scheduler choice, the trial cache key and the differential
-#: matrix all read this table, so a new mode cannot be left out of one.
-IMPL_KNOBS: dict[str, tuple[str, ...]] = {
-    "REPRO_SCHEDULER": ("", "incremental", "columnar", "reference"),
-}
-
-
-def impl_choice(knob: str) -> str:
-    """The value of implementation knob ``knob`` (a key of
-    :data:`IMPL_KNOBS`). Any value outside the table raises, so a
-    mistyped oracle run cannot silently check the default
-    implementation against itself."""
-    choice = os.environ.get(knob, "")
-    if choice not in IMPL_KNOBS[knob]:
-        raise SimulationError(f"unknown {knob} {choice!r}")
-    return choice
 
 
 def _impure_tick(event: "Periodic") -> "SimulationError":

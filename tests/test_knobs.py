@@ -34,9 +34,7 @@ def _package_knobs() -> set[str]:
 def test_package_reads_exactly_the_supported_knobs():
     """A knob no workload, benchmark or CI step sets is dead weight:
     adding one is a deliberate change to this list."""
-    assert _package_knobs() - set(RETIRED) == {
-        "REPRO_SCHEDULER", "REPRO_JOBS", "REPRO_TRIAL_CACHE",
-        "REPRO_VERIFY", "REPRO_INVARIANTS"}
+    assert _package_knobs() - set(RETIRED) == {"REPRO_SCHEDULER"}
 
 
 def test_retired_knobs_are_named_only_by_the_cache_key():
@@ -72,7 +70,7 @@ def test_cli_offers_exactly_the_supported_options():
     expected = {
         "run": ["--export", "--fault", "--nodes", "--policy", "--racks", "--reducers",
                 "--report", "--seed", "--size-gb", "--speculation"],
-        "experiment": ["--jobs", "--policies", "--scale", "--trial-cache"],
+        "experiment": ["--jobs", "--policies", "--scale"],
         "chaos": ["--am-faults", "--jobs", "--no-minimize", "--out", "--policies",
                   "--replay", "--scale", "--seed", "--smoke", "--store", "--trials"],
         "campaign submit": ["--jobs", "--no-minimize", "--out", "--spec", "--store"],
@@ -169,7 +167,7 @@ def test_experiment_drivers_declare_exactly_the_passed_parameters():
 
     expected = {
         "fig01": ("map_failure_counts", "reduce_failure_progress", "scale"),
-        "fig02": ("progress_points", "scale", "repeats"),
+        "fig02": ("progress_points", "scale", "repeats", "jobs"),
         "fig03": ("system", "scale"),
         "fig04": ("scale",),
         "fig08": ("progress_points", "scale"),

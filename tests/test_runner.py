@@ -1,5 +1,5 @@
 """TrialRunner: parallel/serial determinism, memoization in the trial
-store, fallbacks."""
+store, failures."""
 
 import sqlite3
 from functools import partial
@@ -15,7 +15,7 @@ from repro.experiments.common import (
     run_benchmark_trial,
 )
 from repro.hdfs.hdfs import HdfsConfig
-from repro.runner import DeterminismError, TrialError, TrialRunner, spec_digest
+from repro.runner import TrialError, TrialRunner, spec_digest
 from repro.yarn.rm import YarnConfig
 
 from tests.conftest import make_runtime, small_cluster, tiny_workload
@@ -36,14 +36,6 @@ def _square_trial(seed, offset=0):
 
 def _factory_trial(seed, factory):
     return {"value": factory() + seed}
-
-
-_FLAKY_CALLS = []
-
-
-def _flaky_trial(seed):
-    _FLAKY_CALLS.append(seed)
-    return {"calls_so_far": len(_FLAKY_CALLS)}
 
 
 def _exploding_trial(seed):
@@ -79,23 +71,23 @@ class TestTraceDigest:
 
 class TestTrialRunner:
     def test_serial_results_in_seed_order(self):
-        results = TrialRunner(jobs=1, verify=False).run(
+        results = TrialRunner(jobs=1).run(
             "squares", _square_trial, [3, 1, 2])
         assert [r.seed for r in results] == [3, 1, 2]
         assert [r.payload["value"] for r in results] == [9, 1, 4]
         assert all(not r.cached for r in results)
 
     def test_parallel_matches_serial_bit_for_bit(self, monkeypatch):
-        """The acceptance contract: REPRO_JOBS>1 and REPRO_JOBS=1
-        produce identical per-seed payloads (including trace digests).
+        """The acceptance contract: jobs>1 and jobs=1 produce
+        identical per-seed payloads (including trace digests).
         Two CPUs reported: on a single-core host the runner would
         otherwise auto-select the serial path and test nothing."""
         monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
         seeds = [42, 143, 244]
         kwargs = dict(workload=tiny_workload(), base_config=_cfg(), job_name="det")
-        serial = TrialRunner(jobs=1, verify=False).run(
+        serial = TrialRunner(jobs=1).run(
             "det", run_benchmark_trial, seeds, kwargs=kwargs)
-        parallel = TrialRunner(jobs=2, verify=False).run(
+        parallel = TrialRunner(jobs=2).run(
             "det", run_benchmark_trial, seeds, kwargs=kwargs)
         assert [r.payload for r in serial] == [r.payload for r in parallel]
         assert all(len(r.payload["digest"]) == 64 for r in serial)
@@ -108,7 +100,7 @@ class TestTrialRunner:
         monkeypatch.setattr(
             "repro.runner.runner.TrialRunner._run_parallel",
             lambda self, *a, **k: calls.append(1) or {})
-        results = TrialRunner(jobs=4, verify=False).run(
+        results = TrialRunner(jobs=4).run(
             "auto-serial", _square_trial, [1, 2, 3])
         assert calls == []  # pool never touched
         assert [r.payload["value"] for r in results] == [1, 4, 9]
@@ -116,17 +108,21 @@ class TestTrialRunner:
     def test_raising_trial_names_its_seed(self, monkeypatch):
         monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
         with pytest.raises(TrialError, match=r"seed 13 raised ValueError: boom"):
-            TrialRunner(jobs=2, verify=False).run(
+            TrialRunner(jobs=2).run(
                 "explode", _exploding_trial, [11, 12, 13, 14])
 
-    def test_unpicklable_spec_falls_back_to_serial(self):
-        results = TrialRunner(jobs=4, verify=False).run(
-            "fallback", _factory_trial, [1, 2, 3],
-            kwargs={"factory": lambda: 100})
-        assert [r.payload["value"] for r in results] == [101, 102, 103]
+    def test_unpicklable_spec_with_jobs_is_a_trial_error(self, monkeypatch):
+        """Asking for worker processes with a spec that cannot cross the
+        process boundary fails naming the seeds, instead of quietly
+        running serially."""
+        monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
+        with pytest.raises(TrialError, match=r"unpicklable: seed block \d\.\.\d failed "
+                                             r"with \w+: Can't pickle"):
+            TrialRunner(jobs=2).run("unpicklable", _factory_trial, [1, 2, 3],
+                                    kwargs={"factory": lambda: 100})
 
     def test_cache_round_trip(self, tmp_path):
-        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db")
         first = runner.run("sq", _square_trial, [5, 6], kwargs={"offset": 1})
         second = runner.run("sq", _square_trial, [5, 6], kwargs={"offset": 1})
         assert all(not r.cached for r in first)
@@ -134,7 +130,7 @@ class TestTrialRunner:
         assert [r.payload for r in first] == [r.payload for r in second]
 
     def test_cache_keyed_by_kwargs_and_experiment(self, tmp_path):
-        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db")
         runner.run("sq", _square_trial, [5], kwargs={"offset": 1})
         other_kwargs = runner.run("sq", _square_trial, [5], kwargs={"offset": 2})
         other_name = runner.run("sq2", _square_trial, [5], kwargs={"offset": 1})
@@ -149,7 +145,7 @@ class TestTrialRunner:
         by nothing, so it does not split the cache."""
         for var in ("REPRO_KERNEL", "REPRO_SCHEDULER"):
             monkeypatch.delenv(var, raising=False)
-        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db")
 
         baseline = runner.run("mode", _square_trial, [5])
         assert not baseline[0].cached
@@ -172,7 +168,7 @@ class TestTrialRunner:
         assert runner.run("mode", _square_trial, [5])[0].cached
 
     def test_unnameable_spec_is_never_cached(self, tmp_path):
-        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db")
         runner.run("lam", _factory_trial, [1], kwargs={"factory": lambda: 0})
         assert not (tmp_path / "trials.db").exists()  # the store was never opened
         assert spec_digest("lam", _factory_trial, {"factory": lambda: 0}) is None
@@ -189,20 +185,11 @@ class TestTrialRunner:
         assert digest(partial(_square_trial, 1)) is None
 
     def test_unstorable_payload_names_experiment_and_seed(self, tmp_path):
-        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db", verify=False)
+        runner = TrialRunner(jobs=1, store=tmp_path / "trials.db")
         with pytest.raises(TrialError, match=r"raw: seed 3 payload cannot be stored"):
             runner.run("raw", _factory_trial, [3],
                        kwargs={"factory": partial(complex, 1)})  # JSON has no complex
 
-    def test_verify_flags_nondeterministic_trials(self):
-        _FLAKY_CALLS.clear()
-        with pytest.raises(DeterminismError):
-            TrialRunner(jobs=1, verify=True).run("flaky", _flaky_trial, [9])
-
-    def test_verify_passes_deterministic_trials(self):
-        results = TrialRunner(jobs=1, verify=True).run(
-            "sq", _square_trial, [4])
-        assert results[0].payload["value"] == 16
 
 
 class TestResultStreaming:
@@ -212,7 +199,7 @@ class TestResultStreaming:
         """Each trial's store row lands as the trial completes, not at
         end of run — observed from inside the next trial."""
         db = tmp_path / "trials.db"
-        results = TrialRunner(jobs=1, store=db, verify=False).run(
+        results = TrialRunner(jobs=1, store=db).run(
             "incr", _counting_trial, [1, 2, 3], kwargs={"db": str(db)})
         assert [r.payload["rows_before"] for r in results] == [0, 1, 2]
         assert _stored_rows(db) == 3
@@ -236,7 +223,7 @@ class TestResultStreaming:
         monkeypatch.setattr(rr, "as_completed", interrupting)
         db = tmp_path / "trials.db"
         with pytest.raises(KeyboardInterrupt):
-            TrialRunner(jobs=2, store=db, verify=False).run(
+            TrialRunner(jobs=2, store=db).run(
                 "ki", _square_trial, [1, 2, 3, 4])
         key = spec_digest("ki", _square_trial, {})
         with CampaignStore(db) as store:
@@ -262,32 +249,6 @@ class TestExperimentIntegration:
                                        job_name="eq-direct")
             direct.append(res.elapsed)
         assert via_runner == pytest.approx(sum(direct) / len(direct))
-
-    def test_driver_rerun_against_trial_cache_executes_nothing(
-            self, tmp_path, monkeypatch):
-        """An experiment driver run twice against one
-        ``REPRO_TRIAL_CACHE`` executes no trial the second time and
-        returns identical results."""
-        import repro.runner.runner as rr
-        from repro.experiments.fig02_delay import fig02_delayed_execution
-
-        monkeypatch.setenv("REPRO_TRIAL_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        executed = []
-        real_invoke = rr._invoke_trial
-        monkeypatch.setattr(rr, "_invoke_trial", lambda fn, seed, kwargs: (
-            executed.append(seed) or real_invoke(fn, seed, kwargs)))
-
-        def run():
-            return fig02_delayed_execution(progress_points=(0.5,), scale=0.02,
-                                           repeats=2)
-
-        first = run()
-        assert len(executed) == 2 * 3 * 2  # workloads x (base, map, reduce) x repeats
-        second = run()
-        assert len(executed) == 2 * 3 * 2
-        assert second == first
-        assert (tmp_path / "trials.db").exists()
 
     def test_run_benchmark_trial_payload_shape(self):
         payload = run_benchmark_trial(42, workload=tiny_workload(),
