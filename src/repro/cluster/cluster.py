@@ -16,6 +16,7 @@ remote peers experience a dead machine: their transfers abort with
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -99,8 +100,8 @@ class ClusterSpec:
             raise SimulationError("need at least one node")
         if not 1 <= self.num_racks <= self.num_nodes:
             raise SimulationError("num_racks must be in [1, num_nodes]")
-        if self.core_bandwidth <= 0:
-            raise SimulationError("core bandwidth must be positive")
+        if not 0 < self.core_bandwidth < math.inf:
+            raise SimulationError("core bandwidth must be positive and finite")
 
 
 class Cluster:

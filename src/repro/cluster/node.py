@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.sim.core import SimulationError
@@ -30,8 +31,8 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.cores < 1 or self.memory_mb < 1:
             raise SimulationError("node needs at least 1 core and 1 MB of memory")
-        if self.disk_bandwidth <= 0 or self.nic_bandwidth <= 0:
-            raise SimulationError("bandwidths must be positive")
+        if not (0 < self.disk_bandwidth < math.inf and 0 < self.nic_bandwidth < math.inf):
+            raise SimulationError("bandwidths must be positive and finite")
 
 
 @dataclass

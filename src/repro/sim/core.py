@@ -618,7 +618,15 @@ class Simulator:
 
     # -- event construction ------------------------------------------------
     def event(self) -> Event:
-        return Event(self)
+        event = Event.__new__(Event)  # no __init__: the slots are written here
+        event.sim = self
+        event.callbacks = []
+        event._value = None
+        event._exc = None
+        event._triggered = False
+        event._processed = False
+        event._defused = False
+        return event
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)

@@ -66,6 +66,13 @@ class FlowCancelled(Exception):
         self.reason = reason
 
 
+def _check_capacity(capacity: float) -> None:
+    # NaN fails the comparison too. An infinite capacity would give its
+    # flows no finite share to freeze at.
+    if not 0.0 < capacity < math.inf:
+        raise SimulationError(f"link capacity must be finite and > 0, got {capacity}")
+
+
 class LinkResource:
     """A capacity-limited bandwidth resource (bytes/second).
 
@@ -76,8 +83,7 @@ class LinkResource:
     __slots__ = ("name", "_capacity", "_scheduler", "_rid")
 
     def __init__(self, name: str, capacity: float) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"link capacity must be > 0, got {capacity}")
+        _check_capacity(capacity)
         self.name = name
         self._capacity = float(capacity)
         self._scheduler = None
@@ -92,8 +98,7 @@ class LinkResource:
         """Change capacity at the current simulated time (e.g. a slow
         disk on a faulty node). Active flows are re-shared immediately.
         """
-        if capacity <= 0:
-            raise SimulationError(f"link capacity must be > 0, got {capacity}")
+        _check_capacity(capacity)
         self._capacity = float(capacity)
         if self._scheduler is not None:
             self._scheduler._reshare(self)
@@ -521,11 +526,11 @@ class FlowScheduler:
         rounds = 0
         while left:
             best = min(shares)
-            if best == inf:  # only infinite-capacity resources remain
-                break
             rounds += 1
             low = inf
-            for fid, f in buckets[shares.index(best)].items():
+            b = shares.index(best)
+            bottleneck = order[b]
+            for fid, f in buckets[b].items():
                 if fid not in frozen:
                     frozen.add(fid)
                     left -= 1
@@ -533,18 +538,18 @@ class FlowScheduler:
                     if f.remaining < low:
                         low = f.remaining
                     for r in f.resources:
-                        j = local[r]
-                        c = cap[j] = cap[j] - best
-                        n = counts[j] = counts[j] - 1
-                        shares[j] = (0.0 if c < 0.0 else c) / n if n else inf
+                        if r is not bottleneck:
+                            j = local[r]
+                            c = cap[j] = cap[j] - best
+                            n = counts[j] = counts[j] - 1
+                            shares[j] = (0.0 if c < 0.0 else c) / n if n else inf
+            # Every user of the bottleneck froze: its capacity is never
+            # read again.
+            shares[b] = inf
             # Division by a positive rate is monotone, so the round's
             # least remainder gives its least completion delay.
             if best > 0.0 and low / best < horizon:
                 horizon = low / best
-        if left:
-            for fid, f in active.items():
-                if fid not in frozen:
-                    f._rate = 0.0
         self.stats["filling_rounds"] += rounds
         return horizon
 

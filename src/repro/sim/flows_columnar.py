@@ -37,10 +37,15 @@ against the eager reference, DESIGN.md §13):
 - **Same tie-break.** The scalar fill visits resources in
   first-encounter order over flows in fid (admission) order, which is
   exactly ascending encounter key ``(fid, position)``. The refill sorts
-  the busy resources by that key once per fill and takes each round's
-  bottleneck with ``np.argmin`` — the *first* strict minimum, the
-  scalar linear scan's tie-break. Every capacity subtraction of one
-  freeze round subtracts the same share, so their order is immaterial.
+  the busy resources by that key once per fill; local ids follow that
+  order. While more than ``VECTOR_MIN_FLOWS`` flows are unfrozen, a
+  round takes its bottleneck with ``np.argmin``; the scalar tail that
+  finishes the fill takes it with ``min`` then ``index`` over the
+  resources the unfrozen flows touch, in ascending local id. Both are
+  the *first* minimum, the scalar linear scan's tie-break. Every
+  capacity subtraction of one freeze round subtracts the same share,
+  so their order is immaterial, and the tail starts from the exact
+  capacities and counts the vectorized rounds left.
 - **Same completion order.** The completion scan yields slots in
   arbitrary (LIFO-reuse) slot order, so finishers are sorted by fid
   before bookkeeping/succeed — the admission order the scalar
@@ -57,7 +62,59 @@ from repro.sim.columns import ColumnStore, FlowColumns
 from repro.sim.core import Simulator
 from repro.sim.flows import _EPS, Flow, FlowScheduler, LinkResource
 
-__all__ = ["ColumnarFlowScheduler"]
+__all__ = ["ColumnarFlowScheduler", "VECTOR_MIN_FLOWS"]
+
+#: A fill runs vectorized freeze rounds while more than this many flows
+#: are unfrozen and finishes the rest in scalar code; measured in
+#: DESIGN.md §13.
+VECTOR_MIN_FLOWS = 32
+
+
+def _fill_tail(lmat, rcap, cnt, frate, sink: int) -> int:
+    """Finish a fill in scalar code over the unfrozen flows and the
+    resources they touch; returns the freeze rounds it ran.
+
+    ``FlowScheduler._fill``'s loop on the vectorized rounds' state:
+    resources in ascending local id (encounter order), each round's
+    bottleneck the first minimum share (``min`` then ``index``, as
+    ``argmin``), and the same per-edge arithmetic.
+    """
+    live = np.flatnonzero(lmat[:, 0] != sink)     # unfrozen, slot order
+    rows = lmat[live].tolist()
+    ids = sorted({j for row in rows for j in row})
+    if ids[-1] == sink:                           # route padding
+        ids.pop()
+    at = dict(zip(ids, range(len(ids))))
+    routes = [[at[j] for j in row if j != sink] for row in rows]
+    users = [[] for _ in ids]
+    for f, route in enumerate(routes):
+        for j in route:
+            users[j].append(f)
+    cap = rcap[ids].tolist()
+    counts = cnt[ids].tolist()
+    # Every touched resource has an unfrozen user, so no count is 0.
+    shares = [(0.0 if c < 0.0 else c) / n for c, n in zip(cap, counts)]
+
+    inf = math.inf
+    rates = [None] * len(routes)
+    left = len(routes)
+    rounds = 0
+    while left:
+        best = min(shares)
+        b = shares.index(best)
+        rounds += 1
+        for f in users[b]:
+            if rates[f] is None:
+                rates[f] = best
+                left -= 1
+                for j in routes[f]:
+                    if j != b:
+                        c = cap[j] = cap[j] - best
+                        n = counts[j] = counts[j] - 1
+                        shares[j] = (0.0 if c < 0.0 else c) / n if n else inf
+        shares[b] = inf                           # every user froze
+    frate[live] = rates
+    return rounds
 
 
 class ColumnarFlowScheduler(FlowScheduler):
@@ -196,7 +253,10 @@ class ColumnarFlowScheduler(FlowScheduler):
         Mirrors ``FlowScheduler._fill`` round for round on every
         component at once: resources in encounter-key order, the same
         first-strict-minimum bottleneck, the same per-round share
-        subtracted from each frozen flow's resources.
+        subtracted from each frozen flow's resources. Rounds are numpy
+        passes while more than ``VECTOR_MIN_FLOWS`` flows are unfrozen
+        (a pass costs the same at any width); :func:`_fill_tail`
+        finishes the narrow rest.
         """
         res = self.resources
         act = res.used[:res.size].nonzero()[0]
@@ -222,7 +282,7 @@ class ColumnarFlowScheduler(FlowScheduler):
         share = np.empty(m + 1)
         left = n
         rounds = 0
-        while left:
+        while left > VECTOR_MIN_FLOWS:
             share.fill(math.inf)
             np.divide(np.maximum(rcap, 0.0), cnt, out=share, where=cnt > 0)
             b = share.argmin()                    # first strict minimum
@@ -235,6 +295,8 @@ class ColumnarFlowScheduler(FlowScheduler):
             lmat[fb] = m                          # frozen: edges to the sink
             np.subtract.at(rcap, rs, best)
             cnt -= np.bincount(rs.ravel(), minlength=m + 1)
+        if left:
+            rounds += _fill_tail(lmat, rcap, cnt, frate, m)
         cols.col("rate")[slots] = frate
         self.stats["filling_rounds"] += rounds
         moving = frate > 0

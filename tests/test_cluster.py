@@ -1,5 +1,7 @@
 """Unit tests for the cluster model."""
 
+import math
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
@@ -43,6 +45,15 @@ class TestTopology:
             ClusterSpec(num_nodes=2, num_racks=3)
         with pytest.raises(SimulationError):
             NodeSpec(cores=0)
+
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan, 0.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(SimulationError, match="core bandwidth"):
+            ClusterSpec(core_bandwidth=bandwidth)
+        with pytest.raises(SimulationError, match="bandwidths"):
+            NodeSpec(nic_bandwidth=bandwidth)
+        with pytest.raises(SimulationError, match="bandwidths"):
+            NodeSpec(disk_bandwidth=bandwidth)
 
 
 class TestDataMovement:

@@ -7,13 +7,14 @@ reference on any workload, because experiment trace digests are pinned
 to byte equality across the scheduler swap.
 """
 
+import math
 import os
 import random
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.core import Timeout
+from repro.sim import Simulator, flows_columnar
+from repro.sim.core import SimulationError, Timeout
 from repro.sim.flows import FlowScheduler, LinkResource
 from repro.sim.flows_columnar import ColumnarFlowScheduler
 from repro.sim.flows_reference import ReferenceFlowScheduler
@@ -137,6 +138,123 @@ def test_tie_follows_encounter_order_not_registration_order(sched_cls):
     # The case is sensitive: the tie decides which side gets the ulp.
     assert ref_rates["x1"] == 100.0 / 3 != ref_rates["y1"]
     assert _tie_after_reuse(sched_cls) == (ref_times, ref_rates)
+
+
+def _fan_in(sched_cls):
+    """A shuffle-shaped fan-in: 24 senders on two racks each send to 12
+    receivers, the cross-rack half also over a shared core link. NIC
+    shares tie (50 B/s out over 12 flows, 100 B/s in over 24) and a
+    tied pair shares a flow, so the freeze order decides an ulp. A
+    first wave of 288 flows, a lost node's flows cancelled, a slowed NIC
+    and core, a second wave over the first, and scattered cancels.
+    Returns (completion times, observed rates)."""
+    rng = random.Random(35)
+    sim = Simulator()
+    sched = sched_cls(sim)
+    core = LinkResource("core", 430.0)
+    nodes = [(LinkResource(f"disk{i}", 400.0), LinkResource(f"out{i}", 50.0),
+              LinkResource(f"in{i}", 100.0)) for i in range(24)]
+    times: dict[str, float | None] = {}
+    rates: list[tuple] = []
+    flows: list = []
+
+    def wave(tag):
+        with sched.batch():
+            for src in range(24):
+                for dst in range(12):
+                    disk, out, _ = nodes[src]
+                    route = [disk, out] + [core] * (src % 2 != dst % 2) + [nodes[dst][2]]
+                    f = sched.transfer(rng.choice([150.0, 300.0, 300.0, 420.0]),
+                                       route, f"{tag}{src}-{dst}")
+                    f.done._add_callback(lambda e, f=f: times.__setitem__(
+                        f.name, sim.now if e.ok else None))
+                    flows.append(f)
+
+    def observe():
+        rates.append((sim.now, tuple((f.name, f.rate) for f in flows if f.active)))
+
+    def driver():
+        wave("a")
+        observe()
+        yield sim.timeout(20.0)
+        sched.cancel_flows_using(nodes[5], "node lost")
+        observe()
+        yield sim.timeout(10.0)
+        nodes[3][1].set_capacity(25.0)
+        core.set_capacity(300.0)
+        observe()
+        yield sim.timeout(5.0)
+        wave("b")
+        observe()
+        yield sim.timeout(15.0)
+        for f in rng.sample([f for f in flows if f.active], 40):
+            sched.cancel(f, "scripted")
+        observe()
+
+    sim.process(driver())
+    sim.run()
+    return times, rates
+
+
+def test_columnar_matches_reference_across_the_vector_scalar_split(monkeypatch):
+    """A columnar fill runs vectorized freeze rounds while more than
+    ``VECTOR_MIN_FLOWS`` flows are unfrozen and scalar rounds after.
+    On a wide fan-in with tied NIC shares, fills run both kinds or
+    vectorized rounds alone (the random scripts above, at most ~25
+    flows, run mostly scalar ones), and every rate and completion
+    instant equals the reference's and the incremental scheduler's."""
+    tail = flows_columnar._fill_tail
+    fills = []  # (rounds in the fill, rounds the scalar tail ran)
+
+    def observed_tail(*args):
+        rounds = tail(*args)
+        fills[-1][1] += rounds
+        return rounds
+
+    fill = ColumnarFlowScheduler._fill
+
+    def observed_fill(self):
+        before = self.stats["filling_rounds"]
+        fills.append([0, 0])
+        horizon = fill(self)
+        fills[-1][0] = self.stats["filling_rounds"] - before
+        return horizon
+
+    monkeypatch.setattr(flows_columnar, "_fill_tail", observed_tail)
+    monkeypatch.setattr(ColumnarFlowScheduler, "_fill", observed_fill)
+    ref_times, ref_rates = _fan_in(ReferenceFlowScheduler)
+    assert max(len(rates) for _, rates in ref_rates) > 500  # wave b over a
+    for sched_cls in (FlowScheduler, ColumnarFlowScheduler):
+        times, rates = _fan_in(sched_cls)
+        # Compared piece by piece: pytest's diff of the whole run is slow.
+        assert times == ref_times
+        for seen, want in zip(rates, ref_rates, strict=True):
+            assert seen == want
+    assert any(total > tail_rounds > 0 for total, tail_rounds in fills)
+    assert any(total > 0 == tail_rounds for total, tail_rounds in fills)
+
+
+@pytest.mark.parametrize("sched_cls", [FlowScheduler, ColumnarFlowScheduler,
+                                       ReferenceFlowScheduler],
+                         ids=["incremental", "columnar", "reference"])
+@pytest.mark.parametrize("capacity", [math.inf, math.nan, 0.0, -1.0])
+def test_capacity_must_be_finite_and_positive(sched_cls, capacity):
+    """An infinite capacity gives its flows no finite share (the
+    schedulers used to disagree on such a flow); NaN, zero and negative
+    capacities are rejected too, on a link and as a ``rate_cap``."""
+    sim = Simulator()
+    sched = sched_cls(sim)
+    with pytest.raises(SimulationError, match="finite"):
+        LinkResource("x", capacity)
+    link = LinkResource("link", 100.0)
+    flow = sched.transfer(1000.0, [link], "f")
+    with pytest.raises(SimulationError, match="finite"):
+        link.set_capacity(capacity)
+    with pytest.raises(SimulationError, match="finite"):
+        sched.transfer(10.0, [link], "capped", rate_cap=capacity)
+    assert link.capacity == 100.0 and sched.active_count == 1
+    sim.run()
+    assert flow.done.ok and sim.now == 10.0
 
 
 @pytest.mark.parametrize("seed", range(10))
