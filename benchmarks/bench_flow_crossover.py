@@ -5,9 +5,11 @@ scheduler from the cluster's size. This script measures the crossover
 it encodes: Terasort 10 GB shaped like the end-to-end benchmark's
 ``shuffle-wide`` workload (reducers = nodes/4, 32 nodes per rack, YARN,
 fault-free and with the reducer's node failing at 50%), timed under both
-forced schedulers at each cluster size. Digests must match between the
-two schedulers; the row reports the median wall seconds of ``--repeats``
-runs of the pair of jobs and how many of those runs columnar won.
+forced schedulers at each cluster size. The two schedulers run each job
+back to back, and their digests must match. The row reports the median
+wall seconds of ``--repeats`` runs of the pair of jobs, each repeat's
+incremental/columnar ratio, its median, and how many repeats columnar
+won.
 
 Run from the repository root::
 
@@ -30,37 +32,44 @@ from repro.workloads import BENCHMARKS
 SCHEDULERS = ("incremental", "columnar")
 INPUT_GB = 10.0
 SEED = 2015
+#: The pair of jobs: fault-free, and the reducer's node failing at 50%.
+FAULTS = (None, partial(kill_node_at_progress, 0.5, target="reducer"))
 
 
-def run_pair(scheduler: str, nodes: int) -> tuple[float, list[str]]:
-    """Wall seconds and digests of the fault-free and the crash job."""
+def run_job(scheduler: str, nodes: int, fault) -> tuple[float, str]:
+    """Wall seconds and digest of one job under ``scheduler``."""
     os.environ["REPRO_SCHEDULER"] = scheduler
     config = ExperimentConfig(cluster=ClusterSpec(num_nodes=nodes,
                                                   num_racks=max(1, nodes // 32)))
     workload = BENCHMARKS["terasort"](INPUT_GB, num_reducers=nodes // 4)
-    digests = []
     t0 = time.perf_counter()
-    for fault in (None, partial(kill_node_at_progress, 0.5, target="reducer")):
-        payload = run_benchmark_trial(SEED, workload, "yarn", fault,
-                                      base_config=config, job_name=f"crossover-{nodes}")
-        digests.append(payload["digest"])
-    return time.perf_counter() - t0, digests
+    payload = run_benchmark_trial(SEED, workload, "yarn", fault,
+                                  base_config=config, job_name=f"crossover-{nodes}")
+    return time.perf_counter() - t0, payload["digest"]
 
 
 def crossover_row(nodes: int, repeats: int) -> dict:
     walls: dict[str, list[float]] = {name: [] for name in SCHEDULERS}
-    digests = {}
     for _ in range(repeats):
-        for name in SCHEDULERS:  # interleaved, so host drift hits both
-            wall, digests[name] = run_pair(name, nodes)
-            walls[name].append(wall)
-    assert digests["incremental"] == digests["columnar"], (nodes, digests)
+        pair = dict.fromkeys(SCHEDULERS, 0.0)
+        for k, fault in enumerate(FAULTS):
+            # Both schedulers run each job back to back, first one then
+            # the other, so host drift within a pair hits both alike.
+            digests = {}
+            for name in SCHEDULERS[::-1] if k % 2 else SCHEDULERS:
+                wall, digests[name] = run_job(name, nodes, fault)
+                pair[name] += wall
+            assert digests["incremental"] == digests["columnar"], (nodes, k, digests)
+        for name in SCHEDULERS:
+            walls[name].append(pair[name])
     row = {"nodes": nodes, "reducers": nodes // 4}
     row.update({f"{name}_s": round(statistics.median(walls[name]), 3)
                 for name in SCHEDULERS})
-    row["columnar_speedup"] = round(row["incremental_s"] / row["columnar_s"], 2)
-    # Repeats in which columnar beat incremental on the same pair.
-    row["columnar_wins"] = sum(c < i for i, c in zip(*walls.values()))
+    # Incremental over columnar seconds of each repeat's pair of jobs.
+    speedups = [i / c for i, c in zip(walls["incremental"], walls["columnar"])]
+    row["columnar_speedup"] = round(statistics.median(speedups), 2)
+    row["repeat_speedups"] = [round(s, 2) for s in speedups]
+    row["columnar_wins"] = sum(s > 1.0 for s in speedups)
     return row
 
 

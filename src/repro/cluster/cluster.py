@@ -34,7 +34,7 @@ __all__ = ["COLUMNAR_FLOW_MIN_NODES", "SCHEDULERS", "Cluster", "ClusterSpec",
 #: measured on shuffle-heavy Terasort jobs (DESIGN.md §13): below it
 #: numpy's per-call overhead on small flow components costs more than
 #: the vectorized refill saves.
-COLUMNAR_FLOW_MIN_NODES = 192
+COLUMNAR_FLOW_MIN_NODES = 160
 
 #: The values ``REPRO_SCHEDULER`` accepts, ``""`` (unset) selecting the
 #: default. The flow-scheduler choice, the trial cache key and the

@@ -122,6 +122,7 @@ class FlowColumns(ColumnStore):
         "remaining": "f8",  # bytes left at the last rate change
         "rate": "f8",       # current max-min allocated rate (B/s)
         "size": "f8",       # total bytes (constant per flow)
+        "threshold": "f8",  # Flow._threshold: complete at or below it
         "fid": "i8",        # admission-ordered flow id (sort key)
         "deg": "i4",        # number of valid entries in rids[slot]
     }

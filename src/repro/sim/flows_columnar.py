@@ -12,12 +12,13 @@ kernel and node plane are columnar.
 Each resource in use holds a dense id (*rid*) and one row of resource
 columns, kept up to date as flows attach and detach: its capacity, its
 count of attached flows, and its *encounter key* — the fid of its
-earliest-admitted attached user and its position in that flow's route.
-The key's upkeep is the scalar scheduler's (``FlowScheduler._remove``
-hands a resource to its next user); only where the key is stored
-differs. A rid is recycled the moment its last user detaches, so the
-registry stays as small as the set of busy resources. A refill reads
-these columns instead of rebuilding them.
+earliest-admitted attached user and its position in that flow's route,
+packed into one int64 that orders like the pair. The key's upkeep is
+the scalar scheduler's (``FlowScheduler._remove`` hands a resource to
+its next user); only where the key is stored differs. A rid is recycled
+the moment its last user detaches, so the registry stays as small as
+the set of busy resources. A refill reads these columns instead of
+rebuilding them.
 
 Bit-identity contract (the same one the incremental scheduler pins
 against the eager reference, DESIGN.md §13):
@@ -36,16 +37,17 @@ against the eager reference, DESIGN.md §13):
   rate, completion time, fill count or trace byte does.
 - **Same tie-break.** The scalar fill visits resources in
   first-encounter order over flows in fid (admission) order, which is
-  exactly ascending encounter key ``(fid, position)``. The refill sorts
-  the busy resources by that key once per fill; local ids follow that
-  order. While more than ``VECTOR_MIN_FLOWS`` flows are unfrozen, a
-  round takes its bottleneck with ``np.argmin``; the scalar tail that
-  finishes the fill takes it with ``min`` then ``index`` over the
-  resources the unfrozen flows touch, in ascending local id. Both are
-  the *first* minimum, the scalar linear scan's tie-break. Every
+  exactly ascending encounter key. The refill sorts the busy resources
+  by that key once per fill (one ``argsort`` of the key column); local
+  ids follow that order. While more than ``VECTOR_MIN_FLOWS`` flows are
+  unfrozen, a round takes its bottleneck with ``np.argmin``; the scalar
+  tail that finishes the fill takes it with ``min`` then ``index`` over
+  the resources the unfrozen flows touch, in ascending local id. Both
+  are the *first* minimum, the scalar linear scan's tie-break. Every
   capacity subtraction of one freeze round subtracts the same share,
-  so their order is immaterial, and the tail starts from the exact
-  capacities and counts the vectorized rounds left.
+  so their order is immaterial. The round that hands over to the tail
+  skips its per-edge updates, and the tail replays them, in the same
+  sequence, on the few resources it reads (see :func:`_fill_tail`).
 - **Same completion order.** The completion scan yields slots in
   arbitrary (LIFO-reuse) slot order, so finishers are sorted by fid
   before bookkeeping/succeed — the admission order the scalar
@@ -60,7 +62,7 @@ import numpy as np
 
 from repro.sim.columns import ColumnStore, FlowColumns
 from repro.sim.core import Simulator
-from repro.sim.flows import _EPS, Flow, FlowScheduler, LinkResource
+from repro.sim.flows import Flow, FlowScheduler, LinkResource
 
 __all__ = ["ColumnarFlowScheduler", "VECTOR_MIN_FLOWS"]
 
@@ -70,16 +72,40 @@ __all__ = ["ColumnarFlowScheduler", "VECTOR_MIN_FLOWS"]
 VECTOR_MIN_FLOWS = 32
 
 
-def _fill_tail(lmat, rcap, cnt, frate, sink: int) -> int:
-    """Finish a fill in scalar code over the unfrozen flows and the
-    resources they touch; returns the freeze rounds it ran.
+def _encounter_key(fid: int, pos: int) -> int:
+    """A resource's encounter key ``(fid, pos)`` as one int that orders
+    like the pair: no route has 2**32 resources, and a fid of 2**31 or
+    more overflows the int64 column loudly."""
+    return fid << 32 | pos
+
+
+def _bottleneck(rcap, cnt, share):
+    """Fill ``share`` with a numpy round's shares (``inf`` where no
+    flow is left) and return the round's bottleneck: the first least
+    share in local-id order, which is encounter order, so the pick is
+    the scalar fill's ``min`` then ``index``, ties included."""
+    share.fill(math.inf)
+    np.divide(np.maximum(rcap, 0.0), cnt, out=share, where=cnt > 0)
+    return share.argmin()
+
+
+def _fill_tail(lmat, rcap, cnt, frate, sink: int, best: float) -> int:
+    """Finish a fill in scalar code over the unfrozen flows (the rows of
+    ``lmat`` that do not start at ``sink``) and the resources they
+    touch; returns the freeze rounds it ran.
 
     ``FlowScheduler._fill``'s loop on the vectorized rounds' state:
     resources in ascending local id (encounter order), each round's
     bottleneck the first minimum share (``min`` then ``index``, as
-    ``argmin``), and the same per-edge arithmetic.
+    ``argmin``), and the same per-edge arithmetic. The hand-over round,
+    the last vectorized one, froze its flows at ``best`` without
+    updating their resources. A resource whose count exceeds its
+    unfrozen users lost the difference in that round, so ``best`` comes
+    off its capacity once per lost user, in sequence, as
+    ``np.subtract.at`` takes it. Without a vectorized round every count
+    equals the unfrozen users and nothing comes off.
     """
-    live = np.flatnonzero(lmat[:, 0] != sink)     # unfrozen, slot order
+    live = (lmat[:, 0] != sink).nonzero()[0]      # unfrozen, slot order
     rows = lmat[live].tolist()
     ids = sorted({j for row in rows for j in row})
     if ids[-1] == sink:                           # route padding
@@ -91,7 +117,10 @@ def _fill_tail(lmat, rcap, cnt, frate, sink: int) -> int:
         for j in route:
             users[j].append(f)
     cap = rcap[ids].tolist()
-    counts = cnt[ids].tolist()
+    counts = list(map(len, users))
+    for j, (before, after) in enumerate(zip(cnt[ids].tolist(), counts)):
+        for _ in range(before - after):
+            cap[j] -= best
     # Every touched resource has an unfrozen user, so no count is 0.
     shares = [(0.0 if c < 0.0 else c) / n for c, n in zip(cap, counts)]
 
@@ -117,28 +146,37 @@ def _fill_tail(lmat, rcap, cnt, frate, sink: int) -> int:
     return rounds
 
 
+def _min_horizon(cols: FlowColumns) -> float:
+    """Least ``remaining / rate`` over the attached moving flows: one
+    masked divide into an ``inf``-filled buffer."""
+    n = cols.size
+    rate = cols.col("rate")[:n]
+    horizon = np.full(n, math.inf)
+    np.divide(cols.col("remaining")[:n], rate, out=horizon,
+              where=cols.used[:n] & (rate > 0))
+    return float(horizon.min())
+
+
 class ColumnarFlowScheduler(FlowScheduler):
     """Incremental scheduler with column-resident flow state."""
 
     def __init__(self, sim: Simulator) -> None:
         super().__init__(sim)
         self.columns = FlowColumns()
-        #: rid -> capacity, attached-flow count, and encounter key
-        #: (first user's fid, position in its route); one slot per
-        #: resource with at least one attached flow.
-        self.resources = ColumnStore({"cap": "f8", "count": "i8",
-                                      "fid": "i8", "pos": "i8"}, capacity=64)
+        #: rid -> capacity, attached-flow count, and encounter key (see
+        #: :func:`_encounter_key`); one slot per resource with at least
+        #: one attached flow.
+        self.resources = ColumnStore({"cap": "f8", "count": "i8", "key": "i8"},
+                                     capacity=64)
 
     # -- resource registry ----------------------------------------------------
     # The encounter-key hooks keep the resource rows instead of the
     # scalar scheduler's order list.
     def _resource_busy(self, r: LinkResource, fid: int, pos: int) -> None:
-        r._rid = self.resources.alloc(cap=r.capacity, fid=fid, pos=pos)
+        r._rid = self.resources.alloc(cap=r.capacity, key=_encounter_key(fid, pos))
 
     def _resource_rekeyed(self, r: LinkResource, fid: int, pos: int) -> None:
-        res = self.resources
-        res.col("fid")[r._rid] = fid
-        res.col("pos")[r._rid] = pos
+        self.resources.col("key")[r._rid] = _encounter_key(fid, pos)
 
     def _resource_idle(self, r: LinkResource) -> None:
         self.resources.free(r._rid)
@@ -147,11 +185,13 @@ class ColumnarFlowScheduler(FlowScheduler):
     def _attach(self, flow: Flow) -> None:
         cols = self.columns
         rids = [r._rid for r in flow.resources]
-        self.resources.col("count")[rids] += 1
+        count = self.resources.col("count")
+        for rid in rids:
+            count[rid] += 1
         deg = len(rids)
         cols.ensure_degree(deg)
         slot = cols.alloc(remaining=flow.remaining, rate=0.0, size=flow.size,
-                          fid=flow.fid, deg=deg)
+                          threshold=flow._threshold, fid=flow.fid, deg=deg)
         row = cols.rids[slot]
         row[:deg] = rids
         row[deg:] = -1
@@ -228,8 +268,7 @@ class ColumnarFlowScheduler(FlowScheduler):
         if n == 0:
             return
         rem = cols.col("remaining")[:n]
-        size = cols.col("size")[:n]
-        done = rem <= _EPS * np.maximum(size, 1.0)
+        done = rem <= cols.col("threshold")[:n]
         if at_timer:
             # See FlowScheduler._advance_and_complete.
             rate = cols.col("rate")[:n]
@@ -243,7 +282,9 @@ class ColumnarFlowScheduler(FlowScheduler):
             return
         # In admission order — exactly the scalar scheduler's
         # insertion-ordered walk.
-        fids = np.sort(cols.col("fid")[:n][mask])
+        fids = cols.col("fid")[:n][mask]
+        if len(fids) > 1:
+            fids.sort()
         self._finish([self._active[fid] for fid in fids.tolist()])
 
     def _fill(self) -> float:
@@ -260,7 +301,7 @@ class ColumnarFlowScheduler(FlowScheduler):
         """
         res = self.resources
         act = res.used[:res.size].nonzero()[0]
-        act = act[np.lexsort((res.col("pos")[act], res.col("fid")[act]))]
+        act = act[res.col("key")[act].argsort()]
         m = len(act)
         # Local ids follow encounter order; the -1 route padding maps
         # to a sink (id m) whose share is never finite.
@@ -276,42 +317,38 @@ class ColumnarFlowScheduler(FlowScheduler):
         self.stats["column_ops"] += 1
         lmat = local[cols.rids[slots]]            # flow x route -> local id
         e_local = lmat.ravel()                    # flat edge list (a view)
-        e_flow = np.repeat(np.arange(n), lmat.shape[1])
+        width = lmat.shape[1]
 
         frate = np.empty(n)
         share = np.empty(m + 1)
         left = n
         rounds = 0
+        best = 0.0
         while left > VECTOR_MIN_FLOWS:
-            share.fill(math.inf)
-            np.divide(np.maximum(rcap, 0.0), cnt, out=share, where=cnt > 0)
-            b = share.argmin()                    # first strict minimum
+            b = _bottleneck(rcap, cnt, share)
             best = share[b]
             rounds += 1
-            fb = e_flow[e_local == b]             # b's unfrozen users
+            fb = (e_local == b).nonzero()[0] // width  # b's unfrozen users
             frate[fb] = best
             left -= len(fb)
+            if left <= VECTOR_MIN_FLOWS:
+                # The hand-over round: the tail reads its effect on the
+                # few resources it touches from the counts.
+                lmat[fb, 0] = m
+                break
             rs = lmat[fb]
             lmat[fb] = m                          # frozen: edges to the sink
             np.subtract.at(rcap, rs, best)
             cnt -= np.bincount(rs.ravel(), minlength=m + 1)
         if left:
-            rounds += _fill_tail(lmat, rcap, cnt, frate, m)
+            rounds += _fill_tail(lmat, rcap, cnt, frate, m, best)
         cols.col("rate")[slots] = frate
         self.stats["filling_rounds"] += rounds
-        moving = frate > 0
-        if not moving.any():
-            return math.inf
-        return float(np.min(cols.col("remaining")[slots][moving] / frate[moving]))
+        return _min_horizon(cols)
 
     def _horizon(self) -> float:
         cols = self.columns
-        n = cols.size
-        if n:
-            rate = cols.col("rate")[:n]
-            mask = cols.used[:n] & (rate > 0)
+        if cols.size:
             self.stats["column_ops"] += 1
-            if mask.any():
-                rem = cols.col("remaining")[:n]
-                return float(np.min(rem[mask] / rate[mask]))
+            return _min_horizon(cols)
         return math.inf

@@ -197,8 +197,8 @@ class TestFlowSchedulerChoice:
 
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         # The crossover measured in DESIGN.md §13: columnar won every
-        # repeat from 192 nodes up, and lost or split below.
-        assert COLUMNAR_FLOW_MIN_NODES == 192
+        # repeat from 160 nodes up, and lost or split below.
+        assert COLUMNAR_FLOW_MIN_NODES == 160
         assert flow_scheduler_class(128) is FlowScheduler
         below = COLUMNAR_FLOW_MIN_NODES - 1
         assert flow_scheduler_class(below) is FlowScheduler

@@ -131,7 +131,8 @@ def _assert_resource_columns_match(sched):
     assert sorted(counts) == live  # every user's rid is live, and only those
     for rid in live:
         assert res.get(rid, "count") == counts[rid]
-        assert (res.get(rid, "fid"), res.get(rid, "pos")) == keys[rid]
+        fid, pos = keys[rid]
+        assert res.get(rid, "key") == fid << 32 | pos
 
 
 @pytest.mark.parametrize("seed", range(12))

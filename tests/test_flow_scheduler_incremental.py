@@ -11,12 +11,13 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.sim import Simulator, flows_columnar
 from repro.sim.core import SimulationError, Timeout
 from repro.sim.flows import FlowScheduler, LinkResource
-from repro.sim.flows_columnar import ColumnarFlowScheduler
+from repro.sim.flows_columnar import VECTOR_MIN_FLOWS, ColumnarFlowScheduler
 from repro.sim.flows_reference import ReferenceFlowScheduler
 
 SCHEDULERS = (ReferenceFlowScheduler, FlowScheduler)
@@ -101,12 +102,13 @@ def test_random_workloads_match_reference_exactly(sched_cls, seed):
     assert rates == ref_rates
 
 
-def _tie_after_reuse(sched_cls):
-    """Resources ``x`` and ``y`` tie exactly (100/3 each) and share one
-    flow, so whichever the fill freezes first hands its flows 100/3 and
-    the other's ``(100 - 100/3)/2`` — an ulp apart. ``early`` registers
-    ``y`` before ``x``, then finishes; the later flows meet ``x`` first.
-    The tie must follow that encounter order, not registration order."""
+def _tie_after_reuse(sched_cls, singles=2):
+    """Resources ``x`` and ``y`` tie exactly (100/(singles+1) each) and
+    share one flow, so whichever the fill freezes first hands its flows
+    that share and the other's ``(100 - share)/singles`` — an ulp apart.
+    ``early`` registers ``y`` before ``x``, then finishes; the later
+    flows meet ``x`` first. The tie must follow that encounter order,
+    not registration order."""
     sim = Simulator()
     sched = sched_cls(sim)
     x = LinkResource("x", 100.0)
@@ -117,9 +119,10 @@ def _tie_after_reuse(sched_cls):
     def driver():
         early = sched.transfer(10.0, [y, x], "early")
         yield early.done
-        flows = [sched.transfer(1000.0, [x, y], "both"),
-                 sched.transfer(1000.0, [y], "y1"), sched.transfer(1000.0, [x], "x1"),
-                 sched.transfer(1000.0, [y], "y2"), sched.transfer(1000.0, [x], "x2")]
+        flows = [sched.transfer(1000.0, [x, y], "both")]
+        for i in range(1, singles + 1):
+            flows += [sched.transfer(1000.0, [y], f"y{i}"),
+                      sched.transfer(1000.0, [x], f"x{i}")]
         if isinstance(sched, ColumnarFlowScheduler):
             assert x._rid > y._rid  # registration order is y, x
         for f in flows:
@@ -138,6 +141,33 @@ def test_tie_follows_encounter_order_not_registration_order(sched_cls):
     # The case is sensitive: the tie decides which side gets the ulp.
     assert ref_rates["x1"] == 100.0 / 3 != ref_rates["y1"]
     assert _tie_after_reuse(sched_cls) == (ref_times, ref_rates)
+
+
+def _observe_tied_bottlenecks(monkeypatch):
+    """Count the numpy rounds whose least share several resources hold;
+    returns a one-element list holding the count."""
+    ties = [0]
+    pick = flows_columnar._bottleneck
+
+    def observed_bottleneck(rcap, cnt, share):
+        b = pick(rcap, cnt, share)
+        ties[0] += int((share == share[b]).sum() > 1)
+        return b
+
+    monkeypatch.setattr(flows_columnar, "_bottleneck", observed_bottleneck)
+    return ties
+
+
+def test_wide_tie_follows_encounter_order_in_a_vectorized_round(monkeypatch):
+    """The tie above with 18 single-link flows a side: 37 flows, so the
+    columnar fill breaks it in a numpy round, where the lower rid is
+    ``y``'s, not the encounter-first ``x``."""
+    ties = _observe_tied_bottlenecks(monkeypatch)
+    ref_times, ref_rates = _tie_after_reuse(ReferenceFlowScheduler, singles=18)
+    assert ref_rates["x1"] == 100.0 / 19 != ref_rates["y1"]
+    for sched_cls in (FlowScheduler, ColumnarFlowScheduler):
+        assert _tie_after_reuse(sched_cls, singles=18) == (ref_times, ref_rates)
+    assert ties[0]
 
 
 def _fan_in(sched_cls):
@@ -202,12 +232,18 @@ def test_columnar_matches_reference_across_the_vector_scalar_split(monkeypatch):
     On a wide fan-in with tied NIC shares, fills run both kinds or
     vectorized rounds alone (the random scripts above, at most ~25
     flows, run mostly scalar ones), and every rate and completion
-    instant equals the reference's and the incremental scheduler's."""
+    instant equals the reference's and the incremental scheduler's.
+    The fan-in also has numpy rounds whose least share several
+    resources hold, and hand-over rounds that leave their users'
+    resources for the tail to update."""
     tail = flows_columnar._fill_tail
     fills = []  # (rounds in the fill, rounds the scalar tail ran)
+    lazy = []   # per tail: did it get counts above its unfrozen users?
 
-    def observed_tail(*args):
-        rounds = tail(*args)
+    def observed_tail(lmat, rcap, cnt, frate, sink, best):
+        users = np.bincount(lmat[lmat[:, 0] != sink].ravel(), minlength=sink + 1)
+        lazy.append(bool((cnt[:sink] > users[:sink]).any()))
+        rounds = tail(lmat, rcap, cnt, frate, sink, best)
         fills[-1][1] += rounds
         return rounds
 
@@ -222,6 +258,7 @@ def test_columnar_matches_reference_across_the_vector_scalar_split(monkeypatch):
 
     monkeypatch.setattr(flows_columnar, "_fill_tail", observed_tail)
     monkeypatch.setattr(ColumnarFlowScheduler, "_fill", observed_fill)
+    ties = _observe_tied_bottlenecks(monkeypatch)
     ref_times, ref_rates = _fan_in(ReferenceFlowScheduler)
     assert max(len(rates) for _, rates in ref_rates) > 500  # wave b over a
     for sched_cls in (FlowScheduler, ColumnarFlowScheduler):
@@ -232,6 +269,68 @@ def test_columnar_matches_reference_across_the_vector_scalar_split(monkeypatch):
             assert seen == want
     assert any(total > tail_rounds > 0 for total, tail_rounds in fills)
     assert any(total > 0 == tail_rounds for total, tail_rounds in fills)
+    assert any(lazy)
+    assert ties[0]
+
+
+def _certify_every_fill(monkeypatch):
+    """Check a max-min certificate after every flush of either
+    production scheduler; returns the flow count of each checked flush.
+
+    With relative tolerance 1e-9: no busy resource carries more than its
+    capacity, and every flow crosses a saturated resource on which no
+    flow has a higher rate (its bottleneck), so no rate could rise
+    without lowering one that is no higher."""
+    tol = 1e-9
+    checked = []
+    flush = FlowScheduler._flush
+
+    def certified_flush(self):
+        flush(self)
+        flows = list(self._active.values())
+        rates = [f.rate for f in flows]
+        load: dict = {}
+        top: dict = {}
+        for f, rate in zip(flows, rates):
+            for r in f.resources:
+                load[r] = load.get(r, 0.0) + rate
+                top[r] = max(top.get(r, 0.0), rate)
+        for r, used in load.items():
+            assert used <= r.capacity * (1 + tol), (r, used)
+        for f, rate in zip(flows, rates):
+            assert any(load[r] >= r.capacity * (1 - tol) and top[r] <= rate * (1 + tol)
+                       for r in f.resources), (f, rate)
+        checked.append(len(flows))
+
+    monkeypatch.setattr(FlowScheduler, "_flush", certified_flush)
+    return checked
+
+
+@pytest.mark.parametrize("sched_cls", [FlowScheduler, ColumnarFlowScheduler],
+                         ids=["incremental", "columnar"])
+def test_every_fill_passes_the_maxmin_certificate(sched_cls, monkeypatch):
+    """The certificate holds after every fill of the wide fan-in and of
+    the random scripts."""
+    checked = _certify_every_fill(monkeypatch)
+    _fan_in(sched_cls)
+    assert max(checked) > VECTOR_MIN_FLOWS
+    for seed in range(25):
+        _run_script(sched_cls, seed)
+    assert len(checked) > 500
+
+
+@pytest.mark.parametrize("scheduler", ["incremental", "columnar"])
+@pytest.mark.parametrize("name", ["shuffle-heavy-yarn", "crash-reducer-sfm", "crash-mapnode-alg",
+                                  "partition-short-alm", "rack-recover-alm"])
+def test_golden_scenario_fills_pass_the_maxmin_certificate(name, scheduler, monkeypatch):
+    """The certificate holds after every fill of whole golden scenarios,
+    and checking it moves no digest."""
+    from repro.verify import load_golden, run_verify_spec, scenario_spec
+
+    checked = _certify_every_fill(monkeypatch)
+    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+    assert run_verify_spec(scenario_spec(name))["digest"] == load_golden()[name]
+    assert len(checked) > 30
 
 
 @pytest.mark.parametrize("sched_cls", [FlowScheduler, ColumnarFlowScheduler,
