@@ -34,6 +34,13 @@ bottleneck with C-level ``min`` and ``list.index`` and returns the
 completion horizon of the rates it set, so the flush arms the
 completion timer without another pass over the flows.
 
+**Solo resources.** Each resource counts its attached users whose
+route crosses another resource. A busy resource with none is *solo*: a
+component of its own, whose users all get ``capacity / users``. The
+fill settles solo resources in one step each and runs its freeze
+rounds over the rest; a flush whose dirty busy resources are all solo
+re-shares just those and runs no fill.
+
 This fluid model is standard in cluster simulators; it preserves the
 qualitative behaviour the reproduction needs (disk-bound merging,
 NIC-bound shuffles, contention slowdowns) without per-packet events.
@@ -80,7 +87,7 @@ class LinkResource:
     aggregate bandwidth, a NIC's egress, a NIC's ingress, etc.
     """
 
-    __slots__ = ("name", "_capacity", "_scheduler", "_rid")
+    __slots__ = ("name", "_capacity", "_scheduler", "_rid", "_multi")
 
     def __init__(self, name: str, capacity: float) -> None:
         _check_capacity(capacity)
@@ -89,6 +96,9 @@ class LinkResource:
         self._scheduler = None
         #: Dense id held while a columnar scheduler has flows on it.
         self._rid = -1
+        #: Attached users whose route crosses another resource; a busy
+        #: resource with none is *solo*, a component of its own.
+        self._multi = 0
 
     @property
     def capacity(self) -> float:
@@ -183,9 +193,10 @@ class FlowScheduler:
     """Tracks active flows and keeps their max-min rates current.
 
     Mutations (:meth:`transfer`, :meth:`cancel`, capacity changes,
-    completions) are cheap: they update the flow/resource adjacency and
-    the busy resources' encounter order, and mark the touched resources
-    dirty. Rates are re-shared once per simulated instant, at its end.
+    completions) are cheap: they update the flow/resource adjacency,
+    the busy resources' encounter order and their multi-route user
+    counts, and mark the touched resources dirty. Rates are re-shared
+    once per simulated instant, at its end.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -225,6 +236,7 @@ class FlowScheduler:
             "timer_pushes": 0,
             "timer_reuses": 0,
             "column_ops": 0,
+            "solo_reshares": 0,
         }
 
     @property
@@ -304,6 +316,9 @@ class FlowScheduler:
                 self._resource_busy(r, fid, pos)
             else:
                 bucket[fid] = flow
+        if len(res) > 1:
+            for r in res:
+                r._multi += 1
         self._mark_dirty(res)
         self.stats["transfers"] += 1
         return flow
@@ -428,7 +443,11 @@ class FlowScheduler:
         fid = flow.fid
         del self._active[fid]
         res_flows = self._res_flows
-        for r in flow.resources:
+        resources = flow.resources
+        if len(resources) > 1:
+            for r in resources:
+                r._multi -= 1
+        for r in resources:
             bucket = res_flows[r]
             was_first = next(iter(bucket)) == fid
             del bucket[fid]
@@ -440,7 +459,7 @@ class FlowScheduler:
                 # the earliest-admitted user still attached.
                 first = next(iter(bucket.values()))
                 self._resource_rekeyed(r, first.fid, first.resources.index(r))
-        self._mark_dirty(flow.resources)
+        self._mark_dirty(resources)
 
     # Encounter-key upkeep: a resource gains its first user, changes its
     # first user, or loses its last one.
@@ -478,28 +497,62 @@ class FlowScheduler:
             self._flush()
 
     def _flush(self) -> None:
-        """Re-share the attached flows and refresh the completion timer."""
+        """Re-share the attached flows and refresh the completion timer.
+
+        A dirty resource with no attached flow left changes no rate. A
+        solo one changes only its own users' rates, so a flush whose
+        dirty busy resources are all solo re-shares just those and
+        scans for the horizon; any other flush runs the fill.
+        """
         self._dirty = False
         dirty = self._dirty_res
         self._dirty_res = {}
-        self.stats["recomputes"] += 1
+        stats = self.stats
+        stats["recomputes"] += 1
         res_flows = self._res_flows
-        # A dirty resource with no attached flow left changes no rate.
-        if any(r in res_flows for r in dirty):
-            self._schedule_timer(self._fill())
-        else:
-            self._schedule_timer(self._horizon())
+        solo = []
+        for r in dirty:
+            if r in res_flows:
+                if r._multi:
+                    self._schedule_timer(self._fill())
+                    return
+                solo.append(r)
+        if solo:
+            stats["recomputed_flows"] += self._reshare_solo(solo)
+            stats["filling_rounds"] += len(solo)
+            stats["solo_reshares"] += 1
+        self._schedule_timer(self._horizon())
+
+    def _reshare_solo(self, solo: list[LinkResource]) -> int:
+        """Give every user of each solo resource in ``solo`` the share
+        ``capacity / users``, the rate a fill freezes it at; returns the
+        number of flows re-shared."""
+        res_flows = self._res_flows
+        flows = 0
+        for r in solo:
+            bucket = res_flows[r]
+            share = r._capacity / len(bucket)
+            for f in bucket.values():
+                f._rate = share
+            flows += len(bucket)
+        return flows
 
     def _fill(self) -> float:
         """Progressive-filling max-min allocation over every attached
         flow; returns the completion horizon of the rates it set.
 
-        Bit-identical to the reference scheduler's full recompute:
-        resources are visited in the kept encounter-key order, which is
-        first-encounter order over flows in admission order, and each
-        round's bottleneck is the first minimum share in that order
-        (``min`` then ``index``), the reference's strictly-smaller
-        linear scan, ties included. A resource's users are its
+        Bit-identical to the reference scheduler's full recompute. A
+        solo resource is a component of its own: its share
+        ``capacity / users`` cannot change before a round picks it, and
+        that round touches no other share, so its users get that share
+        in one step, counted as one round. The freeze rounds then run
+        over the other busy resources in the kept encounter-key order,
+        which is first-encounter order over flows in admission order;
+        each round's bottleneck is the first minimum share in that
+        order (``min`` then ``index``), the reference's strictly-smaller
+        linear scan, ties included. Leaving the solo resources out
+        keeps the order of every other pick, because a solo pick
+        changes no other share. A resource's users are its
         ``_res_flows`` bucket, already in admission order; only the
         shares a round touched are refreshed.
 
@@ -511,19 +564,35 @@ class FlowScheduler:
         breaking bit-identical rates.)
         """
         active = self._active
-        order = self._order
+        res_flows = self._res_flows
         self.stats["recomputed_flows"] += len(active)
+        inf = math.inf
+        horizon = inf
+        left = len(active)
+        rounds = 0
+        order = []
+        for r in self._order:
+            if r._multi:
+                order.append(r)
+                continue
+            bucket = res_flows[r]
+            best = r._capacity / len(bucket)
+            low = inf
+            for f in bucket.values():
+                f._rate = best
+                if f.remaining < low:
+                    low = f.remaining
+            left -= len(bucket)
+            rounds += 1
+            if best > 0.0 and low / best < horizon:
+                horizon = low / best
         local = dict(zip(order, range(len(order))))
-        buckets = list(map(self._res_flows.__getitem__, order))
+        buckets = list(map(res_flows.__getitem__, order))
         cap = [r._capacity for r in order]
         counts = list(map(len, buckets))
         shares = [(0.0 if c < 0.0 else c) / n for c, n in zip(cap, counts)]
 
-        inf = math.inf
-        horizon = inf
         frozen: set[int] = set()
-        left = len(active)
-        rounds = 0
         while left:
             best = min(shares)
             rounds += 1

@@ -32,9 +32,12 @@ against the eager reference, DESIGN.md §13):
   as the scalar fill does. Max-min filling decomposes across connected
   components — a merged fill executes each component's round sequence
   unchanged, interleaved — so flows outside the dirty component land
-  on the rates they already had (§13 gives the argument). Only the
-  ``column_ops`` counter differs from the incremental scheduler; no
-  rate, completion time, fill count or trace byte does.
+  on the rates they already had (§13 gives the argument). The flush is
+  inherited, so a flush that dirtied only solo resources re-shares
+  them without a fill here too (``_reshare_solo`` writes the rate
+  column). Only the ``column_ops`` counter differs from the
+  incremental scheduler; no rate, completion time, fill count or trace
+  byte does.
 - **Same tie-break.** The scalar fill visits resources in
   first-encounter order over flows in fid (admission) order, which is
   exactly ascending encounter key. The refill sorts the busy resources
@@ -345,6 +348,16 @@ class ColumnarFlowScheduler(FlowScheduler):
         cols.col("rate")[slots] = frate
         self.stats["filling_rounds"] += rounds
         return _min_horizon(cols)
+
+    def _reshare_solo(self, solo: list[LinkResource]) -> int:
+        rate = self.columns.col("rate")
+        res_flows = self._res_flows
+        flows = 0
+        for r in solo:
+            bucket = res_flows[r]
+            rate[[f._slot for f in bucket.values()]] = r._capacity / len(bucket)
+            flows += len(bucket)
+        return flows
 
     def _horizon(self) -> float:
         cols = self.columns

@@ -62,6 +62,7 @@ class ReferenceFlowScheduler:
             "timer_pushes": 0,
             "timer_reuses": 0,
             "column_ops": 0,
+            "solo_reshares": 0,
         }
 
     @property

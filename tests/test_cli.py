@@ -92,6 +92,7 @@ class TestRunCommand:
         assert "fault_injected" in out
         assert "flow scheduler:" in out
         assert "filling_rounds" in out
+        assert "solo_reshares" in out
 
     @pytest.mark.parametrize("argv", [["run", "wordcount"],
                                       ["experiment", "fig03"]])

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 from repro.sim import Simulator
 from repro.sim.core import SimulationError
 from repro.sim.flows import FlowCancelled, FlowScheduler, LinkResource
+from repro.sim.flows_columnar import ColumnarFlowScheduler
+from tests.test_flow_scheduler_incremental import _certify_every_fill
+
+#: The production schedulers; the property scripts run under each, with
+#: the max-min certificate checked after every flush.
+PRODUCTION = (FlowScheduler, ColumnarFlowScheduler)
 
 
 @pytest.fixture
@@ -199,7 +205,9 @@ class TestCancellation:
 
 
 class TestMaxMinProperties:
-    """Property-based checks of the progressive-filling allocation."""
+    """Property-based checks of the progressive-filling allocation, run
+    under both production schedulers with the max-min certificate of
+    ``_certify_every_fill`` checked after every flush."""
 
     @given(
         caps=st.lists(st.floats(min_value=1.0, max_value=1000.0), min_size=1, max_size=5),
@@ -211,8 +219,16 @@ class TestMaxMinProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_feasible_and_maxmin(self, caps, routes):
+        for sched_cls in PRODUCTION:
+            with pytest.MonkeyPatch.context() as mp:
+                checked = _certify_every_fill(mp)
+                self._feasible_and_maxmin(sched_cls, caps, routes)
+            assert checked
+
+    @staticmethod
+    def _feasible_and_maxmin(sched_cls, caps, routes):
         sim = Simulator()
-        fs = FlowScheduler(sim)
+        fs = sched_cls(sim)
         resources = [LinkResource(f"r{i}", c) for i, c in enumerate(caps)]
         flows = []
         for j, route in enumerate(routes):
@@ -255,27 +271,27 @@ class TestMaxMinProperties:
     def test_conservation_single_resource(self, sizes, cap):
         """All bytes are delivered, and total time equals work/capacity
         when flows share one resource from t=0 (work conservation)."""
-        sim = Simulator()
-        fs = FlowScheduler(sim)
-        disk = LinkResource("disk", cap)
-        flows = [fs.transfer(s, [disk], f"f{i}") for i, s in enumerate(sizes)]
-        last = {}
-        for f in flows:
-            f.done._add_callback(lambda e, f=f: last.__setitem__(f.name, sim.now))
-        sim.run()
-        assert len(last) == len(flows)
-        expected_total = sum(sizes) / cap
-        assert max(last.values()) == pytest.approx(expected_total, rel=1e-6)
-        for f in flows:
-            assert f.remaining == 0.0
+        for sched_cls in PRODUCTION:
+            with pytest.MonkeyPatch.context() as mp:
+                checked = _certify_every_fill(mp)
+                sim = Simulator()
+                fs = sched_cls(sim)
+                disk = LinkResource("disk", cap)
+                flows = [fs.transfer(s, [disk], f"f{i}") for i, s in enumerate(sizes)]
+                last = {}
+                for f in flows:
+                    f.done._add_callback(lambda e, f=f: last.__setitem__(f.name, sim.now))
+                sim.run()
+            assert len(last) == len(flows) and checked
+            expected_total = sum(sizes) / cap
+            assert max(last.values()) == pytest.approx(expected_total, rel=1e-6)
+            for f in flows:
+                assert f.remaining == 0.0
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_completion_order_matches_size_order(self, data):
         """Equal-share flows over one resource finish in size order."""
-        sim = Simulator()
-        fs = FlowScheduler(sim)
-        disk = LinkResource("disk", 100.0)
         sizes = data.draw(
             st.lists(
                 st.floats(min_value=1.0, max_value=1e5),
@@ -289,9 +305,15 @@ class TestMaxMinProperties:
         gaps = sorted(sizes)
         if any(b - a < 1e-5 * b for a, b in zip(gaps, gaps[1:])):
             return
-        flows = [fs.transfer(s, [disk], f"f{i}") for i, s in enumerate(sizes)]
-        order = []
-        for f in flows:
-            f.done._add_callback(lambda e, f=f: order.append(f.size))
-        sim.run()
-        assert order == sorted(sizes)
+        for sched_cls in PRODUCTION:
+            with pytest.MonkeyPatch.context() as mp:
+                checked = _certify_every_fill(mp)
+                sim = Simulator()
+                fs = sched_cls(sim)
+                disk = LinkResource("disk", 100.0)
+                flows = [fs.transfer(s, [disk], f"f{i}") for i, s in enumerate(sizes)]
+                order = []
+                for f in flows:
+                    f.done._add_callback(lambda e, f=f: order.append(f.size))
+                sim.run()
+            assert order == sorted(sizes) and checked
