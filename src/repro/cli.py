@@ -67,6 +67,7 @@ import time
 from repro.experiments import EXPERIMENTS
 from repro.faults.chaos import build_runtime
 from repro.metrics import export_result_json, failure_timeline, progress_curve, task_gantt
+from repro.runner import TrialRunner
 from repro.sim.core import SimulationError
 from repro.workloads import BENCHMARKS
 
@@ -192,9 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--scale", type=_positive(float), default=0.5,
                        help="input-size scale vs the paper (default 0.5)")
-    p_exp.add_argument("--jobs", type=_positive(int), default=None, metavar="N",
-                       help="run seeded trials across N worker processes "
-                            "(fig02 only; default: serial)")
     p_exp.add_argument("--policies", metavar="LIST", default=None,
                        type=_parse_policies,
                        help="comma-separated policy roster, or 'all' for the "
@@ -290,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scenario", action="append", default=None,
                           metavar="NAME", help="restrict to named scenario(s)")
     p_verify.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
-                          help="fan matrix runs across N worker processes "
-                               "(default: serial)")
+                          help="fan matrix runs and paper-claim rows across "
+                               "N worker processes (default: serial)")
     p_verify.add_argument("--out", metavar="DIR", default="chaos-reports",
                           help="directory for metamorphic reproducer JSON "
                                "files")
@@ -349,18 +347,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    # Only table2 sweeps a roster, and only fig02 runs its seeds through
-    # the TrialRunner; any other experiment would silently ignore these.
+    # Only table2 sweeps a roster; any other experiment would silently
+    # ignore it.
     kwargs = {}
-    for flag, key, value, owner in (("--policies", "systems", args.policies, "table2"),
-                                    ("--jobs", "jobs", args.jobs, "fig02")):
-        if value is None:
-            continue
-        if args.name != owner:
-            print(f"repro experiment: error: {flag} applies to {owner} only, "
+    if args.policies is not None:
+        if args.name != "table2":
+            print("repro experiment: error: --policies applies to table2 only, "
                   f"not {args.name}", file=sys.stderr)
             return 2
-        kwargs[key] = value
+        kwargs["systems"] = args.policies
     driver, render, _claims = EXPERIMENTS[args.name]
     print(render(driver(scale=args.scale, **kwargs)))
     return 0
@@ -624,30 +619,55 @@ def cmd_verify(args) -> int:
         print(f"  {len(results) - len(failed)}/{len(results)} relations hold")
 
     if do_paper:
-        failures += _check_paper_claims()
+        failures += _check_paper_claims(args.jobs)
 
     return 1 if failures else 0
 
 
-def _check_paper_claims() -> int:
-    """Run every experiment at scale 1.0, print its table and one line
-    per claim; return how many claims FAIL or XPASS."""
-    print("paper claims (scale 1.0):")
-    failed = total = 0
-    for name, (driver, render, claims) in EXPERIMENTS.items():
-        start = time.perf_counter()
+def _paper_row(index: int, names: tuple[str, ...]) -> dict:
+    """:class:`~repro.runner.TrialRunner` fan-out target: run the
+    experiment ``names[index]`` at scale 1.0 and return its rendered
+    text, one ``(status, line)`` per claim and its wall seconds. A row
+    that raises returns one ``ERROR`` line as its text and no claims, so
+    the other rows still run and print."""
+    name = names[index]
+    driver, render, claims = EXPERIMENTS[name]
+    start = time.perf_counter()
+    try:
         result = driver(scale=1.0)
-        wall = time.perf_counter() - start
-        print(render(result))
-        for claim in claims(result):
-            owner = f" owner={claim.owner}" if claim.owner else ""
-            print(f"  {claim.status} {name}/{claim.name} value={claim.value:g} "
-                  f"bound=[{claim.lo:g}, {claim.hi:g}]{owner}")
-            failed += claim.status in ("FAIL", "XPASS")
+        text = render(result)
+        lines = [(c.status, f"{c.status} {name}/{c.name} value={c.value:g} "
+                  f"bound=[{c.lo:g}, {c.hi:g}]" + (f" owner={c.owner}" if c.owner else ""))
+                 for c in claims(result)]
+    except Exception as exc:
+        text, lines = f"  ERROR {name}: {type(exc).__name__}: {exc}", None
+    return {"text": text, "claims": lines, "wall": time.perf_counter() - start}
+
+
+def _check_paper_claims(jobs: int) -> int:
+    """Run every experiment at scale 1.0 across ``jobs`` worker
+    processes, then print each row's table, one line per claim and its
+    wall seconds in table order; return how many claims FAIL or XPASS
+    plus how many rows raised."""
+    print("paper claims (scale 1.0):")
+    names = tuple(EXPERIMENTS)
+    results = TrialRunner(jobs=jobs).run(experiment="paper", fn=_paper_row,
+                                         seeds=range(len(names)), kwargs={"names": names})
+    failed = total = errors = 0
+    for name, trial in zip(names, results):
+        row = trial.payload
+        print(row["text"])
+        if row["claims"] is None:
+            errors += 1
+        for status, line in row["claims"] or ():
+            print(f"  {line}")
+            failed += status in ("FAIL", "XPASS")
             total += 1
-        print(f"  {name}: {wall:.1f} s wall")
+        print(f"  {name}: {row['wall']:.1f} s wall")
     print(f"  {failed} of {total} claims FAIL or XPASS")
-    return failed
+    if errors:
+        print(f"  {errors} of {len(names)} rows ERROR")
+    return failed + errors
 
 
 def cmd_list(_args) -> int:

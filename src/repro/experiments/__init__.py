@@ -1,4 +1,5 @@
-"""Experiment drivers — one per table/figure in the paper's evaluation.
+"""Experiment drivers — one per table/figure in the paper's evaluation,
+plus the ablations of ALM's design choices and the §I fleet argument.
 
 Every driver is a plain function returning structured rows (lists of
 dataclasses) and is used by three consumers: the test suite, the CLI
@@ -6,9 +7,9 @@ dataclasses) and is used by three consumers: the test suite, the CLI
 examples. ``scale`` rescales input sizes (1.0 = the paper's
 sizes) so quick runs and full reproductions share one code path.
 
-:data:`EXPERIMENTS` names each figure once: ``render(driver(scale=S))``
+:data:`EXPERIMENTS` names each row once: ``render(driver(scale=S))``
 is what ``repro experiment NAME --scale S`` prints, and
-``claims(driver(scale=1.0))`` are the figure's paper-shape claims that
+``claims(driver(scale=1.0))`` are the row's paper-shape claims that
 ``repro verify`` checks. Each ``render`` and ``claims`` sits
 next to its driver.
 """
@@ -22,6 +23,7 @@ from repro.experiments.common import (
     run_benchmark_job,
     run_benchmark_trial,
 )
+from repro.experiments.ablations import ablations
 from repro.experiments.fig01_recovery import fig01_recovery_time
 from repro.experiments.fig02_delay import fig02_delayed_execution
 from repro.experiments.fig03_temporal import fig03_temporal_amplification
@@ -34,6 +36,7 @@ from repro.experiments.fig12_frequency import fig12_log_frequency
 from repro.experiments.fig13_replication import fig13_replication_levels
 from repro.experiments.fig14_concurrent import fig14_concurrent_failures
 from repro.experiments.fig15_combined import fig15_sfm_plus_alg
+from repro.experiments.motivation import motivation_fleet
 from repro.experiments.table2_spatial import table2_spatial_recovery
 
 
@@ -44,7 +47,9 @@ def _row(driver):
     return driver, module.render, module.claims
 
 
-#: Experiment name -> (driver, render, claims), in the paper's order.
+#: Experiment name -> (driver, render, claims): the paper's figures and
+#: tables in its order, then the ablations of ALM's design choices and
+#: the §I fleet argument.
 EXPERIMENTS = {
     "fig01": _row(fig01_recovery_time),
     "fig02": _row(fig02_delayed_execution),
@@ -59,12 +64,15 @@ EXPERIMENTS = {
     "fig14": _row(fig14_concurrent_failures),
     "fig15": _row(fig15_sfm_plus_alg),
     "table2": _row(table2_spatial_recovery),
+    "ablations": _row(ablations),
+    "motivation": _row(motivation_fleet),
 }
 
 __all__ = [
     "EXPERIMENTS",
     "Claim",
     "ExperimentConfig",
+    "ablations",
     "fig01_recovery_time",
     "fig02_delayed_execution",
     "fig03_temporal_amplification",
@@ -78,6 +86,7 @@ __all__ = [
     "fig14_concurrent_failures",
     "fig15_sfm_plus_alg",
     "format_table",
+    "motivation_fleet",
     "run_benchmark_job",
     "run_benchmark_trial",
     "table2_spatial_recovery",

@@ -9,8 +9,14 @@ Not figures from the paper — these decompose *why* ALM works:
   reducer failures.
 - ``ablate_liveness_timeout`` — how the RM's NM-expiry timeout sets the
   floor of every node-failure recovery (the first leg of Fig. 3).
+- ``ablate_alg_frequency_recovery`` — how ALG's logging interval
+  bounds the work a late transient failure loses (§III-A).
 - ``compare_iss`` — the §VI related-work baseline (ISS) vs stock YARN
   vs SFM, on failure-free overhead and node-failure recovery.
+
+``ablations`` runs all five as the ``ablations`` row of the experiment
+table; ``render`` prints one table each and ``claims`` states their
+shapes.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.alm import ALMConfig, ALMPolicy
-from repro.experiments.common import ExperimentConfig, run_benchmark_job
+from repro.experiments.common import Claim, ExperimentConfig, format_table, run_benchmark_job
 from repro.experiments.fig03_temporal import CRASH_PROGRESS
 from repro.faults import kill_node_at_progress, kill_reduce_at_progress
 from repro.workloads import terasort, wordcount
@@ -30,7 +36,10 @@ __all__ = [
     "ablate_fcm_cap",
     "ablate_liveness_timeout",
     "ablate_sfm_components",
+    "ablations",
+    "claims",
     "compare_iss",
+    "render",
 ]
 
 
@@ -144,3 +153,56 @@ def compare_iss(scale: float = 1.0) -> list[AblationRow]:
                                 res.counters["map_reruns"]))
     return rows
 
+
+#: Row key -> (ablation, table title), in print order.
+ABLATIONS = {
+    "sfm": (ablate_sfm_components, "Ablation — SFM anti-amplification levers"),
+    "fcm": (ablate_fcm_cap, "Ablation — FCM budget under 5 concurrent reducer failures"),
+    "liveness": (ablate_liveness_timeout, "Ablation — NM liveness timeout (detection floor)"),
+    "alg": (ablate_alg_frequency_recovery, "Ablation — ALG interval vs post-failure job time"),
+    "iss": (compare_iss, "Baseline — ISS (Ko et al., §VI) vs YARN vs SFM"),
+}
+
+
+def ablations(scale: float = 1.0) -> dict[str, list[AblationRow]]:
+    """Every ablation at ``scale``, keyed as :data:`ABLATIONS`."""
+    return {key: ablation(scale=scale) for key, (ablation, _title) in ABLATIONS.items()}
+
+
+def render(result: dict[str, list[AblationRow]]) -> str:
+    return "\n\n".join(
+        format_table(["variant", "job time (s)", "extra reduce failures", "map reruns"],
+                     [(r.variant, r.job_time, r.additional_reduce_failures, r.map_reruns)
+                      for r in result[key]], title=title)
+        for key, (_ablation, title) in ABLATIONS.items())
+
+
+def claims(result: dict[str, list[AblationRow]]) -> list[Claim]:
+    """Either SFM lever alone removes the spatial amplification YARN
+    suffers; a larger FCM budget never loses to regular-mode recovery;
+    the job time grows with every longer NM expiry; sparser ALG logging
+    loses more work on a late failure; ISS pays a replication overhead
+    failure-free, beats YARN on a node failure and does not reach SFM."""
+    sfm = {r.variant: r.additional_reduce_failures for r in result["sfm"]}
+    fcm = {r.variant: r.job_time for r in result["fcm"]}
+    expiry = [r.job_time for r in result["liveness"]]
+    interval = [r.job_time for r in result["alg"]]
+    iss = {r.variant: r.job_time for r in result["iss"]}
+    return [
+        Claim("sfm_full_extra_failures", sfm["full sfm"], hi=0),
+        Claim("sfm_full_minus_yarn_extra_failures",
+              sfm["full sfm"] - sfm["yarn (neither)"], hi=0),
+        Claim("sfm_wait_only_minus_yarn_extra_failures",
+              sfm["wait only"] - sfm["yarn (neither)"], hi=0),
+        Claim("fcm_cap10_over_cap0_pct",
+              (fcm["fcm_cap=10"] / fcm["fcm_cap=0"] - 1.0) * 100.0, hi=5.0),
+        Claim("liveness_non_growing_steps",
+              sum(b <= a for a, b in zip(expiry, expiry[1:])), hi=0),
+        Claim("alg_interval2_minus_interval40_s", interval[0] - interval[-1], hi=1.0),
+        Claim("iss_failure_free_overhead_pct",
+              (iss["iss failure-free"] / iss["yarn failure-free"] - 1.0) * 100.0, lo=10.0),
+        Claim("iss_node_failure_gain_over_yarn_pct",
+              (1.0 - iss["iss node-failure"] / iss["yarn node-failure"]) * 100.0, lo=5.0),
+        Claim("sfm_over_iss_node_failure_pct",
+              (iss["sfm node-failure"] / iss["iss node-failure"] - 1.0) * 100.0, hi=5.0),
+    ]

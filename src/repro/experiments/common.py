@@ -151,19 +151,17 @@ def averaged_job_time(
     config: ExperimentConfig | None = None,
     repeats: int = 3,
     job_name: str = "avg",
-    jobs: int = 1,
 ) -> float:
     """Mean job time over ``repeats`` seeds (the paper's 'average of
     three test runs'); damps placement/scheduling noise that a single
     simulated run shares with a single testbed run.
 
-    Trials go through the :class:`~repro.runner.TrialRunner`: with
-    ``jobs > 1`` the seeds run in worker processes. Results are
-    identical to the serial path.
+    Trials go through the serial :class:`~repro.runner.TrialRunner`,
+    which fails loudly on any trial's invariant violations.
     """
     cfg = config or ExperimentConfig()
     seeds = [cfg.seed + 101 * k for k in range(repeats)]
-    results = TrialRunner(jobs=jobs).run(
+    results = TrialRunner().run(
         experiment=f"averaged_job_time:{workload.name}:{system}:{job_name}",
         fn=run_benchmark_trial,
         seeds=seeds,

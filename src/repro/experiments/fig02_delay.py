@@ -37,27 +37,23 @@ class Fig02Row:
 def fig02_delayed_execution(
     progress_points=(0.3, 0.6, 0.9),
     scale: float = 1.0,
-    jobs: int = 1,
 ) -> list[Fig02Row]:
     """Each point is the mean of ``REPEATS`` seeded runs (§V-B: 'each
     of the results is the average of three test runs') — a single run's
-    placement noise can exceed the effect of one short map failure.
-    ``jobs`` worker processes run each point's seeds."""
+    placement noise can exceed the effect of one short map failure."""
     workloads = [terasort(100.0 * scale), wordcount(10.0 * scale)]
     rows: list[Fig02Row] = []
     for wl in workloads:
         base = averaged_job_time(wl, "yarn", repeats=REPEATS,
-                                 job_name=f"fig02-{wl.name}-base", jobs=jobs)
+                                 job_name=f"fig02-{wl.name}-base")
         for p in progress_points:
-            # partial() over the fault class keeps the factory picklable,
-            # so these arms fan out like the baseline.
             t_map = averaged_job_time(
                 wl, "yarn", partial(TaskFault, TaskType.MAP, 0, p),
-                repeats=REPEATS, job_name=f"fig02-{wl.name}-map{p}", jobs=jobs)
+                repeats=REPEATS, job_name=f"fig02-{wl.name}-map{p}")
             rows.append(Fig02Row(wl.name, "maptask", p, t_map, base))
             t_red = averaged_job_time(
                 wl, "yarn", partial(TaskFault, TaskType.REDUCE, 0, p),
-                repeats=REPEATS, job_name=f"fig02-{wl.name}-red{p}", jobs=jobs)
+                repeats=REPEATS, job_name=f"fig02-{wl.name}-red{p}")
             rows.append(Fig02Row(wl.name, "reducetask", p, t_red, base))
     return rows
 

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.cli import main, parse_fault
+from repro.experiments import EXPERIMENTS
 from repro.faults import AMFault, NodeFault, PartitionFault, RackFault, SlowNodeFault, TaskFault
 from repro.faults.chaos import build_fault
 from repro.faults.inject import MapWaveFault
@@ -143,6 +144,8 @@ RENDERED_TITLES = {
     "fig10": "fig10: crash=", "fig11": "Fig. 11\n", "fig12": "Fig. 12\n",
     "fig13": "Fig. 13\n", "fig14": "Fig. 14\n", "fig15": "Fig. 15\n",
     "table2": "Table II\n",
+    "ablations": "Ablation — SFM anti-amplification levers\n",
+    "motivation": "Motivation — trace-like fleet under node failures\n",
 }
 
 
@@ -178,22 +181,6 @@ class TestOtherCommands:
                                 f"table2 only, not {name}\n")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("name, flags", [
-        ("fig03", ["--jobs", "2"]),
-        ("table2", ["--jobs", "2"]),
-    ])
-    def test_runner_flags_outside_fig02_are_a_usage_error(self, name, flags, tmp_path,
-                                                         monkeypatch, capsys):
-        """Only fig02 runs its seeds through the TrialRunner, so ``--jobs``
-        would do nothing for any other experiment."""
-        monkeypatch.chdir(tmp_path)
-        assert main(["experiment", name, "--scale", "0.01", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (f"repro experiment: error: {flags[0]} applies to "
-                                f"fig02 only, not {name}\n")
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("argv", [
         ["chaos"],
         ["chaos", "--store", "campaign.db"],
@@ -223,8 +210,6 @@ class TestOtherCommands:
          "repro experiment: error: argument --scale: must be positive, got -1"),
         (["chaos", "--jobs", "-3"],
          "repro chaos: error: argument --jobs: must be positive, got -3"),
-        (["experiment", "fig02", "--jobs", "0"],
-         "repro experiment: error: argument --jobs: must be positive, got 0"),
         (["verify", "--jobs", "0"],
          "repro verify: error: argument --jobs: must be positive, got 0"),
         (["campaign", "submit", "--store", "campaign.db", "--jobs", "-1"],
@@ -233,7 +218,7 @@ class TestOtherCommands:
          "repro campaign resume: error: argument --jobs: must be positive, got 0"),
     ], ids=["chaos-trials-neg", "chaos-trials-zero", "chaos-scale-zero",
             "store-trials-neg", "store-scale-neg", "experiment-scale-neg",
-            "chaos-jobs-neg", "exp-jobs-zero", "verify-jobs-zero", "submit-jobs-neg",
+            "chaos-jobs-neg", "verify-jobs-zero", "submit-jobs-neg",
             "resume-jobs-zero"])
     def test_non_positive_count_or_scale_is_a_usage_error(self, argv, message, tmp_path,
                                                           monkeypatch, capsys):
@@ -353,17 +338,28 @@ class TestJobsFlag:
     """``--jobs`` is an argument passed down to the trial runner: it
     changes no output and leaves no trace in the process environment."""
 
-    def test_fig02_parallel_stdout_matches_serial(self, monkeypatch, capsys):
+    def test_paper_layer_parallel_stdout_matches_serial(self, monkeypatch, capsys):
+        """The paper layer's rows fan out under ``jobs``; apart from the
+        wall seconds, they print the same text in the same order."""
+        from repro import cli
+
         # Two CPUs reported: a single-core host would otherwise take the
-        # serial path for --jobs 2 and compare serial with serial.
+        # serial path for jobs=2 and compare serial with serial.
         monkeypatch.setattr("repro.runner.runner.os.cpu_count", lambda: 2)
-        argv = ["experiment", "fig02", "--scale", "0.01"]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", {
+            name: EXPERIMENTS[name]
+            for name in ("fig03", "fig04", "fig10", "table2", "motivation")})
+
+        def stdout(jobs):
+            assert cli._check_paper_claims(jobs) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.endswith(" s wall")]
+
+        serial = stdout(1)
         before = dict(os.environ)
-        assert main([*argv, "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+        assert stdout(2) == serial
         assert dict(os.environ) == before
+        assert "  PASS motivation/alm_minus_yarn_failed_jobs value=0 bound=[-inf, 0]" in serial
 
     @pytest.mark.parametrize("argv", [
         ["chaos", "--smoke", "--trials", "2", "--jobs", "2"],

@@ -70,7 +70,7 @@ def test_cli_offers_exactly_the_supported_options():
     expected = {
         "run": ["--export", "--fault", "--nodes", "--policy", "--racks", "--reducers",
                 "--report", "--seed", "--size-gb", "--speculation"],
-        "experiment": ["--jobs", "--policies", "--scale"],
+        "experiment": ["--policies", "--scale"],
         "chaos": ["--am-faults", "--jobs", "--no-minimize", "--out", "--policies",
                   "--replay", "--scale", "--seed", "--smoke", "--store", "--trials"],
         "campaign submit": ["--jobs", "--no-minimize", "--out", "--spec", "--store"],
@@ -167,7 +167,7 @@ def test_experiment_drivers_declare_exactly_the_passed_parameters():
 
     expected = {
         "fig01": ("map_failure_counts", "scale"),
-        "fig02": ("progress_points", "scale", "jobs"),
+        "fig02": ("progress_points", "scale"),
         "fig03": ("system", "scale"),
         "fig04": ("scale",),
         "fig08": ("progress_points", "scale"),
@@ -179,6 +179,8 @@ def test_experiment_drivers_declare_exactly_the_passed_parameters():
         "fig14": ("per_reducer_gb", "failure_counts", "num_reducers", "scale"),
         "fig15": ("scale",),
         "table2": ("points", "systems", "scale"),
+        "ablations": ("scale",),
+        "motivation": ("scale",),
     }
     assert {name: tuple(inspect.signature(driver).parameters)
             for name, (driver, _render, _claims) in EXPERIMENTS.items()} == expected

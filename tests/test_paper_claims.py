@@ -13,10 +13,10 @@ def test_every_experiment_row_has_callable_claims():
         assert callable(driver) and callable(render) and callable(claims), name
 
 
-@pytest.mark.parametrize("name", ["fig03", "fig04", "fig10", "table2"])
+@pytest.mark.parametrize("name", ["fig03", "fig04", "fig10", "table2", "motivation"])
 def test_cheap_rows_hold_their_claims_at_full_scale(name):
-    """The four rows that cost about 3 s together at scale 1.0; the
-    whole gate (~70 s) runs in CI's verify job."""
+    """The five rows that cost about 4 s together at scale 1.0; the
+    whole gate (~67 s serial) runs in CI's verify job."""
     driver, _render, claims = EXPERIMENTS[name]
     result = claims(driver(scale=1.0))
     assert result
@@ -27,7 +27,7 @@ def _gate(monkeypatch, capsys, *claims):
     row = (lambda scale: scale, lambda result: f"rendered at {result}",
            lambda result: list(claims))
     monkeypatch.setattr("repro.cli.EXPERIMENTS", {"fake": row})
-    failed = cli._check_paper_claims()
+    failed = cli._check_paper_claims(1)
     return failed, capsys.readouterr().out
 
 
@@ -52,6 +52,29 @@ def test_an_owned_deviation_alone_passes_the_gate(monkeypatch, capsys):
     assert failed == 0
     assert "  XFAIL fake/ratio value=-11.4 bound=[15, inf] owner=ROADMAP item 12\n" in out
     assert "0 of 1 claims FAIL or XPASS" in out
+
+
+def test_a_raising_row_is_one_failure_and_the_other_rows_still_print(monkeypatch, capsys):
+    def boom(scale):
+        raise ZeroDivisionError("no recovery to compare")
+
+    def fine(scale):
+        return scale
+
+    monkeypatch.setattr("repro.cli.EXPERIMENTS", {
+        "before": (fine, lambda result: "before rendered",
+                   lambda result: [Claim("holds", 1.0, lo=0.0)]),
+        "broken": (boom, lambda result: "never rendered", lambda result: []),
+        "after": (fine, lambda result: "after rendered",
+                  lambda result: [Claim("holds", 1.0, lo=0.0)]),
+    })
+    assert cli._check_paper_claims(1) == 1
+    out = capsys.readouterr().out
+    assert "  ERROR broken: ZeroDivisionError: no recovery to compare\n" in out
+    assert "never rendered" not in out
+    assert out.index("before rendered") < out.index("ERROR broken") < out.index("after rendered")
+    assert "  PASS after/holds value=1 bound=[0, inf]\n" in out
+    assert "  0 of 2 claims FAIL or XPASS\n  1 of 3 rows ERROR\n" in out
 
 
 def test_a_recovery_of_zero_fails_the_gain_claims_instead_of_raising():
