@@ -7,9 +7,11 @@ it encodes: Terasort 10 GB shaped like the end-to-end benchmark's
 fault-free and with the reducer's node failing at 50%), timed under both
 forced schedulers at each cluster size. The two schedulers run each job
 back to back, and their digests must match. The row reports the median
-wall seconds of ``--repeats`` runs of the pair of jobs, each repeat's
+seconds of ``--repeats`` runs of the pair of jobs, each repeat's
 incremental/columnar ratio, its median, and how many repeats columnar
-won.
+won. Seconds are reference seconds (``benchmarks/e2e/hostspeed.py``):
+host seconds rescaled by how fast the host runs a fixed probe at that
+moment, so a slow stretch of a shared host does not flip a row.
 
 Run from the repository root::
 
@@ -21,31 +23,35 @@ import json
 import os
 import statistics
 import sys
-import time
 from functools import partial
+from pathlib import Path
 
 from repro.cluster import ClusterSpec
 from repro.experiments.common import ExperimentConfig, run_benchmark_trial
 from repro.faults import kill_node_at_progress
 from repro.workloads import BENCHMARKS
 
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from hostspeed import ReferenceClock  # noqa: E402
+
 SCHEDULERS = ("incremental", "columnar")
 INPUT_GB = 10.0
 SEED = 2015
 #: The pair of jobs: fault-free, and the reducer's node failing at 50%.
 FAULTS = (None, partial(kill_node_at_progress, 0.5, target="reducer"))
+CLOCK = ReferenceClock()
 
 
 def run_job(scheduler: str, nodes: int, fault) -> tuple[float, str]:
-    """Wall seconds and digest of one job under ``scheduler``."""
+    """Reference seconds and digest of one job under ``scheduler``."""
     os.environ["REPRO_SCHEDULER"] = scheduler
     config = ExperimentConfig(cluster=ClusterSpec(num_nodes=nodes,
                                                   num_racks=max(1, nodes // 32)))
     workload = BENCHMARKS["terasort"](INPUT_GB, num_reducers=nodes // 4)
-    t0 = time.perf_counter()
+    t0 = CLOCK()
     payload = run_benchmark_trial(SEED, workload, "yarn", fault,
                                   base_config=config, job_name=f"crossover-{nodes}")
-    return time.perf_counter() - t0, payload["digest"]
+    return CLOCK() - t0, payload["digest"]
 
 
 def crossover_row(nodes: int, repeats: int) -> dict:
@@ -79,10 +85,12 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     previous = os.environ.get("REPRO_SCHEDULER")
+    CLOCK.start()
     try:
         for nodes in args.nodes:
             print(json.dumps(crossover_row(nodes, args.repeats)), flush=True)
     finally:
+        CLOCK.stop()
         if previous is None:
             os.environ.pop("REPRO_SCHEDULER", None)
         else:

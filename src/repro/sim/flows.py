@@ -397,10 +397,10 @@ class FlowScheduler:
             remaining = f.remaining - f._rate * dt
             f.remaining = remaining if remaining > 0.0 else 0.0
 
-    def _reshare(self, resource: LinkResource | None = None) -> None:
-        """Re-run fairness after an external capacity change."""
+    def _reshare(self, resource: LinkResource) -> None:
+        """Re-run fairness after ``resource``'s capacity changed."""
         self._advance_and_complete()
-        self._mark_dirty((resource,) if resource is not None else tuple(self._res_flows))
+        self._mark_dirty((resource,))
 
     def _advance_and_complete(self, at_timer: bool = False) -> None:
         """Account progress since the last rate change and complete

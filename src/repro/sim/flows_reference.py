@@ -169,7 +169,7 @@ class ReferenceFlowScheduler:
         for f in self._active:
             f.remaining = max(0.0, f.remaining - f._rate * dt)
 
-    def _reshare(self, resource: LinkResource | None = None) -> None:
+    def _reshare(self, resource: LinkResource) -> None:
         self._advance()
         self._complete_finished()
         self._recompute()
