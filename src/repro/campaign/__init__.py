@@ -16,14 +16,13 @@ picks a killed 100k-trial sweep up exactly where it died, re-running
 nothing that already completed.
 """
 
-from repro.campaign.plans import aggregate_chaos, aggregate_payloads, run_spec
+from repro.campaign.plans import aggregate_chaos, run_spec
 from repro.campaign.store import CampaignStore, StoreError, open_store
 
 __all__ = [
     "CampaignStore",
     "StoreError",
     "aggregate_chaos",
-    "aggregate_payloads",
     "open_store",
     "run_spec",
 ]

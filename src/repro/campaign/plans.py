@@ -6,17 +6,11 @@ what the store persists, so resume needs nothing but the store file.
 Each kind function validates and normalises its spec and returns the
 trial family ``(stored spec, experiment, fn, kwargs, seeds)``.
 
-Kinds:
-
-``chaos``
-    a seeded chaos campaign (:mod:`repro.faults.chaos`): ``seed``,
-    ``trials``, optional ``scale``, ``am_faults``, ``policies``,
-    ``hard_timeout`` and ``stall_timeout``;
-``verify-matrix``
-    the differential scenario × implementation matrix
-    (:mod:`repro.verify.differential`): a ``jobs`` list of
-    ``[scenario, kernel, scheduler, mutate]`` rows; the kernel column
-    accepts only ``default``.
+There is one kind, ``chaos``: a seeded chaos campaign
+(:mod:`repro.faults.chaos`) with ``seed``, ``trials`` and optional
+``scale``, ``am_faults``, ``policies``, ``hard_timeout`` and
+``stall_timeout``. A store row of any other kind (one written before
+its kind was retired) still lists and exports, but does not run.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from repro.runner import TrialRunner, spec_digest
 __all__ = [
     "KINDS",
     "aggregate_chaos",
-    "aggregate_payloads",
     "run_spec",
 ]
 
@@ -84,41 +77,9 @@ def _chaos(spec: dict[str, Any]) -> Family:
     return stored, experiment, run_chaos_trial, {"campaign": campaign}, list(range(trials))
 
 
-def _verify_matrix(spec: dict[str, Any]) -> Family:
-    from repro.cluster.cluster import SCHEDULERS
-    from repro.verify.differential import run_matrix_trial
-    from repro.verify.scenarios import SCENARIOS
-
-    _require(spec, ("jobs",))
-    if not isinstance(spec["jobs"], list):
-        raise StoreError("verify-matrix jobs must be a list of "
-                         "[scenario, kernel, scheduler, mutate] rows")
-    # "default" leaves the scheduler unset. There is one kernel left; its
-    # column stays so stored specs keep their campaign ids.
-    schedulers = ("default", *filter(None, SCHEDULERS))
-    jobs = []
-    for row in spec["jobs"]:
-        if not (isinstance(row, (list, tuple)) and len(row) == 4
-                and all(isinstance(x, str) for x in row)):
-            raise StoreError(f"verify-matrix row {row!r} is not "
-                             "[scenario, kernel, scheduler, mutate]")
-        if row[0] not in SCENARIOS:
-            raise StoreError(f"unknown scenario {row[0]!r}")
-        if row[1] != "default":
-            raise StoreError(f"unknown kernel choice {row[1]!r}; choose from default")
-        if row[2] not in schedulers:
-            raise StoreError(f"unknown REPRO_SCHEDULER choice {row[2]!r}; "
-                             f"choose from {', '.join(schedulers)}")
-        jobs.append(tuple(row))
-    return ({"kind": "verify-matrix", "jobs": [list(j) for j in jobs]},
-            "verify-matrix", run_matrix_trial, {"jobs": tuple(jobs)},
-            list(range(len(jobs))))
-
-
 #: Campaign kind -> the function turning its spec into a trial family.
 KINDS: dict[str, Callable[[dict[str, Any]], Family]] = {
     "chaos": _chaos,
-    "verify-matrix": _verify_matrix,
 }
 
 
@@ -202,19 +163,3 @@ def aggregate_chaos(payloads: Iterable[tuple[int, dict[str, Any]]]) -> dict[str,
         "by_kind": by_kind,
         "digests": digests,
     }
-
-
-def aggregate_payloads(kind: str,
-                       payloads: Iterable[tuple[int, dict[str, Any]]],
-                       ) -> dict[str, Any]:
-    """Kind-aware incremental aggregation for ``campaign status`` /
-    ``export``: chaos campaigns get the full counter summary, everything
-    else a generic success/digest fold."""
-    if kind == "chaos":
-        return aggregate_chaos(payloads)
-    done = succeeded = 0
-    for _seed, payload in payloads:
-        done += 1
-        if payload.get("success", True):
-            succeeded += 1
-    return {"done": done, "succeeded": succeeded}

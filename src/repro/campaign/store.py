@@ -79,8 +79,8 @@ class CampaignStore:
 
     ``path`` is a filesystem path (missing parent directories are
     created) or ``":memory:"`` (the default) for an ephemeral store —
-    the one-shot mode ``run_campaign`` and ``run_matrix`` use when no
-    ``--store`` is given.
+    the one-shot mode ``run_campaign`` uses when no ``--store`` is
+    given.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:

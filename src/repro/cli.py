@@ -24,7 +24,7 @@ Commands
         python -m repro chaos --seed 7 --trials 50
 
 ``campaign``
-    Durable, resumable campaign orchestration: every completed trial is
+    Durable, resumable chaos campaigns: every completed trial is
     checkpointed into a sqlite store as it finishes, so a killed sweep
     resumes losing nothing, e.g.::
 
@@ -35,10 +35,10 @@ Commands
         python -m repro campaign export --store sweeps.db --out sweep.json
 
 ``verify``
-    Differential verification: run the scenario corpus across the
-    flow-scheduler implementation matrix, check golden trace
-    digests, check the metamorphic relations, and check every paper
-    figure's shape claims at full scale, e.g.::
+    Differential verification: run the whole scenario corpus under
+    every flow scheduler, check golden trace digests, check the
+    metamorphic relations, and check every paper figure's shape claims
+    at full scale, e.g.::
 
         python -m repro verify --matrix --jobs 4
         python -m repro verify --refresh-golden
@@ -149,6 +149,17 @@ def _parse_policies(text: str) -> tuple[str, ...]:
     return roster
 
 
+def _scenario(name: str) -> str:
+    """argparse ``type`` of ``verify --scenario``: a corpus name, so a
+    typo is a usage error (exit 2)."""
+    from repro.verify.scenarios import SCENARIOS
+
+    if name not in SCENARIOS:
+        raise argparse.ArgumentTypeError(
+            f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}")
+    return name
+
+
 def _positive(cast):
     """argparse ``type`` for trial and worker counts (``int``) and
     input-size scales (``float``): a finite value above zero."""
@@ -240,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c_submit.add_argument("--store", metavar="FILE", required=True,
                           help="sqlite campaign store (created if missing)")
     c_submit.add_argument("--spec", metavar="FILE", required=True,
-                          help="JSON campaign spec (kind chaos or verify-matrix); "
+                          help="JSON campaign spec (kind chaos); "
                                "`repro chaos --store FILE` submits a chaos "
                                "campaign from flags")
     c_submit.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
@@ -274,29 +285,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify",
         help="differential verification: scenario corpus x implementation "
              "matrix, golden digests, metamorphic relations, paper claims")
-    p_verify.add_argument("--quick", action="store_true",
-                          help="quick-tagged scenarios on 2 matrix corners "
-                               "plus golden check (tier-1 budget)")
     p_verify.add_argument("--matrix", action="store_true",
-                          help="full corpus across every flow-scheduler "
-                               "combination in verify.COMBOS plus golden check")
+                          help="corpus under every flow scheduler in "
+                               "verify.COMBOS plus golden check")
     p_verify.add_argument("--metamorphic", action="store_true",
                           help="metamorphic relations only")
     p_verify.add_argument("--refresh-golden", action="store_true",
                           help="re-run the corpus and rewrite "
                                "tests/golden/scenarios.json")
     p_verify.add_argument("--scenario", action="append", default=None,
-                          metavar="NAME", help="restrict to named scenario(s)")
+                          type=_scenario, metavar="NAME",
+                          help="restrict to named scenario(s)")
     p_verify.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
                           help="fan matrix runs and paper-claim rows across "
                                "N worker processes (default: serial)")
     p_verify.add_argument("--out", metavar="DIR", default="chaos-reports",
                           help="directory for metamorphic reproducer JSON "
                                "files")
-    p_verify.add_argument("--store", metavar="FILE", default=None,
-                          help="durable campaign store for the matrix runs: "
-                               "a killed sweep resumes re-running only the "
-                               "missing scenario x combo cells")
 
     sub.add_parser("list", help="show workloads, policies and experiments")
     return parser
@@ -414,32 +419,19 @@ def cmd_chaos(args) -> int:
 
 
 def _run_campaign_spec(spec, args) -> int:
-    """Run one campaign spec (from ``chaos`` flags, a ``submit --spec``
-    file or a store row) against ``args.store``; print its summary."""
-    from repro.campaign import CampaignStore, aggregate_payloads, run_spec
+    """Run one chaos campaign spec (from ``chaos`` flags, a ``submit
+    --spec`` file or a store row) against ``args.store``; print its
+    summary. A spec of any other kind is a :class:`StoreError`."""
     from repro.faults.chaos import run_campaign
 
     try:
-        if spec.get("kind") == "chaos":
-            summary = run_campaign(spec, store=args.store, out_dir=args.out,
-                                   minimize=not args.no_minimize, jobs=args.jobs)
-        else:
-            with CampaignStore(args.store) as store:
-                stats = run_spec(spec, store, jobs=args.jobs)
-                agg = aggregate_payloads(spec["kind"],
-                                         store.payloads(stats["campaign_id"]))
+        summary = run_campaign(spec, store=args.store, out_dir=args.out,
+                               minimize=not args.no_minimize, jobs=args.jobs)
     except KeyboardInterrupt:
         if args.store:
             print(f"\ninterrupted — completed trials are checkpointed; resume "
                   f"with: python -m repro campaign resume --store {args.store}")
         return 130
-    if spec["kind"] != "chaos":
-        print(f"campaign {stats['campaign_id'][:12]} ({spec['kind']}): "
-              f"{stats['trials']} trials, {stats['executed']} executed, "
-              f"{stats['skipped']} resumed from store, "
-              f"{stats['wall_seconds']:.1f}s")
-        print("  " + ", ".join(f"{k}={v}" for k, v in sorted(agg.items())))
-        return 0
     resumed = f", {summary['skipped']} resumed from store" if summary["skipped"] else ""
     print(f"chaos campaign seed={summary['spec']['seed']}: {summary['trials']} trials"
           f" ({summary['executed']} executed{resumed}), "
@@ -502,14 +494,8 @@ def _campaign_command(args) -> int:
     return _campaign_export(args)
 
 
-def _planned_trials(spec) -> int:
-    if spec["kind"] == "chaos":
-        return int(spec["trials"])
-    return len(spec.get("jobs", ()))
-
-
 def _campaign_status(args) -> int:
-    from repro.campaign import CampaignStore, aggregate_payloads
+    from repro.campaign import CampaignStore, aggregate_chaos
 
     with CampaignStore(args.store) as store:
         if store.quarantined:
@@ -520,13 +506,14 @@ def _campaign_status(args) -> int:
             return 0
         for row in rows:
             spec = row["spec"]
-            counts = store.counts(row["campaign_id"])
-            total = _planned_trials(spec)
-            agg = aggregate_payloads(spec["kind"],
-                                     store.payloads(row["campaign_id"]))
+            # A row of a retired kind lists its done count alone.
+            chaos = spec["kind"] == "chaos"
+            planned = f"/{spec['trials']}" if chaos else ""
+            done = store.counts(row["campaign_id"])["done"]
             line = (f"{row['campaign_id'][:12]}  {spec['kind']:13s} "
-                    f"{counts['done']}/{total} trials  {row['status']}")
-            if spec["kind"] == "chaos":
+                    f"{done}{planned} trials  {row['status']}")
+            if chaos:
+                agg = aggregate_chaos(store.payloads(row["campaign_id"]))
                 line += (f"  violations={agg['violations']} "
                          f"jobs_failed={agg['jobs_failed']}")
             if row["last_error"]:
@@ -538,7 +525,7 @@ def _campaign_status(args) -> int:
 def _campaign_export(args) -> int:
     import json
 
-    from repro.campaign import CampaignStore, aggregate_payloads
+    from repro.campaign import CampaignStore, aggregate_chaos
     from repro.runner import atomic_write_text
 
     with CampaignStore(args.store) as store:
@@ -553,7 +540,8 @@ def _campaign_export(args) -> int:
         cid = row["campaign_id"]
         doc = {
             "campaign": row,
-            "summary": aggregate_payloads(row["spec"]["kind"], store.payloads(cid)),
+            "summary": (aggregate_chaos(store.payloads(cid))
+                        if row["spec"]["kind"] == "chaos" else None),
             "counts": store.counts(cid),
             "trials": store.trial_rows(cid),
         }
@@ -567,9 +555,9 @@ def _campaign_export(args) -> int:
 def cmd_verify(args) -> int:
     from repro.verify import (
         COMBOS,
-        QUICK_COMBOS,
         DivergenceError,
         check_golden,
+        load_golden,
         refresh_golden,
         run_all_relations,
         run_matrix,
@@ -577,26 +565,26 @@ def cmd_verify(args) -> int:
 
     if args.refresh_golden:
         report = run_matrix(names=args.scenario, combos=COMBOS[:1], jobs=args.jobs)
-        path = refresh_golden(report["digests"])
+        # A --scenario refresh moves only the named pins; a full one
+        # writes exactly the corpus, so stale pins drop.
+        digests = report["digests"]
+        if args.scenario:
+            digests = {**load_golden(), **digests}
+        path = refresh_golden(digests)
         print(f"golden digests for {report['scenarios']} scenarios written "
               f"to {path}")
         return 0
 
-    # No layer flag selects everything; --quick trims the matrix budget.
-    do_matrix = args.matrix or args.quick or not args.metamorphic
-    do_metamorphic = args.metamorphic or not (args.matrix or args.quick)
-    do_paper = not (args.matrix or args.metamorphic or args.quick)
+    # No layer flag selects everything.
+    do_matrix = args.matrix or not args.metamorphic
+    do_metamorphic = args.metamorphic or not args.matrix
+    do_paper = not (args.matrix or args.metamorphic)
     failures = 0
 
     if do_matrix:
-        combos = QUICK_COMBOS if args.quick else COMBOS
-        label = "quick" if args.quick else "full"
-        print(f"differential matrix ({label}: "
-              f"{len(combos)} kernel/scheduler combos):")
+        print(f"differential matrix ({len(COMBOS)} schedulers):")
         try:
-            report = run_matrix(names=args.scenario,
-                                quick=args.quick, combos=combos,
-                                store=args.store, jobs=args.jobs)
+            report = run_matrix(names=args.scenario, jobs=args.jobs)
         except DivergenceError as exc:
             print(f"DIVERGENCE: {exc}")
             return 1

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster import ClusterSpec
 from repro.hdfs.hdfs import HdfsConfig
-from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import JobResult, MapReduceRuntime
 from repro.mapreduce.recovery import RecoveryPolicy
 from repro.policies import make_policy
@@ -63,22 +62,16 @@ class ExperimentConfig:
     """Cluster/framework setup shared by all experiments.
 
     Defaults mirror the paper's testbed (§V-A): 21 nodes (1 master +
-    20 workers), two racks, Table I parameters.
+    20 workers), two racks, Table I parameters. The one seed is
+    ``cluster.seed``.
     """
 
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     yarn: YarnConfig = field(default_factory=YarnConfig)
     hdfs: HdfsConfig = field(default_factory=HdfsConfig)
-    job: JobConf = field(default_factory=JobConf)
-    seed: int = 2015
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        from dataclasses import replace
-
-        return ExperimentConfig(
-            cluster=replace(self.cluster, seed=seed),
-            yarn=self.yarn, hdfs=self.hdfs, job=self.job, seed=seed,
-        )
+        return replace(self, cluster=replace(self.cluster, seed=seed))
 
 
 def run_benchmark_job(
@@ -100,7 +93,6 @@ def run_benchmark_job(
         policy, system = system, system.name
     rt = MapReduceRuntime(
         workload,
-        conf=cfg.job,
         cluster_spec=cfg.cluster,
         yarn_config=cfg.yarn,
         hdfs_config=cfg.hdfs,
@@ -160,7 +152,7 @@ def averaged_job_time(
     which fails loudly on any trial's invariant violations.
     """
     cfg = config or ExperimentConfig()
-    seeds = [cfg.seed + 101 * k for k in range(repeats)]
+    seeds = [cfg.cluster.seed + 101 * k for k in range(repeats)]
     results = TrialRunner().run(
         experiment=f"averaged_job_time:{workload.name}:{system}:{job_name}",
         fn=run_benchmark_trial,

@@ -4,9 +4,8 @@ golden trace digests, and metamorphic oracles with automatic shrinking.
 Entry points:
 
 - ``python -m repro verify`` — everything (matrix + golden +
-  metamorphic); ``--quick`` for the tier-1 budget, ``--matrix`` /
-  ``--metamorphic`` to select one layer, ``--refresh-golden`` to move
-  the pins deliberately.
+  metamorphic + paper claims); ``--matrix`` / ``--metamorphic`` to
+  select one layer, ``--refresh-golden`` to move the pins deliberately.
 - :func:`run_matrix` — corpus x ``REPRO_SCHEDULER`` choices with
   first-diverging-event reporting.
 - :func:`run_all_relations` — the metamorphic relations, shrinking any
@@ -15,7 +14,6 @@ Entry points:
 
 from repro.verify.differential import (
     COMBOS,
-    QUICK_COMBOS,
     Divergence,
     DivergenceError,
     check_golden,
@@ -36,7 +34,6 @@ from repro.verify.metamorphic import (
 from repro.verify.scenarios import (
     SCENARIOS,
     corpus,
-    quick_corpus,
     register,
     run_verify_spec,
     scenario_spec,
@@ -44,7 +41,6 @@ from repro.verify.scenarios import (
 
 __all__ = [
     "COMBOS",
-    "QUICK_COMBOS",
     "Divergence",
     "DivergenceError",
     "RELATIONS",
@@ -55,7 +51,6 @@ __all__ = [
     "corpus",
     "load_golden",
     "locate_divergence",
-    "quick_corpus",
     "refresh_golden",
     "register",
     "register_relation",

@@ -4,10 +4,11 @@ The repo carries three implementations of its max-min flow scheduler
 (``REPRO_SCHEDULER`` incremental/columnar/reference), kept
 byte-equivalent by construction. This module is the enforcement: every
 scenario runs under each distinct scheduler in :data:`COMBOS` through
-the :class:`~repro.runner.TrialRunner` fan-out,
+a plain :class:`~repro.runner.TrialRunner` fan-out (the whole matrix
+takes about a second, so it is rerun rather than checkpointed),
 and any digest divergence is a hard failure that names the scenario,
 its seed, and the **first diverging trace event** — located by
-re-running the two disagreeing combinations in-process and
+re-running the two disagreeing schedulers in-process and
 binary-searching the event streams
 (:func:`repro.metrics.trace.first_divergence`), so the report points at
 the regression, not just at a hash mismatch.
@@ -27,15 +28,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
+from repro.runner import TrialRunner
 from repro.sim.core import SimulationError
-from repro.verify.scenarios import SCENARIOS, corpus, quick_corpus, run_verify_spec, scenario_spec
+from repro.verify.scenarios import SCENARIOS, corpus, run_verify_spec, scenario_spec
 
 __all__ = [
     "COMBOS",
     "Divergence",
     "DivergenceError",
     "GOLDEN_FILE",
-    "QUICK_COMBOS",
     "check_golden",
     "load_golden",
     "locate_divergence",
@@ -44,26 +45,16 @@ __all__ = [
     "run_matrix_trial",
 ]
 
-#: The full implementation matrix: (kernel, scheduler) environment
-#: selections, the columns of a verify-matrix row. "default" leaves the
-#: knob unset; the kernel column accepts nothing else (there is one
-#: kernel).
-COMBOS: tuple[tuple[str, str], ...] = (
-    ("default", "default"),
-    ("default", "reference"),
-    # The default scheduler follows the cluster's size: every corpus
-    # scenario is below COLUMNAR_FLOW_MIN_NODES, so ("default",
-    # "default") already runs the incremental scheduler, and the
-    # columnar one is pinned here on the whole corpus.
-    ("default", "columnar"),
-)
-
-#: The --quick budget: the default scheduler against the reference one.
-QUICK_COMBOS: tuple[tuple[str, str], ...] = COMBOS[:2]
+#: The implementation matrix: the ``REPRO_SCHEDULER`` selections every
+#: scenario runs under. "default" leaves the knob unset; every corpus
+#: scenario is below COLUMNAR_FLOW_MIN_NODES, so it runs the
+#: incremental scheduler, and the columnar one is pinned here on the
+#: whole corpus.
+COMBOS: tuple[str, ...] = ("default", "reference", "columnar")
 
 
 class DivergenceError(SimulationError):
-    """Two implementation combinations disagreed on a scenario."""
+    """Two flow schedulers disagreed on a scenario."""
 
     def __init__(self, divergence: "Divergence") -> None:
         super().__init__(str(divergence))
@@ -76,8 +67,8 @@ class Divergence:
 
     scenario: str
     seed: int
-    combo_a: tuple[str, str]
-    combo_b: tuple[str, str]
+    combo_a: str
+    combo_b: str
     digest_a: str
     digest_b: str
     event_index: int | None = None
@@ -86,8 +77,8 @@ class Divergence:
 
     def __str__(self) -> str:
         head = (f"scenario {self.scenario!r} (seed {self.seed}) diverges "
-                f"between kernel/scheduler={'/'.join(self.combo_a)} "
-                f"({self.digest_a[:12]}) and {'/'.join(self.combo_b)} "
+                f"between schedulers {self.combo_a} "
+                f"({self.digest_a[:12]}) and {self.combo_b} "
                 f"({self.digest_b[:12]})")
         if self.event_index is None:
             return head
@@ -127,32 +118,32 @@ def _apply_mutation(payload: dict[str, Any], mutate: str) -> None:
     raise SimulationError(f"unknown verify mutation {mutate!r}")
 
 
-def run_matrix_trial(seed: int, jobs: tuple[tuple[str, str, str, str], ...],
+def run_matrix_trial(seed: int, jobs: tuple[tuple[str, str, str], ...],
                      collect_trace: bool = False) -> dict[str, Any]:
     """:class:`TrialRunner` fan-out target. ``seed`` indexes ``jobs``;
-    each entry is ``(scenario, kernel, scheduler, mutate)``. The
-    scheduler is selected *inside* the trial so it holds in whichever
-    worker process the trial lands in."""
-    name, kernel, scheduler, mutate = jobs[seed]
+    each entry is ``(scenario, scheduler, mutate)``. The scheduler is
+    selected *inside* the trial so it holds in whichever worker process
+    the trial lands in."""
+    name, scheduler, mutate = jobs[seed]
     with _impl_env(scheduler):
         payload = run_verify_spec(scenario_spec(name), collect_trace=collect_trace)
-    payload["combo"] = (kernel, scheduler)
+    payload["combo"] = scheduler
     _apply_mutation(payload, mutate)
     return payload
 
 
 def locate_divergence(divergence: Divergence,
-                      mutations: dict[tuple[str, str, str], str] | None = None,
+                      mutations: dict[tuple[str, str], str] | None = None,
                       ) -> Divergence:
-    """Re-run the two disagreeing combinations in-process with full
-    trace capture and fill in the first diverging event."""
+    """Re-run the two disagreeing schedulers in-process with full trace
+    capture and fill in the first diverging event."""
     from repro.metrics.trace import first_divergence
 
     records = {}
-    for combo in (divergence.combo_a, divergence.combo_b):
-        mutate = (mutations or {}).get((divergence.scenario, *combo), "")
-        jobs = ((divergence.scenario, combo[0], combo[1], mutate),)
-        records[combo] = run_matrix_trial(0, jobs, collect_trace=True)["trace_records"]
+    for scheduler in (divergence.combo_a, divergence.combo_b):
+        mutate = (mutations or {}).get((divergence.scenario, scheduler), "")
+        jobs = ((divergence.scenario, scheduler, mutate),)
+        records[scheduler] = run_matrix_trial(0, jobs, collect_trace=True)["trace_records"]
     a, b = records[divergence.combo_a], records[divergence.combo_b]
     index = first_divergence(a, b)
     if index is not None:
@@ -164,62 +155,38 @@ def locate_divergence(divergence: Divergence,
 
 def run_matrix(
     names: list[str] | None = None,
-    combos: Sequence[tuple[str, str]] = COMBOS,
-    quick: bool = False,
-    mutations: dict[tuple[str, str, str], str] | None = None,
+    combos: Sequence[str] = COMBOS,
+    mutations: dict[tuple[str, str], str] | None = None,
     echo=print,
-    store: Any = None,
     jobs: int = 1,
 ) -> dict[str, Any]:
-    """Run the corpus across the implementation matrix, fanned out
-    across ``jobs`` worker processes.
+    """Run the corpus (or the scenarios ``names``) under every scheduler
+    in ``combos``, fanned out across ``jobs`` worker processes.
 
     Raises :class:`DivergenceError` on the first scenario whose digests
     disagree, after locating the first diverging trace event. Returns a
-    report with the per-scenario digests (from the first combo) for
-    golden comparison. ``mutations`` maps ``(scenario, kernel,
-    scheduler)`` to a test-only perturbation name — how the tests prove
-    a divergence is caught and reported.
-
-    The matrix runs on the campaign layer: with ``store`` (a path or an
-    open :class:`~repro.campaign.CampaignStore`) every scenario × combo
-    run is checkpointed as it completes, so a killed full-matrix sweep
-    resumes via the same call (or ``python -m repro campaign resume``)
-    re-running only the missing cells; ``None`` keeps the one-shot
-    in-memory behaviour.
+    report with the per-scenario digests (from the first scheduler) for
+    golden comparison. ``mutations`` maps ``(scenario, scheduler)`` to a
+    test-only perturbation name — how the tests prove a divergence is
+    caught and reported.
     """
-    from repro.campaign import open_store, run_spec
-
-    scenarios = quick_corpus() if quick and names is None else corpus(names)
-    selected = [spec["name"] for spec in scenarios]
-    cells: list[tuple[str, str, str, str]] = []
-    for name in selected:
-        for kernel, scheduler in combos:
-            mutate = (mutations or {}).get((name, kernel, scheduler), "")
-            cells.append((name, kernel, scheduler, mutate))
-
-    spec = {"kind": "verify-matrix", "jobs": [list(j) for j in cells]}
-    with open_store(store) as opened:
-        stats = run_spec(spec, opened, jobs=jobs)
-        payloads = dict(opened.payloads(stats["campaign_id"]))
-
-    by_scenario: dict[str, list[tuple[int, tuple[str, str], dict]]] = {}
-    for seed in range(len(cells)):
-        name = cells[seed][0]
-        by_scenario.setdefault(name, []).append(
-            (seed, (cells[seed][1], cells[seed][2]), payloads[seed]))
+    selected = [spec["name"] for spec in corpus(names)]
+    cells = tuple((name, scheduler, (mutations or {}).get((name, scheduler), ""))
+                  for name in selected for scheduler in combos)
+    results = TrialRunner(jobs=jobs).run("matrix", run_matrix_trial,
+                                         range(len(cells)), {"jobs": cells})
 
     digests: dict[str, str] = {}
-    for name in selected:
-        rows = by_scenario[name]
-        base_seed, base_combo, base = rows[0]
+    for i, name in enumerate(selected):
+        rows = results[i * len(combos):(i + 1) * len(combos)]
+        base = rows[0].payload
         digests[name] = base["digest"]
-        for seed, combo, payload in rows[1:]:
-            if payload["digest"] != base["digest"]:
+        for scheduler, row in zip(combos[1:], rows[1:]):
+            if row.payload["digest"] != base["digest"]:
                 divergence = Divergence(
                     scenario=name, seed=SCENARIOS[name]["runtime_seed"],
-                    combo_a=base_combo, combo_b=combo,
-                    digest_a=base["digest"], digest_b=payload["digest"])
+                    combo_a=combos[0], combo_b=scheduler,
+                    digest_a=base["digest"], digest_b=row.payload["digest"])
                 raise DivergenceError(locate_divergence(divergence, mutations))
         echo(f"  {name:28s} {len(rows)} combos  "
              f"digest {base['digest'][:12]}  "

@@ -1,7 +1,7 @@
 """The scenario corpus: named, seeded end-to-end runs.
 
 A scenario is a trial spec (the JSON form :func:`repro.faults.chaos.
-build_runtime` builds, faults and all) plus a ``name`` and ``tags``.
+build_runtime` builds, faults and all) plus a ``name``.
 Scenarios are the unit the differential verifier iterates: every one
 runs under each flow-scheduler implementation in ``COMBOS``,
 and its trace digest is pinned in ``tests/golden/scenarios.json``.
@@ -29,7 +29,6 @@ from repro.workloads import BENCHMARKS
 __all__ = [
     "SCENARIOS",
     "corpus",
-    "quick_corpus",
     "register",
     "run_verify_spec",
     "scenario_spec",
@@ -55,7 +54,7 @@ BASE_SPEC: dict[str, Any] = {
 SCENARIOS: dict[str, dict[str, Any]] = {}
 
 
-def register(name: str, tags: tuple[str, ...] = (), **keys: Any) -> dict[str, Any]:
+def register(name: str, **keys: Any) -> dict[str, Any]:
     """Add the scenario ``name``: :data:`BASE_SPEC` with ``keys`` set."""
     from repro.policies import policy_names
 
@@ -65,7 +64,7 @@ def register(name: str, tags: tuple[str, ...] = (), **keys: Any) -> dict[str, An
     if unknown:
         raise SimulationError(f"scenario {name}: unknown spec key(s) "
                               f"{', '.join(unknown)}")
-    spec = {"name": name, **copy.deepcopy(BASE_SPEC), **keys, "tags": list(tags)}
+    spec = {"name": name, **copy.deepcopy(BASE_SPEC), **keys}
     if spec["policy"] not in policy_names():
         raise SimulationError(f"scenario {name}: unknown policy {spec['policy']!r}")
     if spec["workload"] not in BENCHMARKS:
@@ -83,11 +82,6 @@ def corpus(names: list[str] | None = None) -> list[dict[str, Any]]:
     if missing:
         raise SimulationError(f"unknown scenario(s): {', '.join(missing)}")
     return [SCENARIOS[n] for n in names]
-
-
-def quick_corpus() -> list[dict[str, Any]]:
-    """The ``quick``-tagged subset (the tier-1 / ``--quick`` budget)."""
-    return [s for s in SCENARIOS.values() if "quick" in s["tags"]]
 
 
 def scenario_spec(name: str) -> dict[str, Any]:
@@ -159,14 +153,14 @@ def _from_chaos(campaign_seed: int, index: int, name: str) -> dict[str, Any]:
 
 
 # Fault-free baselines: one per workload, three different policies.
-register("clean-terasort-yarn", tags=("quick", "clean"))
+register("clean-terasort-yarn")
 register("clean-wordcount-alg", workload="wordcount", policy="alg",
-         reducers=2, tags=("clean",))
+         reducers=2)
 register("clean-secondarysort-alm", workload="secondarysort",
-         input_gb=0.75, policy="alm", tags=("clean",))
+         input_gb=0.75, policy="alm")
 
 # Task failures (Fig. 8's shape: OOM mid-reduce under yarn vs ALG).
-register("oom-reduce-yarn", tags=("quick",), faults=[
+register("oom-reduce-yarn", faults=[
     {"kind": "task-oom", "task_type": "reduce", "task_index": 0,
      "at_progress": 0.5}])
 register("oom-recurring-alm", policy="alm", faults=[
@@ -177,8 +171,7 @@ register("oom-map-alg", policy="alg", workload="wordcount", reducers=2, faults=[
      "at_progress": 0.6}])
 
 # Node failures (Fig. 9 / Fig. 10: reducer-hosting node dies mid-phase).
-register("crash-reducer-sfm", policy="sfm", tags=("quick",),
-         faults=[_crash(0.5)])
+register("crash-reducer-sfm", policy="sfm", faults=[_crash(0.5)])
 register("netfail-reducer-yarn", faults=[
     {"kind": "node-network", "target": "reducer", "at_progress": 0.5}])
 # Spatial amplification (Fig. 4 / Table II: a map-only node dies and
@@ -220,14 +213,13 @@ register("double-crash-recovery-alm", policy="alm", faults=[
 _from_chaos(2015, 7, "chaos-2015-7")
 _from_chaos(2015, 9, "chaos-2015-9")
 
-# Control-plane failures: the AM itself dies mid-reduce. The quick one
+# Control-plane failures: the AM itself dies mid-reduce. The first one
 # recovers from the job-history log (completed maps whose MOFs survive
 # are not re-executed); the second pairs the scratch-recovery ablation
 # with a lossy RPC channel, exercising allocate retries, grant
 # redelivery and heartbeat-drop tolerance on the same run.
-register("am-restart-log-yarn", tags=("quick", "am"),
-         faults=[{"kind": "am-crash", "at_progress": 0.5}])
-register("am-restart-rerunall-rpcloss-alg", policy="alg", tags=("am",),
+register("am-restart-log-yarn", faults=[{"kind": "am-crash", "at_progress": 0.5}])
+register("am-restart-rerunall-rpcloss-alg", policy="alg",
          conf={"am_recovery": "rerun-all",
                "keep_containers_across_am_restart": True},
          rpc={"drop_prob": 0.08, "delay_prob": 0.15, "max_delay": 1.5,
@@ -236,7 +228,7 @@ register("am-restart-rerunall-rpcloss-alg", policy="alg", tags=("am",),
 # Two kills against a budget of two incarnations: the second crash
 # exhausts am_max_attempts and the job fails for a modelled reason.
 # Also the base leg of the am-max-attempts-monotone relation.
-register("am-exhaust-yarn", tags=("am",), conf={"am_max_attempts": 2},
+register("am-exhaust-yarn", conf={"am_max_attempts": 2},
          faults=[{"kind": "am-crash", "at_progress": 0.4, "repeat": 2,
                   "repeat_gap": 6.0}])
 
@@ -247,9 +239,9 @@ register("am-exhaust-yarn", tags=("am",), conf={"am_max_attempts": 2},
 # so the speculator scan and per-attempt progress records are on the
 # digest-pinned path.
 register("shuffle-heavy-yarn", input_gb=2.0, reducers=6, nodes=9,
-         record_progress=True, tags=("flows",))
+         record_progress=True)
 register("straggler-spec-alm", policy="alm", speculation=True,
-         record_progress=True, tags=("flows",), faults=[
+         record_progress=True, faults=[
     {"kind": "degraded", "node_index": 2, "at_time": 5.0,
      "disk_factor": 0.08, "nic_factor": 0.3, "duration": 300.0}])
 
@@ -257,14 +249,12 @@ register("straggler-spec-alm", policy="alm", speculation=True,
 # each shaped so the policy's distinctive machinery is on the
 # digest-pinned path (appended after the historical corpus so the 23
 # pre-existing golden digests are untouched).
-register("binocular-crash-reducer", policy="binocular", tags=("zoo",),
-         faults=[_crash(0.5)])
-register("atlas-oom-recurring", policy="atlas", tags=("zoo",), faults=[
+register("binocular-crash-reducer", policy="binocular", faults=[_crash(0.5)])
+register("atlas-oom-recurring", policy="atlas", faults=[
     {"kind": "task-oom", "task_type": "reduce", "task_index": 0,
      "at_progress": 0.3, "repeat": 3}])
-register("quantile-straggler-spec", policy="quantile", speculation=True,
-         tags=("zoo",), faults=[
+register("quantile-straggler-spec", policy="quantile", speculation=True, faults=[
     {"kind": "degraded", "node_index": 2, "at_time": 5.0,
      "disk_factor": 0.08, "nic_factor": 0.3, "duration": 300.0}])
-register("m3r-crash-mapnode", policy="m3r", tags=("zoo",), faults=[
+register("m3r-crash-mapnode", policy="m3r", faults=[
     {"kind": "node-crash", "target": "map-only", "at_time": 10.0}])

@@ -12,6 +12,7 @@ from repro.faults import AMFault, NodeFault, PartitionFault, RackFault, SlowNode
 from repro.faults.chaos import build_fault
 from repro.faults.inject import MapWaveFault
 from repro.mapreduce.tasks import TaskType
+from repro.verify.scenarios import SCENARIOS
 
 
 def _fault(spec):
@@ -216,10 +217,13 @@ class TestOtherCommands:
          "repro campaign submit: error: argument --jobs: must be positive, got -1"),
         (["campaign", "resume", "--store", "campaign.db", "--jobs", "0"],
          "repro campaign resume: error: argument --jobs: must be positive, got 0"),
+        (["verify", "--scenario", "nosuch"],
+         "repro verify: error: argument --scenario: unknown scenario 'nosuch'; "
+         f"choose from {', '.join(SCENARIOS)}"),
     ], ids=["chaos-trials-neg", "chaos-trials-zero", "chaos-scale-zero",
             "store-trials-neg", "store-scale-neg", "experiment-scale-neg",
             "chaos-jobs-neg", "verify-jobs-zero", "submit-jobs-neg",
-            "resume-jobs-zero"])
+            "resume-jobs-zero", "verify-unknown-scenario"])
     def test_non_positive_count_or_scale_is_a_usage_error(self, argv, message, tmp_path,
                                                           monkeypatch, capsys):
         """Caught by argparse: nothing runs, no store is created, and the
@@ -363,7 +367,7 @@ class TestJobsFlag:
 
     @pytest.mark.parametrize("argv", [
         ["chaos", "--smoke", "--trials", "2", "--jobs", "2"],
-        ["verify", "--quick", "--scenario", "clean-terasort-yarn", "--jobs", "2"],
+        ["verify", "--matrix", "--scenario", "clean-terasort-yarn", "--jobs", "2"],
     ], ids=["chaos", "verify"])
     def test_main_sets_no_environment_variable(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # chaos writes any reproducer here

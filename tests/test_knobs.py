@@ -77,8 +77,8 @@ def test_cli_offers_exactly_the_supported_options():
         "campaign resume": ["--id", "--jobs", "--no-minimize", "--out", "--store"],
         "campaign status": ["--id", "--store"],
         "campaign export": ["--id", "--out", "--payloads", "--store"],
-        "verify": ["--jobs", "--matrix", "--metamorphic", "--out", "--quick",
-                   "--refresh-golden", "--scenario", "--store"],
+        "verify": ["--jobs", "--matrix", "--metamorphic", "--out", "--refresh-golden",
+                   "--scenario"],
     }
     assert _cli_options(_build_parser()) == {
         (command, option) for command, options in expected.items() for option in options}
@@ -106,6 +106,7 @@ def test_config_objects_offer_exactly_the_settable_fields():
     from repro.baselines.iss import ISSConfig
     from repro.cluster.cluster import ClusterSpec
     from repro.cluster.node import NodeSpec
+    from repro.experiments.common import ExperimentConfig
     from repro.hdfs.hdfs import HdfsConfig
     from repro.mapreduce.config import JobConf
     from repro.mapreduce.speculation import SpeculationConfig
@@ -135,6 +136,7 @@ def test_config_objects_offer_exactly_the_settable_fields():
         BackoffPolicy: ("base", "multiplier", "max_interval", "max_retries", "jitter"),
         TraceMix: ("num_jobs", "median_input_gb", "mean_reducers", "max_reducers",
                    "mean_interarrival", "seed"),
+        ExperimentConfig: ("cluster", "yarn", "hdfs"),
     }
     assert {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in expected} \
         == expected

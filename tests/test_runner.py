@@ -26,7 +26,6 @@ def _cfg(seed: int = 42) -> ExperimentConfig:
         cluster=small_cluster(seed=seed),
         yarn=YarnConfig(nm_liveness_timeout=20.0),
         hdfs=HdfsConfig(block_size=64 * MB, replication=2),
-        seed=seed,
     )
 
 
@@ -245,7 +244,7 @@ class TestExperimentIntegration:
         direct = []
         for k in range(2):
             _, res = run_benchmark_job(wl, "yarn",
-                                       config=cfg.with_seed(cfg.seed + 101 * k),
+                                       config=cfg.with_seed(cfg.cluster.seed + 101 * k),
                                        job_name="eq-direct")
             direct.append(res.elapsed)
         assert via_runner == pytest.approx(sum(direct) / len(direct))

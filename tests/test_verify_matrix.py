@@ -98,9 +98,9 @@ class TestMatrixTrial:
 
         monkeypatch.setattr(cluster_mod, "flow_scheduler_class", recording_pick)
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        jobs = (("clean-terasort-yarn", "default", "reference", ""),)
+        jobs = (("clean-terasort-yarn", "reference", ""),)
         payload = run_matrix_trial(0, jobs)
-        assert payload["combo"] == ("default", "reference")
+        assert payload["combo"] == "reference"
         assert chosen and set(chosen) == {ReferenceFlowScheduler}
         assert "REPRO_SCHEDULER" not in os.environ
         assert payload["invariant_violations"] == []
@@ -108,16 +108,15 @@ class TestMatrixTrial:
     def test_combos_select_distinct_implementations(self):
         """Every COMBOS entry runs different flow-scheduler classes at
         the corpus's cluster sizes: a duplicate entry re-runs the same
-        code and proves nothing. The kernel column is always
-        ``default``."""
+        code and proves nothing."""
         from repro.cluster.cluster import flow_scheduler_class
         from repro.verify.differential import _impl_env
         from repro.verify.scenarios import corpus
 
         sizes = sorted({scenario["nodes"] for scenario in corpus()})
         selected = []
-        for kernel, scheduler in COMBOS:
-            assert kernel == "default"
+        assert COMBOS == ("default", "reference", "columnar")
+        for scheduler in COMBOS:
             with _impl_env(scheduler):
                 selected.append(tuple(flow_scheduler_class(n) for n in sizes))
         assert len(set(selected)) == len(COMBOS), selected
@@ -136,24 +135,23 @@ class TestSeededDivergence:
         with pytest.raises(DivergenceError) as excinfo:
             run_matrix(
                 names=["oom-reduce-yarn"],
-                mutations={("oom-reduce-yarn", "default", "reference"):
-                           "append-event"},
+                mutations={("oom-reduce-yarn", "reference"): "append-event"},
                 echo=_quiet,
             )
         divergence = excinfo.value.divergence
         assert divergence.scenario == "oom-reduce-yarn"
         assert divergence.seed == 11
-        assert divergence.combo_b == ("default", "reference")
+        assert divergence.combo_b == "reference"
         assert divergence.event_index is not None
         assert divergence.event_b == {"time": -1.0,
                                       "kind": "verify_divergence_probe"}
         message = str(excinfo.value)
         assert "oom-reduce-yarn" in message
         assert "seed 11" in message
+        assert "between schedulers default" in message
         assert "verify_divergence_probe" in message
 
 
-@pytest.mark.slow
 class TestFullMatrix:
     def test_full_corpus_all_combos(self):
         report = run_matrix(echo=_quiet)
@@ -181,3 +179,25 @@ class TestGoldenFile:
         path = refresh_golden({"z": "9" * 64, "a": "1" * 64})
         data = json.loads(path.read_text())
         assert list(data) == ["a", "z"]
+
+    def test_scenario_refresh_keeps_the_other_pins(self, tmp_path, monkeypatch, capsys):
+        """``--refresh-golden --scenario NAME`` moves only NAME's pin; a
+        full refresh writes exactly the corpus, dropping stale pins."""
+        from repro.cli import main
+        from repro.verify import load_golden
+        from repro.verify.scenarios import SCENARIOS
+
+        pins = load_golden()
+        monkeypatch.setattr("repro.verify.differential.golden_path",
+                            lambda: tmp_path / "scenarios.json")
+        refresh_golden({"clean-terasort-yarn": "0" * 64, "oom-reduce-yarn": "1" * 64,
+                        "retired-scenario": "2" * 64})
+        assert main(["verify", "--refresh-golden", "--scenario", "clean-terasort-yarn"]) == 0
+        assert load_golden() == {"clean-terasort-yarn": pins["clean-terasort-yarn"],
+                                 "oom-reduce-yarn": "1" * 64,
+                                 "retired-scenario": "2" * 64}
+        assert main(["verify", "--refresh-golden"]) == 0
+        assert load_golden() == pins
+        assert list(pins) == sorted(SCENARIOS)
+        assert (f"golden digests for {len(SCENARIOS)} scenarios written"
+                in capsys.readouterr().out)
